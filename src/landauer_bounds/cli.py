@@ -190,14 +190,18 @@ class PipelineResult:
 
 
 def _build_model(config: ScenarioConfig) -> tuple[LindbladModel, np.ndarray | None]:
+    if config.model == "custom":
+        if config.custom_model_file is None:
+            raise ConfigError("model 'custom' needs custom_model_file")
+        return load_custom_model(config.custom_model_file), None
+    params_type = models.RydbergParams if config.model == "rydberg" else models.ErasureParams
+    try:
+        params = params_type(**config.model_params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid model_params for {config.model!r}: {exc}") from exc
     if config.model == "rydberg":
-        model, bell = models.build_rydberg(models.RydbergParams(**config.model_params))
-        return model, bell
-    if config.model == "erasure":
-        return models.build_erasure(models.ErasureParams(**config.model_params)), None
-    if config.custom_model_file is None:
-        raise ConfigError("model 'custom' needs custom_model_file")
-    return load_custom_model(config.custom_model_file), None
+        return models.build_rydberg(params)
+    return models.build_erasure(params), None
 
 
 def _build_initial_state(config: ScenarioConfig, model: LindbladModel) -> DensityMatrix:
@@ -210,6 +214,9 @@ def _build_initial_state(config: ScenarioConfig, model: LindbladModel) -> Densit
         return models.initial_state(kind, h0)
     if kind == "pure":
         vec = np.array([complex(c[0], c[1]) for c in init["vector"]])
+        if vec.shape != (model.dim,):
+            raise ConfigError(f"pure initial state vector has {len(vec)} entries, "
+                              f"the model has dimension {model.dim}")
         return models.initial_state(kind, vector=vec)
     raise ConfigError(f"unknown initial_state kind {kind!r}")
 

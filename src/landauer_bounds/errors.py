@@ -44,7 +44,13 @@ class ProtocolDomainError(LandauerBoundsError):
 
 
 class StabilityError(LandauerBoundsError):
-    """Integrator step produced trace drift beyond the per-step tolerance."""
+    """The integrator step is unstable.
+
+    Driven runs check every step: the trace may change by at most 1e-6 and
+    the state's Frobenius norm may not exceed 10. Undriven runs check the
+    step map before the run: it may change the trace of a unit-norm state by
+    at most 1e-6, and its spectral radius may not exceed 1 + 1e-9.
+    """
 
 
 class PositivityError(LandauerBoundsError):

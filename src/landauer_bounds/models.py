@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,9 +32,6 @@ from .lindblad import JumpChannel, LindbladModel
 from .qstate import DensityMatrix
 
 RYDBERG_BASIS = ("00", "01", "0r", "10", "11", "1r", "r0", "r1", "rr")
-
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -62,6 +58,8 @@ class ErasureParams:
     bath_beta: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.eps0 <= 0 or self.eps_tau <= 0:
+            raise ValueError("eps0 and eps_tau must be positive")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.gamma < 0:
@@ -110,59 +108,62 @@ def build_rydberg(params: RydbergParams) -> tuple[LindbladModel, np.ndarray]:
     return model, bell
 
 
+def _qubit_operators(m00, m01, m10, m11) -> np.ndarray:
+    """2x2 operators with the given entries; array entries give a (..., 2, 2) stack."""
+    return np.moveaxis(np.array([[m00, m01], [m10, m11]], dtype=np.complex128),
+                       (0, 1), (-2, -1))
+
+
 def build_erasure(params: ErasureParams) -> LindbladModel:
-    """Driven qubit with thermal emission/absorption in the instantaneous basis."""
+    """Driven qubit with thermal emission/absorption in the instantaneous basis.
+
+    Every protocol accepts a scalar time or a 1-D array of times.
+    """
     eps0, eps_tau, tau = params.eps0, params.eps_tau, params.tau
     gamma, beta = params.gamma, params.bath_beta
 
-    def eps(t: float) -> float:
-        return eps0 + (eps_tau - eps0) * math.sin(math.pi * t / (2.0 * tau)) ** 2
+    def eps(t):
+        return eps0 + (eps_tau - eps0) * np.sin(np.pi * t / (2.0 * tau)) ** 2
 
-    def theta(t: float) -> float:
-        return math.pi * (t / tau - 1.0)
+    def theta(t):
+        return np.pi * (t / tau - 1.0)
 
-    def eps_rate(t: float) -> float:
-        return (eps_tau - eps0) * (math.pi / (2.0 * tau)) * math.sin(math.pi * t / tau)
+    def eps_rate(t):
+        return (eps_tau - eps0) * (np.pi / (2.0 * tau)) * np.sin(np.pi * t / tau)
 
     theta_rate = math.pi / tau
 
-    def hamiltonian(t: float) -> np.ndarray:
+    def hamiltonian(t) -> np.ndarray:
         th = theta(t)
         e = 0.5 * eps(t)
-        c, s = e * math.cos(th), e * math.sin(th)
-        return np.array([[c, s], [s, -c]], dtype=np.complex128)
+        c, s = e * np.cos(th), e * np.sin(th)
+        return _qubit_operators(c, s, s, -c)
 
-    def hamiltonian_rate(t: float) -> np.ndarray:
+    def hamiltonian_rate(t) -> np.ndarray:
         # d/dt of (eps/2)(cos th sz + sin th sx): gap ramp plus axis rotation.
         th = theta(t)
-        c, s = math.cos(th), math.sin(th)
+        c, s = np.cos(th), np.sin(th)
         er, tr = 0.5 * eps_rate(t), 0.5 * eps(t) * theta_rate
         zz = er * c - tr * s
         xx = er * s + tr * c
-        return np.array([[zz, xx], [xx, -zz]], dtype=np.complex128)
+        return _qubit_operators(zz, xx, xx, -zz)
 
-    # RK4 stages revisit the same times (midpoints twice, step ends across
-    # steps) and both channels share one eigenbasis per time; memoize the
-    # ground/excited dyads.
-    @lru_cache(maxsize=16)
-    def dyads_at(t: float) -> tuple[np.ndarray, np.ndarray]:
-        v = linalg.eigh(hamiltonian(t)).eigenvectors
-        g0, g1 = complex(v[0, 0]), complex(v[1, 0])
-        x0, x1 = complex(v[0, 1]), complex(v[1, 1])
-        down = np.array(
-            [[g0 * x0.conjugate(), g0 * x1.conjugate()],
-             [g1 * x0.conjugate(), g1 * x1.conjugate()]], dtype=np.complex128)
-        up = down.conj().T.copy()
-        return down, up
+    # Instantaneous eigenbasis in closed form, valid for eps > 0: excited
+    # (cos th/2, sin th/2) at +eps/2, ground (-sin th/2, cos th/2) at -eps/2.
+    # The dissipator does not depend on the phase of either dyad.
+    def ground_excited(t) -> np.ndarray:
+        c, s = np.cos(0.5 * theta(t)), np.sin(0.5 * theta(t))
+        return _qubit_operators(-s * c, -s * s, c * c, c * s)
 
-    def n_bath(t: float) -> float:
-        return 1.0 / math.expm1(beta * eps(t))
+    def n_bath(t):
+        return 1.0 / np.expm1(beta * eps(t))
 
-    def emission(t: float) -> np.ndarray:
-        return math.sqrt(eps(t) * (n_bath(t) + 1.0)) * dyads_at(t)[0]
+    def emission(t) -> np.ndarray:
+        return np.sqrt(eps(t) * (n_bath(t) + 1.0))[..., None, None] * ground_excited(t)
 
-    def absorption(t: float) -> np.ndarray:
-        return math.sqrt(eps(t) * n_bath(t)) * dyads_at(t)[1]
+    def absorption(t) -> np.ndarray:
+        excited_ground = np.swapaxes(ground_excited(t), -1, -2)
+        return np.sqrt(eps(t) * n_bath(t))[..., None, None] * excited_ground
 
     return LindbladModel(
         dim=2,

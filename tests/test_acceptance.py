@@ -1,0 +1,31 @@
+"""The paper's claims at paper parameters: Fig. 1, its population-inverted
+inset, and Fig. 2, each checked on the full-size run."""
+
+import numpy as np
+import pytest
+
+from landauer_bounds import qstate
+
+UNDRIVEN_VERDICTS = {"gap_nonneg", "gap_identity", "heat_upper", "coherence_split"}
+DRIVEN_VERDICTS = UNDRIVEN_VERDICTS | {"lp_lower", "nlp_S23", "nlp_S25"}
+
+
+@pytest.mark.parametrize("fixture, expected", [
+    ("fig1_result", UNDRIVEN_VERDICTS),
+    ("fig1_inset_result", UNDRIVEN_VERDICTS),
+    ("fig2_result", DRIVEN_VERDICTS),
+])
+def test_every_verdict_holds(request, fixture, expected):
+    verdicts = request.getfixturevalue(fixture).meta["verdicts"]
+    assert set(verdicts) == expected
+    assert all(v["holds"] for v in verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("fixture", ["fig1_result", "fig1_inset_result"])
+def test_bell_fidelity_never_decreases(request, fixture):
+    result = request.getfixturevalue(fixture)
+    fidelity = np.array([qstate.fidelity_pure(st, result.bell_state)
+                         for st in result.trajectory.states])
+    assert np.all(np.diff(fidelity) >= 0.0)
+    assert fidelity[-1] > 0.69
+    assert result.meta["bell_fidelity_end"] == fidelity[-1]

@@ -60,10 +60,30 @@ def test_config_errors_exit_3(tmp_path):
     assert run_cli("run", "--config", str(bad)) == 3
 
 
+@pytest.mark.parametrize("change", [
+    {"model_params": {"bogus": 1.0}},
+    {"model_params": {"tau": 0.0}},
+    {"model_params": {"eps0": 0.0}},
+    {"model_params": {"eps0": -0.4}},
+    {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}},
+], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length"])
+def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
+    raw = cli.scenario_defaults("fig2")
+    raw["model_params"].update(change.get("model_params", {}))
+    raw["initial_state"] = change.get("initial_state", raw["initial_state"])
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+
+
 def test_unstable_step_exits_1(tmp_path):
     out = tmp_path / "boom"
-    code = run_cli("run", "--scenario", "fig2", "--out", str(out),
-                   "--dt", "10", "--t-end", "10", "--samples", "2")
+    with pytest.warns(UserWarning, match="accuracy may degrade"):
+        code = run_cli("run", "--scenario", "fig2", "--out", str(out),
+                       "--dt", "10", "--t-end", "10", "--samples", "2")
     assert code == 1
 
 
@@ -111,7 +131,9 @@ def test_sweep_writes_subdirectories(tmp_path):
     raw["integrator"]["n_samples"] = 21
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert run_cli("run", "--config", str(config), "--out", str(out), "--plots") == 0
+    # dt = tau / 400 is coarse where the gap is largest, at t = tau
+    with pytest.warns(UserWarning, match="accuracy may degrade"):
+        assert run_cli("run", "--config", str(config), "--out", str(out), "--plots") == 0
     names = [e["name"] for e in raw["sweep"]]
     assert names == ["tau=5", "tau=10", "tau=20"]
     for name in names:

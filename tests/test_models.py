@@ -84,6 +84,10 @@ def test_erasure_validates_parameters():
         ErasureParams(tau=0.0)
     with pytest.raises(ValueError):
         ErasureParams(bath_beta=0.0)
+    # the closed-form instantaneous eigenbasis needs a positive gap
+    for gap in ({"eps0": 0.0}, {"eps0": -0.4}, {"eps_tau": 0.0}):
+        with pytest.raises(ValueError):
+            ErasureParams(**gap)
 
 
 def test_initial_state_sorted_flat_distribution_is_maximally_mixed():
