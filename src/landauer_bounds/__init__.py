@@ -33,6 +33,7 @@ from .thermo import (
     NlpComparison,
     UndrivenBounds,
     driven_bounds,
+    evaluate_samples,
     nlp_comparison,
     undriven_bounds,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "dephase_and_coherence",
     "driven_bounds",
     "eigh",
+    "evaluate_samples",
     "fidelity_pure",
     "generator",
     "gibbs_entropy",

@@ -29,7 +29,8 @@ from typing import Any
 import numpy as np
 
 from . import models, plotting, qstate, refsolve, thermo
-from .errors import ConfigError, LandauerBoundsError, SchemaError
+from .errors import ConfigError, LandauerBoundsError, SchemaError, UnnormalizedVector
+from .linalg import EigenSystem
 from .lindblad import JumpChannel, LindbladModel, Trajectory, propagate
 from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
 from .qstate import DensityMatrix
@@ -41,6 +42,9 @@ EXIT_VIOLATION = 2
 EXIT_CONFIG = 3
 
 VERDICT_TOL = 1e-6
+
+CONFIG_KEYS = frozenset({"name", "model", "model_params", "initial_state", "integrator",
+                         "bath_T", "beta_branch", "sweep", "custom_model_file"})
 
 _SCENARIOS: dict[str, dict[str, Any]] = {
     "fig1": {
@@ -100,6 +104,9 @@ class ScenarioConfig:
 
 
 def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: bool) -> ScenarioConfig:
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown configuration keys {unknown}")
     try:
         integ = raw["integrator"]
         dt = float(integ["dt"])
@@ -208,16 +215,21 @@ def _build_initial_state(config: ScenarioConfig, model: LindbladModel) -> Densit
     init = config.initial_state
     kind = init["kind"]
     h0 = model.hamiltonian(0.0)
-    if kind in ("gibbs", "sorted_ascending_diagonal"):
-        return models.initial_state(kind, h0, beta=float(init["beta"]))
-    if kind == "maximally_mixed":
-        return models.initial_state(kind, h0)
-    if kind == "pure":
-        vec = np.array([complex(c[0], c[1]) for c in init["vector"]])
-        if vec.shape != (model.dim,):
-            raise ConfigError(f"pure initial state vector has {len(vec)} entries, "
-                              f"the model has dimension {model.dim}")
-        return models.initial_state(kind, vector=vec)
+    try:
+        if kind in ("gibbs", "sorted_ascending_diagonal"):
+            return models.initial_state(kind, h0, beta=float(init["beta"]))
+        if kind == "maximally_mixed":
+            return models.initial_state(kind, h0)
+        if kind == "pure":
+            vec = np.array([complex(re, im) for re, im in init["vector"]])
+            if vec.shape != (model.dim,):
+                raise ConfigError(f"pure initial state vector has {len(vec)} entries, "
+                                  f"the model has dimension {model.dim}")
+            return models.initial_state(kind, vector=vec)
+    except KeyError as exc:
+        raise ConfigError(f"initial_state of kind {kind!r} needs {exc}") from exc
+    except (TypeError, ValueError, UnnormalizedVector) as exc:
+        raise ConfigError(f"invalid initial_state of kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown initial_state kind {kind!r}")
 
 
@@ -227,26 +239,26 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
     rho0 = _build_initial_state(config, model)
     traj = propagate(model, rho0, config.t_end, config.dt, config.n_samples)
 
-    entropies = [(float(t), qstate.von_neumann_entropy(st))
-                 for t, st in zip(traj.times, traj.states)]
+    samples = thermo.evaluate_samples(traj, model)
+    basis0 = samples.bases[0]
     if model.driven:
         kind = "driven"
-        beta_results = refsolve.solve_beta_series(model.hamiltonian, entropies,
-                                                  config.beta_branch)
-        rows: list[Any] = thermo.driven_bounds(traj, model, beta_results, config.bath_T)
+        beta_results = refsolve.solve_beta_series(
+            samples.bases, [sm.S for sm in samples.values], config.beta_branch)
+        rows: list[Any] = thermo.driven_bounds(traj, model, samples, beta_results,
+                                               config.bath_T)
     else:
         kind = "undriven"
-        h0 = model.hamiltonian(0.0)
-        solve = refsolve.solve_beta(h0, entropies[0][1], config.beta_branch)
+        solve = refsolve.solve_beta(basis0, samples.values[0].S, config.beta_branch)
         beta_results = [solve]
-        ref = qstate.gibbs_state(h0, solve.beta_R)
-        rows = thermo.undriven_bounds(traj, model, ref, config.bath_T)
+        ref = qstate.gibbs_in_basis(basis0, solve.beta_R)
+        rows = thermo.undriven_bounds(traj, model, samples, ref, config.bath_T)
 
     nlp_rows = None
     if config.bath_T is not None:
-        nlp_rows = thermo.nlp_comparison(traj, model, 1.0 / config.bath_T)
+        nlp_rows = thermo.nlp_comparison(traj, model, samples, 1.0 / config.bath_T)
 
-    meta = _build_meta(config, model, traj, kind, rows, beta_results, nlp_rows, bell)
+    meta = _build_meta(config, basis0, traj, kind, rows, beta_results, nlp_rows, bell)
     return PipelineResult(config=config, model=model, trajectory=traj, kind=kind,
                           rows=rows, beta_results=beta_results, nlp_rows=nlp_rows,
                           meta=meta, bell_state=bell)
@@ -286,15 +298,14 @@ def _verdicts(kind: str, rows: list[Any],
     return verdicts
 
 
-def _build_meta(config: ScenarioConfig, model: LindbladModel, traj: Trajectory,
+def _build_meta(config: ScenarioConfig, basis0: EigenSystem, traj: Trajectory,
                 kind: str, rows: list[Any],
                 beta_results: list[refsolve.BetaSolveResult],
                 nlp_rows: list[thermo.NlpComparison] | None,
                 bell: np.ndarray | None) -> dict[str, Any]:
     b0 = beta_results[0]
     flipped = b0.beta_R < 0
-    h0 = model.hamiltonian(0.0)
-    degenerate = qstate.has_degenerate_spectrum(np.linalg.eigvalsh(h0))
+    degenerate = qstate.has_degenerate_spectrum(basis0.eigenvalues)
 
     e = np.array([r.E_S for r in rows])
     balance = float(np.max(np.abs((e - e[0]) - (traj.work - traj.heat))))
@@ -427,7 +438,8 @@ def write_outputs(result: PipelineResult) -> Path:
     write_bounds_csv(result, out / "bounds.csv")
     write_meta_json(result.meta, out / "meta.json")
     if result.config.plots:
-        plotting.emit_plots(out / "bounds.csv")
+        plotting.emit_plots(result.kind, [vars(r) for r in result.rows],
+                            result.meta["reference"]["beta_R0"], out)
     return out
 
 
@@ -466,9 +478,8 @@ def run_scenario(config: ScenarioConfig, raw: dict[str, Any] | None = None) -> i
         result = run_pipeline(sub)
         write_outputs(result)
         codes.append(_exit_code(result.meta))
-        beta0 = result.meta["reference"]["beta_R0"]
-        rows = plotting.read_bounds_csv(config.out_dir / name / "bounds.csv")[1]
-        entries.append((name, rows, beta0, result.meta))
+        entries.append((name, [vars(r) for r in result.rows],
+                        result.meta["reference"]["beta_R0"], result.meta))
 
     summary = {
         "scenario": config.name,

@@ -8,7 +8,6 @@ precision and no timestamps or environment-dependent metadata are emitted.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,27 +240,19 @@ def sweep_panels(entries: list[tuple[str, list[dict], float]]) -> list[Panel]:
     return panels
 
 
-def emit_plots(bounds_csv: str | Path, out_dir: str | Path | None = None) -> list[Path]:
-    """Render the chart for one bounds.csv (style chosen from its header).
+def emit_plots(kind: str, rows: list[dict], beta_r0: float, out_dir: str | Path) -> list[Path]:
+    """Render bounds.svg for one run's bound rows into ``out_dir``.
 
-    Reads beta_R(0) from the meta.json sidecar next to the CSV when present.
-    Returns the written SVG paths.
+    ``kind`` is "undriven" or "driven" and ``rows`` map bounds.csv column
+    names to values, as ``read_bounds_csv`` returns them. A beta_R(0) that is
+    zero or not finite is drawn with T_R = 1. Returns the written SVG paths.
     """
-    path = Path(bounds_csv)
-    kind, rows = read_bounds_csv(path)
-    beta_r = 1.0
-    meta_path = path.parent / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        ref = meta.get("reference", {})
-        cand = ref.get("beta_R0", ref.get("beta_R"))
-        if isinstance(cand, (int, float)) and cand:
-            beta_r = float(cand)
+    beta_r = beta_r0 if math.isfinite(beta_r0) and beta_r0 != 0.0 else 1.0
     if kind == "undriven":
         panels = fig1_style_panels(rows, beta_r)
     else:
         panels = fig2_style_panels(rows, beta_r)
-    out = Path(out_dir) if out_dir is not None else path.parent
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "bounds.svg"
     target.write_text(render(panels))

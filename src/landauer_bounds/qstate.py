@@ -90,7 +90,7 @@ def _unit_vector(psi: np.ndarray) -> np.ndarray:
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
-        raise UnnormalizedVector(f"|psi| = {nrm!r}")
+        raise UnnormalizedVector(f"vector norm |psi| = {nrm!r} is not 1")
     return v
 
 
@@ -151,6 +151,20 @@ def has_degenerate_spectrum(eigenvalues: np.ndarray) -> bool:
     return any(s.stop - s.start > 1 for s in _degenerate_clusters(np.asarray(eigenvalues)))
 
 
+def _dephased_entropy(rotated: np.ndarray, eigenvalues: np.ndarray) -> float:
+    """Entropy S' of the block-dephased state, from rho in the energy basis."""
+    clusters = _degenerate_clusters(eigenvalues)
+    if all(c.stop - c.start == 1 for c in clusters):
+        probs = _clamped_probabilities(np.diag(rotated).real)
+    else:
+        w: list[np.ndarray] = []
+        for c in clusters:
+            block = linalg.hermitian_part(rotated[c, c])
+            w.append(np.linalg.eigvalsh(block))
+        probs = _clamped_probabilities(np.concatenate(w))
+    return _shannon(probs)
+
+
 def dephase_and_coherence(rho: DensityMatrix, basis: EigenSystem) -> tuple[float, float]:
     """Diagonal entropy S' and coherence Coh = S' - S in an energy eigenbasis.
 
@@ -163,22 +177,17 @@ def dephase_and_coherence(rho: DensityMatrix, basis: EigenSystem) -> tuple[float
     spectrum is nondegenerate.
     """
     v = basis.eigenvectors
-    d = v.conj().T @ rho.matrix @ v
-    clusters = _degenerate_clusters(basis.eigenvalues)
-    if all(c.stop - c.start == 1 for c in clusters):
-        probs = _clamped_probabilities(np.diag(d).real)
-    else:
-        w: list[np.ndarray] = []
-        for c in clusters:
-            block = linalg.hermitian_part(d[c, c])
-            w.append(np.linalg.eigvalsh(block))
-        probs = _clamped_probabilities(np.concatenate(w))
-    s_diag = _shannon(probs)
+    s_diag = _dephased_entropy(v.conj().T @ rho.matrix @ v, basis.eigenvalues)
     return s_diag, s_diag - von_neumann_entropy(rho)
 
 
 def gibbs_state(h: np.ndarray, beta: float) -> ReferenceState:
-    """Gibbs reference state e^{-beta H}/Z for any finite beta (either sign).
+    """Gibbs reference state e^{-beta H}/Z for any finite beta (either sign)."""
+    return gibbs_in_basis(linalg.eigh(h), beta)
+
+
+def gibbs_in_basis(basis: EigenSystem, beta: float) -> ReferenceState:
+    """Gibbs reference state e^{-beta H}/Z from the eigensystem of H.
 
     Energies are shifted by the extremal eigenvalue before exponentiation so
     the weights never overflow; the shift is compensated in log_Z. When
@@ -187,8 +196,7 @@ def gibbs_state(h: np.ndarray, beta: float) -> ReferenceState:
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    es = linalg.eigh(h)
-    w = es.eigenvalues
+    w = basis.eigenvalues
     spread = float(w[-1] - w[0])
     shift = float(w[0] if beta >= 0 else w[-1])
     x = -beta * (w - shift)
@@ -196,7 +204,7 @@ def gibbs_state(h: np.ndarray, beta: float) -> ReferenceState:
     z_shifted = float(weights.sum())
     p = weights / z_shifted
     log_z = math.log(z_shifted) - beta * shift
-    v = es.eigenvectors
+    v = basis.eigenvectors
     matrix = linalg.hermitian_part((v * p) @ v.conj().T)
     saturated = abs(beta) * spread > 700.0
     free_energy = -log_z / beta if beta != 0.0 else -math.inf
@@ -228,10 +236,11 @@ def state_functionals(
     identity E_S = T_R S + F_neq holds to numerical precision.
     """
     v = basis.eigenvectors
-    pops = np.real(np.diag(v.conj().T @ rho.matrix @ v))
-    e_s = float(basis.eigenvalues @ pops)
+    rotated = v.conj().T @ rho.matrix @ v
+    e_s = float(basis.eigenvalues @ np.real(np.diag(rotated)))
     s = von_neumann_entropy(rho)
-    s_diag, coh = dephase_and_coherence(rho, basis)
+    s_diag = _dephased_entropy(rotated, basis.eigenvalues)
+    coh = s_diag - s
     d_ref = None
     f_neq = None
     if ref is not None:

@@ -4,19 +4,21 @@ The Gibbs entropy is strictly decreasing in beta on the non-negative branch
 (and increasing on the negative branch) for any H not proportional to the
 identity, so bisection on a doubling bracket converges unconditionally; its
 derivative -beta Var(E) vanishes at beta = 0 and at saturation, which rules
-out Newton-type iterations.
+out Newton-type iterations. Every solve starts from the same bracket, so a
+series of solves is just one solve per sample on that sample's energy levels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import ConstantEntropy, TargetOutOfRange
+from .linalg import EigenSystem
 
 BRANCH_NON_NEGATIVE = "non-negative"
 BRANCH_NEGATIVE = "negative"
@@ -58,8 +60,8 @@ def gibbs_entropy(h: np.ndarray, beta: float) -> float:
     return _entropy_from_levels(linalg.eigh(h).eigenvalues, beta)
 
 
-def _validated_levels(h: np.ndarray) -> tuple[np.ndarray, float]:
-    w = linalg.eigh(h).eigenvalues
+def _validated_levels(basis: EigenSystem) -> tuple[np.ndarray, float]:
+    w = basis.eigenvalues
     spread = float(w[-1] - w[0])
     if spread <= 1e-13 * max(1.0, float(np.max(np.abs(w)))):
         raise ConstantEntropy("Hamiltonian proportional to identity: entropy constant")
@@ -84,91 +86,55 @@ def _bisect(w: np.ndarray, s_target: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_beta(h: np.ndarray, s_target: float, branch: str = BRANCH_NON_NEGATIVE) -> BetaSolveResult:
+def solve_beta(basis: EigenSystem, s_target: float,
+               branch: str = BRANCH_NON_NEGATIVE) -> BetaSolveResult:
     """Find beta_R with gibbs_entropy(h, beta_R) = s_target on the given branch.
+
+    ``basis`` is the eigensystem of h; only its energy levels are used.
 
     Non-negative branch: the bracket upper edge doubles from 1 until the
     entropy falls below the target; if that never happens before the cap
     1e8 / spread (target below the ground-degeneracy entropy floor), the cap
-    is returned with ``saturated`` set.
+    is returned with ``saturated`` set. The negative branch runs the same
+    search on the mirrored levels -w, since S(beta; w) = S(-beta; -w).
     """
-    w, spread = _validated_levels(h)
+    w, spread = _validated_levels(basis)
     _check_target(s_target, len(w))
     cap = _CAP_FACTOR / spread
-
     if branch == BRANCH_NON_NEGATIVE:
-        s0 = _entropy_from_levels(w, 0.0)
-        if s0 <= s_target:
-            return BetaSolveResult(0.0, abs(s0 - s_target), False, branch)
-        lo, hi = 0.0, 1.0
-        while _entropy_from_levels(w, hi) >= s_target:
-            lo, hi = hi, 2.0 * hi
-            if hi > cap:
-                res = abs(_entropy_from_levels(w, cap) - s_target)
-                return BetaSolveResult(cap, res, True, branch)
-        beta = _bisect(w, s_target, lo, hi)
+        sign, levels = 1.0, w
     elif branch == BRANCH_NEGATIVE:
-        s0 = _entropy_from_levels(w, 0.0)
-        if s0 <= s_target:
-            return BetaSolveResult(0.0, abs(s0 - s_target), False, branch)
-        lo, hi = -1.0, 0.0
-        while _entropy_from_levels(w, lo) >= s_target:
-            lo, hi = 2.0 * lo, lo
-            if lo < -cap:
-                res = abs(_entropy_from_levels(w, -cap) - s_target)
-                return BetaSolveResult(-cap, res, True, branch)
-        # On beta <= 0 entropy increases with beta; mirror to reuse _bisect.
-        beta = -_bisect(-w[::-1], s_target, -hi, -lo)
+        sign, levels = -1.0, -w[::-1]
     else:
         raise ValueError(f"unknown branch {branch!r}")
 
+    s0 = _entropy_from_levels(levels, 0.0)
+    if s0 <= s_target:
+        return BetaSolveResult(0.0, abs(s0 - s_target), False, branch)
+    lo, hi = 0.0, 1.0
+    while _entropy_from_levels(levels, hi) >= s_target:
+        lo, hi = hi, 2.0 * hi
+        if hi > cap:
+            res = abs(_entropy_from_levels(levels, cap) - s_target)
+            return BetaSolveResult(sign * cap, res, True, branch)
+    beta = sign * _bisect(levels, s_target, lo, hi)
     return BetaSolveResult(beta, abs(_entropy_from_levels(w, beta) - s_target), False, branch)
 
 
 def solve_beta_series(
-    h_of_t: Callable[[float], np.ndarray],
-    entropies: Iterable[tuple[float, float]] | Sequence[tuple[float, float]],
+    bases: Sequence[EigenSystem],
+    entropies: Sequence[float],
     branch: str = BRANCH_NON_NEGATIVE,
 ) -> list[BetaSolveResult]:
-    """Per-time entropy matching, each solve warm-started from the previous root.
+    """Per-sample entropy matching: ``solve_beta`` on each (basis, entropy) pair.
 
-    The warm start only centers the initial bracket; results agree with cold
-    starts to bisection tolerance. Per-sample failures are recorded on the
-    result (``error``) instead of aborting the series.
+    Per-sample failures are recorded on the result (``error``) instead of
+    aborting the series.
     """
     results: list[BetaSolveResult] = []
-    prev: float | None = None
-    for t, s_target in entropies:
+    for basis, s_target in zip(bases, entropies, strict=True):
         try:
-            beta = _solve_one(h_of_t(float(t)), float(s_target), branch, prev)
-        except Exception as exc:  # noqa: BLE001 - collected per sample by contract
+            results.append(solve_beta(basis, float(s_target), branch))
+        except (ConstantEntropy, TargetOutOfRange) as exc:
             results.append(BetaSolveResult(math.nan, math.nan, False, branch, error=str(exc)))
-            continue
-        results.append(beta)
-        if beta.error is None and not beta.saturated:
-            prev = beta.beta_R
     return results
-
-
-def _solve_one(h: np.ndarray, s_target: float, branch: str, prev: float | None) -> BetaSolveResult:
-    if prev is None or branch != BRANCH_NON_NEGATIVE or prev <= 0.0:
-        return solve_beta(h, s_target, branch)
-    w, spread = _validated_levels(h)
-    _check_target(s_target, len(w))
-    cap = _CAP_FACTOR / spread
-    half = max(0.5, 0.5 * prev)
-    lo, hi = max(0.0, prev - half), prev + half
-    while _entropy_from_levels(w, lo) < s_target:
-        if lo == 0.0:
-            break
-        lo = max(0.0, lo - half)
-        half *= 2.0
-    if _entropy_from_levels(w, lo) < s_target:
-        return solve_beta(h, s_target, branch)  # target above bracket: fall back
-    while _entropy_from_levels(w, hi) >= s_target:
-        hi += half
-        half *= 2.0
-        if hi > cap:
-            return solve_beta(h, s_target, branch)  # saturation handled uniformly
-    beta = _bisect(w, s_target, lo, hi)
-    return BetaSolveResult(beta, abs(_entropy_from_levels(w, beta) - s_target), False, branch)

@@ -16,12 +16,19 @@ C(t) = (beta_R(t) - beta_R(0)) E_S(t) + ln Z(t)/Z(0):
 
 The entropy change dS is always recomputed from sampled states, never
 accumulated, so integrator error cannot leak into an inequality check.
+
+``evaluate_samples`` makes the one pass over the samples: it diagonalizes
+H(t) at every sample of a driven model (once per run for an undriven one) and
+evaluates E_S, S, S' and Coh once per sample. The reference solves, both bound
+chains and the NLP comparison all read these values; the Gibbs states at
+beta_R(t) and at the bath beta are built in the same eigenbases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg, qstate
 from .errors import (
@@ -30,9 +37,31 @@ from .errors import (
     NoBathTemperature,
     SingularReference,
 )
+from .linalg import EigenSystem
 from .lindblad import LindbladModel, Trajectory
-from .qstate import ReferenceState
+from .qstate import ReferenceState, ThermoSample
 from .refsolve import BetaSolveResult
+
+
+class Samples(NamedTuple):
+    """Energy eigensystem of H(t) and state functionals at every sample."""
+
+    bases: list[EigenSystem]
+    values: list[ThermoSample]
+
+
+def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
+    """Diagonalize H(t) and evaluate E_S, S, S', Coh once per sample.
+
+    An undriven model shares one eigensystem, computed once, across samples.
+    """
+    if model.driven:
+        bases = [linalg.eigh(model.hamiltonian(float(t))) for t in traj.times]
+    else:
+        bases = [linalg.eigh(model.hamiltonian(0.0))] * len(traj.times)
+    values = [qstate.state_functionals(float(t), rho, basis)
+              for t, rho, basis in zip(traj.times, traj.states, bases)]
+    return Samples(bases, values)
 
 
 @dataclass(frozen=True)
@@ -105,41 +134,39 @@ def _scaled_product(t_r: float, ds: float) -> float:
 def undriven_bounds(
     traj: Trajectory,
     model: LindbladModel,
+    samples: Samples,
     ref: ReferenceState,
     bath_T: float | None = None,
 ) -> list[UndrivenBounds]:
     """Evaluate the undriven chain on every trajectory sample.
 
-    ``ref`` is the entropy-matched reference for the initial state. With a
+    ``samples`` comes from ``evaluate_samples(traj, model)`` and ``ref`` is
+    the entropy-matched reference for the initial state. With a
     negative-branch reference the upper bound flips direction; rows are then
     flagged ``direction_flipped`` and Q_u is reported as the flipped lower
     bound, as configured.
     """
     if model.driven:
         raise DrivenModelSupplied("undriven_bounds requires an undriven model")
-    h = linalg.require_hermitian(model.hamiltonian(0.0))
-    basis = linalg.eigh(h)
+    h = model.hamiltonian(0.0)
     beta_r = ref.beta_R
     t_r = 1.0 / beta_r if beta_r != 0.0 else math.inf
 
     e_th = linalg.trace_product(ref.gibbs.matrix, h).real
     base_flags: tuple[str, ...] = ()
-    if qstate.has_degenerate_spectrum(basis.eigenvalues):
+    if qstate.has_degenerate_spectrum(samples.bases[0].eigenvalues):
         base_flags += ("degenerate_spectrum",)
     if beta_r < 0.0:
         base_flags += ("direction_flipped",)
     if ref.saturated:
         base_flags += ("reference_saturated",)
 
-    samples = [
-        qstate.state_functionals(float(t), rho, basis)
-        for t, rho in zip(traj.times, traj.states)
-    ]
-    s0, sdiag0, coh0, e0 = samples[0].S, samples[0].S_diag, samples[0].Coh, samples[0].E_S
+    first = samples.values[0]
+    s0, sdiag0, coh0, e0 = first.S, first.S_diag, first.Coh, first.E_S
     de_in = e0 - e_th
 
     rows: list[UndrivenBounds] = []
-    for sm, rho in zip(samples, traj.states):
+    for sm, rho in zip(samples.values, traj.states):
         ds = sm.S - s0
         de_r = sm.E_S - e_th
         gap_p = beta_r * de_r - ds
@@ -178,11 +205,13 @@ def undriven_bounds(
 def driven_bounds(
     traj: Trajectory,
     model: LindbladModel,
+    samples: Samples,
     beta_series: list[BetaSolveResult],
     bath_T: float | None = None,
 ) -> list[DrivenBounds]:
     """Evaluate the driven chain on every sample.
 
+    ``samples`` comes from ``evaluate_samples(traj, model)``;
     ``beta_series`` must align with traj.times. Saturated samples keep their
     bound fields (which only need beta_R(0) and the capped beta_R(t) through
     C(t)) but the gap/relative-entropy identity pair is suppressed because
@@ -198,76 +227,43 @@ def driven_bounds(
     beta_r0 = b0.beta_R
     t_r0 = 1.0 / beta_r0 if beta_r0 != 0.0 else math.inf
 
-    h0 = linalg.require_hermitian(model.hamiltonian(float(traj.times[0])))
-    ref0 = qstate.gibbs_state(h0, beta_r0)
+    h0 = model.hamiltonian(float(traj.times[0]))
+    ref0 = qstate.gibbs_in_basis(samples.bases[0], beta_r0)
     e_th0 = linalg.trace_product(ref0.gibbs.matrix, h0).real
 
+    first = samples.values[0]
+    s0, sdiag0, coh0, e0 = first.S, first.S_diag, first.Coh, first.E_S
     rows: list[DrivenBounds] = []
-    s0 = sdiag0 = coh0 = e0 = 0.0
-    for i, (t, rho, res) in enumerate(zip(traj.times, traj.states, beta_series)):
-        t = float(t)
-        h_t = model.hamiltonian(t)
-        basis = linalg.eigh(h_t)
-        sm = qstate.state_functionals(t, rho, basis)
-        if i == 0:
-            s0, sdiag0, coh0, e0 = sm.S, sm.S_diag, sm.Coh, sm.E_S
-
+    for i, (basis, sm, res) in enumerate(zip(samples.bases, samples.values, beta_series)):
+        ds = sm.S - s0
+        de_r = sm.E_S - e_th0
+        gap = d_inst = None
         flags: tuple[str, ...] = ()
         if res.error is not None:
-            rows.append(
-                DrivenBounds(
-                    t=t, E_S=sm.E_S, S=sm.S, S_diag=sm.S_diag, Coh=sm.Coh,
-                    Q=float(traj.heat[i]), W=float(traj.work[i]),
-                    beta_R_t=math.nan, C_t=math.nan, dE_R_tilde=sm.E_S - e_th0,
-                    gap=None, D_inst=None, dE_in_tilde=e0 - e_th0,
-                    Qu_tilde=math.nan, upper=math.nan,
-                    lp_lower=None if bath_T is None else -bath_T * (sm.S - s0),
-                    dS=sm.S - s0, dS_diag=sm.S_diag - sdiag0, dCoh=sm.Coh - coh0,
-                    flags=("beta_solve_failed",),
-                )
-            )
-            continue
-
-        ref_t = qstate.gibbs_state(h_t, res.beta_R)
-        ds = sm.S - s0
-        c_t = (res.beta_R - beta_r0) * sm.E_S + (ref_t.log_Z - ref0.log_Z)
-        de_r = sm.E_S - e_th0
-        qu = (e0 - e_th0) - _scaled_product(t_r0, ds) + t_r0 * c_t
-
-        if res.saturated or ref_t.saturated:
-            gap = None
-            d_inst = None
-            flags += ("saturated",)
+            beta_t = c_t = qu = math.nan
+            flags = ("beta_solve_failed",)
         else:
-            gap = beta_r0 * de_r - ds + c_t
-            try:
-                d_inst = qstate.relative_entropy(traj.states[i], ref_t.gibbs)
-            except SingularReference:
-                d_inst = None
-                flags += ("identity_suppressed",)
-
+            beta_t = res.beta_R
+            ref_t = qstate.gibbs_in_basis(basis, beta_t)
+            c_t = (beta_t - beta_r0) * sm.E_S + (ref_t.log_Z - ref0.log_Z)
+            qu = (e0 - e_th0) - _scaled_product(t_r0, ds) + t_r0 * c_t
+            if res.saturated or ref_t.saturated:
+                flags = ("saturated",)
+            else:
+                gap = beta_r0 * de_r - ds + c_t
+                try:
+                    d_inst = qstate.relative_entropy(traj.states[i], ref_t.gibbs)
+                except SingularReference:
+                    flags = ("identity_suppressed",)
+        work = float(traj.work[i])
         rows.append(
             DrivenBounds(
-                t=t,
-                E_S=sm.E_S,
-                S=sm.S,
-                S_diag=sm.S_diag,
-                Coh=sm.Coh,
-                Q=float(traj.heat[i]),
-                W=float(traj.work[i]),
-                beta_R_t=res.beta_R,
-                C_t=c_t,
-                dE_R_tilde=de_r,
-                gap=gap,
-                D_inst=d_inst,
-                dE_in_tilde=e0 - e_th0,
-                Qu_tilde=qu,
-                upper=qu + float(traj.work[i]),
+                t=sm.t, E_S=sm.E_S, S=sm.S, S_diag=sm.S_diag, Coh=sm.Coh,
+                Q=float(traj.heat[i]), W=work, beta_R_t=beta_t, C_t=c_t,
+                dE_R_tilde=de_r, gap=gap, D_inst=d_inst, dE_in_tilde=e0 - e_th0,
+                Qu_tilde=qu, upper=qu + work,
                 lp_lower=None if bath_T is None else -bath_T * ds,
-                dS=ds,
-                dS_diag=sm.S_diag - sdiag0,
-                dCoh=sm.Coh - coh0,
-                flags=flags,
+                dS=ds, dS_diag=sm.S_diag - sdiag0, dCoh=sm.Coh - coh0, flags=flags,
             )
         )
     return rows
@@ -276,11 +272,13 @@ def driven_bounds(
 def nlp_comparison(
     traj: Trajectory,
     model: LindbladModel,
+    samples: Samples,
     bath_beta: float | None,
 ) -> list[NlpComparison]:
     """Slacks of the comparison bounds built from the instantaneous thermal state.
 
-    Requires a genuine thermal bath: ``bath_beta`` is configuration metadata,
+    ``samples`` comes from ``evaluate_samples(traj, model)``. Requires a
+    genuine thermal bath: ``bath_beta`` is configuration metadata,
     never inferred from jump operators. Each slack equals
     beta (F(t) - F_eq(t)) = D(rho(t) || rho_eq(t)) >= 0 for detailed-balance
     models.
@@ -290,17 +288,15 @@ def nlp_comparison(
     temp = 1.0 / bath_beta
 
     h0 = model.hamiltonian(float(traj.times[0]))
-    eq0 = qstate.gibbs_state(h0, bath_beta)
+    eq0 = qstate.gibbs_in_basis(samples.bases[0], bath_beta)
     e_eq0 = linalg.trace_product(eq0.gibbs.matrix, h0).real
     s_eq0 = qstate.von_neumann_entropy(eq0.gibbs)
 
     rows: list[NlpComparison] = []
-    for t, rho in zip(traj.times, traj.states):
-        t = float(t)
+    for basis, sm in zip(samples.bases, samples.values):
+        t = sm.t
         h_t = model.hamiltonian(t) if model.driven else h0
-        eq_t = eq0 if not model.driven else qstate.gibbs_state(h_t, bath_beta)
-        basis = linalg.eigh(h_t)
-        sm = qstate.state_functionals(t, rho, basis)
+        eq_t = qstate.gibbs_in_basis(basis, bath_beta) if model.driven else eq0
         e_eq = linalg.trace_product(eq_t.gibbs.matrix, h_t).real
         s_eq = qstate.von_neumann_entropy(eq_t.gibbs)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from landauer_bounds import cli, plotting
+from landauer_bounds import cli, linalg, plotting, qstate
 from landauer_bounds.errors import SchemaError
 
 
@@ -66,17 +66,51 @@ def test_config_errors_exit_3(tmp_path):
     {"model_params": {"eps0": 0.0}},
     {"model_params": {"eps0": -0.4}},
     {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}},
-], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length"])
+    {"initial_state": {"kind": "gibbs"}},
+    {"initial_state": {"kind": "sorted_ascending_diagonal"}},
+    {"initial_state": {"kind": "pure", "vector": [[1.0], [0.0, 0.0]]}},
+    {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [1.0, 0.0]]}},
+    {"top_level": {"integrater": {"dt": 0.01}}},
+], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
+        "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
+        "pure-unnormalized", "unknown-top-level-key"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
     raw["initial_state"] = change.get("initial_state", raw["initial_state"])
+    raw.update(change.get("top_level", {}))
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(raw))
     assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+
+
+def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
+    # Energy bases and state functionals are shared by the reference solves,
+    # the bound chain and the NLP comparison: one state_functionals call per
+    # sample, and per sample one eigh of H(t) plus one inside relative_entropy.
+    calls = {"eigh": 0, "state_functionals": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(linalg, "eigh")
+    count(qstate, "state_functionals")
+    raw = cli.scenario_defaults("fig2")
+    raw["integrator"].update(t_end=2.0, n_samples=21)
+    result = cli.run_pipeline(cli.build_config(raw, "fig2", tmp_path, plots=False))
+    n = len(result.trajectory.times)
+    assert n == 21
+    assert calls["state_functionals"] == n
+    assert calls["eigh"] <= 2 * n + 5
 
 
 def test_unstable_step_exits_1(tmp_path):
@@ -159,7 +193,7 @@ def test_emit_plots_minimal_csv(tmp_path):
     row1 = "0,0.1,0.5,0.5,0,0,0.1,0.2,0.2,0.3,,"
     row2 = "1,0.05,0.4,0.45,0.05,0.05,0.05,0.1,0.1,0.2,,"
     path.write_text(f"{header}\r\n{row1}\r\n{row2}\r\n")
-    (written,) = plotting.emit_plots(path, tmp_path)
+    (written,) = plotting.emit_plots(*plotting.read_bounds_csv(path), 1.0, tmp_path)
     svg = written.read_text()
     assert svg.startswith("<?xml")
     assert "<polyline" in svg
@@ -171,11 +205,11 @@ def test_emit_plots_rejects_unknown_schema(tmp_path):
     path = tmp_path / "bounds.csv"
     path.write_text("a,b,c\r\n1,2,3\r\n")
     with pytest.raises(SchemaError):
-        plotting.emit_plots(path)
+        plotting.emit_plots(*plotting.read_bounds_csv(path), 1.0, tmp_path)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(SchemaError):
-        plotting.emit_plots(empty)
+        plotting.emit_plots(*plotting.read_bounds_csv(empty), 1.0, tmp_path)
 
 
 def test_negative_branch_through_config(tmp_path):

@@ -110,7 +110,7 @@ def test_initial_state_sorted_preserves_entropy_and_beta():
     gibbs = initial_state("gibbs", h, beta=30.0)
     s_sorted = qstate.von_neumann_entropy(sorted_state)
     assert s_sorted == pytest.approx(qstate.von_neumann_entropy(gibbs), abs=1e-12)
-    res = refsolve.solve_beta(h, s_sorted)
+    res = refsolve.solve_beta(linalg.eigh(h), s_sorted)
     assert abs(res.beta_R - 30.0) < 1e-7
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from landauer_bounds import refsolve
 from landauer_bounds.errors import ConstantEntropy, TargetOutOfRange
+from landauer_bounds.linalg import eigh
 from landauer_bounds.refsolve import BRANCH_NEGATIVE, gibbs_entropy, solve_beta, solve_beta_series
 
 QUBIT_H = np.diag([0.5, -0.5]).astype(complex)
@@ -30,14 +31,14 @@ def test_gibbs_entropy_ground_state_limit():
 
 
 def test_solve_beta_maximally_mixed_target():
-    res = solve_beta(QUBIT_H, math.log(2))
+    res = solve_beta(eigh(QUBIT_H), math.log(2))
     assert res.beta_R == 0.0
     assert not res.saturated
 
 
 def test_solve_beta_two_level_with_scan_oracle():
     s_target = binary_entropy(math.exp(0.5) / (2 * math.cosh(0.5)))
-    res = solve_beta(QUBIT_H, s_target)
+    res = solve_beta(eigh(QUBIT_H), s_target)
     assert res.residual < 1e-10
     assert res.beta_R == pytest.approx(1.0, abs=1e-9)
     # brute-force scan oracle: unique sign change of S(beta) - target
@@ -50,31 +51,31 @@ def test_solve_beta_two_level_with_scan_oracle():
 
 @pytest.mark.parametrize("beta_star", [0.0, 0.5, 1.0, 5.0, 30.0])
 def test_solve_beta_round_trip_qubit(beta_star):
-    res = solve_beta(QUBIT_H, gibbs_entropy(QUBIT_H, beta_star))
+    res = solve_beta(eigh(QUBIT_H), gibbs_entropy(QUBIT_H, beta_star))
     assert abs(res.beta_R - beta_star) < 1e-7 * (1 + beta_star)
     assert res.residual < 1e-10
 
 
 def test_solve_beta_saturates_for_pure_target():
-    res = solve_beta(QUBIT_H, 0.0)
+    res = solve_beta(eigh(QUBIT_H), 0.0)
     assert res.saturated
     assert res.beta_R == pytest.approx(1e8 / 1.0)  # cap = 1e8 / spread
 
 
 def test_solve_beta_validation():
     with pytest.raises(TargetOutOfRange):
-        solve_beta(QUBIT_H, math.log(2) + 1e-3)
+        solve_beta(eigh(QUBIT_H), math.log(2) + 1e-3)
     with pytest.raises(TargetOutOfRange):
-        solve_beta(QUBIT_H, -0.5)
+        solve_beta(eigh(QUBIT_H), -0.5)
     with pytest.raises(ConstantEntropy):
-        solve_beta(np.eye(3, dtype=complex), 0.5)
+        solve_beta(eigh(np.eye(3, dtype=complex)), 0.5)
 
 
 def test_solve_beta_negative_branch():
     # Symmetric two-level spectrum: the inverted-population state with the
     # entropy of the beta = 1 Gibbs state sits at beta_R = -1.
     s_target = gibbs_entropy(QUBIT_H, 1.0)
-    res = solve_beta(QUBIT_H, s_target, branch=BRANCH_NEGATIVE)
+    res = solve_beta(eigh(QUBIT_H), s_target, branch=BRANCH_NEGATIVE)
     assert res.branch == BRANCH_NEGATIVE
     assert res.beta_R == pytest.approx(-1.0, abs=1e-9)
     assert res.residual < 1e-10
@@ -82,32 +83,29 @@ def test_solve_beta_negative_branch():
 
 def test_series_constant_hamiltonian_constant_entropy():
     s = gibbs_entropy(QUBIT_H, 2.0)
-    out = solve_beta_series(lambda t: QUBIT_H, [(t, s) for t in (0.0, 0.5, 1.0)])
+    out = solve_beta_series([eigh(QUBIT_H)] * 3, [s] * 3)
     betas = [r.beta_R for r in out]
     assert max(betas) - min(betas) < 1e-10
     assert betas[0] == pytest.approx(2.0, abs=1e-8)
 
 
-def test_series_warm_start_matches_cold_start():
-    rng = np.random.default_rng(3)
-    def h_of_t(t):
-        return (0.5 + 0.3 * t) * QUBIT_H
-    samples = [(t, gibbs_entropy(h_of_t(t), 1.0 + 0.5 * math.sin(3 * t)))
-               for t in np.linspace(0.0, 2.0, 21)]
-    warm = solve_beta_series(h_of_t, samples)
-    for (t, s), res in zip(samples, warm):
-        cold = solve_beta(h_of_t(t), s)
-        assert abs(res.beta_R - cold.beta_R) < 1e-9
-        assert res.residual < 1e-10
+def test_series_is_a_per_sample_solve():
+    # No state is carried between samples: each entry equals a lone solve.
+    times = np.linspace(0.0, 2.0, 21)
+    hs = [(0.5 + 0.3 * t) * QUBIT_H for t in times]
+    targets = [gibbs_entropy(h, 1.0 + 0.5 * math.sin(3 * t)) for t, h in zip(times, hs)]
+    targets[7] = 0.0  # saturated sample
+    bases = [eigh(h) for h in hs]
+    series = solve_beta_series(bases, targets)
+    assert series == [solve_beta(b, s) for b, s in zip(bases, targets)]
+    assert series[7].saturated
+    assert all(r.residual < 1e-10 for i, r in enumerate(series) if i != 7)
 
 
 def test_series_collects_per_sample_errors():
-    def h_of_t(t):
-        if t == 1.0:
-            raise RuntimeError("protocol hole")
-        return QUBIT_H
     s = gibbs_entropy(QUBIT_H, 1.0)
-    out = solve_beta_series(h_of_t, [(0.0, s), (1.0, s), (2.0, s)])
+    flat = eigh(np.eye(2, dtype=complex))  # zero level spread: entropy is constant
+    out = solve_beta_series([eigh(QUBIT_H), flat, eigh(QUBIT_H)], [s, s, s])
     assert out[0].error is None and out[2].error is None
     assert out[1].error is not None and math.isnan(out[1].beta_R)
     assert out[2].beta_R == pytest.approx(1.0, abs=1e-8)

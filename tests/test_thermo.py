@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from landauer_bounds import models, qstate, refsolve, thermo
+from landauer_bounds import linalg, models, qstate, refsolve, thermo
 from landauer_bounds.errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
 from landauer_bounds.lindblad import JumpChannel, LindbladModel, propagate
 from landauer_bounds.refsolve import BRANCH_NEGATIVE, BetaSolveResult
@@ -24,7 +24,7 @@ def frozen_erasure(params=None):
 
 
 def solved_reference(h, rho0, branch="non-negative"):
-    res = refsolve.solve_beta(h, qstate.von_neumann_entropy(rho0), branch)
+    res = refsolve.solve_beta(linalg.eigh(h), qstate.von_neumann_entropy(rho0), branch)
     return qstate.gibbs_state(h, res.beta_R), res
 
 
@@ -34,7 +34,7 @@ def test_initial_time_algebra(rydberg):
     rho0 = models.initial_state("sorted_ascending_diagonal", h, beta=30.0)
     traj = propagate(model, rho0, 1.0, 0.01, 3)
     ref, _ = solved_reference(h, rho0)
-    rows = thermo.undriven_bounds(traj, model, ref)
+    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
     first = rows[0]
     assert first.dS == 0.0
     assert first.dE_R == pytest.approx(first.dE_in, abs=1e-14)
@@ -50,7 +50,7 @@ def test_thermal_start_zero_contrast(rydberg):
     rho0 = models.initial_state("gibbs", h, beta=30.0)
     traj = propagate(model, rho0, 20.0, 0.01, 11)
     ref, _ = solved_reference(h, rho0)
-    rows = thermo.undriven_bounds(traj, model, ref)
+    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
     assert abs(rows[0].dE_in) < 1e-12
     t_r = 1.0 / ref.beta_R
     for r in rows:
@@ -64,7 +64,7 @@ def test_gap_identity_undriven(rydberg):
     rho0 = models.initial_state("gibbs", h, beta=30.0)
     traj = propagate(model, rho0, 50.0, 0.01, 26)
     ref, _ = solved_reference(h, rho0)
-    rows = thermo.undriven_bounds(traj, model, ref)
+    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
     assert max(abs(r.gap_P - r.D_direct) for r in rows) < 1e-8
     assert all(r.gap_P >= -1e-8 for r in rows)
     assert all("degenerate_spectrum" in r.flags for r in rows)
@@ -77,13 +77,16 @@ def test_coherence_split_is_exact(fig2_result):
 
 def test_undriven_bounds_rejects_driven_model(erasure, fig2_result):
     ref = qstate.gibbs_state(erasure.hamiltonian(0.0), 1.0)
+    samples = thermo.evaluate_samples(fig2_result.trajectory, erasure)
     with pytest.raises(DrivenModelSupplied):
-        thermo.undriven_bounds(fig2_result.trajectory, erasure, ref)
+        thermo.undriven_bounds(fig2_result.trajectory, erasure, samples, ref)
 
 
 def test_driven_bounds_misaligned_series(erasure, fig2_result):
+    traj = fig2_result.trajectory
+    samples = thermo.evaluate_samples(traj, erasure)
     with pytest.raises(MisalignedSeries):
-        thermo.driven_bounds(fig2_result.trajectory, erasure, fig2_result.beta_results[:-1])
+        thermo.driven_bounds(traj, erasure, samples, fig2_result.beta_results[:-1])
 
 
 def test_bound_ordering_frozen_weak_coupling():
@@ -95,7 +98,8 @@ def test_bound_ordering_frozen_weak_coupling():
     traj = propagate(model, rho0, 30.0, 1e-3, 61)
     ref, res = solved_reference(h0, rho0)
     assert res.beta_R == pytest.approx(2.0, abs=1e-8)
-    rows = thermo.undriven_bounds(traj, model, ref, bath_T=1.0 / params.bath_beta)
+    samples = thermo.evaluate_samples(traj, model)
+    rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0 / params.bath_beta)
     assert rows[-1].dS > 1e-3  # heating toward the hotter bath
     for r in rows:
         assert r.lp_lower <= r.Q + 1e-8
@@ -108,7 +112,8 @@ def test_degenerate_saturation_stationary_state():
     rho0 = models.initial_state("gibbs", h0, beta=params.bath_beta)
     traj = propagate(model, rho0, 10.0, 5e-4, 21)
     ref, _ = solved_reference(h0, rho0)
-    rows = thermo.undriven_bounds(traj, model, ref, bath_T=1.0 / params.bath_beta)
+    samples = thermo.evaluate_samples(traj, model)
+    rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0 / params.bath_beta)
     for r in rows:
         assert abs(r.Q) < 1e-9
         assert abs(r.dS) < 1e-9
@@ -124,9 +129,10 @@ def test_driven_path_reduces_to_undriven():
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
     ref, res = solved_reference(h0, rho0)
-    urows = thermo.undriven_bounds(traj, model, ref, bath_T=1.0)
+    samples = thermo.evaluate_samples(traj, model)
+    urows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0)
     series = [res] * len(traj.times)
-    drows = thermo.driven_bounds(traj, model, series, bath_T=1.0)
+    drows = thermo.driven_bounds(traj, model, samples, series, bath_T=1.0)
     for u, d in zip(urows, drows):
         assert abs(d.C_t) < 1e-10
         assert d.gap == pytest.approx(u.gap_P, abs=1e-9)
@@ -145,10 +151,9 @@ def test_instantaneous_matching_identity_holds_for_constant_hamiltonian():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
-    entropies = [(float(t), qstate.von_neumann_entropy(st))
-                 for t, st in zip(traj.times, traj.states)]
-    series = refsolve.solve_beta_series(lambda t: h0, entropies)
-    drows = thermo.driven_bounds(traj, model, series)
+    entropies = [qstate.von_neumann_entropy(st) for st in traj.states]
+    series = refsolve.solve_beta_series([linalg.eigh(h0)] * len(entropies), entropies)
+    drows = thermo.driven_bounds(traj, model, thermo.evaluate_samples(traj, model), series)
     for d in drows:
         assert d.gap == pytest.approx(d.D_inst, abs=1e-9)
         assert d.gap >= -1e-9
@@ -163,7 +168,8 @@ def test_negative_branch_flips_bound_direction():
     traj = propagate(model, rho0, 10.0, 1e-3, 21)
     ref, res = solved_reference(h0, rho0, branch=BRANCH_NEGATIVE)
     assert res.beta_R == pytest.approx(-1.0, abs=1e-8)
-    rows = thermo.undriven_bounds(traj, model, ref, bath_T=1.0)
+    samples = thermo.evaluate_samples(traj, model)
+    rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0)
     assert all("direction_flipped" in r.flags for r in rows)
     for r in rows:
         assert r.gap_P >= -1e-9  # the gap identity is sign-independent
@@ -177,25 +183,27 @@ def test_driven_bounds_marks_saturated_and_failed_samples():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=1.0)
     traj = propagate(model, rho0, 1.0, 1e-3, 3)
-    good = refsolve.solve_beta(h0, qstate.von_neumann_entropy(rho0))
+    good = refsolve.solve_beta(linalg.eigh(h0), qstate.von_neumann_entropy(rho0))
     saturated = BetaSolveResult(2.5e8, 0.0, True, good.branch)
     failed = BetaSolveResult(math.nan, math.nan, False, good.branch, error="no bracket")
-    rows = thermo.driven_bounds(traj, model, [good, saturated, failed])
+    samples = thermo.evaluate_samples(traj, model)
+    rows = thermo.driven_bounds(traj, model, samples, [good, saturated, failed])
     assert rows[1].gap is None and rows[1].D_inst is None
     assert "saturated" in rows[1].flags
     assert math.isfinite(rows[1].Qu_tilde)  # bound fields still emitted
     assert "beta_solve_failed" in rows[2].flags
     assert math.isnan(rows[2].Qu_tilde)
     with pytest.raises(MisalignedSeries):
-        thermo.driven_bounds(traj, model, [saturated, good, good])
+        thermo.driven_bounds(traj, model, samples, [saturated, good, good])
 
 
 def test_nlp_requires_bath(fig2_result, rydberg):
     model, _ = rydberg
+    samples = thermo.evaluate_samples(fig2_result.trajectory, fig2_result.model)
     with pytest.raises(NoBathTemperature):
-        thermo.nlp_comparison(fig2_result.trajectory, fig2_result.model, None)
+        thermo.nlp_comparison(fig2_result.trajectory, fig2_result.model, samples, None)
     with pytest.raises(NoBathTemperature):
-        thermo.nlp_comparison(fig2_result.trajectory, model, -1.0)
+        thermo.nlp_comparison(fig2_result.trajectory, model, samples, -1.0)
 
 
 def test_nlp_equilibrium_samples_have_zero_slack():
@@ -203,7 +211,8 @@ def test_nlp_equilibrium_samples_have_zero_slack():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=params.bath_beta)
     traj = propagate(model, rho0, 5.0, 1e-3, 6)
-    rows = thermo.nlp_comparison(traj, model, params.bath_beta)
+    samples = thermo.evaluate_samples(traj, model)
+    rows = thermo.nlp_comparison(traj, model, samples, params.bath_beta)
     for c in rows:
         assert abs(c.slack_S23) < 1e-12
         assert abs(c.slack_S26) < 1e-12
