@@ -45,6 +45,7 @@ VERDICT_TOL = 1e-6
 
 CONFIG_KEYS = frozenset({"name", "model", "model_params", "initial_state", "integrator",
                          "bath_T", "beta_branch", "sweep", "custom_model_file"})
+SWEEP_KEYS = frozenset({"name", "overrides"})
 
 _SCENARIOS: dict[str, dict[str, Any]] = {
     "fig1": {
@@ -130,6 +131,12 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         init = dict(raw["initial_state"])
         if "kind" not in init:
             raise ConfigError("initial_state needs a 'kind'")
+        sweep = raw.get("sweep") or []
+        if not isinstance(sweep, list) or not all(
+                isinstance(e, dict) and set(e) <= SWEEP_KEYS
+                and isinstance(e.get("overrides", {}), dict) for e in sweep):
+            raise ConfigError(f"sweep must be a list of objects with keys in {sorted(SWEEP_KEYS)}"
+                              " and object-valued overrides")
         return ScenarioConfig(
             name=name,
             model=model,
@@ -142,7 +149,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
             beta_branch=branch,
             out_dir=Path(out_dir),
             plots=plots,
-            sweep=tuple(raw.get("sweep") or ()),
+            sweep=tuple(sweep),
             custom_model_file=raw.get("custom_model_file"),
         )
     except ConfigError:
@@ -240,16 +247,16 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
     traj = propagate(model, rho0, config.t_end, config.dt, config.n_samples)
 
     samples = thermo.evaluate_samples(traj, model)
-    basis0 = samples.bases[0]
+    basis0 = EigenSystem(samples.levels[0], samples.vectors[0])
     if model.driven:
         kind = "driven"
-        beta_results = refsolve.solve_beta_series(
-            samples.bases, [sm.S for sm in samples.values], config.beta_branch)
+        beta_results = refsolve.solve_beta_series(samples.levels, samples.values.S,
+                                                  config.beta_branch)
         rows: list[Any] = thermo.driven_bounds(traj, model, samples, beta_results,
                                                config.bath_T)
     else:
         kind = "undriven"
-        solve = refsolve.solve_beta(basis0, samples.values[0].S, config.beta_branch)
+        solve = refsolve.solve_beta(basis0, samples.values.S[0], config.beta_branch)
         beta_results = [solve]
         ref = qstate.gibbs_in_basis(basis0, solve.beta_R)
         rows = thermo.undriven_bounds(traj, model, samples, ref, config.bath_T)
@@ -536,6 +543,8 @@ def main(argv: list[str] | None = None) -> int:
                 raw = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise ConfigError(f"config {args.config} is not a JSON object")
             name = raw.get("name", Path(args.config).stem)
         for key, val in (("dt", args.dt), ("t_end", args.t_end), ("n_samples", args.samples)):
             if val is not None:

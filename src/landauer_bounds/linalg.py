@@ -1,6 +1,7 @@
 """Dense Hermitian linear algebra for small operator matrices.
 
-Operators are plain ``numpy.ndarray`` values (complex128, square). All
+Operators are plain ``numpy.ndarray`` values (complex128, square); the
+helpers that validate, adjoin or symmetrize also take (..., d, d) stacks. All
 dimensions in this package are tiny (d <= 9), so everything is dense and
 eigendecomposition cost is negligible; what matters here is a deterministic,
 regression-stable output convention for degenerate spectra.
@@ -8,7 +9,6 @@ regression-stable output convention for degenerate spectra.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,25 +34,30 @@ class EigenSystem(NamedTuple):
 
 
 def as_operator(m: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex128 array."""
+    """Coerce to a complex128 square matrix or a (..., d, d) stack of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Validate Hermiticity entrywise (max |m - m^dagger| <= atol)."""
+    """Validate Hermiticity entrywise (max |m - m^dagger| <= atol), also on stacks."""
     a = as_operator(m)
-    dev = np.max(np.abs(a - a.conj().T))
+    dev = np.max(np.abs(a - adjoint(a)))
     if dev > atol:
         raise NonHermitianInput(f"max |m - m^dagger| = {dev:.3e} exceeds {atol:.1e}")
     return a
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger) / 2."""
-    return (m + m.conj().T) / 2.0
+    """(m + m^dagger) / 2, also on stacks."""
+    return (m + adjoint(m)) / 2.0
 
 
 def _canonicalize(w: np.ndarray, v: np.ndarray) -> EigenSystem:
@@ -84,63 +89,13 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
-def _phase_fixed(u0: complex, u1: complex) -> tuple[complex, complex, int]:
-    """Scalar version of the column convention: pivot component real positive."""
-    pivot = 0 if abs(u0) >= abs(u1) else 1
-    p = u0 if pivot == 0 else u1
-    ph = p.conjugate() / abs(p)
-    return u0 * ph, u1 * ph, pivot
-
-
-def _eigh_2x2(a: np.ndarray, atol: float) -> EigenSystem:
-    """Closed-form 2x2 path producing the exact _canonicalize convention."""
-    a00, a11 = a[0, 0], a[1, 1]
-    b = complex(a[0, 1])
-    if (
-        abs(a00.imag) > atol
-        or abs(a11.imag) > atol
-        or abs(b - complex(a[1, 0]).conjugate()) > atol
-    ):
-        raise NonHermitianInput("2x2 matrix violates the Hermiticity tolerance")
-    mean = 0.5 * (a00.real + a11.real)
-    half_gap = 0.5 * (a00.real - a11.real)
-    r = math.hypot(half_gap, abs(b))
-    w = np.array([mean - r, mean + r])
-    if r == 0.0:
-        v = np.eye(2, dtype=np.complex128)
-    else:
-        # Upper eigenvector from the numerically larger pivot formula; the
-        # lower one is its orthogonal complement.
-        if half_gap >= 0.0:
-            u0, u1 = complex(r + half_gap), b.conjugate()
-        else:
-            u0, u1 = b, complex(r - half_gap)
-        nrm = math.sqrt(abs(u0) ** 2 + abs(u1) ** 2)
-        u0, u1, p_hi = _phase_fixed(u0 / nrm, u1 / nrm)
-        l0, l1, p_lo = _phase_fixed(-u1.conjugate(), u0.conjugate())
-        cols = [(l0, l1, p_lo), (u0, u1, p_hi)]
-        if 2.0 * r <= _TIE_ATOL * max(1.0, abs(w[0]), abs(w[1])) and p_hi < p_lo:
-            cols.reverse()
-            w = w[::-1].copy()
-        v = np.array([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]],
-                     dtype=np.complex128)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
-
-
 def eigh(m: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with a fixed output convention.
 
     Eigenvalues ascending; eigenvector order and phases canonicalized (see
     ``_canonicalize``), making the output deterministic for identical input.
-    2x2 inputs take a closed-form path with the same convention.
     """
-    a = as_operator(m)
-    if a.shape == (2, 2):
-        return _eigh_2x2(a, HERMITICITY_ATOL)
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(require_hermitian(m))
     return _canonicalize(w, v)
 
 

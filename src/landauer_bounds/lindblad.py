@@ -33,7 +33,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatch,
-    NonHermitianInput,
     PositivityError,
     ProtocolDomainError,
     StabilityError,
@@ -137,8 +136,8 @@ class Trajectory:
     n_steps: int
 
 
-def _protocol_values(protocol: Callable[..., np.ndarray], times: np.ndarray,
-                     dim: int, what: str) -> np.ndarray:
+def protocol_values(protocol: Callable[..., np.ndarray], times: np.ndarray,
+                    dim: int, what: str) -> np.ndarray:
     """(m, dim, dim) values of a protocol at m times; constants are broadcast."""
     try:
         values = np.asarray(protocol(times), dtype=np.complex128)
@@ -150,11 +149,11 @@ def _protocol_values(protocol: Callable[..., np.ndarray], times: np.ndarray,
 
 def _hamiltonian_rates(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     if model.hamiltonian_rate_protocol is not None:
-        return _protocol_values(model.hamiltonian_rate_protocol, times, model.dim, "dH/dt")
+        return protocol_values(model.hamiltonian_rate_protocol, times, model.dim, "dH/dt")
     h_fd = 1e-6 * model.protocol_timescale
     ham = model.hamiltonian_protocol
-    return (_protocol_values(ham, times + h_fd, model.dim, "Hamiltonian")
-            - _protocol_values(ham, times - h_fd, model.dim, "Hamiltonian")) / (2.0 * h_fd)
+    return (protocol_values(ham, times + h_fd, model.dim, "Hamiltonian")
+            - protocol_values(ham, times - h_fd, model.dim, "Hamiltonian")) / (2.0 * h_fd)
 
 
 def _transpose(a: np.ndarray) -> np.ndarray:
@@ -176,10 +175,8 @@ def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     d, n = model.dim, model.dim ** 2
-    h = _protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
-    dev = float(np.max(np.abs(h - _transpose(h).conj())))
-    if dev > linalg.HERMITICITY_ATOL:
-        raise NonHermitianInput(f"Hamiltonian: max |H - H^dagger| = {dev:.3e}")
+    h = linalg.require_hermitian(protocol_values(model.hamiltonian_protocol, times, d,
+                                                 "Hamiltonian"))
     # With K = H - (i/2) sum_mu gamma_mu L^dag L the generator is
     # -i (K rho - rho K^dag) + sum_mu gamma_mu L rho L^dag.
     k_eff = h.copy()
@@ -187,8 +184,8 @@ def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     for ch in model.channels:
         if ch.rate == 0.0:
             continue
-        l_op = _protocol_values(ch.operator_protocol, times, d, "jump operator")
-        k_eff -= (0.5j * ch.rate) * (_transpose(l_op).conj() @ l_op)
+        l_op = protocol_values(ch.operator_protocol, times, d, "jump operator")
+        k_eff -= (0.5j * ch.rate) * (linalg.adjoint(l_op) @ l_op)
         jumps = jumps + ch.rate * _kron(l_op, l_op.conj())
     eye = np.eye(d, dtype=np.complex128)
     liou = -1j * (_kron(k_eff, eye) - _kron(eye, k_eff.conj())) + jumps

@@ -203,13 +203,8 @@ def initial_state(
         if h0 is None or beta is None:
             raise ValueError("sorted_ascending_diagonal needs h0 and beta")
         es = linalg.eigh(h0)
-        w = es.eigenvalues
-        x = -beta * (w - (w[0] if beta >= 0 else w[-1]))
-        p = np.exp(x)
-        p /= p.sum()
-        q = np.sort(p)
-        v = es.eigenvectors
-        return DensityMatrix.from_matrix(linalg.hermitian_part((v * q) @ v.conj().T),
+        p, _ = qstate.gibbs_weights(es.eigenvalues, beta)
+        return DensityMatrix.from_matrix(qstate.diagonal_in_basis(np.sort(p), es.eigenvectors),
                                          check=False)
     if kind == "maximally_mixed":
         if dim is None:

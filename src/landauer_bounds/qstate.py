@@ -1,5 +1,9 @@
 """Quantum-state functionals: entropies, coherence, Gibbs states, fidelity.
 
+Entropy, block dephasing, Gibbs weights and relative entropy are each written
+once, for (..., d, d) stacks of states and (..., d) stacks of energy levels;
+the single-state functions run the same code on one state.
+
 Convention notes:
   * natural log everywhere; 0 ln 0 = 0;
   * eigenvalues of a state in [-1e-9, 0) are clamped to zero before entropy
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +58,6 @@ class DensityMatrix:
         v = _unit_vector(psi)
         return cls.from_matrix(np.outer(v, v.conj()), check=False)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 @dataclass(frozen=True, eq=False)
 class ReferenceState:
@@ -73,17 +75,14 @@ class ReferenceState:
     saturated: bool = False
 
 
-@dataclass(frozen=True)
-class ThermoSample:
-    """Per-time bundle of state functionals (energies, entropies, coherence)."""
+class ThermoSample(NamedTuple):
+    """State functionals at a stack of samples, one (m,) array per field."""
 
-    t: float
-    E_S: float
-    S: float
-    S_diag: float
-    Coh: float
-    D_ref: float | None = None
-    F_neq: float | None = None
+    t: np.ndarray
+    E_S: np.ndarray
+    S: np.ndarray
+    S_diag: np.ndarray
+    Coh: np.ndarray
 
 
 def _unit_vector(psi: np.ndarray) -> np.ndarray:
@@ -95,74 +94,79 @@ def _unit_vector(psi: np.ndarray) -> np.ndarray:
 
 
 def _clamped_probabilities(w: np.ndarray) -> np.ndarray:
-    """Clamp tiny negatives to zero and renormalize within tolerance."""
+    """Clamp tiny negatives to zero and renormalize each row within tolerance."""
     w = np.asarray(w, dtype=np.float64)
     if float(w.min(initial=0.0)) < -POSITIVITY_ATOL:
         raise InvalidState(f"negative probability {w.min():.3e} beyond tolerance")
     p = np.clip(w, 0.0, 1.0)
-    s = float(p.sum())
-    if abs(s - 1.0) > TRACE_ATOL:
-        raise InvalidState(f"probabilities sum to {s!r}")
+    s = p.sum(axis=-1, keepdims=True)
+    off = np.abs(s - 1.0) > TRACE_ATOL
+    if np.any(off):
+        raise InvalidState(f"probabilities sum to {float(s[off][0])!r}")
     return p / s
 
 
-def _shannon(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-(nz @ np.log(nz)))
+def shannon_entropy(p: np.ndarray) -> np.ndarray:
+    """-sum_n p_n ln p_n over the last axis, with 0 ln 0 = 0."""
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+
+
+def _entropies(matrices: np.ndarray) -> np.ndarray:
+    """von Neumann entropy of each state in a (..., d, d) stack."""
+    return shannon_entropy(_clamped_probabilities(np.linalg.eigvalsh(matrices)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr[rho ln rho] in nats."""
-    return _shannon(_clamped_probabilities(rho.eigenvalues()))
+    return float(_entropies(rho.matrix))
+
+
+def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """D(rho || sigma) = Tr[rho ln rho] - Tr[rho ln sigma] over broadcast stacks.
+
+    Each sigma is decomposed here, independently of rho, because the two
+    generally do not commute. Where sigma has an eigenvalue <= 1e-12 the
+    divergence is +inf and the entry is NaN.
+    """
+    w, v = np.linalg.eigh(sigma)
+    singular = w[..., 0] <= 1e-12
+    log_w = np.log(np.where(singular[..., None], 1.0, w))
+    populations = np.diagonal(linalg.adjoint(v) @ rho @ v, axis1=-2, axis2=-1).real
+    return np.where(singular, np.nan, -_entropies(rho) - np.sum(log_w * populations, axis=-1))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """D(rho || sigma) = Tr[rho ln rho] - Tr[rho ln sigma].
-
-    The two terms use independent spectral decompositions because rho and
-    sigma generally do not commute. ``sigma`` must be full rank; otherwise
-    the divergence is +inf and ``SingularReference`` is raised.
-    """
+    """D(rho || sigma) of two states; ``SingularReference`` when sigma is not full rank."""
     if rho.dim != sigma.dim:
         raise InvalidState(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    sig_min = float(np.linalg.eigvalsh(sigma.matrix)[0])
-    if sig_min <= 1e-12:
+    d = float(relative_entropies(rho.matrix, sigma.matrix))
+    if math.isnan(d):
+        sig_min = float(np.linalg.eigvalsh(sigma.matrix)[0])
         raise SingularReference(f"reference min eigenvalue {sig_min:.3e} <= 1e-12")
-    log_sigma = linalg.spectral_map(sigma.matrix, np.log)
-    tr_rho_log_sigma = linalg.trace_product(rho.matrix, log_sigma).real
-    return -von_neumann_entropy(rho) - tr_rho_log_sigma
+    return d
 
 
-def _degenerate_clusters(eigenvalues: np.ndarray) -> list[slice]:
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))))
-    tol = DEGENERACY_ATOL * scale
-    out: list[slice] = []
-    start = 0
-    n = len(eigenvalues)
-    for end in range(1, n + 1):
-        if end == n or eigenvalues[end] - eigenvalues[end - 1] > tol:
-            out.append(slice(start, end))
-            start = end
-    return out
+def _cluster_breaks(levels: np.ndarray) -> np.ndarray:
+    """True between consecutive ascending levels that lie in different clusters."""
+    scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1, keepdims=True))
+    return np.diff(levels, axis=-1) > DEGENERACY_ATOL * scale
 
 
 def has_degenerate_spectrum(eigenvalues: np.ndarray) -> bool:
     """True when some energy gap is below the degeneracy tolerance."""
-    return any(s.stop - s.start > 1 for s in _degenerate_clusters(np.asarray(eigenvalues)))
+    return not np.all(_cluster_breaks(np.asarray(eigenvalues)))
 
 
-def _dephased_entropy(rotated: np.ndarray, eigenvalues: np.ndarray) -> float:
-    """Entropy S' of the block-dephased state, from rho in the energy basis."""
-    clusters = _degenerate_clusters(eigenvalues)
-    if all(c.stop - c.start == 1 for c in clusters):
-        probs = _clamped_probabilities(np.diag(rotated).real)
-    else:
-        w: list[np.ndarray] = []
-        for c in clusters:
-            block = linalg.hermitian_part(rotated[c, c])
-            w.append(np.linalg.eigvalsh(block))
-        probs = _clamped_probabilities(np.concatenate(w))
-    return _shannon(probs)
+def _dephased_entropies(rotated: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Entropy S' of each block-dephased state, from rho in the energy basis.
+
+    Coherences between different degenerate clusters are zeroed; what is left
+    is block diagonal, and its spectrum is that of the dephased state.
+    """
+    breaks = _cluster_breaks(levels)
+    cluster = np.cumsum(np.insert(breaks, 0, False, axis=-1), axis=-1)
+    same = cluster[..., :, None] == cluster[..., None, :]
+    return _entropies(np.where(same, rotated, 0.0))
 
 
 def dephase_and_coherence(rho: DensityMatrix, basis: EigenSystem) -> tuple[float, float]:
@@ -177,8 +181,28 @@ def dephase_and_coherence(rho: DensityMatrix, basis: EigenSystem) -> tuple[float
     spectrum is nondegenerate.
     """
     v = basis.eigenvectors
-    s_diag = _dephased_entropy(v.conj().T @ rho.matrix @ v, basis.eigenvalues)
+    s_diag = float(_dephased_entropies(linalg.adjoint(v) @ rho.matrix @ v, basis.eigenvalues))
     return s_diag, s_diag - von_neumann_entropy(rho)
+
+
+def gibbs_weights(levels: np.ndarray, beta: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Populations e^{-beta E_n}/Z and ln Z from ascending levels (..., d) at beta (...).
+
+    Energies are shifted by the extremal level before exponentiation so the
+    weights never overflow; the shift is compensated in ln Z. When
+    |beta| * spread exceeds 700 the weights of non-extremal levels underflow
+    to zero.
+    """
+    beta = np.asarray(beta, dtype=np.float64)[..., None]
+    shift = np.where(beta >= 0.0, levels[..., :1], levels[..., -1:])
+    weights = np.exp(-beta * (levels - shift))
+    z = weights.sum(axis=-1, keepdims=True)
+    return weights / z, (np.log(z) - beta * shift)[..., 0]
+
+
+def diagonal_in_basis(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """V diag(weights) V^dagger, Hermitized, for one basis or a stack of them."""
+    return linalg.hermitian_part((vectors * weights[..., None, :]) @ linalg.adjoint(vectors))
 
 
 def gibbs_state(h: np.ndarray, beta: float) -> ReferenceState:
@@ -189,31 +213,20 @@ def gibbs_state(h: np.ndarray, beta: float) -> ReferenceState:
 def gibbs_in_basis(basis: EigenSystem, beta: float) -> ReferenceState:
     """Gibbs reference state e^{-beta H}/Z from the eigensystem of H.
 
-    Energies are shifted by the extremal eigenvalue before exponentiation so
-    the weights never overflow; the shift is compensated in log_Z. When
-    |beta| * spread exceeds 700 the weights of non-extremal levels underflow
-    to zero and the result is flagged ``saturated``.
+    Built from ``gibbs_weights``; the result is flagged ``saturated`` when
+    |beta| * spread exceeds 700.
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     w = basis.eigenvalues
-    spread = float(w[-1] - w[0])
-    shift = float(w[0] if beta >= 0 else w[-1])
-    x = -beta * (w - shift)
-    weights = np.exp(x)
-    z_shifted = float(weights.sum())
-    p = weights / z_shifted
-    log_z = math.log(z_shifted) - beta * shift
-    v = basis.eigenvectors
-    matrix = linalg.hermitian_part((v * p) @ v.conj().T)
-    saturated = abs(beta) * spread > 700.0
-    free_energy = -log_z / beta if beta != 0.0 else -math.inf
+    p, log_z = gibbs_weights(w, beta)
+    log_z = float(log_z)
     return ReferenceState(
         beta_R=float(beta),
-        gibbs=DensityMatrix.from_matrix(matrix, check=False),
+        gibbs=DensityMatrix.from_matrix(diagonal_in_basis(p, basis.eigenvectors), check=False),
         log_Z=log_z,
-        free_energy=free_energy,
-        saturated=saturated,
+        free_energy=-log_z / beta if beta != 0.0 else -math.inf,
+        saturated=abs(beta) * float(w[-1] - w[0]) > 700.0,
     )
 
 
@@ -223,29 +236,17 @@ def fidelity_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
     return float(np.real(v.conj() @ rho.matrix @ v))
 
 
-def state_functionals(
-    t: float,
-    rho: DensityMatrix,
-    basis: EigenSystem,
-    ref: ReferenceState | None = None,
-) -> ThermoSample:
-    """Bundle E_S, S, S', Coh (and D_ref, F_neq when a reference is attached).
+def state_functionals(t: np.ndarray, rho: np.ndarray, levels: np.ndarray,
+                      vectors: np.ndarray) -> ThermoSample:
+    """E_S, S, S' and Coh of a stack of states in the energy eigenbases of H(t).
 
-    E_S uses the basis energies: Tr[H rho] = sum_n lambda_n <E_n|rho|E_n>.
-    With a reference at T_R = 1/beta_R, F_neq = F + T_R D(rho||rho_th) and the
-    identity E_S = T_R S + F_neq holds to numerical precision.
+    ``rho`` and ``vectors`` are (m, d, d) stacks and ``levels`` is (m, d),
+    row i holding the ascending eigenvalues of H(t_i) with eigenvectors in
+    the columns of vectors[i]. E_S uses the basis energies:
+    Tr[H rho] = sum_n lambda_n <E_n|rho|E_n>.
     """
-    v = basis.eigenvectors
-    rotated = v.conj().T @ rho.matrix @ v
-    e_s = float(basis.eigenvalues @ np.real(np.diag(rotated)))
-    s = von_neumann_entropy(rho)
-    s_diag = _dephased_entropy(rotated, basis.eigenvalues)
-    coh = s_diag - s
-    d_ref = None
-    f_neq = None
-    if ref is not None:
-        d_ref = relative_entropy(rho, ref.gibbs)
-        if ref.beta_R != 0.0:
-            t_r = 1.0 / ref.beta_R
-            f_neq = ref.free_energy + t_r * d_ref
-    return ThermoSample(t=t, E_S=e_s, S=s, S_diag=s_diag, Coh=coh, D_ref=d_ref, F_neq=f_neq)
+    rotated = linalg.adjoint(vectors) @ rho @ vectors
+    e_s = np.sum(levels * np.diagonal(rotated, axis1=-2, axis2=-1).real, axis=-1)
+    s = _entropies(rho)
+    s_diag = _dephased_entropies(rotated, levels)
+    return ThermoSample(t=t, E_S=e_s, S=s, S_diag=s_diag, Coh=s_diag - s)

@@ -18,50 +18,86 @@ The entropy change dS is always recomputed from sampled states, never
 accumulated, so integrator error cannot leak into an inequality check.
 
 ``evaluate_samples`` makes the one pass over the samples: it diagonalizes
-H(t) at every sample of a driven model (once per run for an undriven one) and
-evaluates E_S, S, S' and Coh once per sample. The reference solves, both bound
-chains and the NLP comparison all read these values; the Gibbs states at
-beta_R(t) and at the bath beta are built in the same eigenbases.
+H(t) at all samples of a driven model in one stacked call (once per run for an
+undriven one, broadcast to every sample without a copy) and evaluates E_S, S,
+S' and Coh on stacks of states. The reference solves, both bound chains and
+the NLP comparison read these arrays. Gibbs weights at beta_R(t) and at the
+bath beta, relative entropies and every bound column are array expressions
+over the samples; only the final rows are Python objects. Stacks of density
+matrices are formed SAMPLE_BLOCK samples at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from . import linalg, qstate
-from .errors import (
-    DrivenModelSupplied,
-    MisalignedSeries,
-    NoBathTemperature,
-    SingularReference,
-)
-from .linalg import EigenSystem
-from .lindblad import LindbladModel, Trajectory
+from .errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
+from .lindblad import LindbladModel, Trajectory, protocol_values
 from .qstate import ReferenceState, ThermoSample
 from .refsolve import BetaSolveResult
 
+# Stacks of density matrices (states, Gibbs references and their rotations)
+# are formed this many samples at a time: enough to batch the linear algebra,
+# few enough that the stacks of a long run never sit in memory at once.
+SAMPLE_BLOCK = 256
+
 
 class Samples(NamedTuple):
-    """Energy eigensystem of H(t) and state functionals at every sample."""
+    """Levels (m, d) and eigenvectors (m, d, d) of H(t) and state functionals at every sample."""
 
-    bases: list[EigenSystem]
-    values: list[ThermoSample]
+    levels: np.ndarray
+    vectors: np.ndarray
+    values: ThermoSample
+
+
+def _blocks(n: int) -> list[slice]:
+    return [slice(i, i + SAMPLE_BLOCK) for i in range(0, n, SAMPLE_BLOCK)]
+
+
+def _states(traj: Trajectory, block: slice) -> np.ndarray:
+    return np.array([st.matrix for st in traj.states[block]])
 
 
 def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
-    """Diagonalize H(t) and evaluate E_S, S, S', Coh once per sample.
+    """Diagonalize H(t) and evaluate E_S, S, S', Coh at every sample.
 
     An undriven model shares one eigensystem, computed once, across samples.
     """
-    if model.driven:
-        bases = [linalg.eigh(model.hamiltonian(float(t))) for t in traj.times]
-    else:
-        bases = [linalg.eigh(model.hamiltonian(0.0))] * len(traj.times)
-    values = [qstate.state_functionals(float(t), rho, basis)
-              for t, rho, basis in zip(traj.times, traj.states, bases)]
-    return Samples(bases, values)
+    m, d = len(traj.times), model.dim
+    times = traj.times if model.driven else traj.times[:1]
+    h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
+    levels, vectors = np.linalg.eigh(linalg.require_hermitian(h))
+    levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
+    parts = [qstate.state_functionals(traj.times[b], _states(traj, b), levels[b], vectors[b])
+             for b in _blocks(m)]
+    return Samples(levels, vectors, ThermoSample(*map(np.concatenate, zip(*parts))))
+
+
+def _relative_entropies(traj: Trajectory,
+                        sigma: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """D(rho(t) || sigma(t)) at every sample, NaN where sigma(t) is singular.
+
+    ``sigma(block)`` gives the references of a block of samples, or one
+    reference for all of them.
+    """
+    return np.concatenate([qstate.relative_entropies(_states(traj, b), sigma(b))
+                           for b in _blocks(len(traj.times))])
+
+
+def _nan_to_none(values: np.ndarray) -> list[float | None]:
+    """Python floats, with None where a quantity is not defined (NaN)."""
+    return [None if math.isnan(x) else x for x in values.tolist()]
+
+
+def _rows(cls: type, *columns: Any) -> list[Any]:
+    """One ``cls`` per sample from equal-length columns; arrays become Python floats."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return [cls(*row) for row in zip(*lists, strict=True)]
 
 
 @dataclass(frozen=True)
@@ -124,11 +160,9 @@ class NlpComparison:
     slack_S26: float | None
 
 
-def _scaled_product(t_r: float, ds: float) -> float:
+def _scaled_product(t_r: float, ds: np.ndarray) -> np.ndarray:
     """T_R * dS with the 0 * inf convention (divergent reference, no change)."""
-    if ds == 0.0:
-        return 0.0
-    return t_r * ds
+    return np.multiply(t_r, ds, out=np.zeros_like(ds), where=ds != 0.0)
 
 
 def undriven_bounds(
@@ -154,52 +188,27 @@ def undriven_bounds(
 
     e_th = linalg.trace_product(ref.gibbs.matrix, h).real
     base_flags: tuple[str, ...] = ()
-    if qstate.has_degenerate_spectrum(samples.bases[0].eigenvalues):
+    if qstate.has_degenerate_spectrum(samples.levels[0]):
         base_flags += ("degenerate_spectrum",)
     if beta_r < 0.0:
         base_flags += ("direction_flipped",)
     if ref.saturated:
         base_flags += ("reference_saturated",)
 
-    first = samples.values[0]
-    s0, sdiag0, coh0, e0 = first.S, first.S_diag, first.Coh, first.E_S
-    de_in = e0 - e_th
-
-    rows: list[UndrivenBounds] = []
-    for sm, rho in zip(samples.values, traj.states):
-        ds = sm.S - s0
-        de_r = sm.E_S - e_th
-        gap_p = beta_r * de_r - ds
-        flags = base_flags
-        if ref.saturated:
-            d_direct = None
-        else:
-            try:
-                d_direct = qstate.relative_entropy(rho, ref.gibbs)
-            except SingularReference:
-                d_direct = None
-                flags = flags + ("identity_suppressed",)
-        rows.append(
-            UndrivenBounds(
-                t=sm.t,
-                E_S=sm.E_S,
-                S=sm.S,
-                S_diag=sm.S_diag,
-                Coh=sm.Coh,
-                dE_R=de_r,
-                dS=ds,
-                gap_P=gap_p,
-                D_direct=d_direct,
-                dE_in=de_in,
-                Q_u=de_in - _scaled_product(t_r, ds),
-                Q=-(sm.E_S - e0),
-                lp_lower=None if bath_T is None else -bath_T * ds,
-                dS_diag=sm.S_diag - sdiag0,
-                dCoh=sm.Coh - coh0,
-                flags=flags,
-            )
-        )
-    return rows
+    v, m = samples.values, len(traj.times)
+    ds = v.S - v.S[0]
+    de_r = v.E_S - e_th
+    de_in = v.E_S[0] - e_th
+    d_direct = (np.full(m, np.nan) if ref.saturated
+                else _relative_entropies(traj, lambda block: ref.gibbs.matrix))
+    flags = [base_flags + ("identity_suppressed",) if singular else base_flags
+             for singular in (np.isnan(d_direct) & (not ref.saturated)).tolist()]
+    return _rows(
+        UndrivenBounds, v.t, v.E_S, v.S, v.S_diag, v.Coh, de_r, ds, beta_r * de_r - ds,
+        _nan_to_none(d_direct), np.full(m, de_in), de_in - _scaled_product(t_r, ds),
+        -(v.E_S - v.E_S[0]), [None] * m if bath_T is None else -bath_T * ds,
+        v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], flags,
+    )
 
 
 def driven_bounds(
@@ -227,46 +236,33 @@ def driven_bounds(
     beta_r0 = b0.beta_R
     t_r0 = 1.0 / beta_r0 if beta_r0 != 0.0 else math.inf
 
-    h0 = model.hamiltonian(float(traj.times[0]))
-    ref0 = qstate.gibbs_in_basis(samples.bases[0], beta_r0)
-    e_th0 = linalg.trace_product(ref0.gibbs.matrix, h0).real
+    v, levels, m = samples.values, samples.levels, len(traj.times)
+    failed = np.array([r.error is not None for r in beta_series])
+    beta_t = np.array([r.beta_R for r in beta_series])
+    p_t, log_z_t = qstate.gibbs_weights(levels, np.where(failed, 0.0, beta_t))
+    saturated = ~failed & (np.array([r.saturated for r in beta_series])
+                           | (np.abs(beta_t) * (levels[:, -1] - levels[:, 0]) > 700.0))
+    e_th0 = float(p_t[0] @ levels[0])
+    ds = v.S - v.S[0]
+    de_r = v.E_S - e_th0
+    de_in = v.E_S[0] - e_th0
+    c_t = (beta_t - beta_r0) * v.E_S + (log_z_t - log_z_t[0])
+    # T_R(0) = inf at beta_R(0) = 0 makes 0 * inf here; the row is then NaN.
+    with np.errstate(invalid="ignore"):
+        qu = de_in - _scaled_product(t_r0, ds) + t_r0 * c_t
 
-    first = samples.values[0]
-    s0, sdiag0, coh0, e0 = first.S, first.S_diag, first.Coh, first.E_S
-    rows: list[DrivenBounds] = []
-    for i, (basis, sm, res) in enumerate(zip(samples.bases, samples.values, beta_series)):
-        ds = sm.S - s0
-        de_r = sm.E_S - e_th0
-        gap = d_inst = None
-        flags: tuple[str, ...] = ()
-        if res.error is not None:
-            beta_t = c_t = qu = math.nan
-            flags = ("beta_solve_failed",)
-        else:
-            beta_t = res.beta_R
-            ref_t = qstate.gibbs_in_basis(basis, beta_t)
-            c_t = (beta_t - beta_r0) * sm.E_S + (ref_t.log_Z - ref0.log_Z)
-            qu = (e0 - e_th0) - _scaled_product(t_r0, ds) + t_r0 * c_t
-            if res.saturated or ref_t.saturated:
-                flags = ("saturated",)
-            else:
-                gap = beta_r0 * de_r - ds + c_t
-                try:
-                    d_inst = qstate.relative_entropy(traj.states[i], ref_t.gibbs)
-                except SingularReference:
-                    flags = ("identity_suppressed",)
-        work = float(traj.work[i])
-        rows.append(
-            DrivenBounds(
-                t=sm.t, E_S=sm.E_S, S=sm.S, S_diag=sm.S_diag, Coh=sm.Coh,
-                Q=float(traj.heat[i]), W=work, beta_R_t=beta_t, C_t=c_t,
-                dE_R_tilde=de_r, gap=gap, D_inst=d_inst, dE_in_tilde=e0 - e_th0,
-                Qu_tilde=qu, upper=qu + work,
-                lp_lower=None if bath_T is None else -bath_T * ds,
-                dS=ds, dS_diag=sm.S_diag - sdiag0, dCoh=sm.Coh - coh0, flags=flags,
-            )
-        )
-    return rows
+    no_identity = failed | saturated
+    d_inst = _relative_entropies(
+        traj, lambda block: qstate.diagonal_in_basis(p_t[block], samples.vectors[block]))
+    flag = np.select([failed, saturated, np.isnan(d_inst)],
+                     ["beta_solve_failed", "saturated", "identity_suppressed"], "")
+    return _rows(
+        DrivenBounds, v.t, v.E_S, v.S, v.S_diag, v.Coh, traj.heat, traj.work, beta_t, c_t,
+        de_r, _nan_to_none(np.where(no_identity, np.nan, beta_r0 * de_r - ds + c_t)),
+        _nan_to_none(np.where(no_identity, np.nan, d_inst)), np.full(m, de_in), qu,
+        qu + traj.work, [None] * m if bath_T is None else -bath_T * ds, ds,
+        v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], [(f,) if f else () for f in flag.tolist()],
+    )
 
 
 def nlp_comparison(
@@ -287,38 +283,16 @@ def nlp_comparison(
         raise NoBathTemperature("nlp_comparison needs a positive bath inverse temperature")
     temp = 1.0 / bath_beta
 
-    h0 = model.hamiltonian(float(traj.times[0]))
-    eq0 = qstate.gibbs_in_basis(samples.bases[0], bath_beta)
-    e_eq0 = linalg.trace_product(eq0.gibbs.matrix, h0).real
-    s_eq0 = qstate.von_neumann_entropy(eq0.gibbs)
-
-    rows: list[NlpComparison] = []
-    for basis, sm in zip(samples.bases, samples.values):
-        t = sm.t
-        h_t = model.hamiltonian(t) if model.driven else h0
-        eq_t = qstate.gibbs_in_basis(basis, bath_beta) if model.driven else eq0
-        e_eq = linalg.trace_product(eq_t.gibbs.matrix, h_t).real
-        s_eq = qstate.von_neumann_entropy(eq_t.gibbs)
-
-        slack_s23 = bath_beta * (sm.E_S - e_eq) - (sm.S - s_eq)
-        slack_s25 = None
-        slack_s26 = None
-        if model.driven:
-            slack_s25 = (
-                bath_beta * (sm.E_S - e_eq0)
-                - (sm.S - s_eq0)
-                + (eq_t.log_Z - eq0.log_Z)
-            )
-        else:
-            slack_s26 = slack_s23
-        rows.append(
-            NlpComparison(
-                t=t,
-                F_neq_T=sm.E_S - temp * sm.S,
-                F_eq_t=-temp * eq_t.log_Z,
-                slack_S23=slack_s23,
-                slack_S25=slack_s25,
-                slack_S26=slack_s26,
-            )
-        )
-    return rows
+    v, m = samples.values, len(traj.times)
+    p_eq, log_z_eq = qstate.gibbs_weights(samples.levels, bath_beta)
+    e_eq = np.sum(p_eq * samples.levels, axis=-1)
+    s_eq = qstate.shannon_entropy(p_eq)
+    slack_s23 = bath_beta * (v.E_S - e_eq) - (v.S - s_eq)
+    if model.driven:
+        slack_s25 = (bath_beta * (v.E_S - e_eq[0]) - (v.S - s_eq[0])
+                     + (log_z_eq - log_z_eq[0]))
+        slack_s26: Any = [None] * m
+    else:
+        slack_s25, slack_s26 = [None] * m, slack_s23
+    return _rows(NlpComparison, v.t, v.E_S - temp * v.S, -temp * log_z_eq,
+                 slack_s23, slack_s25, slack_s26)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from landauer_bounds import cli, linalg, plotting, qstate
+from landauer_bounds import cli, linalg, plotting, qstate, thermo
 from landauer_bounds.errors import SchemaError
 
 
@@ -71,16 +71,20 @@ def test_config_errors_exit_3(tmp_path):
     {"initial_state": {"kind": "pure", "vector": [[1.0], [0.0, 0.0]]}},
     {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [1.0, 0.0]]}},
     {"top_level": {"integrater": {"dt": 0.01}}},
+    {"config": []},
+    {"top_level": {"sweep": [{"name": "tau=5", "override": {"model_params": {"tau": 5.0}}}]}},
+    {"top_level": {"sweep": ["tau=5"]}},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
-        "pure-unnormalized", "unknown-top-level-key"])
+        "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
+        "sweep-entry-unknown-key", "sweep-entry-not-an-object"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
     raw["initial_state"] = change.get("initial_state", raw["initial_state"])
     raw.update(change.get("top_level", {}))
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(raw))
+    config.write_text(json.dumps(change.get("config", raw)))
     assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
@@ -89,8 +93,8 @@ def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
 
 def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
     # Energy bases and state functionals are shared by the reference solves,
-    # the bound chain and the NLP comparison: one state_functionals call per
-    # sample, and per sample one eigh of H(t) plus one inside relative_entropy.
+    # the bound chain and the NLP comparison: one stacked state_functionals
+    # call per block of samples, and no eigh per sample.
     calls = {"eigh": 0, "state_functionals": 0}
 
     def count(module, name):
@@ -109,8 +113,21 @@ def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
     result = cli.run_pipeline(cli.build_config(raw, "fig2", tmp_path, plots=False))
     n = len(result.trajectory.times)
     assert n == 21
-    assert calls["state_functionals"] == n
-    assert calls["eigh"] <= 2 * n + 5
+    assert calls["state_functionals"] == math.ceil(n / thermo.SAMPLE_BLOCK)
+    assert calls["eigh"] <= 5
+
+
+@pytest.mark.parametrize("scenario", ["fig1", "fig2"])
+def test_sample_blocks_do_not_change_results(tmp_path, monkeypatch, scenario):
+    raw = cli.scenario_defaults(scenario)
+    raw["integrator"].update(t_end=2.0, n_samples=20)
+    config = cli.build_config(raw, scenario, tmp_path, plots=False)
+    whole = cli.run_pipeline(config)
+    monkeypatch.setattr(thermo, "SAMPLE_BLOCK", 7)
+    blocked = cli.run_pipeline(config)
+    assert blocked.rows == whole.rows
+    assert blocked.nlp_rows == whole.nlp_rows
+    assert blocked.meta == whole.meta
 
 
 def test_unstable_step_exits_1(tmp_path):

@@ -46,17 +46,6 @@ def test_eigh_reconstruction_and_unitarity(dim):
         assert np.linalg.norm((v * w) @ v.conj().T - m) < 1e-10
 
 
-def test_eigh_2x2_matches_generic_path():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = random_hermitian(rng, 2)
-        fast = linalg.eigh(m)
-        w, v = np.linalg.eigh(m)
-        ref = linalg._canonicalize(w, v)
-        assert np.allclose(fast.eigenvalues, ref.eigenvalues, atol=1e-12)
-        assert np.allclose(fast.eigenvectors, ref.eigenvectors, atol=1e-9)
-
-
 def test_eigh_deterministic():
     rng = np.random.default_rng(3)
     m = random_hermitian(rng, 9)

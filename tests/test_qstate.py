@@ -181,10 +181,48 @@ def test_first_law_identity():
     for beta in (0.5, 2.0):
         ref = qstate.gibbs_state(h, beta)
         for _ in range(5):
-            sm = qstate.state_functionals(0.0, random_state(rng, 4), basis, ref)
-            assert sm.E_S == pytest.approx((1 / beta) * sm.S + sm.F_neq, abs=1e-8)
+            rho = random_state(rng, 4)
+            sm = qstate.state_functionals(0.0, rho.matrix, basis.eigenvalues, basis.eigenvectors)
+            f_neq = ref.free_energy + qstate.relative_entropy(rho, ref.gibbs) / beta
+            assert sm.E_S == pytest.approx((1 / beta) * sm.S + f_neq, abs=1e-8)
             assert sm.Coh >= -1e-10
             assert sm.Coh == pytest.approx(sm.S_diag - sm.S, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 9, "degenerate"])
+def test_stacked_functionals_match_single_states(dim):
+    rng = np.random.default_rng(53)
+    if dim == "degenerate":
+        hs = [np.diag([0.0, 0.0, 1.0]).astype(complex)] * 6
+    else:
+        hs = [linalg.hermitian_part(rng.standard_normal((dim, dim))
+                                    + 1j * rng.standard_normal((dim, dim))) for _ in range(6)]
+    bases = [linalg.eigh(h) for h in hs]
+    states = [random_state(rng, len(hs[0])) for _ in hs]
+    stacked = qstate.state_functionals(
+        np.arange(6.0), np.array([st.matrix for st in states]),
+        np.array([b.eigenvalues for b in bases]), np.array([b.eigenvectors for b in bases]))
+    for i, (rho, basis, h) in enumerate(zip(states, bases, hs)):
+        s_diag, coh = qstate.dephase_and_coherence(rho, basis)
+        assert stacked.t[i] == i
+        assert stacked.E_S[i] == pytest.approx(linalg.trace_product(h, rho.matrix).real, abs=1e-12)
+        assert stacked.S[i] == pytest.approx(qstate.von_neumann_entropy(rho), abs=1e-12)
+        assert stacked.S_diag[i] == pytest.approx(s_diag, abs=1e-12)
+        assert stacked.Coh[i] == pytest.approx(coh, abs=1e-12)
+
+
+def test_stacked_relative_entropy_matches_single_states():
+    rng = np.random.default_rng(59)
+    rhos = [random_state(rng, 4) for _ in range(5)]
+    sigmas = [random_state(rng, 4) for _ in range(4)]
+    sigmas.append(DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)))
+    stacked = qstate.relative_entropies(np.array([r.matrix for r in rhos]),
+                                        np.array([s.matrix for s in sigmas]))
+    for i in range(4):
+        assert stacked[i] == pytest.approx(qstate.relative_entropy(rhos[i], sigmas[i]), abs=1e-12)
+    assert math.isnan(stacked[4])
+    with pytest.raises(SingularReference):
+        qstate.relative_entropy(rhos[4], sigmas[4])
 
 
 def test_fidelity_examples():

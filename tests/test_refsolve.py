@@ -6,7 +6,13 @@ import pytest
 from landauer_bounds import refsolve
 from landauer_bounds.errors import ConstantEntropy, TargetOutOfRange
 from landauer_bounds.linalg import eigh
-from landauer_bounds.refsolve import BRANCH_NEGATIVE, gibbs_entropy, solve_beta, solve_beta_series
+from landauer_bounds.refsolve import (
+    BRANCH_NEGATIVE,
+    BRANCH_NON_NEGATIVE,
+    gibbs_entropy,
+    solve_beta,
+    solve_beta_series,
+)
 
 QUBIT_H = np.diag([0.5, -0.5]).astype(complex)
 
@@ -83,7 +89,7 @@ def test_solve_beta_negative_branch():
 
 def test_series_constant_hamiltonian_constant_entropy():
     s = gibbs_entropy(QUBIT_H, 2.0)
-    out = solve_beta_series([eigh(QUBIT_H)] * 3, [s] * 3)
+    out = solve_beta_series(np.array([eigh(QUBIT_H).eigenvalues] * 3), [s] * 3)
     betas = [r.beta_R for r in out]
     assert max(betas) - min(betas) < 1e-10
     assert betas[0] == pytest.approx(2.0, abs=1e-8)
@@ -95,17 +101,28 @@ def test_series_is_a_per_sample_solve():
     hs = [(0.5 + 0.3 * t) * QUBIT_H for t in times]
     targets = [gibbs_entropy(h, 1.0 + 0.5 * math.sin(3 * t)) for t, h in zip(times, hs)]
     targets[7] = 0.0  # saturated sample
+    targets[11] = math.log(2)  # solved at beta = 0
+    hs[15] = 0.4 * np.eye(2, dtype=complex)  # constant H: the entropy does not depend on beta
     bases = [eigh(h) for h in hs]
-    series = solve_beta_series(bases, targets)
-    assert series == [solve_beta(b, s) for b, s in zip(bases, targets)]
-    assert series[7].saturated
-    assert all(r.residual < 1e-10 for i, r in enumerate(series) if i != 7)
+    levels = np.array([b.eigenvalues for b in bases])
+    rest = [i for i in range(len(times)) if i != 15]
+    for branch in (BRANCH_NON_NEGATIVE, BRANCH_NEGATIVE):
+        series = solve_beta_series(levels, targets, branch)
+        assert [series[i] for i in rest] == [solve_beta(bases[i], targets[i], branch)
+                                             for i in rest]
+        with pytest.raises(ConstantEntropy):
+            solve_beta(bases[15], targets[15], branch)
+        assert series[15].error is not None and math.isnan(series[15].beta_R)
+        assert series[7].saturated
+        assert series[11].beta_R == 0.0
+        assert all(series[i].residual < 1e-10 for i in rest if i != 7)
 
 
 def test_series_collects_per_sample_errors():
     s = gibbs_entropy(QUBIT_H, 1.0)
     flat = eigh(np.eye(2, dtype=complex))  # zero level spread: entropy is constant
-    out = solve_beta_series([eigh(QUBIT_H), flat, eigh(QUBIT_H)], [s, s, s])
+    levels = np.array([eigh(QUBIT_H).eigenvalues, flat.eigenvalues, eigh(QUBIT_H).eigenvalues])
+    out = solve_beta_series(levels, [s, s, s])
     assert out[0].error is None and out[2].error is None
     assert out[1].error is not None and math.isnan(out[1].beta_R)
     assert out[2].beta_R == pytest.approx(1.0, abs=1e-8)

@@ -152,7 +152,8 @@ def test_instantaneous_matching_identity_holds_for_constant_hamiltonian():
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
     entropies = [qstate.von_neumann_entropy(st) for st in traj.states]
-    series = refsolve.solve_beta_series([linalg.eigh(h0)] * len(entropies), entropies)
+    levels = np.array([linalg.eigh(h0).eigenvalues] * len(entropies))
+    series = refsolve.solve_beta_series(levels, entropies)
     drows = thermo.driven_bounds(traj, model, thermo.evaluate_samples(traj, model), series)
     for d in drows:
         assert d.gap == pytest.approx(d.D_inst, abs=1e-9)
