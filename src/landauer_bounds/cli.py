@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import math
 import os
@@ -104,6 +103,16 @@ class ScenarioConfig:
     custom_model_file: str | None
 
 
+def _sweep_entries(raw: dict[str, Any]) -> list[dict[str, Any]]:
+    sweep = raw.get("sweep") or []
+    if not isinstance(sweep, list) or not all(
+            isinstance(e, dict) and set(e) <= SWEEP_KEYS
+            and isinstance(e.get("overrides", {}), dict) for e in sweep):
+        raise ConfigError(f"sweep must be a list of objects with keys in {sorted(SWEEP_KEYS)}"
+                          " and object-valued overrides")
+    return sweep
+
+
 def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: bool) -> ScenarioConfig:
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
@@ -131,12 +140,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         init = dict(raw["initial_state"])
         if "kind" not in init:
             raise ConfigError("initial_state needs a 'kind'")
-        sweep = raw.get("sweep") or []
-        if not isinstance(sweep, list) or not all(
-                isinstance(e, dict) and set(e) <= SWEEP_KEYS
-                and isinstance(e.get("overrides", {}), dict) for e in sweep):
-            raise ConfigError(f"sweep must be a list of objects with keys in {sorted(SWEEP_KEYS)}"
-                              " and object-valued overrides")
+        sweep = _sweep_entries(raw)
         return ScenarioConfig(
             name=name,
             model=model,
@@ -369,57 +373,40 @@ def _build_meta(config: ScenarioConfig, basis0: EigenSystem, traj: Trajectory,
     return meta
 
 
-def _fmt_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".15g")
+def _format_cells(values: list[Any]) -> list[str]:
+    """'%.15g' of each value in one formatting pass; None (undefined) is an empty cell."""
+    text = ("%.15g\0" * len(values)) % tuple(math.nan if v is None else v for v in values)
+    return [cell if v is not None else "" for cell, v in zip(text.split("\0"), values)]
 
 
 def write_bounds_csv(result: PipelineResult, path: Path) -> None:
+    """One row per bound row; each block of rows is formatted column by column."""
+    columns = UNDRIVEN_COLUMNS if result.kind == "undriven" else DRIVEN_COLUMNS
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if result.kind == "undriven":
-            writer.writerow(UNDRIVEN_COLUMNS)
-            for r in result.rows:
-                writer.writerow([
-                    _fmt_cell(r.t), _fmt_cell(r.E_S), _fmt_cell(r.S),
-                    _fmt_cell(r.S_diag), _fmt_cell(r.Coh), _fmt_cell(r.Q),
-                    _fmt_cell(r.dE_R), _fmt_cell(r.gap_P), _fmt_cell(r.D_direct),
-                    _fmt_cell(r.Q_u), _fmt_cell(r.lp_lower), ";".join(r.flags),
-                ])
-        else:
-            writer.writerow(DRIVEN_COLUMNS)
-            for r in result.rows:
-                writer.writerow([
-                    _fmt_cell(r.t), _fmt_cell(r.E_S), _fmt_cell(r.S),
-                    _fmt_cell(r.S_diag), _fmt_cell(r.Coh), _fmt_cell(r.Q),
-                    _fmt_cell(r.W), _fmt_cell(r.beta_R_t), _fmt_cell(r.C_t),
-                    _fmt_cell(r.dE_R_tilde), _fmt_cell(r.gap), _fmt_cell(r.D_inst),
-                    _fmt_cell(r.Qu_tilde), _fmt_cell(r.upper), _fmt_cell(r.lp_lower),
-                    ";".join(r.flags),
-                ])
+        fh.write(",".join(columns) + "\r\n")
+        for b in thermo.sample_blocks(len(result.rows)):
+            rows = result.rows[b]
+            cells = [_format_cells([getattr(r, c) for r in rows]) for c in columns[:-1]]
+            cells.append([";".join(r.flags) for r in rows])
+            fh.write("".join(",".join(rec) + "\r\n" for rec in zip(*cells)))
 
 
 def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
+    """One row per sample; each block of samples is formatted in one %-format pass."""
     traj = result.trajectory
-    d = result.model.dim
+    upper, strict = np.triu_indices(result.model.dim), np.triu_indices(result.model.dim, 1)
     header = ["t", "Q", "W", "min_eig"]
-    header += [f"rho_{i}_{j}_re" for i in range(d) for j in range(i, d)]
-    header += [f"rho_{i}_{j}_im" for i in range(d) for j in range(i + 1, d)]
+    header += [f"rho_{i}_{j}_re" for i, j in zip(*upper)]
+    header += [f"rho_{i}_{j}_im" for i, j in zip(*strict)]
+    line = ",".join(["%.15g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, st in enumerate(traj.states):
-            m = st.matrix
-            rec = [
-                _fmt_cell(traj.times[k]), _fmt_cell(traj.heat[k]),
-                _fmt_cell(traj.work[k]), _fmt_cell(traj.min_eigenvalues[k]),
-            ]
-            rec += [_fmt_cell(m[i, j].real) for i in range(d) for j in range(i, d)]
-            rec += [_fmt_cell(m[i, j].imag) for i in range(d) for j in range(i + 1, d)]
-            writer.writerow(rec)
+        fh.write(",".join(header) + "\r\n")
+        for b in thermo.sample_blocks(len(traj.times)):
+            rho = thermo.stacked_states(traj, b)
+            block = np.column_stack([traj.times[b], traj.heat[b], traj.work[b],
+                                     traj.min_eigenvalues[b], rho[:, upper[0], upper[1]].real,
+                                     rho[:, strict[0], strict[1]].imag])
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _json_safe(obj: Any) -> Any:
@@ -548,10 +535,13 @@ def main(argv: list[str] | None = None) -> int:
             name = raw.get("name", Path(args.config).stem)
         for key, val in (("dt", args.dt), ("t_end", args.t_end), ("n_samples", args.samples)):
             if val is not None:
-                raw.setdefault("integrator", {})
+                if not isinstance(raw.setdefault("integrator", {}), dict):
+                    raise ConfigError("integrator must be an object")
                 raw["integrator"][key] = val
-                for entry in raw.get("sweep", []):
-                    entry.get("overrides", {}).get("integrator", {}).pop(key, None)
+                for entry in _sweep_entries(raw):
+                    integ = entry.get("overrides", {}).get("integrator")
+                    if isinstance(integ, dict):
+                        integ.pop(key, None)
         out_dir = args.out or os.environ.get("LANDAUER_OUT") or "landauer-out"
         config = build_config(raw, name, out_dir, args.plots)
     except ConfigError as exc:

@@ -11,6 +11,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
+
+import numpy as np
 
 from .errors import SchemaError
 
@@ -82,10 +85,11 @@ def _panel_svg(panel: Panel, x0: int, y0: int, width: int, height: int) -> list[
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 
-    def sx(v: float) -> float:
+    # sx/sy scale a tick (float) or the points of a polyline (array) alike
+    def sx(v: Any) -> Any:
         return px + (v - xlo) / (xhi - xlo) * pw
 
-    def sy(v: float) -> float:
+    def sy(v: Any) -> Any:
         return py + ph - (v - ylo) / (yhi - ylo) * ph
 
     out = [
@@ -108,11 +112,10 @@ def _panel_svg(panel: Panel, x0: int, y0: int, width: int, height: int) -> list[
     for i, s in enumerate(panel.series):
         color = _PALETTE[i % len(_PALETTE)]
         dash = _DASHES[i % len(_DASHES)]
-        pts = " ".join(
-            f"{sx(a):.2f},{sy(b):.2f}"
-            for a, b in zip(s.x, s.y)
-            if math.isfinite(a) and math.isfinite(b)
-        )
+        x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
+        finite = np.isfinite(x) & np.isfinite(y)
+        xy = np.column_stack([sx(x[finite]), sy(y[finite])])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>')
         ly = py + 14 + 14 * i

@@ -42,8 +42,9 @@ from .qstate import ReferenceState, ThermoSample
 from .refsolve import BetaSolveResult
 
 # Stacks of density matrices (states, Gibbs references and their rotations)
-# are formed this many samples at a time: enough to batch the linear algebra,
-# few enough that the stacks of a long run never sit in memory at once.
+# and the text of the CSV outputs are formed this many samples at a time:
+# enough to batch the work, few enough that the stacks of a long run never
+# sit in memory at once.
 SAMPLE_BLOCK = 256
 
 
@@ -55,11 +56,13 @@ class Samples(NamedTuple):
     values: ThermoSample
 
 
-def _blocks(n: int) -> list[slice]:
+def sample_blocks(n: int) -> list[slice]:
+    """Slices of SAMPLE_BLOCK consecutive samples covering n samples."""
     return [slice(i, i + SAMPLE_BLOCK) for i in range(0, n, SAMPLE_BLOCK)]
 
 
-def _states(traj: Trajectory, block: slice) -> np.ndarray:
+def stacked_states(traj: Trajectory, block: slice) -> np.ndarray:
+    """(len(block), d, d) stack of the density matrices of a block of samples."""
     return np.array([st.matrix for st in traj.states[block]])
 
 
@@ -73,8 +76,9 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
     h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
     levels, vectors = np.linalg.eigh(linalg.require_hermitian(h))
     levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
-    parts = [qstate.state_functionals(traj.times[b], _states(traj, b), levels[b], vectors[b])
-             for b in _blocks(m)]
+    parts = [qstate.state_functionals(traj.times[b], stacked_states(traj, b),
+                                      levels[b], vectors[b])
+             for b in sample_blocks(m)]
     return Samples(levels, vectors, ThermoSample(*map(np.concatenate, zip(*parts))))
 
 
@@ -85,8 +89,8 @@ def _relative_entropies(traj: Trajectory,
     ``sigma(block)`` gives the references of a block of samples, or one
     reference for all of them.
     """
-    return np.concatenate([qstate.relative_entropies(_states(traj, b), sigma(b))
-                           for b in _blocks(len(traj.times))])
+    return np.concatenate([qstate.relative_entropies(stacked_states(traj, b), sigma(b))
+                           for b in sample_blocks(len(traj.times))])
 
 
 def _nan_to_none(values: np.ndarray) -> list[float | None]:

@@ -1,11 +1,18 @@
+import csv
+import dataclasses
 import json
 import math
+import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from landauer_bounds import cli, linalg, plotting, qstate, thermo
 from landauer_bounds.errors import SchemaError
+from landauer_bounds.lindblad import Trajectory
+from landauer_bounds.qstate import DensityMatrix
 
 
 def run_cli(*args):
@@ -74,10 +81,18 @@ def test_config_errors_exit_3(tmp_path):
     {"config": []},
     {"top_level": {"sweep": [{"name": "tau=5", "override": {"model_params": {"tau": 5.0}}}]}},
     {"top_level": {"sweep": ["tau=5"]}},
+    # --dt, --t-end and --samples rewrite the integrator of the config and of
+    # every sweep entry before the configuration is built
+    {"top_level": {"sweep": ["tau=5"]}, "args": ["--dt", "0.01"]},
+    {"top_level": {"integrator": 5}, "args": ["--dt", "0.01"]},
+    {"top_level": {"sweep": [{"name": "a", "overrides": {"integrator": 5}}]},
+     "args": ["--samples", "3"]},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
         "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
-        "sweep-entry-unknown-key", "sweep-entry-not-an-object"])
+        "sweep-entry-unknown-key", "sweep-entry-not-an-object",
+        "sweep-entry-not-an-object-with-dt", "integrator-not-an-object-with-dt",
+        "sweep-integrator-not-an-object-with-samples"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
@@ -85,7 +100,8 @@ def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw.update(change.get("top_level", {}))
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(change.get("config", raw)))
-    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 3
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"),
+                   *change.get("args", [])) == 3
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
@@ -256,3 +272,136 @@ def test_negative_branch_through_config(tmp_path):
     assert code == 0
     _, rows = plotting.read_bounds_csv(out / "bounds.csv")
     assert all("direction_flipped" in r["flags"] for r in rows)
+
+
+def reference_csv(path, header, records):
+    """The per-cell writer the columnar CSV writers replace.
+
+    csv.writer with the excel dialect; floats as format(float(v), ".15g"),
+    None as an empty cell and strings as they are.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rec in records:
+            writer.writerow(["" if v is None else v if isinstance(v, str)
+                             else format(float(v), ".15g") for v in rec])
+
+
+def reference_trajectory_csv(result, path):
+    traj, d = result.trajectory, result.model.dim
+    header = ["t", "Q", "W", "min_eig"]
+    header += [f"rho_{i}_{j}_re" for i in range(d) for j in range(i, d)]
+    header += [f"rho_{i}_{j}_im" for i in range(d) for j in range(i + 1, d)]
+    records = []
+    for k, st in enumerate(traj.states):
+        m = st.matrix
+        rec = [traj.times[k], traj.heat[k], traj.work[k], traj.min_eigenvalues[k]]
+        rec += [m[i, j].real for i in range(d) for j in range(i, d)]
+        rec += [m[i, j].imag for i in range(d) for j in range(i + 1, d)]
+        records.append(rec)
+    reference_csv(path, header, records)
+
+
+def reference_bounds_csv(result, path):
+    columns = plotting.UNDRIVEN_COLUMNS if result.kind == "undriven" else plotting.DRIVEN_COLUMNS
+    records = [[getattr(r, c) for c in columns[:-1]] + [";".join(r.flags)] for r in result.rows]
+    reference_csv(path, columns, records)
+
+
+def synthetic_trajectory(n, d, values):
+    """A Trajectory of n d x d samples whose every number is drawn from ``values``."""
+    cells = np.resize(np.asarray(values, dtype=float), n * (4 + 2 * d * d))
+    head, re_im = cells[:4 * n].reshape(4, n), cells[4 * n:].reshape(2, n, d, d)
+    matrices = np.empty((n, d, d), dtype=complex)
+    matrices.real, matrices.imag = re_im  # re + 1j * im would turn an infinite im into NaN
+    states = tuple(DensityMatrix(matrix=m, dim=d) for m in matrices)
+    return Trajectory(times=head[0], states=states, heat=head[1], work=head[2],
+                      min_eigenvalues=head[3], max_step_trace_drift=0.0,
+                      cumulative_trace_drift=0.0, dt=1.0, n_steps=n - 1)
+
+
+# Cells whose spelling a formatter could change: NaN, both infinities, negative
+# zero, the smallest subnormal, 1e16 (exponent form at 15 digits) and values
+# that need all 15 significant digits.
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -1 / 3,
+                  123456789012345678.0, 2.5e-300, 0.0, 1.0]
+FLAG_SETS = [(), ("saturated",), ("degenerate_spectrum", "direction_flipped", "reference_saturated")]
+
+
+def synthetic_result(kind, n):
+    """Bound rows and a 3 x 3 trajectory of n samples made of special values and None."""
+    cls = thermo.UndrivenBounds if kind == "undriven" else thermo.DrivenBounds
+    fields = [f.name for f in dataclasses.fields(cls) if f.name != "flags"]
+    rows = []
+    for k in range(n):
+        cells = [None if (k + j) % 7 == 3 else SPECIAL_VALUES[(k * 5 + j) % len(SPECIAL_VALUES)]
+                 for j in range(len(fields))]
+        rows.append(cls(*cells, flags=FLAG_SETS[k % len(FLAG_SETS)]))
+    return SimpleNamespace(kind=kind, rows=rows, model=SimpleNamespace(dim=3),
+                           trajectory=synthetic_trajectory(n, 3, SPECIAL_VALUES))
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-blocks", "blocks-of-7"])
+@pytest.mark.parametrize("source", ["fig1_result", "fig2_result", "undriven", "driven"])
+def test_csv_writers_match_per_cell_reference(tmp_path, request, monkeypatch, source, block):
+    if source.endswith("_result"):
+        result = request.getfixturevalue(source)
+    else:
+        result = synthetic_result(source, 40)
+    if block is not None:
+        monkeypatch.setattr(thermo, "SAMPLE_BLOCK", block)
+    for write, reference in ((cli.write_trajectory_csv, reference_trajectory_csv),
+                             (cli.write_bounds_csv, reference_bounds_csv)):
+        write(result, tmp_path / "new.csv")
+        reference(result, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_fig1_csv_spans_more_than_one_block(fig1_result):
+    # the byte comparison above then covers a full block and a partial one
+    assert thermo.SAMPLE_BLOCK < len(fig1_result.rows) < 2 * thermo.SAMPLE_BLOCK
+    assert any(r.lp_lower is None for r in fig1_result.rows)
+
+
+def test_trajectory_writer_memory_stays_bounded(tmp_path):
+    # pump size: 4,001 samples of 9 x 9 states. Formatting the whole file in
+    # one pass holds about 13 MB at once; a block of samples about 1.6 MB.
+    rng = np.random.default_rng(0)
+    result = SimpleNamespace(model=SimpleNamespace(dim=9),
+                             trajectory=synthetic_trajectory(4001, 9, rng.standard_normal(997)))
+    tracemalloc.start()
+    try:
+        current = tracemalloc.get_traced_memory()[0]
+        cli.write_trajectory_csv(result, tmp_path / "trajectory.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - current < 4e6
+
+
+def reference_polylines(svg, panel):
+    """Polyline points of one rendered panel, scaled and formatted point by point."""
+    px, py, pw, ph = map(int, re.search(
+        r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" fill="none"', svg).groups())
+    xs = [v for s in panel.series for v in s.x if math.isfinite(v)]
+    ys = [v for s in panel.series for v in s.y if math.isfinite(v)]
+    xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
+    pad = 0.05 * (yhi - ylo)
+    ylo, yhi = ylo - pad, yhi + pad
+    return [" ".join(f"{px + (a - xlo) / (xhi - xlo) * pw:.2f},"
+                     f"{py + ph - (b - ylo) / (yhi - ylo) * ph:.2f}"
+                     for a, b in zip(s.x, s.y) if math.isfinite(a) and math.isfinite(b))
+            for s in panel.series]
+
+
+def test_polylines_match_pointwise_formatting():
+    x = [0.0, 0.5, math.nan, 1.5, 2.0, math.inf, 3.0, 1 / 3]
+    y = [1.0, -math.inf, 2.0, -0.0, 1e-9, 4.0, 1 / 3, -2.5]
+    panel = plotting.Panel("p", "t", "v", [
+        plotting.Series("a", x, y),
+        plotting.Series("b", x, [7.0 * v for v in y]),
+        plotting.Series("none finite", x, [math.nan] * len(x)),
+    ])
+    svg = plotting.render([panel])
+    assert re.findall(r'points="([^"]*)"', svg) == reference_polylines(svg, panel)
