@@ -8,7 +8,7 @@ heat, including their quantum-coherence decomposition.
 
 from .errors import LandauerBoundsError
 from .lindblad import JumpChannel, LindbladModel, Trajectory, generator, hamiltonian_rate, propagate
-from .linalg import EigenSystem, eigh, spectral_map, trace_product
+from .linalg import EigenSystem, eigh, trace_product
 from .models import (
     ErasureParams,
     RydbergParams,
@@ -72,7 +72,6 @@ __all__ = [
     "relative_entropy",
     "solve_beta",
     "solve_beta_series",
-    "spectral_map",
     "state_functionals",
     "trace_product",
     "undriven_bounds",

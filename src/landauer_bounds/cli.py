@@ -30,7 +30,7 @@ import numpy as np
 from . import models, plotting, qstate, refsolve, thermo
 from .errors import ConfigError, LandauerBoundsError, SchemaError, UnnormalizedVector
 from .linalg import EigenSystem
-from .lindblad import JumpChannel, LindbladModel, Trajectory, propagate
+from .lindblad import JumpChannel, LindbladModel, Trajectory, propagate, step_count
 from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
 from .qstate import DensityMatrix
 from .refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE
@@ -121,14 +121,19 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         integ = raw["integrator"]
         dt = float(integ["dt"])
         t_end = float(integ["t_end"])
-        n_samples = int(integ["n_samples"])
+        n_samples = integ["n_samples"]
         model = str(raw["model"])
         if model not in ("rydberg", "erasure", "custom"):
             raise ConfigError(f"unknown model {model!r}")
-        if dt <= 0 or t_end <= 0:
-            raise ConfigError("dt and t_end must be positive")
-        if n_samples < 2:
-            raise ConfigError("n_samples must be >= 2")
+        if not (0 < dt < math.inf and 0 < t_end < math.inf):
+            raise ConfigError("dt and t_end must be positive and finite")
+        if type(n_samples) is float and n_samples.is_integer():
+            n_samples = int(n_samples)
+        if type(n_samples) is not int or n_samples < 2:
+            raise ConfigError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+        if not t_end / dt < 2.0 ** 63 or step_count(t_end, dt) < n_samples - 1:
+            raise ConfigError(f"t_end / dt = {t_end / dt:.6g} steps must fit in int64 and"
+                              f" be at least n_samples - 1 = {n_samples - 1}")
         branch = raw.get("beta_branch", BRANCH_NON_NEGATIVE)
         if branch not in (BRANCH_NON_NEGATIVE, BRANCH_NEGATIVE):
             raise ConfigError(f"unknown beta_branch {branch!r}")
@@ -402,7 +407,7 @@ def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for b in thermo.sample_blocks(len(traj.times)):
-            rho = thermo.stacked_states(traj, b)
+            rho = traj.states[b]
             block = np.column_stack([traj.times[b], traj.heat[b], traj.work[b],
                                      traj.min_eigenvalues[b], rho[:, upper[0], upper[1]].real,
                                      rho[:, strict[0], strict[1]].imag])

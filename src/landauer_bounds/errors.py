@@ -11,10 +11,6 @@ class NonHermitianInput(LandauerBoundsError):
     """Matrix violates the Hermiticity tolerance."""
 
 
-class NonFiniteFunctionValue(LandauerBoundsError):
-    """A spectral function produced a non-finite value on the spectrum."""
-
-
 class DimensionMismatch(LandauerBoundsError):
     """Operands have incompatible dimensions."""
 
@@ -46,10 +42,9 @@ class ProtocolDomainError(LandauerBoundsError):
 class StabilityError(LandauerBoundsError):
     """The integrator step is unstable.
 
-    Driven runs check every step: the trace may change by at most 1e-6 and
-    the state's Frobenius norm may not exceed 10. Undriven runs check the
-    step map before the run: it may change the trace of a unit-norm state by
-    at most 1e-6, and its spectral radius may not exceed 1 + 1e-9.
+    Every step map may change the trace of a unit-norm state by at most 1e-6,
+    the state's Frobenius norm may not exceed 10 at any sample, and the step
+    map of an undriven run may not have spectral radius above 1 + 1e-9.
     """
 
 

@@ -9,11 +9,11 @@ regression-stable output convention for degenerate spectra.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteFunctionValue, NonHermitianInput
+from .errors import DimensionMismatch, NonHermitianInput
 
 HERMITICITY_ATOL = 1e-10
 
@@ -97,27 +97,6 @@ def eigh(m: np.ndarray) -> EigenSystem:
     """
     w, v = np.linalg.eigh(require_hermitian(m))
     return _canonicalize(w, v)
-
-
-def spectral_map(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix via its spectrum.
-
-    Returns V f(diag lambda) V^dagger, re-Hermitized. ``f`` is evaluated on
-    the eigenvalue array (vectorized numpy callables work directly) and must
-    be finite on the spectrum.
-    """
-    es = eigh(m)
-    with np.errstate(all="ignore"):
-        try:
-            fw = np.asarray(f(es.eigenvalues), dtype=np.float64)
-        except (TypeError, ValueError):
-            fw = np.array([float(f(x)) for x in es.eigenvalues], dtype=np.float64)
-    if fw.shape != es.eigenvalues.shape:
-        raise NonFiniteFunctionValue("spectral function must map the spectrum elementwise")
-    if not np.all(np.isfinite(fw)):
-        raise NonFiniteFunctionValue(f"function not finite on spectrum {es.eigenvalues}")
-    v = es.eigenvectors
-    return hermitian_part((v * fw) @ v.conj().T)
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -9,24 +9,28 @@ dissipated-heat and work integrals
 
     Q(t) = -int_0^t Tr[H(t') drho/dt'] dt',   W(t) = int_0^t Tr[dH/dt' rho] dt'.
 
-Integration is classical fixed-step RK4. Because the augmented generator is
-linear, one RK4 step is the exact linear map S = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
-formed by batched matrix products; heat and work are integrated with the same
-stage weights as the state, which keeps the first law dE_S = W - Q at
-integrator accuracy. Driven models build the maps of STEP_BLOCK steps at a
-time from the block's 2 STEP_BLOCK + 1 stage times and advance one
-matrix-vector product per step; undriven models build S once and jump from
-sample to sample with powers of S. States are Hermitized and
-trace-renormalized at every sample (not every step); the correction is
-recorded so that masking of real errors stays detectable.
+Propagation runs in real orthonormal Hermitian coordinates of rho (x_ii =
+rho_ii; x_ij = sqrt(2) Re rho_ij and x_ji = sqrt(2) Im rho_ij for i < j), in
+which ``real_generators`` makes each generator real, exactly up to rounding,
+keeping its Frobenius norm, spectrum and trace row. One RK4 step is the exact
+linear map S = I + h/6 (K1 + 2 K2 + 2 K3 + K4); heat and work share the stage
+weights of the state, which keeps dE_S = W - Q at integrator accuracy. Driven
+models build the maps of STEP_BLOCK steps at a time and multiply those between
+two samples pairwise into one segment product; undriven models use powers of
+their one map. One sample loop applies them, renormalizes the trace at each
+sample (the correction is recorded) and checks the state norm; the trace-row
+defect |1^T S - 1^T| of every step map and the positivity of the states are
+checked on arrays.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -117,16 +121,17 @@ class LindbladModel:
 class Trajectory:
     """Sampled propagation output with accumulated heat/work and diagnostics.
 
-    ``min_eigenvalues`` holds the smallest state eigenvalue at each sample.
-    ``max_step_trace_drift`` is the largest change of Tr rho made by one step:
-    measured at every step for driven models, and for undriven models the
-    bound |1^T S - 1^T| of the step map S on states of unit Frobenius norm.
+    ``states`` is the (m, d, d) complex array of the sampled density matrices
+    and ``min_eigenvalues`` holds the smallest eigenvalue of each.
+    ``max_step_trace_drift`` is, for driven and undriven models alike, the
+    largest trace-row defect |1^T S - 1^T| over the step maps S: the most one
+    step can change Tr rho of a state of unit Frobenius norm.
     ``cumulative_trace_drift`` is the sum over samples of |Tr rho - 1|
     removed by renormalization there.
     """
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    states: np.ndarray
     heat: np.ndarray
     work: np.ndarray
     min_eigenvalues: np.ndarray
@@ -185,7 +190,7 @@ def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
         if ch.rate == 0.0:
             continue
         l_op = protocol_values(ch.operator_protocol, times, d, "jump operator")
-        k_eff -= (0.5j * ch.rate) * (linalg.adjoint(l_op) @ l_op)
+        k_eff -= (0.5j * ch.rate) * np.einsum("...ki,...kj->...ij", l_op.conj(), l_op)
         jumps = jumps + ch.rate * _kron(l_op, l_op.conj())
     eye = np.eye(d, dtype=np.complex128)
     liou = -1j * (_kron(k_eff, eye) - _kron(eye, k_eff.conj())) + jumps
@@ -197,6 +202,52 @@ def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     if model.driven:
         gen[:, n + 1, :n] = _transpose(_hamiltonian_rates(model, times)).reshape(-1, n)
     return gen
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinates(dim: int) -> tuple[np.ndarray, ...]:
+    """z, P, w0, i0, w1, i1 of the real coordinates of v = [vec rho, Q, W].
+
+    x = Re(z * v), z = sqrt(2) above the diagonal of rho, i sqrt(2) below it and
+    1 elsewhere: on Hermitian rho, the unitary T = (diag z + diag(conj z) P) / 2
+    with P the transpose permutation. A generator A that preserves Hermiticity
+    has P A P = conj(A), so T A T^dag = Re[(z z^dag / 2) * A + (z z^T / 2) * A P],
+    whose coefficients are real or imaginary: in the interleaved float view f
+    of A, T A T^dag = w0 f[i0] + w1 f[i1].
+    """
+    size = dim * dim + 2
+    rows, cols = np.divmod(np.arange(size), dim)
+    z = np.select([rows < cols, (cols < rows) & (rows < dim)], [2 ** 0.5, 2 ** 0.5 * 1j], 1 + 0j)
+    perm = np.where(rows < dim, cols * dim + rows, np.arange(size))
+    cells, terms = np.arange(size * size, dtype=np.int32).reshape(size, size), [z, perm]
+    for coef, picks in ((np.outer(z, z.conj()) / 2, cells), (np.outer(z, z) / 2, cells[:, perm])):
+        imag = coef.imag != 0
+        terms += [np.where(imag, -coef.imag, coef.real).ravel(), (2 * picks + imag).ravel()]
+    for term in terms:  # shared by every caller through the cache
+        term.setflags(write=False)
+    return tuple(terms)
+
+
+def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., d^2) of Hermitian (..., d, d) matrices."""
+    rho = np.asarray(rho)
+    n = rho.shape[-1] ** 2
+    return (_coordinates(rho.shape[-1])[0][:n] * rho.reshape(*rho.shape[:-2], n)).real
+
+
+def density_matrices(x: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian (..., d, d) matrices of real coordinates (..., d^2)."""
+    d, n = math.isqrt(x.shape[-1]), x.shape[-1]
+    z, perm = (a[:n] for a in _coordinates(d)[:2])
+    return ((0.5 * z.conj()) * x + (0.5 * z[perm]) * x[..., perm]).reshape(*x.shape[:-1], d, d)
+
+
+def real_generators(gen: np.ndarray) -> np.ndarray:
+    """Real generators T A T^dag of Hermiticity-preserving complex generators A
+    of [vec rho, Q, W], shape (..., d^2 + 2, d^2 + 2)."""
+    w0, i0, w1, i1 = _coordinates(math.isqrt(gen.shape[-1]))[2:]
+    flat = np.ascontiguousarray(gen, np.complex128).view(np.float64).reshape(*gen.shape[:-2], -1)
+    return (w0 * flat[..., i0] + w1 * flat[..., i1]).reshape(gen.shape)
 
 
 def generator(model: LindbladModel, t: float, rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -226,7 +277,7 @@ def _rk4_step_maps(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
 
     ``a_start``, ``a_mid`` and ``a_end`` hold A at t, t + dt/2 and t + dt.
     """
-    eye = np.eye(a_start.shape[-1], dtype=np.complex128)
+    eye = np.eye(a_start.shape[-1])
     k1 = a_start
     k2 = a_mid @ (eye + (0.5 * dt) * k1)
     k3 = a_mid @ (eye + (0.5 * dt) * k2)
@@ -245,38 +296,66 @@ def _warn_if_coarse(gen: np.ndarray, n: int, dt: float) -> bool:
     return True
 
 
-class _Samples:
-    """Renormalizes, checks and records the propagated state at sample steps."""
+def _trace_row_defects(maps: np.ndarray, dim: int, first: int, dt: float) -> float:
+    """Largest |1^T S - 1^T| over the rho blocks of the maps S of steps first + 1, ...;
+    ``StabilityError`` names the time of the first step beyond 1e-6."""
+    n = dim * dim
+    defects = np.linalg.norm(maps[:, :n:dim + 1, :n].sum(axis=1) - np.eye(dim).ravel(), axis=-1)
+    bad = np.flatnonzero(defects > _STEP_DRIFT_LIMIT)
+    if bad.size:
+        raise StabilityError(f"trace drift up to {defects[bad[0]]:.3e} in one step"
+                             f" at t={(first + 1 + int(bad[0])) * dt!r}")
+    return float(np.max(defects))
 
-    def __init__(self, dim: int, dt: float) -> None:
-        self.dim, self.dt = dim, dt
-        self.states: list[DensityMatrix] = []
-        self.rows: list[tuple[float, float, float, float]] = []  # t, Q, W, min eig
-        self.cumulative_drift = 0.0
 
-    def take(self, y: np.ndarray, step: int) -> np.ndarray:
-        """Record y at ``step``; return y with rho Hermitized and renormalized."""
-        d, n = self.dim, self.dim ** 2
-        rho = y[:n].reshape(d, d)
-        rho = (rho + rho.conj().T) * 0.5
-        tr = float(np.trace(rho).real)
-        self.cumulative_drift += abs(tr - 1.0)
-        rho = rho / tr
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < _MIN_EIG_LIMIT:
-            raise PositivityError(f"min eigenvalue {min_eig:.3e} at t={step * self.dt!r}")
-        self.states.append(DensityMatrix.from_matrix(rho, check=False))
-        self.rows.append((step * self.dt, float(y[n].real), float(y[n + 1].real), min_eig))
-        out = y.copy()
-        out[:n] = rho.ravel()
-        return out
+def _driven_maps(model: LindbladModel, dt: float,
+                 sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
+    """Yield the product of the step maps between each pair of consecutive samples,
+    with the largest trace-row defect of the maps built so far."""
+    n, k = model.dim ** 2, model.dim ** 2 + 2
+    n_steps, max_defect, warned, carry = int(sample_idx[-1]), 0.0, False, np.eye(k)
+    for first in range(0, n_steps, STEP_BLOCK):
+        count = min(STEP_BLOCK, n_steps - first)
+        gen = real_generators(
+            augmented_generators(model, (first + 0.5 * np.arange(2 * count + 1)) * dt))
+        warned = warned or _warn_if_coarse(gen, n, dt)
+        maps = _rk4_step_maps(gen[:-1:2], gen[1::2], gen[2::2], dt)
+        max_defect = max(max_defect, _trace_row_defects(maps, model.dim, first, dt))
+        # Segments end at the block's samples and last step; each is padded with
+        # identity maps (index ``count``) to 2^j maps and multiplied pairwise.
+        ends = sample_idx[(sample_idx > first) & (sample_idx <= first + count)] - first
+        bounds = np.union1d(ends, [count])
+        starts = np.concatenate([[0], bounds[:-1]])
+        idx = starts[:, None] + np.arange(1 << int(np.max(bounds - starts) - 1).bit_length())
+        idx[idx >= bounds[:, None]] = count
+        products = np.concatenate([maps, np.eye(k)[None]])[idx]
+        while products.shape[1] > 1:
+            products = products[:, 1::2] @ products[:, ::2]
+        products = products[:, 0]
+        products[0] = products[0] @ carry
+        yield from ((product, max_defect) for product in products[:len(ends)])
+        carry = products[-1] if len(bounds) > len(ends) else np.eye(k)
 
-    def trajectory(self, max_step_drift: float, n_steps: int) -> Trajectory:
-        times, heat, work, mins = (np.array(c) for c in zip(*self.rows))
-        return Trajectory(times=times, states=tuple(self.states), heat=heat, work=work,
-                          min_eigenvalues=mins, max_step_trace_drift=max_step_drift,
-                          cumulative_trace_drift=self.cumulative_drift, dt=self.dt,
-                          n_steps=n_steps)
+
+def _undriven_maps(model: LindbladModel, dt: float,
+                   sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
+    """The power of the one step map spanning each sample gap, with its trace-row defect."""
+    n = model.dim ** 2
+    gen = real_generators(augmented_generators(model, np.zeros(1)))
+    _warn_if_coarse(gen, n, dt)
+    step_map = _rk4_step_maps(gen, gen, gen, dt)
+    defect = _trace_row_defects(step_map, model.dim, 0, dt)
+    radius = float(np.max(np.abs(np.linalg.eigvals(step_map[0, :n, :n]))))
+    if radius > _SPECTRAL_RADIUS_LIMIT:
+        raise StabilityError(f"step map spectral radius {radius:.6g} > 1 at dt={dt!r}")
+    gaps = np.diff(sample_idx).tolist()
+    powers = {gap: np.linalg.matrix_power(step_map[0], gap) for gap in set(gaps)}
+    return ((powers[gap], defect) for gap in gaps)
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Number of RK4 steps over [0, t_end]: ceil(t_end / dt), at least 1."""
+    return max(1, math.ceil(t_end / dt - 1e-12))
 
 
 def propagate(
@@ -290,20 +369,21 @@ def propagate(
 
     The step count is ceil(t_end / dt); dt is shrunk to divide t_end exactly.
     Warns when dt times the generator scale reaches 0.1 anywhere on the run.
-    Raises ``StabilityError`` when a step is unstable: for driven models, one
-    step drifts the trace by more than 1e-6 or leaves a state of Frobenius
-    norm above 10; for undriven models, the step map fails the same trace
-    bound or has spectral radius above 1 + 1e-9. Raises ``PositivityError``
-    when a sampled state has an eigenvalue below -1e-6.
+    Raises ``StabilityError`` when a step map changes the trace of a unit-norm
+    state by more than 1e-6, an undriven step map has spectral radius above
+    1 + 1e-9 or a sampled state has Frobenius norm above 10, and
+    ``PositivityError`` when a sampled state has an eigenvalue below -1e-6.
     """
+    from .thermo import sample_blocks  # thermo imports this module
+
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    d = model.dim
+    d, n = model.dim, model.dim ** 2
     if rho0.matrix.shape != (d, d):
         raise DimensionMismatch(f"initial state shape {rho0.matrix.shape} != dim {d}")
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
+    n_steps = step_count(t_end, dt)
     if n_samples > n_steps + 1:
         raise ValueError(f"n_samples {n_samples} exceeds available steps {n_steps} + 1")
     dt_eff = t_end / n_steps
@@ -311,67 +391,36 @@ def propagate(
     sample_idx = np.unique(np.rint(np.linspace(0, n_steps, n_samples)).astype(int))
     if len(sample_idx) != n_samples:
         raise ValueError("sample grid collapsed; reduce n_samples")
+    times = sample_idx * dt_eff
 
-    y = np.zeros(d * d + 2, dtype=np.complex128)
-    y[:d * d] = rho0.matrix.ravel()
-    samples = _Samples(d, dt_eff)
-    y = samples.take(y, 0)
-    advance = _advance_driven if model.driven else _advance_undriven
-    max_drift = advance(model, y, dt_eff, sample_idx.tolist(), samples)
-    return samples.trajectory(max_drift, n_steps)
+    # Sample 0 is the initial state, reached by the identity.
+    segments = itertools.chain([(np.eye(n + 2), 0.0)], (
+        _driven_maps if model.driven else _undriven_maps)(model, dt_eff, sample_idx))
+    y = np.concatenate([hermitian_coordinates(rho0.matrix), [0.0, 0.0]])
+    states = np.empty((n_samples, d, d), dtype=np.complex128)
+    # The loop writes each sample's real coordinates into the first half of its
+    # row of ``states``; each block is expanded in place after the loop.
+    coords = states.view(np.float64).reshape(n_samples, 2 * n)[:, :n]
+    heat, work, cumulative = np.empty(n_samples), np.empty(n_samples), 0.0
+    for i, (segment, max_defect) in enumerate(segments):
+        y = segment @ y
+        # A unit-trace positive state has Frobenius norm <= 1; large growth means
+        # the step size is unstable even when the trace happens to be preserved.
+        frob = math.sqrt(float(y[:n] @ y[:n]))
+        if not frob <= 10.0:
+            raise StabilityError(f"state norm {frob:.3e} at t={times[i].item()!r}")
+        tr = float(y[:n:d + 1].sum())
+        cumulative += abs(tr - 1.0)
+        y[:n] /= tr
+        coords[i], heat[i], work[i] = y[:n], y[n], y[n + 1]
 
-
-def _advance_driven(model: LindbladModel, y: np.ndarray, dt: float,
-                    sample_idx: list[int], samples: _Samples) -> float:
-    """Step through the run one map at a time; return the largest per-step trace drift."""
-    n = model.dim ** 2
-    trace_row = np.eye(model.dim, dtype=np.complex128).ravel()
-    targets = set(sample_idx)
-    n_steps = sample_idx[-1]
-    tr, max_drift, warned = 1.0, 0.0, False
-    for first in range(0, n_steps, STEP_BLOCK):
-        count = min(STEP_BLOCK, n_steps - first)
-        gen = augmented_generators(model, (first + 0.5 * np.arange(2 * count + 1)) * dt)
-        warned = warned or _warn_if_coarse(gen, n, dt)
-        maps = _rk4_step_maps(gen[:-1:2], gen[1::2], gen[2::2], dt)
-        for step, step_map in enumerate(maps, first + 1):
-            y = step_map @ y
-            rho = y[:n]
-            new_tr = float((trace_row @ rho).real)
-            drift = abs(new_tr - tr)
-            if drift > _STEP_DRIFT_LIMIT:
-                raise StabilityError(f"trace drift {drift:.3e} in one step at t={step * dt!r}")
-            # A unit-trace positive state has Frobenius norm <= 1; large growth means
-            # the step size is unstable even when the trace happens to be preserved.
-            frob = math.sqrt(float(np.vdot(rho, rho).real))
-            if not frob <= 10.0:
-                raise StabilityError(f"state norm {frob:.3e} after one step at t={step * dt!r}")
-            max_drift = max(max_drift, drift)
-            tr = new_tr
-            if step in targets:
-                y = samples.take(y, step)
-                tr = 1.0
-    return max_drift
-
-
-def _advance_undriven(model: LindbladModel, y: np.ndarray, dt: float,
-                      sample_idx: list[int], samples: _Samples) -> float:
-    """Jump from sample to sample with powers of the one step map; return its trace bound."""
-    n = model.dim ** 2
-    gen = augmented_generators(model, np.zeros(1))
-    _warn_if_coarse(gen, n, dt)
-    step_map = _rk4_step_maps(gen, gen, gen, dt)[0]
-    trace_row = np.eye(model.dim).ravel()
-    drift = float(np.linalg.norm(trace_row @ step_map[:n, :n] - trace_row))
-    if drift > _STEP_DRIFT_LIMIT:
-        raise StabilityError(f"step map drifts the trace by up to {drift:.3e} per step")
-    radius = float(np.max(np.abs(np.linalg.eigvals(step_map[:n, :n]))))
-    if radius > _SPECTRAL_RADIUS_LIMIT:
-        raise StabilityError(f"step map spectral radius {radius:.6g} > 1 at dt={dt!r}")
-    powers: dict[int, np.ndarray] = {}
-    for prev, step in zip(sample_idx, sample_idx[1:]):
-        gap = step - prev
-        if gap not in powers:
-            powers[gap] = np.linalg.matrix_power(step_map, gap)
-        y = samples.take(powers[gap] @ y, step)
-    return drift
+    mins = np.empty(n_samples)
+    for b in sample_blocks(n_samples):
+        states[b] = density_matrices(coords[b])
+        mins[b] = np.linalg.eigvalsh(states[b])[:, 0]
+    bad = np.flatnonzero(mins < _MIN_EIG_LIMIT)
+    if bad.size:
+        raise PositivityError(f"min eigenvalue {mins[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
+    return Trajectory(times=times, states=states, heat=heat, work=work, min_eigenvalues=mins,
+                      max_step_trace_drift=max_defect, cumulative_trace_drift=cumulative,
+                      dt=dt_eff, n_steps=n_steps)

@@ -230,10 +230,11 @@ def gibbs_in_basis(basis: EigenSystem, beta: float) -> ReferenceState:
     )
 
 
-def fidelity_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
-    """<psi|rho|psi> for a normalized vector psi."""
+def fidelity_pure(rho: DensityMatrix | np.ndarray, psi: np.ndarray) -> float:
+    """<psi|rho|psi> for a state (or a (d, d) density matrix) and a normalized vector psi."""
     v = _unit_vector(psi)
-    return float(np.real(v.conj() @ rho.matrix @ v))
+    r = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    return float(np.real(v.conj() @ r @ v))
 
 
 def state_functionals(t: np.ndarray, rho: np.ndarray, levels: np.ndarray,

@@ -41,10 +41,10 @@ from .lindblad import LindbladModel, Trajectory, protocol_values
 from .qstate import ReferenceState, ThermoSample
 from .refsolve import BetaSolveResult
 
-# Stacks of density matrices (states, Gibbs references and their rotations)
-# and the text of the CSV outputs are formed this many samples at a time:
-# enough to batch the work, few enough that the stacks of a long run never
-# sit in memory at once.
+# Stacks of density matrices (states, Gibbs references and their rotations),
+# the positivity check of the propagated states and the text of the CSV
+# outputs are formed this many samples at a time: enough to batch the work,
+# few enough that the stacks of a long run never sit in memory at once.
 SAMPLE_BLOCK = 256
 
 
@@ -61,11 +61,6 @@ def sample_blocks(n: int) -> list[slice]:
     return [slice(i, i + SAMPLE_BLOCK) for i in range(0, n, SAMPLE_BLOCK)]
 
 
-def stacked_states(traj: Trajectory, block: slice) -> np.ndarray:
-    """(len(block), d, d) stack of the density matrices of a block of samples."""
-    return np.array([st.matrix for st in traj.states[block]])
-
-
 def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
     """Diagonalize H(t) and evaluate E_S, S, S', Coh at every sample.
 
@@ -76,8 +71,7 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
     h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
     levels, vectors = np.linalg.eigh(linalg.require_hermitian(h))
     levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
-    parts = [qstate.state_functionals(traj.times[b], stacked_states(traj, b),
-                                      levels[b], vectors[b])
+    parts = [qstate.state_functionals(traj.times[b], traj.states[b], levels[b], vectors[b])
              for b in sample_blocks(m)]
     return Samples(levels, vectors, ThermoSample(*map(np.concatenate, zip(*parts))))
 
@@ -89,7 +83,7 @@ def _relative_entropies(traj: Trajectory,
     ``sigma(block)`` gives the references of a block of samples, or one
     reference for all of them.
     """
-    return np.concatenate([qstate.relative_entropies(stacked_states(traj, b), sigma(b))
+    return np.concatenate([qstate.relative_entropies(traj.states[b], sigma(b))
                            for b in sample_blocks(len(traj.times))])
 
 

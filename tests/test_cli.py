@@ -12,7 +12,6 @@ import pytest
 from landauer_bounds import cli, linalg, plotting, qstate, thermo
 from landauer_bounds.errors import SchemaError
 from landauer_bounds.lindblad import Trajectory
-from landauer_bounds.qstate import DensityMatrix
 
 
 def run_cli(*args):
@@ -87,12 +86,25 @@ def test_config_errors_exit_3(tmp_path):
     {"top_level": {"integrator": 5}, "args": ["--dt", "0.01"]},
     {"top_level": {"sweep": [{"name": "a", "overrides": {"integrator": 5}}]},
      "args": ["--samples", "3"]},
+    {"top_level": {"integrator": {"dt": math.nan, "t_end": 10.0, "n_samples": 5}}},
+    {"top_level": {"integrator": {"dt": math.inf, "t_end": 10.0, "n_samples": 5}}},
+    {"top_level": {"integrator": {"dt": 1e-300, "t_end": 10.0, "n_samples": 5}}},
+    {"top_level": {"integrator": {"dt": 0.01, "t_end": 10.0, "n_samples": 5.5}}},
+    {"top_level": {"integrator": {"dt": 0.01, "t_end": 10.0, "n_samples": "5"}}},
+    {"top_level": {"integrator": {"dt": 0.5, "t_end": 1.0, "n_samples": 5}}},
+    {"args": ["--dt", "nan"]},
+    {"args": ["--t-end", "inf"]},
+    {"args": ["--dt", "1e-300"]},
+    {"args": ["--samples", "100000"]},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
         "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
         "sweep-entry-unknown-key", "sweep-entry-not-an-object",
         "sweep-entry-not-an-object-with-dt", "integrator-not-an-object-with-dt",
-        "sweep-integrator-not-an-object-with-samples"])
+        "sweep-integrator-not-an-object-with-samples", "dt-nan", "dt-inf",
+        "step-count-beyond-int64", "samples-fractional", "samples-string",
+        "samples-beyond-steps", "dt-nan-flag", "t-end-inf-flag",
+        "step-count-beyond-int64-flag", "samples-beyond-steps-flag"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
@@ -294,8 +306,7 @@ def reference_trajectory_csv(result, path):
     header += [f"rho_{i}_{j}_re" for i in range(d) for j in range(i, d)]
     header += [f"rho_{i}_{j}_im" for i in range(d) for j in range(i + 1, d)]
     records = []
-    for k, st in enumerate(traj.states):
-        m = st.matrix
+    for k, m in enumerate(traj.states):
         rec = [traj.times[k], traj.heat[k], traj.work[k], traj.min_eigenvalues[k]]
         rec += [m[i, j].real for i in range(d) for j in range(i, d)]
         rec += [m[i, j].imag for i in range(d) for j in range(i + 1, d)]
@@ -315,8 +326,7 @@ def synthetic_trajectory(n, d, values):
     head, re_im = cells[:4 * n].reshape(4, n), cells[4 * n:].reshape(2, n, d, d)
     matrices = np.empty((n, d, d), dtype=complex)
     matrices.real, matrices.imag = re_im  # re + 1j * im would turn an infinite im into NaN
-    states = tuple(DensityMatrix(matrix=m, dim=d) for m in matrices)
-    return Trajectory(times=head[0], states=states, heat=head[1], work=head[2],
+    return Trajectory(times=head[0], states=matrices, heat=head[1], work=head[2],
                       min_eigenvalues=head[3], max_step_trace_drift=0.0,
                       cumulative_trace_drift=0.0, dt=1.0, n_steps=n - 1)
 

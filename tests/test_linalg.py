@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landauer_bounds import linalg
-from landauer_bounds.errors import DimensionMismatch, NonFiniteFunctionValue, NonHermitianInput
+from landauer_bounds.errors import DimensionMismatch, NonHermitianInput
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,46 +68,6 @@ def test_eigh_rejects_non_hermitian():
         linalg.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(NonHermitianInput):
         linalg.eigh(np.arange(9.0).reshape(3, 3) + 0j)
-
-
-def test_spectral_map_exp_of_zero():
-    assert np.allclose(linalg.spectral_map(np.zeros((2, 2), complex), np.exp), np.eye(2))
-
-
-def test_spectral_map_exp_diagonal():
-    out = linalg.spectral_map(SZ, lambda w: np.exp(-w))
-    assert np.allclose(out, np.diag([np.exp(-1.0), np.exp(1.0)]))
-
-
-def test_spectral_map_log_gibbs_populations():
-    p = np.exp(0.5) / (2 * np.cosh(0.5))
-    out = linalg.spectral_map(np.diag([p, 1 - p]).astype(complex), np.log)
-    assert np.allclose(out, np.diag([np.log(p), np.log(1 - p)]), atol=1e-12)
-
-
-def test_spectral_map_identity_roundtrip():
-    rng = np.random.default_rng(11)
-    m = random_hermitian(rng, 5)
-    assert np.linalg.norm(linalg.spectral_map(m, lambda w: w) - m) < 1e-11
-
-
-def test_spectral_map_exp_log_roundtrip():
-    # Spectrum within [-20, 20]; the spread is kept below ~15 because the
-    # roundtrip error scales with eps * exp(spread) (conditioning of the
-    # second eigendecomposition), which crosses 1e-9 near spread 16.
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        w = rng.uniform(-7.0, 7.0, size=4)
-        u = linalg.eigh(random_hermitian(rng, 4)).eigenvectors
-        m = (u * w) @ u.conj().T
-        assert np.max(np.abs(np.linalg.eigvalsh(m))) < 20
-        back = linalg.spectral_map(linalg.spectral_map(m, np.exp), np.log)
-        assert np.linalg.norm(back - m) < 1e-9
-
-
-def test_spectral_map_rejects_nonfinite():
-    with pytest.raises(NonFiniteFunctionValue):
-        linalg.spectral_map(SZ, np.log)  # log(-1)
 
 
 def test_trace_product_examples():

@@ -1,18 +1,24 @@
 import dataclasses
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from landauer_bounds import models
 from landauer_bounds.errors import StabilityError, UndrivenModelWarning
 from landauer_bounds.lindblad import (
+    STEP_BLOCK,
     JumpChannel,
     LindbladModel,
     augmented_generators,
+    density_matrices,
     generator,
     hamiltonian_rate,
+    hermitian_coordinates,
     propagate,
+    real_generators,
 )
 from landauer_bounds.qstate import DensityMatrix
 
@@ -72,7 +78,7 @@ def test_propagate_zero_generator():
     rho0 = DensityMatrix.from_matrix(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     traj = propagate(model, rho0, 1.0, 0.01, 5)
     for st in traj.states:
-        assert np.allclose(st.matrix, rho0.matrix, atol=1e-14)
+        assert np.allclose(st, rho0.matrix, atol=1e-14)
     assert np.all(traj.heat == 0.0)
     assert np.all(traj.work == 0.0)
 
@@ -81,10 +87,10 @@ def test_propagate_amplitude_damping_oracle():
     gamma = 0.2
     traj = propagate(amplitude_damping_model(gamma=gamma), excited_state(), 10.0, 1e-3, 21)
     for t, st in zip(traj.times, traj.states):
-        assert st.matrix[1, 1].real == pytest.approx(math.exp(-gamma * t), abs=1e-9)
-        assert abs(st.matrix[0, 1]) < 1e-14
+        assert st[1, 1].real == pytest.approx(math.exp(-gamma * t), abs=1e-9)
+        assert abs(st[0, 1]) < 1e-14
     # undriven accounting: Q = -dE at every sample
-    e = np.array([float(np.trace(st.matrix @ (0.5 * SZ)).real) for st in traj.states])
+    e = np.array([float(np.trace(st @ (0.5 * SZ)).real) for st in traj.states])
     assert np.max(np.abs(traj.heat - (e[0] - e))) < 1e-12
 
 
@@ -94,7 +100,7 @@ def test_rk4_order_against_analytic_solution():
 
     def max_err(dt):
         traj = propagate(model, excited_state(), 5.0, dt, 6)
-        return max(abs(st.matrix[1, 1].real - math.exp(-gamma * t))
+        return max(abs(st[1, 1].real - math.exp(-gamma * t))
                    for t, st in zip(traj.times, traj.states))
 
     with pytest.warns(UserWarning, match="accuracy may degrade"):
@@ -114,7 +120,7 @@ def test_constant_and_generic_paths_agree():
         hamiltonian_rate(const, 0.0)
     b = propagate(driven_clone, excited_state(), 2.0, 0.01, 9)
     for sa, sb in zip(a.states, b.states):
-        assert np.max(np.abs(sa.matrix - sb.matrix)) < 1e-13
+        assert np.max(np.abs(sa - sb)) < 1e-13
     assert np.max(np.abs(a.heat - b.heat)) < 1e-13
     assert np.max(np.abs(b.work)) < 1e-13
 
@@ -123,7 +129,7 @@ def test_driven_energy_balance(erasure):
     rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
     traj = propagate(erasure, rho0, 2.0, 1e-3, 21)
     h_t = [erasure.hamiltonian(float(t)) for t in traj.times]
-    e = np.array([float(np.trace(st.matrix @ h).real) for st, h in zip(traj.states, h_t)])
+    e = np.array([float(np.trace(st @ h).real) for st, h in zip(traj.states, h_t)])
     assert np.max(np.abs((e - e[0]) - (traj.work - traj.heat))) < 1e-8
 
 
@@ -242,11 +248,83 @@ def test_step_maps_match_stage_by_stage_rk4(case, erasure):
     states, heat, work = reference_propagate(model, rho0, t_end, 0.01, 31)
     assert len(states) == len(traj.states) == 31
     for st, ref in zip(traj.states, states):
-        assert np.max(np.abs(st.matrix - ref)) < 1e-12
+        assert np.max(np.abs(st - ref)) < 1e-12
     assert np.max(np.abs(traj.heat - heat)) < 1e-12
     assert np.max(np.abs(traj.work - work)) < 1e-12
     assert np.max(np.abs(heat)) > 1e-3
     assert (np.max(np.abs(work)) > 1e-3) == model.driven
+
+
+@pytest.mark.parametrize("case, t_end, n_samples, gaps", [
+    ("erasure", 3.07, 31, {10, 11}),
+    # one gap of three STEP_BLOCKs and a partial block
+    ("erasure", (3 * STEP_BLOCK + 16) / 100, 2, {3 * STEP_BLOCK + 16}),
+    ("erasure", 1.5, 151, {1}),
+    ("amplitude_damping", 3.07, 31, {10, 11}),
+], ids=["uneven-gaps", "gap-over-three-blocks", "every-step", "undriven-uneven-gaps"])
+def test_segment_products_match_stage_by_stage_rk4(case, t_end, n_samples, gaps, erasure):
+    if case == "amplitude_damping":
+        model, rho0 = amplitude_damping_model(), excited_state()
+    else:
+        model = erasure
+        rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
+    traj = propagate(model, rho0, t_end, 0.01, n_samples)
+    assert set(np.diff(np.rint(traj.times / traj.dt)).astype(int).tolist()) == gaps
+    states, heat, work = reference_propagate(model, rho0, t_end, 0.01, n_samples)
+    assert len(states) == len(traj.states) == n_samples
+    assert np.max(np.abs(traj.states - np.array(states))) < 1e-12
+    assert np.max(np.abs(traj.heat - heat)) < 1e-12
+    assert np.max(np.abs(traj.work - work)) < 1e-12
+    assert np.max(np.abs(heat)) > 1e-3
+    assert (np.max(np.abs(work)) > 1e-3) == model.driven
+
+
+@hst.composite
+def random_lindbladians(draw):
+    """A random Hermitian H, one to three random jump operators and a random state.
+
+    Hypothesis draws the dimension, the number of jumps and a seed; the
+    entries come from that seed, so every model is generic (no degenerate
+    or defective spectrum that would make eigenvalues ill conditioned).
+    """
+    dim = draw(hst.sampled_from([2, 3, 4]))
+    n_jumps = draw(hst.integers(1, 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    re, im = rng.normal(size=(2, 2 + n_jumps, dim, dim))
+    a, rho, *jumps = re + 1j * im
+    h = (a + a.conj().T) / 2
+    rho = rho @ rho.conj().T
+    model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, driven=False,
+                          channels=tuple(map(JumpChannel.constant,
+                                             rng.uniform(0.05, 2.0, n_jumps), jumps)))
+    return model, rho / np.trace(rho).real
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(random_lindbladians())
+def test_real_coordinates_of_random_lindbladians(case):
+    model, rho = case
+    n = model.dim ** 2
+    gen = augmented_generators(model, np.zeros(1))
+    real = real_generators(gen)
+    assert real.dtype == np.float64
+    norm = np.linalg.norm(gen[0])
+    assert abs(np.linalg.norm(real[0]) - norm) <= 1e-12 * norm
+    complex_eigs = list(np.linalg.eigvals(gen[0, :n, :n]))
+    for eig in np.linalg.eigvals(real[0, :n, :n]):
+        nearest = min(range(len(complex_eigs)), key=lambda i: abs(complex_eigs[i] - eig))
+        assert abs(complex_eigs.pop(nearest) - eig) <= 1e-12 * norm
+    x = hermitian_coordinates(rho)
+    grid, upper = x.reshape(model.dim, model.dim), np.triu_indices(model.dim, 1)
+    assert np.array_equal(np.diag(grid), np.diag(rho).real)
+    assert np.max(np.abs(grid[upper] - 2 ** 0.5 * rho[upper].real)) < 1e-15
+    assert np.max(np.abs(grid.T[upper] - 2 ** 0.5 * rho[upper].imag)) < 1e-15
+    assert np.max(np.abs(real[0, :n, :n] @ x
+                         - hermitian_coordinates(generator(model, 0.0, rho)))) < 1e-13
+    back = density_matrices(x)
+    assert np.array_equal(back, back.conj().T)
+    assert np.max(np.abs(back - rho)) < 1e-15
+    assert np.max(np.abs(hermitian_coordinates(back) - x)) < 1e-15
 
 
 def test_erasure_protocols_accept_time_arrays(erasure):

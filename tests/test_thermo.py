@@ -6,6 +6,7 @@ import pytest
 from landauer_bounds import linalg, models, qstate, refsolve, thermo
 from landauer_bounds.errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
 from landauer_bounds.lindblad import JumpChannel, LindbladModel, propagate
+from landauer_bounds.qstate import DensityMatrix
 from landauer_bounds.refsolve import BRANCH_NEGATIVE, BetaSolveResult
 
 
@@ -151,7 +152,7 @@ def test_instantaneous_matching_identity_holds_for_constant_hamiltonian():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
-    entropies = [qstate.von_neumann_entropy(st) for st in traj.states]
+    entropies = [qstate.von_neumann_entropy(DensityMatrix.from_matrix(st)) for st in traj.states]
     levels = np.array([linalg.eigh(h0).eigenvalues] * len(entropies))
     series = refsolve.solve_beta_series(levels, entropies)
     drows = thermo.driven_bounds(traj, model, thermo.evaluate_samples(traj, model), series)
@@ -227,7 +228,7 @@ def test_nlp_driven_slack_matches_relative_entropy(fig2_result):
     bath_beta = 1.0
     for c, st in list(zip(rows, fig2_result.trajectory.states))[::40]:
         eq = qstate.gibbs_state(fig2_result.model.hamiltonian(c.t), bath_beta)
-        d = qstate.relative_entropy(st, eq.gibbs)
+        d = qstate.relative_entropy(DensityMatrix.from_matrix(st), eq.gibbs)
         assert c.slack_S25 == pytest.approx(d, abs=1e-8)
         assert c.slack_S25 >= -1e-8
         assert c.slack_S26 is None
