@@ -99,18 +99,33 @@ class ScenarioConfig:
     beta_branch: str
     out_dir: Path
     plots: bool
-    sweep: tuple[dict[str, Any], ...]
+    sweep: tuple[tuple[str, dict[str, Any]], ...]
     custom_model_file: str | None
 
 
-def _sweep_entries(raw: dict[str, Any]) -> list[dict[str, Any]]:
+def _real(value: Any, what: str) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _sweep_entries(raw: dict[str, Any]) -> list[tuple[str, dict[str, Any]]]:
+    """(name, overrides) of each sweep entry; a name (default entry{i}) is an
+    output subdirectory, so it must be one path component and unique."""
     sweep = raw.get("sweep") or []
     if not isinstance(sweep, list) or not all(
             isinstance(e, dict) and set(e) <= SWEEP_KEYS
             and isinstance(e.get("overrides", {}), dict) for e in sweep):
         raise ConfigError(f"sweep must be a list of objects with keys in {sorted(SWEEP_KEYS)}"
                           " and object-valued overrides")
-    return sweep
+    names = [e.get("name", f"entry{i}") for i, e in enumerate(sweep)]
+    for name in names:
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise ConfigError(f"sweep entry name {name!r} is not a single path component")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"sweep entry names {names} are not unique")
+    return [(name, e.get("overrides", {})) for name, e in zip(names, sweep)]
 
 
 def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: bool) -> ScenarioConfig:
@@ -119,8 +134,8 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         raise ConfigError(f"unknown configuration keys {unknown}")
     try:
         integ = raw["integrator"]
-        dt = float(integ["dt"])
-        t_end = float(integ["t_end"])
+        dt = _real(integ["dt"], "dt")
+        t_end = _real(integ["t_end"], "t_end")
         n_samples = integ["n_samples"]
         model = str(raw["model"])
         if model not in ("rydberg", "erasure", "custom"):
@@ -139,17 +154,20 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
             raise ConfigError(f"unknown beta_branch {branch!r}")
         bath = raw.get("bath_T")
         if bath is not None:
-            bath = float(bath)
+            bath = _real(bath, "bath_T")
             if bath <= 0:
                 raise ConfigError("bath_T must be positive when set")
         init = dict(raw["initial_state"])
         if "kind" not in init:
             raise ConfigError("initial_state needs a 'kind'")
+        params = raw.get("model_params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("model_params must be an object")
         sweep = _sweep_entries(raw)
         return ScenarioConfig(
             name=name,
             model=model,
-            model_params={k: float(v) for k, v in raw.get("model_params", {}).items()},
+            model_params={k: _real(v, f"model_params {k}") for k, v in params.items()},
             initial_state=init,
             dt=dt,
             t_end=t_end,
@@ -163,7 +181,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
@@ -205,9 +223,9 @@ class PipelineResult:
     model: LindbladModel
     trajectory: Trajectory
     kind: str  # "undriven" | "driven"
-    rows: list[Any]
+    bounds: thermo.UndrivenBounds | thermo.DrivenBounds
     beta_results: list[refsolve.BetaSolveResult]
-    nlp_rows: list[thermo.NlpComparison] | None
+    nlp: thermo.NlpComparison | None
     meta: dict[str, Any]
     bell_state: np.ndarray | None = None
 
@@ -233,7 +251,7 @@ def _build_initial_state(config: ScenarioConfig, model: LindbladModel) -> Densit
     h0 = model.hamiltonian(0.0)
     try:
         if kind in ("gibbs", "sorted_ascending_diagonal"):
-            return models.initial_state(kind, h0, beta=float(init["beta"]))
+            return models.initial_state(kind, h0, beta=_real(init["beta"], "initial_state beta"))
         if kind == "maximally_mixed":
             return models.initial_state(kind, h0)
         if kind == "pure":
@@ -261,70 +279,68 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
         kind = "driven"
         beta_results = refsolve.solve_beta_series(samples.levels, samples.values.S,
                                                   config.beta_branch)
-        rows: list[Any] = thermo.driven_bounds(traj, model, samples, beta_results,
-                                               config.bath_T)
+        bounds: thermo.UndrivenBounds | thermo.DrivenBounds = thermo.driven_bounds(
+            traj, model, samples, beta_results, config.bath_T)
     else:
         kind = "undriven"
         solve = refsolve.solve_beta(basis0, samples.values.S[0], config.beta_branch)
         beta_results = [solve]
         ref = qstate.gibbs_in_basis(basis0, solve.beta_R)
-        rows = thermo.undriven_bounds(traj, model, samples, ref, config.bath_T)
+        bounds = thermo.undriven_bounds(traj, model, samples, ref, config.bath_T)
 
-    nlp_rows = None
+    nlp = None
     if config.bath_T is not None:
-        nlp_rows = thermo.nlp_comparison(traj, model, samples, 1.0 / config.bath_T)
+        nlp = thermo.nlp_comparison(traj, model, samples, 1.0 / config.bath_T)
 
-    meta = _build_meta(config, basis0, traj, kind, rows, beta_results, nlp_rows, bell)
+    meta = _build_meta(config, basis0, traj, kind, bounds, beta_results, nlp, bell)
     return PipelineResult(config=config, model=model, trajectory=traj, kind=kind,
-                          rows=rows, beta_results=beta_results, nlp_rows=nlp_rows,
+                          bounds=bounds, beta_results=beta_results, nlp=nlp,
                           meta=meta, bell_state=bell)
 
 
-def _verdicts(kind: str, rows: list[Any],
-              nlp_rows: list[thermo.NlpComparison] | None,
+def _verdicts(kind: str, bounds: thermo.UndrivenBounds | thermo.DrivenBounds,
+              nlp: thermo.NlpComparison | None,
               flipped: bool) -> dict[str, dict[str, Any]]:
-    """Worst-case slack per inequality; holds when slack >= -1e-6."""
+    """Worst-case slack per inequality; holds when slack >= -1e-6. A partial
+    inequality is checked where its slack is not NaN; elsewhere NaN fails."""
     verdicts: dict[str, dict[str, Any]] = {}
 
-    def add(name: str, slacks: list[float]) -> None:
-        if slacks:
-            worst = min(slacks)
+    def add(name: str, slacks: np.ndarray, partial: bool = False) -> None:
+        if partial:
+            slacks = slacks[~np.isnan(slacks)]
+        if slacks.size:
+            worst = float(slacks[np.argmin(slacks)])
             verdicts[name] = {"worst_slack": worst, "holds": worst >= -VERDICT_TOL}
 
     if kind == "undriven":
-        add("gap_nonneg", [r.gap_P for r in rows])
-        add("gap_identity", [-abs(r.gap_P - r.D_direct) for r in rows if r.D_direct is not None])
+        add("gap_nonneg", bounds.gap_P)
+        add("gap_identity", -np.abs(bounds.gap_P - bounds.D_direct), partial=True)
         if flipped:
-            add("heat_lower_flipped", [r.Q - r.Q_u for r in rows])
+            add("heat_lower_flipped", bounds.Q - bounds.Q_u)
         else:
-            add("heat_upper", [r.Q_u - r.Q for r in rows])
-        add("lp_lower", [r.Q - r.lp_lower for r in rows if r.lp_lower is not None])
-        add("coherence_split", [-abs(r.dS - (r.dS_diag - r.dCoh)) for r in rows])
+            add("heat_upper", bounds.Q_u - bounds.Q)
     else:
-        add("gap_nonneg", [r.gap for r in rows if r.gap is not None])
-        add("gap_identity", [-abs(r.gap - r.D_inst) for r in rows
-                             if r.gap is not None and r.D_inst is not None])
-        add("heat_upper", [r.upper - r.Q for r in rows if not math.isnan(r.upper)])
-        add("lp_lower", [r.Q - r.lp_lower for r in rows if r.lp_lower is not None])
-        add("coherence_split", [-abs(r.dS - (r.dS_diag - r.dCoh)) for r in rows])
-    if nlp_rows is not None:
-        add("nlp_S23", [c.slack_S23 for c in nlp_rows])
-        add("nlp_S25", [c.slack_S25 for c in nlp_rows if c.slack_S25 is not None])
-        add("nlp_S26", [c.slack_S26 for c in nlp_rows if c.slack_S26 is not None])
+        add("gap_nonneg", bounds.gap, partial=True)
+        add("gap_identity", -np.abs(bounds.gap - bounds.D_inst), partial=True)
+        add("heat_upper", bounds.upper - bounds.Q, partial=True)
+    add("lp_lower", bounds.Q - bounds.lp_lower, partial=True)
+    add("coherence_split", -np.abs(bounds.dS - (bounds.dS_diag - bounds.dCoh)))
+    if nlp is not None:
+        add("nlp_S23", nlp.slack_S23)
+        add("nlp_S25", nlp.slack_S25, partial=True)
     return verdicts
 
 
 def _build_meta(config: ScenarioConfig, basis0: EigenSystem, traj: Trajectory,
-                kind: str, rows: list[Any],
+                kind: str, bounds: thermo.UndrivenBounds | thermo.DrivenBounds,
                 beta_results: list[refsolve.BetaSolveResult],
-                nlp_rows: list[thermo.NlpComparison] | None,
+                nlp: thermo.NlpComparison | None,
                 bell: np.ndarray | None) -> dict[str, Any]:
     b0 = beta_results[0]
     flipped = b0.beta_R < 0
     degenerate = qstate.has_degenerate_spectrum(basis0.eigenvalues)
 
-    e = np.array([r.E_S for r in rows])
-    balance = float(np.max(np.abs((e - e[0]) - (traj.work - traj.heat))))
+    balance = float(np.max(np.abs((bounds.E_S - bounds.E_S[0]) - (traj.work - traj.heat))))
 
     meta: dict[str, Any] = {
         "scenario": config.name,
@@ -368,31 +384,33 @@ def _build_meta(config: ScenarioConfig, basis0: EigenSystem, traj: Trajectory,
             "units": "hbar = k_B = 1; energies and rates share one frequency unit,"
                      " times are its inverse",
         },
-        "verdicts": _verdicts(kind, rows, nlp_rows, flipped),
+        "verdicts": _verdicts(kind, bounds, nlp, flipped),
     }
     if bell is not None:
         meta["bell_fidelity_end"] = qstate.fidelity_pure(traj.states[-1], bell)
     if kind == "driven":
-        beta_t = [r.beta_R_t for r in rows if not math.isnan(r.beta_R_t)]
-        meta["reference"]["beta_R_final"] = beta_t[-1] if beta_t else None
+        beta_t = bounds.beta_R_t[~np.isnan(bounds.beta_R_t)]
+        meta["reference"]["beta_R_final"] = float(beta_t[-1]) if beta_t.size else None
     return meta
 
 
-def _format_cells(values: list[Any]) -> list[str]:
-    """'%.15g' of each value in one formatting pass; None (undefined) is an empty cell."""
-    text = ("%.15g\0" * len(values)) % tuple(math.nan if v is None else v for v in values)
-    return [cell if v is not None else "" for cell, v in zip(text.split("\0"), values)]
+def _format_cells(values: np.ndarray, blank_nan: bool) -> list[str]:
+    """'%.15g' of each value in one formatting pass; with ``blank_nan`` NaN is an empty cell."""
+    cells = (("%.15g\0" * len(values)) % tuple(values.tolist())).split("\0")[:-1]
+    return [cell if cell != "nan" else "" for cell in cells] if blank_nan else cells
 
 
 def write_bounds_csv(result: PipelineResult, path: Path) -> None:
-    """One row per bound row; each block of rows is formatted column by column."""
+    """One row per sample; each block of samples is formatted column by column.
+    NaN is an empty cell in ``thermo.OPTIONAL_COLUMNS`` and ``nan`` elsewhere."""
+    table = result.bounds
     columns = UNDRIVEN_COLUMNS if result.kind == "undriven" else DRIVEN_COLUMNS
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
-        for b in thermo.sample_blocks(len(result.rows)):
-            rows = result.rows[b]
-            cells = [_format_cells([getattr(r, c) for r in rows]) for c in columns[:-1]]
-            cells.append([";".join(r.flags) for r in rows])
+        for b in thermo.sample_blocks(len(table)):
+            cells = [_format_cells(table[c][b], c in thermo.OPTIONAL_COLUMNS)
+                     for c in columns[:-1]]
+            cells.append([";".join(f) for f in table.flags[b]])
             fh.write("".join(",".join(rec) + "\r\n" for rec in zip(*cells)))
 
 
@@ -437,8 +455,7 @@ def write_outputs(result: PipelineResult) -> Path:
     write_bounds_csv(result, out / "bounds.csv")
     write_meta_json(result.meta, out / "meta.json")
     if result.config.plots:
-        plotting.emit_plots(result.kind, [vars(r) for r in result.rows],
-                            result.meta["reference"]["beta_R0"], out)
+        plotting.emit_plots(result.kind, result.bounds, result.meta["reference"]["beta_R0"], out)
     return out
 
 
@@ -468,17 +485,14 @@ def run_scenario(config: ScenarioConfig, raw: dict[str, Any] | None = None) -> i
         raise ConfigError("sweep execution needs the raw configuration dict")
     entries = []
     codes = []
-    for entry in config.sweep:
-        name = entry.get("name") or f"entry{len(entries)}"
-        sub_raw = _merge({k: v for k, v in raw.items() if k != "sweep"},
-                         entry.get("overrides", {}))
+    for name, overrides in config.sweep:
+        sub_raw = _merge({k: v for k, v in raw.items() if k != "sweep"}, overrides)
         sub = build_config(sub_raw, f"{config.name}/{name}",
                            config.out_dir / name, config.plots)
         result = run_pipeline(sub)
         write_outputs(result)
         codes.append(_exit_code(result.meta))
-        entries.append((name, [vars(r) for r in result.rows],
-                        result.meta["reference"]["beta_R0"], result.meta))
+        entries.append((name, result.bounds, result.meta["reference"]["beta_R0"], result.meta))
 
     summary = {
         "scenario": config.name,
@@ -543,8 +557,8 @@ def main(argv: list[str] | None = None) -> int:
                 if not isinstance(raw.setdefault("integrator", {}), dict):
                     raise ConfigError("integrator must be an object")
                 raw["integrator"][key] = val
-                for entry in _sweep_entries(raw):
-                    integ = entry.get("overrides", {}).get("integrator")
+                for _, overrides in _sweep_entries(raw):
+                    integ = overrides.get("integrator")
                     if isinstance(integ, dict):
                         integ.pop(key, None)
         out_dir = args.out or os.environ.get("LANDAUER_OUT") or "landauer-out"

@@ -33,8 +33,8 @@ DRIVEN_COLUMNS = [
 @dataclass
 class Series:
     label: str
-    x: list[float]
-    y: list[float]
+    x: np.ndarray | list[float]
+    y: np.ndarray | list[float]
 
 
 @dataclass
@@ -140,121 +140,79 @@ def render(panels: list[Panel], width: int = 760, panel_height: int = 300) -> st
     return "\n".join(parts) + "\n"
 
 
-def read_bounds_csv(path: Path) -> tuple[str, list[dict[str, float | str | None]]]:
-    """Parse a bounds.csv written by the CLI; returns (kind, rows)."""
+def read_bounds_csv(path: Path) -> tuple[str, dict[str, Any]]:
+    """Parse a bounds.csv written by the CLI; returns (kind, columns).
+
+    ``columns`` maps each column name to a float array, NaN for an empty cell,
+    and ``flags`` to the list of its cells.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise SchemaError(f"{path}: empty file") from exc
-        if header == UNDRIVEN_COLUMNS:
-            kind = "undriven"
-        elif header == DRIVEN_COLUMNS:
-            kind = "driven"
-        else:
-            raise SchemaError(f"{path}: unrecognized bounds.csv header {header}")
-        rows: list[dict[str, float | str | None]] = []
-        for rec in reader:
-            if len(rec) != len(header):
-                raise SchemaError(f"{path}: row width {len(rec)} != {len(header)}")
-            row: dict[str, float | str | None] = {}
-            for key, val in zip(header, rec):
-                if key == "flags":
-                    row[key] = val
-                else:
-                    row[key] = float(val) if val else None
-            rows.append(row)
-    if not rows:
+        records = list(csv.reader(fh))
+    if not records:
+        raise SchemaError(f"{path}: empty file")
+    header = records.pop(0)
+    if header not in (UNDRIVEN_COLUMNS, DRIVEN_COLUMNS):
+        raise SchemaError(f"{path}: unrecognized bounds.csv header {header}")
+    if not records:
         raise SchemaError(f"{path}: no data rows")
-    return kind, rows
+    for rec in records:
+        if len(rec) != len(header):
+            raise SchemaError(f"{path}: row width {len(rec)} != {len(header)}")
+    columns: dict[str, Any] = {key: np.array([float(v) if v else math.nan for v in col])
+                               for key, col in zip(header[:-1], zip(*records))}
+    columns["flags"] = [rec[-1] for rec in records]
+    return ("undriven" if header == UNDRIVEN_COLUMNS else "driven"), columns
 
 
-def _column(rows: list[dict], key: str) -> list[float]:
-    return [r[key] if r[key] is not None else math.nan for r in rows]
+def fig1_style_panels(cols: Any, t_r: float) -> list[Panel]:
+    t = cols["t"]
+    return [Panel("heat and its entropy-energy upper bound", "t", "energy", [
+        Series("Q", t, cols["Q"]),
+        Series("Q_u", t, cols["Q_u"]),
+        Series("T_R dCoh", t, t_r * (cols["Coh"] - cols["Coh"][0])),
+        Series("-T_R dS'", t, -t_r * (cols["S_diag"] - cols["S_diag"][0])),
+    ])]
 
 
-def _delta(values: list[float]) -> list[float]:
-    base = values[0]
-    return [v - base for v in values]
+def fig2_style_panels(cols: Any, t_r0: float) -> list[Panel]:
+    t = cols["t"]
+    return [
+        Panel("heat between the two bounds", "t", "energy", [
+            Series("Q", t, cols["Q"]),
+            Series("Qu~ + W", t, cols["upper"]),
+            Series("-T dS", t, cols["lp_lower"]),
+            Series("T_R(0) dCoh", t, t_r0 * (cols["Coh"] - cols["Coh"][0])),
+        ]),
+        Panel("reference parameter, work, bound", "t", "value", [
+            Series("beta_R(t)", t, cols["beta_R_t"]),
+            Series("W", t, cols["W"]),
+            Series("-Qu~", t, -cols["Qu_tilde"]),
+        ]),
+    ]
 
 
-def fig1_style_panels(rows: list[dict], beta_r: float) -> list[Panel]:
-    t = _column(rows, "t")
-    t_r = 1.0 / beta_r if beta_r else math.inf
-    panel = Panel(
-        title="heat and its entropy-energy upper bound",
-        xlabel="t",
-        ylabel="energy",
-        series=[
-            Series("Q", t, _column(rows, "Q")),
-            Series("Q_u", t, _column(rows, "Q_u")),
-            Series("T_R dCoh", t, [t_r * v for v in _delta(_column(rows, "Coh"))]),
-            Series("-T_R dS'", t, [-t_r * v for v in _delta(_column(rows, "S_diag"))]),
-        ],
-    )
-    return [panel]
-
-
-def fig2_style_panels(rows: list[dict], beta_r0: float) -> list[Panel]:
-    t = _column(rows, "t")
-    t_r0 = 1.0 / beta_r0 if beta_r0 else math.inf
-    upper_panel = Panel(
-        title="heat between the two bounds",
-        xlabel="t",
-        ylabel="energy",
-        series=[
-            Series("Q", t, _column(rows, "Q")),
-            Series("Qu~ + W", t, _column(rows, "upper")),
-            Series("-T dS", t, _column(rows, "lp_lower")),
-            Series("T_R(0) dCoh", t, [t_r0 * v for v in _delta(_column(rows, "Coh"))]),
-        ],
-    )
-    lower_panel = Panel(
-        title="reference parameter, work, bound",
-        xlabel="t",
-        ylabel="value",
-        series=[
-            Series("beta_R(t)", t, _column(rows, "beta_R_t")),
-            Series("W", t, _column(rows, "W")),
-            Series("-Qu~", t, [-v if v is not None else math.nan for v in _column(rows, "Qu_tilde")]),
-        ],
-    )
-    return [upper_panel, lower_panel]
-
-
-def sweep_panels(entries: list[tuple[str, list[dict], float]]) -> list[Panel]:
+def sweep_panels(entries: list[tuple[str, Any, float]]) -> list[Panel]:
     """One panel per sweep entry: Q(t) and the coherence contribution."""
     panels = []
-    for label, rows, beta_r0 in entries:
-        t = _column(rows, "t")
+    for label, cols, beta_r0 in entries:
         t_r0 = 1.0 / beta_r0 if beta_r0 else math.inf
-        panels.append(
-            Panel(
-                title=label,
-                xlabel="t",
-                ylabel="energy",
-                series=[
-                    Series("Q", t, _column(rows, "Q")),
-                    Series("T_R(0) dCoh", t, [t_r0 * v for v in _delta(_column(rows, "Coh"))]),
-                ],
-            )
-        )
+        with np.errstate(invalid="ignore"):  # T_R(0) = inf times no change is NaN, not drawn
+            coherence = t_r0 * (cols["Coh"] - cols["Coh"][0])
+        panels.append(Panel(label, "t", "energy", [Series("Q", cols["t"], cols["Q"]),
+                                                   Series("T_R(0) dCoh", cols["t"], coherence)]))
     return panels
 
 
-def emit_plots(kind: str, rows: list[dict], beta_r0: float, out_dir: str | Path) -> list[Path]:
-    """Render bounds.svg for one run's bound rows into ``out_dir``.
+def emit_plots(kind: str, cols: Any, beta_r0: float, out_dir: str | Path) -> list[Path]:
+    """Render bounds.svg for one run's bound columns into ``out_dir``.
 
-    ``kind`` is "undriven" or "driven" and ``rows`` map bounds.csv column
-    names to values, as ``read_bounds_csv`` returns them. A beta_R(0) that is
-    zero or not finite is drawn with T_R = 1. Returns the written SVG paths.
+    ``kind`` is "undriven" or "driven"; ``cols[name]`` is the bounds.csv
+    column ``name`` as an array, NaN where undefined: a ``thermo`` table or
+    what ``read_bounds_csv`` returns. A beta_R(0) that is zero or not finite
+    is drawn with T_R = 1. Returns the written SVG paths.
     """
-    beta_r = beta_r0 if math.isfinite(beta_r0) and beta_r0 != 0.0 else 1.0
-    if kind == "undriven":
-        panels = fig1_style_panels(rows, beta_r)
-    else:
-        panels = fig2_style_panels(rows, beta_r)
+    t_r = 1.0 / beta_r0 if math.isfinite(beta_r0) and beta_r0 != 0.0 else 1.0
+    panels = (fig1_style_panels if kind == "undriven" else fig2_style_panels)(cols, t_r)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "bounds.svg"

@@ -23,8 +23,8 @@ undriven one, broadcast to every sample without a copy) and evaluates E_S, S,
 S' and Coh on stacks of states. The reference solves, both bound chains and
 the NLP comparison read these arrays. Gibbs weights at beta_R(t) and at the
 bath beta, relative entropies and every bound column are array expressions
-over the samples; only the final rows are Python objects. Stacks of density
-matrices are formed SAMPLE_BLOCK samples at a time.
+over the samples, and each chain returns them as one table of columns. Stacks
+of density matrices are formed SAMPLE_BLOCK samples at a time.
 """
 
 from __future__ import annotations
@@ -87,75 +87,90 @@ def _relative_entropies(traj: Trajectory,
                            for b in sample_blocks(len(traj.times))])
 
 
-def _nan_to_none(values: np.ndarray) -> list[float | None]:
-    """Python floats, with None where a quantity is not defined (NaN)."""
-    return [None if math.isnan(x) else x for x in values.tolist()]
+# Columns left undefined (NaN) by design at some samples; a NaN in any other
+# column is a computed value.
+OPTIONAL_COLUMNS = frozenset({"D_direct", "lp_lower", "gap", "D_inst"})
 
 
-def _rows(cls: type, *columns: Any) -> list[Any]:
-    """One ``cls`` per sample from equal-length columns; arrays become Python floats."""
-    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    return [cls(*row) for row in zip(*lists, strict=True)]
+class _Table:
+    """One column per field: ``len(table)`` counts samples, ``table[name]`` is a column."""
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, name: str) -> Any:
+        return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class UndrivenBounds:
-    """One sample of the undriven bound chain."""
+@dataclass(frozen=True, eq=False)
+class UndrivenBounds(_Table):
+    """The undriven chain: an (m,) float array per field, NaN where undefined.
 
-    t: float
-    E_S: float
-    S: float
-    S_diag: float
-    Coh: float
-    dE_R: float
-    dS: float
-    gap_P: float
-    D_direct: float | None
-    dE_in: float
-    Q_u: float
-    Q: float
-    lp_lower: float | None
-    dS_diag: float
-    dCoh: float
-    flags: tuple[str, ...] = ()
+    ``D_direct`` is undefined where the reference is singular or saturated and
+    ``lp_lower`` without a bath; ``flags`` holds a tuple of names per sample.
+    """
 
-
-@dataclass(frozen=True)
-class DrivenBounds:
-    """One sample of the driven bound chain."""
-
-    t: float
-    E_S: float
-    S: float
-    S_diag: float
-    Coh: float
-    Q: float
-    W: float
-    beta_R_t: float
-    C_t: float
-    dE_R_tilde: float
-    gap: float | None
-    D_inst: float | None
-    dE_in_tilde: float
-    Qu_tilde: float
-    upper: float
-    lp_lower: float | None
-    dS: float
-    dS_diag: float
-    dCoh: float
-    flags: tuple[str, ...] = ()
+    t: np.ndarray
+    E_S: np.ndarray
+    S: np.ndarray
+    S_diag: np.ndarray
+    Coh: np.ndarray
+    dE_R: np.ndarray
+    dS: np.ndarray
+    gap_P: np.ndarray
+    D_direct: np.ndarray
+    dE_in: np.ndarray
+    Q_u: np.ndarray
+    Q: np.ndarray
+    lp_lower: np.ndarray
+    dS_diag: np.ndarray
+    dCoh: np.ndarray
+    flags: list[tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class NlpComparison:
-    """Slacks of the thermal-bath comparison inequalities (all >= 0)."""
+@dataclass(frozen=True, eq=False)
+class DrivenBounds(_Table):
+    """The driven chain: an (m,) float array per field, NaN where undefined.
 
-    t: float
-    F_neq_T: float
-    F_eq_t: float
-    slack_S23: float
-    slack_S25: float | None
-    slack_S26: float | None
+    ``gap`` and ``D_inst`` are undefined where beta_R(t) failed or saturated,
+    ``lp_lower`` without a bath; a failed solve also leaves NaN in ``beta_R_t``
+    and the bounds built from it. ``flags`` holds a tuple of names per sample.
+    """
+
+    t: np.ndarray
+    E_S: np.ndarray
+    S: np.ndarray
+    S_diag: np.ndarray
+    Coh: np.ndarray
+    Q: np.ndarray
+    W: np.ndarray
+    beta_R_t: np.ndarray
+    C_t: np.ndarray
+    dE_R_tilde: np.ndarray
+    gap: np.ndarray
+    D_inst: np.ndarray
+    dE_in_tilde: np.ndarray
+    Qu_tilde: np.ndarray
+    upper: np.ndarray
+    lp_lower: np.ndarray
+    dS: np.ndarray
+    dS_diag: np.ndarray
+    dCoh: np.ndarray
+    flags: list[tuple[str, ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class NlpComparison(_Table):
+    """Slacks of the thermal-bath comparison inequalities (all >= 0).
+
+    An (m,) float array per field; ``slack_S25`` is NaN for undriven models.
+    """
+
+    t: np.ndarray
+    F_neq_T: np.ndarray
+    F_eq_t: np.ndarray
+    slack_S23: np.ndarray
+    slack_S25: np.ndarray
 
 
 def _scaled_product(t_r: float, ds: np.ndarray) -> np.ndarray:
@@ -169,12 +184,12 @@ def undriven_bounds(
     samples: Samples,
     ref: ReferenceState,
     bath_T: float | None = None,
-) -> list[UndrivenBounds]:
+) -> UndrivenBounds:
     """Evaluate the undriven chain on every trajectory sample.
 
     ``samples`` comes from ``evaluate_samples(traj, model)`` and ``ref`` is
     the entropy-matched reference for the initial state. With a
-    negative-branch reference the upper bound flips direction; rows are then
+    negative-branch reference the upper bound flips direction; samples are then
     flagged ``direction_flipped`` and Q_u is reported as the flipped lower
     bound, as configured.
     """
@@ -201,10 +216,10 @@ def undriven_bounds(
                 else _relative_entropies(traj, lambda block: ref.gibbs.matrix))
     flags = [base_flags + ("identity_suppressed",) if singular else base_flags
              for singular in (np.isnan(d_direct) & (not ref.saturated)).tolist()]
-    return _rows(
-        UndrivenBounds, v.t, v.E_S, v.S, v.S_diag, v.Coh, de_r, ds, beta_r * de_r - ds,
-        _nan_to_none(d_direct), np.full(m, de_in), de_in - _scaled_product(t_r, ds),
-        -(v.E_S - v.E_S[0]), [None] * m if bath_T is None else -bath_T * ds,
+    return UndrivenBounds(
+        v.t, v.E_S, v.S, v.S_diag, v.Coh, de_r, ds, beta_r * de_r - ds, d_direct,
+        np.full(m, de_in), de_in - _scaled_product(t_r, ds), -(v.E_S - v.E_S[0]),
+        np.full(m, np.nan) if bath_T is None else -bath_T * ds,
         v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], flags,
     )
 
@@ -215,7 +230,7 @@ def driven_bounds(
     samples: Samples,
     beta_series: list[BetaSolveResult],
     bath_T: float | None = None,
-) -> list[DrivenBounds]:
+) -> DrivenBounds:
     """Evaluate the driven chain on every sample.
 
     ``samples`` comes from ``evaluate_samples(traj, model)``;
@@ -245,7 +260,7 @@ def driven_bounds(
     de_r = v.E_S - e_th0
     de_in = v.E_S[0] - e_th0
     c_t = (beta_t - beta_r0) * v.E_S + (log_z_t - log_z_t[0])
-    # T_R(0) = inf at beta_R(0) = 0 makes 0 * inf here; the row is then NaN.
+    # T_R(0) = inf at beta_R(0) = 0 makes 0 * inf here; the sample is then NaN.
     with np.errstate(invalid="ignore"):
         qu = de_in - _scaled_product(t_r0, ds) + t_r0 * c_t
 
@@ -254,11 +269,11 @@ def driven_bounds(
         traj, lambda block: qstate.diagonal_in_basis(p_t[block], samples.vectors[block]))
     flag = np.select([failed, saturated, np.isnan(d_inst)],
                      ["beta_solve_failed", "saturated", "identity_suppressed"], "")
-    return _rows(
-        DrivenBounds, v.t, v.E_S, v.S, v.S_diag, v.Coh, traj.heat, traj.work, beta_t, c_t,
-        de_r, _nan_to_none(np.where(no_identity, np.nan, beta_r0 * de_r - ds + c_t)),
-        _nan_to_none(np.where(no_identity, np.nan, d_inst)), np.full(m, de_in), qu,
-        qu + traj.work, [None] * m if bath_T is None else -bath_T * ds, ds,
+    return DrivenBounds(
+        v.t, v.E_S, v.S, v.S_diag, v.Coh, traj.heat, traj.work, beta_t, c_t, de_r,
+        np.where(no_identity, np.nan, beta_r0 * de_r - ds + c_t),
+        np.where(no_identity, np.nan, d_inst), np.full(m, de_in), qu, qu + traj.work,
+        np.full(m, np.nan) if bath_T is None else -bath_T * ds, ds,
         v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], [(f,) if f else () for f in flag.tolist()],
     )
 
@@ -268,7 +283,7 @@ def nlp_comparison(
     model: LindbladModel,
     samples: Samples,
     bath_beta: float | None,
-) -> list[NlpComparison]:
+) -> NlpComparison:
     """Slacks of the comparison bounds built from the instantaneous thermal state.
 
     ``samples`` comes from ``evaluate_samples(traj, model)``. Requires a
@@ -281,16 +296,11 @@ def nlp_comparison(
         raise NoBathTemperature("nlp_comparison needs a positive bath inverse temperature")
     temp = 1.0 / bath_beta
 
-    v, m = samples.values, len(traj.times)
+    v = samples.values
     p_eq, log_z_eq = qstate.gibbs_weights(samples.levels, bath_beta)
     e_eq = np.sum(p_eq * samples.levels, axis=-1)
     s_eq = qstate.shannon_entropy(p_eq)
-    slack_s23 = bath_beta * (v.E_S - e_eq) - (v.S - s_eq)
-    if model.driven:
-        slack_s25 = (bath_beta * (v.E_S - e_eq[0]) - (v.S - s_eq[0])
-                     + (log_z_eq - log_z_eq[0]))
-        slack_s26: Any = [None] * m
-    else:
-        slack_s25, slack_s26 = [None] * m, slack_s23
-    return _rows(NlpComparison, v.t, v.E_S - temp * v.S, -temp * log_z_eq,
-                 slack_s23, slack_s25, slack_s26)
+    slack_s25 = (bath_beta * (v.E_S - e_eq[0]) - (v.S - s_eq[0]) + (log_z_eq - log_z_eq[0])
+                 if model.driven else np.full(len(traj.times), np.nan))
+    return NlpComparison(v.t, v.E_S - temp * v.S, -temp * log_z_eq,
+                         bath_beta * (v.E_S - e_eq) - (v.S - s_eq), slack_s25)

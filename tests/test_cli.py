@@ -29,10 +29,10 @@ def test_tiny_fig1_run_writes_outputs(tmp_path):
     assert code == 0
     for name in ("trajectory.csv", "bounds.csv", "meta.json", "bounds.svg"):
         assert (out / name).exists()
-    kind, rows = plotting.read_bounds_csv(out / "bounds.csv")
+    kind, cols = plotting.read_bounds_csv(out / "bounds.csv")
     assert kind == "undriven"
-    assert len(rows) == 6
-    assert rows[0]["t"] == 0.0
+    assert len(cols["t"]) == 6
+    assert cols["t"][0] == 0.0
     meta = read_meta(out)
     assert meta["flags"]["degenerate_hamiltonian_spectrum"] is True
     assert meta["reference"]["beta_R0"] == pytest.approx(30.0, abs=1e-7)
@@ -43,14 +43,14 @@ def test_verdicts_match_recomputed_slacks(tmp_path):
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", "fig2", "--out", str(out),
                    "--t-end", "2", "--samples", "21") == 0
-    kind, rows = plotting.read_bounds_csv(out / "bounds.csv")
+    kind, cols = plotting.read_bounds_csv(out / "bounds.csv")
     assert kind == "driven"
     meta = read_meta(out)
     recomputed = {
-        "gap_nonneg": min(r["gap"] for r in rows),
-        "heat_upper": min(r["upper"] - r["Q"] for r in rows),
-        "lp_lower": min(r["Q"] - r["lp_lower"] for r in rows),
-        "gap_identity": -max(abs(r["gap"] - r["D_inst"]) for r in rows),
+        "gap_nonneg": min(cols["gap"]),
+        "heat_upper": min(cols["upper"] - cols["Q"]),
+        "lp_lower": min(cols["Q"] - cols["lp_lower"]),
+        "gap_identity": -max(abs(cols["gap"] - cols["D_inst"])),
     }
     for name, slack in recomputed.items():
         assert meta["verdicts"][name]["worst_slack"] == pytest.approx(slack, abs=1e-12)
@@ -96,6 +96,18 @@ def test_config_errors_exit_3(tmp_path):
     {"args": ["--t-end", "inf"]},
     {"args": ["--dt", "1e-300"]},
     {"args": ["--samples", "100000"]},
+    # numbers must be JSON numbers: no numeric strings, no booleans
+    {"top_level": {"integrator": {"dt": "0.01", "t_end": 10.0, "n_samples": 5}}},
+    {"top_level": {"integrator": {"dt": 0.01, "t_end": True, "n_samples": 5}}},
+    {"top_level": {"bath_T": "1"}},
+    {"model_params": {"eps0": "0.4"}},
+    {"top_level": {"model_params": [0.4]}},
+    {"initial_state": {"kind": "gibbs", "beta": "1"}},
+    # a sweep entry's name is its output subdirectory under --out
+    {"top_level": {"sweep": [{"name": 5}]}},
+    {"top_level": {"sweep": [{"name": "a"}, {"name": "a"}]}},
+    {"top_level": {"sweep": [{"name": "entry1"}, {}]}},
+    {"top_level": {"sweep": [{"name": "../escaped"}]}},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
         "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
@@ -104,7 +116,10 @@ def test_config_errors_exit_3(tmp_path):
         "sweep-integrator-not-an-object-with-samples", "dt-nan", "dt-inf",
         "step-count-beyond-int64", "samples-fractional", "samples-string",
         "samples-beyond-steps", "dt-nan-flag", "t-end-inf-flag",
-        "step-count-beyond-int64-flag", "samples-beyond-steps-flag"])
+        "step-count-beyond-int64-flag", "samples-beyond-steps-flag", "dt-string",
+        "t-end-bool", "bath-T-string", "eps0-string",
+        "model-params-not-an-object", "beta-string", "sweep-name-not-a-string",
+        "sweep-names-repeated", "sweep-name-repeats-a-default", "sweep-name-escapes-out"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
@@ -153,8 +168,16 @@ def test_sample_blocks_do_not_change_results(tmp_path, monkeypatch, scenario):
     whole = cli.run_pipeline(config)
     monkeypatch.setattr(thermo, "SAMPLE_BLOCK", 7)
     blocked = cli.run_pipeline(config)
-    assert blocked.rows == whole.rows
-    assert blocked.nlp_rows == whole.nlp_rows
+    for new, old in ((blocked.bounds, whole.bounds), (blocked.nlp, whole.nlp)):
+        if old is None:
+            assert new is None
+            continue
+        assert len(new) == len(old) == 20  # one entry per sample, not one per column
+        for f in dataclasses.fields(old):
+            if f.name == "flags":
+                assert new.flags == old.flags
+            else:
+                assert np.array_equal(new[f.name], old[f.name], equal_nan=True), f.name
     assert blocked.meta == whole.meta
 
 
@@ -184,10 +207,10 @@ def test_custom_matrix_model(tmp_path):
     }))
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
-    kind, rows = plotting.read_bounds_csv(out / "bounds.csv")
+    kind, cols = plotting.read_bounds_csv(out / "bounds.csv")
     assert kind == "undriven"
     # decay toward the ground state dissipates heat: Q grows positive
-    assert rows[-1]["Q"] > 0.1
+    assert cols["Q"][-1] > 0.1
     meta = read_meta(out)
     assert meta["reference"]["saturated"] is True  # pure initial state
 
@@ -282,8 +305,8 @@ def test_negative_branch_through_config(tmp_path):
     assert "heat_lower_flipped" in meta["verdicts"]
     assert "heat_upper" not in meta["verdicts"]
     assert code == 0
-    _, rows = plotting.read_bounds_csv(out / "bounds.csv")
-    assert all("direction_flipped" in r["flags"] for r in rows)
+    _, cols = plotting.read_bounds_csv(out / "bounds.csv")
+    assert all("direction_flipped" in f for f in cols["flags"])
 
 
 def reference_csv(path, header, records):
@@ -315,8 +338,12 @@ def reference_trajectory_csv(result, path):
 
 
 def reference_bounds_csv(result, path):
+    """NaN is an empty cell in the optional columns and ``nan`` elsewhere."""
     columns = plotting.UNDRIVEN_COLUMNS if result.kind == "undriven" else plotting.DRIVEN_COLUMNS
-    records = [[getattr(r, c) for c in columns[:-1]] + [";".join(r.flags)] for r in result.rows]
+    table = result.bounds
+    records = [[None if c in thermo.OPTIONAL_COLUMNS and math.isnan(getattr(table, c)[k])
+                else getattr(table, c)[k] for c in columns[:-1]] + [";".join(table.flags[k])]
+               for k in range(len(table.t))]
     reference_csv(path, columns, records)
 
 
@@ -340,15 +367,16 @@ FLAG_SETS = [(), ("saturated",), ("degenerate_spectrum", "direction_flipped", "r
 
 
 def synthetic_result(kind, n):
-    """Bound rows and a 3 x 3 trajectory of n samples made of special values and None."""
+    """A bound table and a 3 x 3 trajectory of n samples made of special values.
+
+    Every column, optional or not, holds NaN at some samples.
+    """
     cls = thermo.UndrivenBounds if kind == "undriven" else thermo.DrivenBounds
     fields = [f.name for f in dataclasses.fields(cls) if f.name != "flags"]
-    rows = []
-    for k in range(n):
-        cells = [None if (k + j) % 7 == 3 else SPECIAL_VALUES[(k * 5 + j) % len(SPECIAL_VALUES)]
-                 for j in range(len(fields))]
-        rows.append(cls(*cells, flags=FLAG_SETS[k % len(FLAG_SETS)]))
-    return SimpleNamespace(kind=kind, rows=rows, model=SimpleNamespace(dim=3),
+    columns = [np.array([SPECIAL_VALUES[(k * 5 + j) % len(SPECIAL_VALUES)] for k in range(n)])
+               for j in range(len(fields))]
+    flags = [FLAG_SETS[k % len(FLAG_SETS)] for k in range(n)]
+    return SimpleNamespace(kind=kind, bounds=cls(*columns, flags=flags), model=SimpleNamespace(dim=3),
                            trajectory=synthetic_trajectory(n, 3, SPECIAL_VALUES))
 
 
@@ -370,8 +398,8 @@ def test_csv_writers_match_per_cell_reference(tmp_path, request, monkeypatch, so
 
 def test_fig1_csv_spans_more_than_one_block(fig1_result):
     # the byte comparison above then covers a full block and a partial one
-    assert thermo.SAMPLE_BLOCK < len(fig1_result.rows) < 2 * thermo.SAMPLE_BLOCK
-    assert any(r.lp_lower is None for r in fig1_result.rows)
+    assert thermo.SAMPLE_BLOCK < len(fig1_result.bounds) < 2 * thermo.SAMPLE_BLOCK
+    assert np.isnan(fig1_result.bounds.lp_lower).any()
 
 
 def test_trajectory_writer_memory_stays_bounded(tmp_path):

@@ -36,12 +36,11 @@ def test_initial_time_algebra(rydberg):
     traj = propagate(model, rho0, 1.0, 0.01, 3)
     ref, _ = solved_reference(h, rho0)
     rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
-    first = rows[0]
-    assert first.dS == 0.0
-    assert first.dE_R == pytest.approx(first.dE_in, abs=1e-14)
-    assert first.gap_P == pytest.approx(ref.beta_R * first.dE_in, abs=1e-12)
-    assert first.gap_P == pytest.approx(first.D_direct, abs=1e-10)
-    assert first.gap_P >= -1e-9
+    assert rows.dS[0] == 0.0
+    assert rows.dE_R[0] == pytest.approx(rows.dE_in[0], abs=1e-14)
+    assert rows.gap_P[0] == pytest.approx(ref.beta_R * rows.dE_in[0], abs=1e-12)
+    assert rows.gap_P[0] == pytest.approx(rows.D_direct[0], abs=1e-10)
+    assert rows.gap_P[0] >= -1e-9
 
 
 def test_thermal_start_zero_contrast(rydberg):
@@ -52,11 +51,10 @@ def test_thermal_start_zero_contrast(rydberg):
     traj = propagate(model, rho0, 20.0, 0.01, 11)
     ref, _ = solved_reference(h, rho0)
     rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
-    assert abs(rows[0].dE_in) < 1e-12
+    assert abs(rows.dE_in[0]) < 1e-12
     t_r = 1.0 / ref.beta_R
-    for r in rows:
-        assert r.Q_u == pytest.approx(-t_r * r.dS, abs=1e-12)
-        assert r.Q <= r.Q_u + 1e-8
+    assert rows.Q_u == pytest.approx(-t_r * rows.dS, abs=1e-12)
+    assert np.all(rows.Q <= rows.Q_u + 1e-8)
 
 
 def test_gap_identity_undriven(rydberg):
@@ -66,14 +64,14 @@ def test_gap_identity_undriven(rydberg):
     traj = propagate(model, rho0, 50.0, 0.01, 26)
     ref, _ = solved_reference(h, rho0)
     rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
-    assert max(abs(r.gap_P - r.D_direct) for r in rows) < 1e-8
-    assert all(r.gap_P >= -1e-8 for r in rows)
-    assert all("degenerate_spectrum" in r.flags for r in rows)
+    assert np.max(np.abs(rows.gap_P - rows.D_direct)) < 1e-8
+    assert np.all(rows.gap_P >= -1e-8)
+    assert all("degenerate_spectrum" in f for f in rows.flags)
 
 
 def test_coherence_split_is_exact(fig2_result):
-    for r in fig2_result.rows:
-        assert abs(r.dS - (r.dS_diag - r.dCoh)) < 1e-12
+    rows = fig2_result.bounds
+    assert np.all(np.abs(rows.dS - (rows.dS_diag - rows.dCoh)) < 1e-12)
 
 
 def test_undriven_bounds_rejects_driven_model(erasure, fig2_result):
@@ -101,10 +99,9 @@ def test_bound_ordering_frozen_weak_coupling():
     assert res.beta_R == pytest.approx(2.0, abs=1e-8)
     samples = thermo.evaluate_samples(traj, model)
     rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0 / params.bath_beta)
-    assert rows[-1].dS > 1e-3  # heating toward the hotter bath
-    for r in rows:
-        assert r.lp_lower <= r.Q + 1e-8
-        assert r.Q <= r.Q_u + 1e-8
+    assert rows.dS[-1] > 1e-3  # heating toward the hotter bath
+    assert np.all(rows.lp_lower <= rows.Q + 1e-8)
+    assert np.all(rows.Q <= rows.Q_u + 1e-8)
 
 
 def test_degenerate_saturation_stationary_state():
@@ -115,10 +112,9 @@ def test_degenerate_saturation_stationary_state():
     ref, _ = solved_reference(h0, rho0)
     samples = thermo.evaluate_samples(traj, model)
     rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0 / params.bath_beta)
-    for r in rows:
-        assert abs(r.Q) < 1e-9
-        assert abs(r.dS) < 1e-9
-        assert abs(r.Q_u) < 1e-9
+    assert np.all(np.abs(rows.Q) < 1e-9)
+    assert np.all(np.abs(rows.dS) < 1e-9)
+    assert np.all(np.abs(rows.Q_u) < 1e-9)
 
 
 def test_driven_path_reduces_to_undriven():
@@ -131,17 +127,16 @@ def test_driven_path_reduces_to_undriven():
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
     ref, res = solved_reference(h0, rho0)
     samples = thermo.evaluate_samples(traj, model)
-    urows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0)
+    u = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0)
     series = [res] * len(traj.times)
-    drows = thermo.driven_bounds(traj, model, samples, series, bath_T=1.0)
-    for u, d in zip(urows, drows):
-        assert abs(d.C_t) < 1e-10
-        assert d.gap == pytest.approx(u.gap_P, abs=1e-9)
-        assert d.D_inst == pytest.approx(u.D_direct, abs=1e-9)
-        assert d.Qu_tilde == pytest.approx(u.Q_u, abs=1e-9)
-        assert d.upper == pytest.approx(u.Q_u, abs=1e-9)  # W = 0
-        assert d.dE_R_tilde == pytest.approx(u.dE_R, abs=1e-12)
-        assert d.lp_lower == pytest.approx(u.lp_lower, abs=1e-12)
+    d = thermo.driven_bounds(traj, model, samples, series, bath_T=1.0)
+    assert np.all(np.abs(d.C_t) < 1e-10)
+    assert d.gap == pytest.approx(u.gap_P, abs=1e-9)
+    assert d.D_inst == pytest.approx(u.D_direct, abs=1e-9)
+    assert d.Qu_tilde == pytest.approx(u.Q_u, abs=1e-9)
+    assert d.upper == pytest.approx(u.Q_u, abs=1e-9)  # W = 0
+    assert d.dE_R_tilde == pytest.approx(u.dE_R, abs=1e-12)
+    assert d.lp_lower == pytest.approx(u.lp_lower, abs=1e-12)
 
 
 def test_instantaneous_matching_identity_holds_for_constant_hamiltonian():
@@ -155,10 +150,9 @@ def test_instantaneous_matching_identity_holds_for_constant_hamiltonian():
     entropies = [qstate.von_neumann_entropy(DensityMatrix.from_matrix(st)) for st in traj.states]
     levels = np.array([linalg.eigh(h0).eigenvalues] * len(entropies))
     series = refsolve.solve_beta_series(levels, entropies)
-    drows = thermo.driven_bounds(traj, model, thermo.evaluate_samples(traj, model), series)
-    for d in drows:
-        assert d.gap == pytest.approx(d.D_inst, abs=1e-9)
-        assert d.gap >= -1e-9
+    d = thermo.driven_bounds(traj, model, thermo.evaluate_samples(traj, model), series)
+    assert d.gap == pytest.approx(d.D_inst, abs=1e-9)
+    assert np.all(d.gap >= -1e-9)
 
 
 def test_negative_branch_flips_bound_direction():
@@ -172,12 +166,11 @@ def test_negative_branch_flips_bound_direction():
     assert res.beta_R == pytest.approx(-1.0, abs=1e-8)
     samples = thermo.evaluate_samples(traj, model)
     rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0)
-    assert all("direction_flipped" in r.flags for r in rows)
-    for r in rows:
-        assert r.gap_P >= -1e-9  # the gap identity is sign-independent
-        assert r.gap_P == pytest.approx(r.D_direct, abs=1e-9)
-        assert r.Q >= r.Q_u - 1e-8  # flipped: lower bound on dissipated heat
-    assert rows[-1].Q > rows[-1].Q_u + 1e-4  # strict at late times
+    assert all("direction_flipped" in f for f in rows.flags)
+    assert np.all(rows.gap_P >= -1e-9)  # the gap identity is sign-independent
+    assert rows.gap_P == pytest.approx(rows.D_direct, abs=1e-9)
+    assert np.all(rows.Q >= rows.Q_u - 1e-8)  # flipped: lower bound on dissipated heat
+    assert rows.Q[-1] > rows.Q_u[-1] + 1e-4  # strict at late times
 
 
 def test_driven_bounds_marks_saturated_and_failed_samples():
@@ -190,11 +183,11 @@ def test_driven_bounds_marks_saturated_and_failed_samples():
     failed = BetaSolveResult(math.nan, math.nan, False, good.branch, error="no bracket")
     samples = thermo.evaluate_samples(traj, model)
     rows = thermo.driven_bounds(traj, model, samples, [good, saturated, failed])
-    assert rows[1].gap is None and rows[1].D_inst is None
-    assert "saturated" in rows[1].flags
-    assert math.isfinite(rows[1].Qu_tilde)  # bound fields still emitted
-    assert "beta_solve_failed" in rows[2].flags
-    assert math.isnan(rows[2].Qu_tilde)
+    assert math.isnan(rows.gap[1]) and math.isnan(rows.D_inst[1])
+    assert "saturated" in rows.flags[1]
+    assert math.isfinite(rows.Qu_tilde[1])  # bound fields still emitted
+    assert "beta_solve_failed" in rows.flags[2]
+    assert math.isnan(rows.Qu_tilde[2])
     with pytest.raises(MisalignedSeries):
         thermo.driven_bounds(traj, model, samples, [saturated, good, good])
 
@@ -214,21 +207,19 @@ def test_nlp_equilibrium_samples_have_zero_slack():
     rho0 = models.initial_state("gibbs", h0, beta=params.bath_beta)
     traj = propagate(model, rho0, 5.0, 1e-3, 6)
     samples = thermo.evaluate_samples(traj, model)
-    rows = thermo.nlp_comparison(traj, model, samples, params.bath_beta)
-    for c in rows:
-        assert abs(c.slack_S23) < 1e-12
-        assert abs(c.slack_S26) < 1e-12
-        assert c.slack_S25 is None
-        assert c.F_neq_T == pytest.approx(c.F_eq_t, abs=1e-12)
+    c = thermo.nlp_comparison(traj, model, samples, params.bath_beta)
+    assert np.all(np.abs(c.slack_S23) < 1e-12)
+    assert np.all(np.isnan(c.slack_S25))
+    assert c.F_neq_T == pytest.approx(c.F_eq_t, abs=1e-12)
 
 
 def test_nlp_driven_slack_matches_relative_entropy(fig2_result):
-    rows = fig2_result.nlp_rows
-    assert rows is not None
+    c = fig2_result.nlp
+    assert c is not None
     bath_beta = 1.0
-    for c, st in list(zip(rows, fig2_result.trajectory.states))[::40]:
-        eq = qstate.gibbs_state(fig2_result.model.hamiltonian(c.t), bath_beta)
-        d = qstate.relative_entropy(DensityMatrix.from_matrix(st), eq.gibbs)
-        assert c.slack_S25 == pytest.approx(d, abs=1e-8)
-        assert c.slack_S25 >= -1e-8
-        assert c.slack_S26 is None
+    for k in range(0, len(c), 40):
+        eq = qstate.gibbs_state(fig2_result.model.hamiltonian(c.t[k]), bath_beta)
+        d = qstate.relative_entropy(DensityMatrix.from_matrix(fig2_result.trajectory.states[k]),
+                                    eq.gibbs)
+        assert c.slack_S25[k] == pytest.approx(d, abs=1e-8)
+        assert c.slack_S25[k] >= -1e-8
