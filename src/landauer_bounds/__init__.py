@@ -29,9 +29,8 @@ from .qstate import (
 )
 from .refsolve import BetaSolveResult, gibbs_entropy, solve_beta, solve_beta_series
 from .thermo import (
-    DrivenBounds,
+    Bounds,
     NlpComparison,
-    UndrivenBounds,
     driven_bounds,
     evaluate_samples,
     nlp_comparison,
@@ -42,8 +41,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaSolveResult",
+    "Bounds",
     "DensityMatrix",
-    "DrivenBounds",
     "EigenSystem",
     "ErasureParams",
     "JumpChannel",
@@ -54,7 +53,6 @@ __all__ = [
     "RydbergParams",
     "ThermoSample",
     "Trajectory",
-    "UndrivenBounds",
     "build_erasure",
     "build_rydberg",
     "dephase_and_coherence",

@@ -4,7 +4,7 @@
 scenario, evaluates every inequality, and writes
 
   trajectory.csv   sampled states (upper triangle) with Q, W, diagnostics
-  bounds.csv       per-sample bound chain (schema depends on driven/undriven)
+  bounds.csv       per-sample bound chain (column names depend on driven/undriven)
   meta.json        parameters, solver residuals, flags, inequality verdicts
   *.svg            optional charts (``--plots``)
 
@@ -223,7 +223,7 @@ class PipelineResult:
     model: LindbladModel
     trajectory: Trajectory
     kind: str  # "undriven" | "driven"
-    bounds: thermo.UndrivenBounds | thermo.DrivenBounds
+    bounds: thermo.Bounds
     beta_results: list[refsolve.BetaSolveResult]
     nlp: thermo.NlpComparison | None
     meta: dict[str, Any]
@@ -255,7 +255,8 @@ def _build_initial_state(config: ScenarioConfig, model: LindbladModel) -> Densit
         if kind == "maximally_mixed":
             return models.initial_state(kind, h0)
         if kind == "pure":
-            vec = np.array([complex(re, im) for re, im in init["vector"]])
+            vec = np.array([complex(_real(re, "pure vector entry"), _real(im, "pure vector entry"))
+                            for re, im in init["vector"]])
             if vec.shape != (model.dim,):
                 raise ConfigError(f"pure initial state vector has {len(vec)} entries, "
                                   f"the model has dimension {model.dim}")
@@ -279,14 +280,15 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
         kind = "driven"
         beta_results = refsolve.solve_beta_series(samples.levels, samples.values.S,
                                                   config.beta_branch)
-        bounds: thermo.UndrivenBounds | thermo.DrivenBounds = thermo.driven_bounds(
-            traj, model, samples, beta_results, config.bath_T)
+        if beta_results[0].saturated:
+            raise ConfigError(f"initial_state of kind {config.initial_state['kind']!r}"
+                              " saturates beta_R(0): S(rho0) is at the Gibbs entropy floor"
+                              " of H(0), and driven models need S(rho0) > 0")
+        bounds = thermo.driven_bounds(traj, model, samples, beta_results, config.bath_T)
     else:
         kind = "undriven"
-        solve = refsolve.solve_beta(basis0, samples.values.S[0], config.beta_branch)
-        beta_results = [solve]
-        ref = qstate.gibbs_in_basis(basis0, solve.beta_R)
-        bounds = thermo.undriven_bounds(traj, model, samples, ref, config.bath_T)
+        beta_results = [refsolve.solve_beta(basis0, samples.values.S[0], config.beta_branch)]
+        bounds = thermo.undriven_bounds(traj, model, samples, beta_results[0], config.bath_T)
 
     nlp = None
     if config.bath_T is not None:
@@ -298,8 +300,7 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
                           meta=meta, bell_state=bell)
 
 
-def _verdicts(kind: str, bounds: thermo.UndrivenBounds | thermo.DrivenBounds,
-              nlp: thermo.NlpComparison | None,
+def _verdicts(bounds: thermo.Bounds, nlp: thermo.NlpComparison | None,
               flipped: bool) -> dict[str, dict[str, Any]]:
     """Worst-case slack per inequality; holds when slack >= -1e-6. A partial
     inequality is checked where its slack is not NaN; elsewhere NaN fails."""
@@ -312,16 +313,11 @@ def _verdicts(kind: str, bounds: thermo.UndrivenBounds | thermo.DrivenBounds,
             worst = float(slacks[np.argmin(slacks)])
             verdicts[name] = {"worst_slack": worst, "holds": worst >= -VERDICT_TOL}
 
-    if kind == "undriven":
-        add("gap_nonneg", bounds.gap_P)
-        add("gap_identity", -np.abs(bounds.gap_P - bounds.D_direct), partial=True)
-        if flipped:
-            add("heat_lower_flipped", bounds.Q - bounds.Q_u)
-        else:
-            add("heat_upper", bounds.Q_u - bounds.Q)
+    add("gap_nonneg", bounds.gap, partial=True)
+    add("gap_identity", -np.abs(bounds.gap - bounds.D_inst), partial=True)
+    if flipped:
+        add("heat_lower_flipped", bounds.Q - bounds.upper, partial=True)
     else:
-        add("gap_nonneg", bounds.gap, partial=True)
-        add("gap_identity", -np.abs(bounds.gap - bounds.D_inst), partial=True)
         add("heat_upper", bounds.upper - bounds.Q, partial=True)
     add("lp_lower", bounds.Q - bounds.lp_lower, partial=True)
     add("coherence_split", -np.abs(bounds.dS - (bounds.dS_diag - bounds.dCoh)))
@@ -332,13 +328,13 @@ def _verdicts(kind: str, bounds: thermo.UndrivenBounds | thermo.DrivenBounds,
 
 
 def _build_meta(config: ScenarioConfig, basis0: EigenSystem, traj: Trajectory,
-                kind: str, bounds: thermo.UndrivenBounds | thermo.DrivenBounds,
+                kind: str, bounds: thermo.Bounds,
                 beta_results: list[refsolve.BetaSolveResult],
                 nlp: thermo.NlpComparison | None,
                 bell: np.ndarray | None) -> dict[str, Any]:
     b0 = beta_results[0]
     flipped = b0.beta_R < 0
-    degenerate = qstate.has_degenerate_spectrum(basis0.eigenvalues)
+    degenerate = bool(qstate.has_degenerate_spectrum(basis0.eigenvalues))
 
     balance = float(np.max(np.abs((bounds.E_S - bounds.E_S[0]) - (traj.work - traj.heat))))
 
@@ -384,7 +380,7 @@ def _build_meta(config: ScenarioConfig, basis0: EigenSystem, traj: Trajectory,
             "units": "hbar = k_B = 1; energies and rates share one frequency unit,"
                      " times are its inverse",
         },
-        "verdicts": _verdicts(kind, bounds, nlp, flipped),
+        "verdicts": _verdicts(bounds, nlp, flipped),
     }
     if bell is not None:
         meta["bell_fidelity_end"] = qstate.fidelity_pure(traj.states[-1], bell)

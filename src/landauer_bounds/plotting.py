@@ -191,13 +191,16 @@ def fig2_style_panels(cols: Any, t_r0: float) -> list[Panel]:
     ]
 
 
+def _drawn_temperature(beta_r0: float) -> float:
+    """T_R(0) = 1/beta_R(0) as drawn: 1 when beta_R(0) is zero or not finite."""
+    return 1.0 / beta_r0 if math.isfinite(beta_r0) and beta_r0 != 0.0 else 1.0
+
+
 def sweep_panels(entries: list[tuple[str, Any, float]]) -> list[Panel]:
     """One panel per sweep entry: Q(t) and the coherence contribution."""
     panels = []
     for label, cols, beta_r0 in entries:
-        t_r0 = 1.0 / beta_r0 if beta_r0 else math.inf
-        with np.errstate(invalid="ignore"):  # T_R(0) = inf times no change is NaN, not drawn
-            coherence = t_r0 * (cols["Coh"] - cols["Coh"][0])
+        coherence = _drawn_temperature(beta_r0) * (cols["Coh"] - cols["Coh"][0])
         panels.append(Panel(label, "t", "energy", [Series("Q", cols["t"], cols["Q"]),
                                                    Series("T_R(0) dCoh", cols["t"], coherence)]))
     return panels
@@ -211,8 +214,8 @@ def emit_plots(kind: str, cols: Any, beta_r0: float, out_dir: str | Path) -> lis
     what ``read_bounds_csv`` returns. A beta_R(0) that is zero or not finite
     is drawn with T_R = 1. Returns the written SVG paths.
     """
-    t_r = 1.0 / beta_r0 if math.isfinite(beta_r0) and beta_r0 != 0.0 else 1.0
-    panels = (fig1_style_panels if kind == "undriven" else fig2_style_panels)(cols, t_r)
+    panels = (fig1_style_panels if kind == "undriven" else fig2_style_panels)(
+        cols, _drawn_temperature(beta_r0))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "bounds.svg"

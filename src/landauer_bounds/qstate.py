@@ -152,9 +152,9 @@ def _cluster_breaks(levels: np.ndarray) -> np.ndarray:
     return np.diff(levels, axis=-1) > DEGENERACY_ATOL * scale
 
 
-def has_degenerate_spectrum(eigenvalues: np.ndarray) -> bool:
-    """True when some energy gap is below the degeneracy tolerance."""
-    return not np.all(_cluster_breaks(np.asarray(eigenvalues)))
+def has_degenerate_spectrum(levels: np.ndarray) -> np.ndarray:
+    """True for each row of ascending levels (..., d) with a gap below the degeneracy tolerance."""
+    return ~np.all(_cluster_breaks(np.asarray(levels)), axis=-1)
 
 
 def _dephased_entropies(rotated: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -206,18 +206,14 @@ def diagonal_in_basis(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def gibbs_state(h: np.ndarray, beta: float) -> ReferenceState:
-    """Gibbs reference state e^{-beta H}/Z for any finite beta (either sign)."""
-    return gibbs_in_basis(linalg.eigh(h), beta)
+    """Gibbs reference state e^{-beta H}/Z for any finite beta (either sign).
 
-
-def gibbs_in_basis(basis: EigenSystem, beta: float) -> ReferenceState:
-    """Gibbs reference state e^{-beta H}/Z from the eigensystem of H.
-
-    Built from ``gibbs_weights``; the result is flagged ``saturated`` when
-    |beta| * spread exceeds 700.
+    Built from ``gibbs_weights`` in the eigenbasis of h; the result is flagged
+    ``saturated`` when |beta| * spread exceeds 700.
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
+    basis = linalg.eigh(h)
     w = basis.eigenvalues
     p, log_z = gibbs_weights(w, beta)
     log_z = float(log_z)

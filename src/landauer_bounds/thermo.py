@@ -1,18 +1,17 @@
 """Per-sample evaluation of the entropy-energy inequalities.
 
-Undriven chain, with a reference Gibbs state rho_th fixed by entropy matching
-at t = 0 (beta_R = 1/T_R):
-
-    gap_P  = beta_R dE_R - dS = D(rho(t) || rho_th) >= 0
-    Q_u    = dE_in - T_R dS               (upper bound on Q = -dE_S)
-    lp     = -T dS <= Q                   (needs a genuine bath at T)
-
-Driven chain, with instantaneous matching beta_R(t) and correction
+One bound chain serves both model kinds. With the reference Gibbs state
+rho_th(t) at beta_R(t) = 1/T_R(t) from entropy matching and the correction
 C(t) = (beta_R(t) - beta_R(0)) E_S(t) + ln Z(t)/Z(0):
 
     gap    = beta_R(0) dE_R~ - dS + C = D(rho(t) || rho_th(t)) >= 0
     Q_u~   = dE_in~ - T_R(0) dS + T_R(0) C
-    lp <= Q <= Q_u~ + W
+    lp <= Q <= Q_u~ + W               (lp = -T dS needs a genuine bath at T)
+
+Driven models match beta_R(t) at every sample. Undriven ones keep the match
+of t = 0, so C = 0, W = 0 and Q = E_S(0) - E_S(t): the paper's undriven bound
+Q <= Q_u = dE_in - T_R dS. When beta_R(0) < 0 the upper bound flips into the
+lower bound Q >= Q_u~ + W, and every sample is flagged ``direction_flipped``.
 
 The entropy change dS is always recomputed from sampled states, never
 accumulated, so integrator error cannot leak into an inequality check.
@@ -20,25 +19,25 @@ accumulated, so integrator error cannot leak into an inequality check.
 ``evaluate_samples`` makes the one pass over the samples: it diagonalizes
 H(t) at all samples of a driven model in one stacked call (once per run for an
 undriven one, broadcast to every sample without a copy) and evaluates E_S, S,
-S' and Coh on stacks of states. The reference solves, both bound chains and
-the NLP comparison read these arrays. Gibbs weights at beta_R(t) and at the
-bath beta, relative entropies and every bound column are array expressions
-over the samples, and each chain returns them as one table of columns. Stacks
-of density matrices are formed SAMPLE_BLOCK samples at a time.
+S' and Coh on stacks of states. The reference solves, the bound chain and the
+NLP comparison read these arrays. Gibbs weights at beta_R(t) and at the bath
+beta, relative entropies and every bound column are array expressions over
+the samples, returned as one table of columns. Stacks of density matrices are
+formed SAMPLE_BLOCK samples at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import linalg, qstate
 from .errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
 from .lindblad import LindbladModel, Trajectory, protocol_values
-from .qstate import ReferenceState, ThermoSample
+from .qstate import ThermoSample
 from .refsolve import BetaSolveResult
 
 # Stacks of density matrices (states, Gibbs references and their rotations),
@@ -76,65 +75,48 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
     return Samples(levels, vectors, ThermoSample(*map(np.concatenate, zip(*parts))))
 
 
-def _relative_entropies(traj: Trajectory,
-                        sigma: Callable[[slice], np.ndarray]) -> np.ndarray:
+def _relative_entropies(traj: Trajectory, weights: np.ndarray,
+                        vectors: np.ndarray) -> np.ndarray:
     """D(rho(t) || sigma(t)) at every sample, NaN where sigma(t) is singular.
 
-    ``sigma(block)`` gives the references of a block of samples, or one
-    reference for all of them.
+    sigma(t) = V diag(weights) V^dagger from row t of the (n, d) ``weights``
+    and (n, d, d) ``vectors``, or from their one row when n = 1.
     """
-    return np.concatenate([qstate.relative_entropies(traj.states[b], sigma(b))
-                           for b in sample_blocks(len(traj.times))])
+    parts = []
+    for b in sample_blocks(len(traj.times)):
+        rows = b if len(weights) > 1 else slice(None)
+        parts.append(qstate.relative_entropies(
+            traj.states[b], qstate.diagonal_in_basis(weights[rows], vectors[rows])))
+    return np.concatenate(parts)
 
 
 # Columns left undefined (NaN) by design at some samples; a NaN in any other
 # column is a computed value.
-OPTIONAL_COLUMNS = frozenset({"D_direct", "lp_lower", "gap", "D_inst"})
+OPTIONAL_COLUMNS = frozenset({"D_direct", "lp_lower", "gap", "gap_P", "D_inst"})
+
+# The undriven bounds.csv names of Bounds columns.
+_ALIASES = {"dE_R": "dE_R_tilde", "gap_P": "gap", "D_direct": "D_inst", "Q_u": "Qu_tilde"}
 
 
 class _Table:
-    """One column per field: ``len(table)`` counts samples, ``table[name]`` is a column."""
+    """One column per field: ``len(table)`` counts samples, ``table[name]`` is a
+    column, also under its undriven bounds.csv name (``gap_P`` for ``gap``)."""
 
     def __len__(self) -> int:
         return len(self.t)
 
     def __getitem__(self, name: str) -> Any:
-        return getattr(self, name)
+        return getattr(self, _ALIASES.get(name, name))
 
 
 @dataclass(frozen=True, eq=False)
-class UndrivenBounds(_Table):
-    """The undriven chain: an (m,) float array per field, NaN where undefined.
-
-    ``D_direct`` is undefined where the reference is singular or saturated and
-    ``lp_lower`` without a bath; ``flags`` holds a tuple of names per sample.
-    """
-
-    t: np.ndarray
-    E_S: np.ndarray
-    S: np.ndarray
-    S_diag: np.ndarray
-    Coh: np.ndarray
-    dE_R: np.ndarray
-    dS: np.ndarray
-    gap_P: np.ndarray
-    D_direct: np.ndarray
-    dE_in: np.ndarray
-    Q_u: np.ndarray
-    Q: np.ndarray
-    lp_lower: np.ndarray
-    dS_diag: np.ndarray
-    dCoh: np.ndarray
-    flags: list[tuple[str, ...]]
-
-
-@dataclass(frozen=True, eq=False)
-class DrivenBounds(_Table):
-    """The driven chain: an (m,) float array per field, NaN where undefined.
+class Bounds(_Table):
+    """The bound chain: an (m,) float array per field, NaN where undefined.
 
     ``gap`` and ``D_inst`` are undefined where beta_R(t) failed or saturated,
-    ``lp_lower`` without a bath; a failed solve also leaves NaN in ``beta_R_t``
-    and the bounds built from it. ``flags`` holds a tuple of names per sample.
+    ``D_inst`` also where the reference is singular, ``lp_lower`` without a
+    bath; a failed solve also leaves NaN in ``beta_R_t`` and the bounds built
+    from it. ``flags`` holds one shared tuple of names per distinct flag set.
     """
 
     t: np.ndarray
@@ -173,55 +155,75 @@ class NlpComparison(_Table):
     slack_S25: np.ndarray
 
 
-def _scaled_product(t_r: float, ds: np.ndarray) -> np.ndarray:
-    """T_R * dS with the 0 * inf convention (divergent reference, no change)."""
-    return np.multiply(t_r, ds, out=np.zeros_like(ds), where=ds != 0.0)
+def _scaled_product(t_r: float, x: np.ndarray) -> np.ndarray:
+    """T_R * x with the 0 * inf = 0 convention (divergent reference, no change)."""
+    return np.multiply(t_r, x, out=np.zeros_like(x), where=x != 0.0)
+
+
+# The last flag of a sample: none, or why its gap identity is not checked.
+_IDENTITY_FLAGS = ((), ("beta_solve_failed",), ("saturated",), ("identity_suppressed",))
+
+
+def _chain(traj: Trajectory, samples: Samples, beta_series: list[BetaSolveResult],
+           heat: np.ndarray, work: np.ndarray, bath_T: float | None) -> Bounds:
+    """The bound chain at every sample, from one beta_R solve per sample or one
+    that holds at all of them (a fixed reference). A failed or saturated solve
+    leaves the gap identity pair undefined, since a capped reference is
+    numerically a projector; the bounds only need beta_R(0) and C(t)."""
+    v, levels, m = samples.values, samples.levels, len(traj.times)
+    n = len(beta_series)
+    beta_r0 = beta_series[0].beta_R
+    t_r0 = 1.0 / beta_r0 if beta_r0 != 0.0 else math.inf
+
+    failed = np.array([r.error is not None for r in beta_series])
+    beta_t = np.array([r.beta_R for r in beta_series])
+    p_t, log_z_t = qstate.gibbs_weights(levels[:n], np.where(failed, 0.0, beta_t))
+    saturated = ~failed & (np.array([r.saturated for r in beta_series])
+                           | (np.abs(beta_t) * (levels[:n, -1] - levels[:n, 0]) > 700.0))
+    e_th0 = float(p_t[0] @ levels[0])
+    ds = v.S - v.S[0]
+    de_r = v.E_S - e_th0
+    de_in = v.E_S[0] - e_th0
+    c_t = (beta_t - beta_r0) * v.E_S + (log_z_t - log_z_t[0])
+    # At beta_R(0) = 0 a sample where both S and C changed is inf - inf = NaN.
+    with np.errstate(invalid="ignore"):
+        qu = de_in - _scaled_product(t_r0, ds) + _scaled_product(t_r0, c_t)
+
+    no_identity = failed | saturated
+    d_inst = _relative_entropies(traj, p_t, samples.vectors[:n])
+    keys = (4 * qstate.has_degenerate_spectrum(levels)
+            + np.select([failed, saturated, np.isnan(d_inst)], [1, 2, 3], 0)).tolist()
+    flipped = ("direction_flipped",) if beta_r0 < 0.0 else ()
+    shared = {k: ("degenerate_spectrum",) * (k >= 4) + flipped + _IDENTITY_FLAGS[k % 4]
+              for k in set(keys)}
+    return Bounds(
+        v.t, v.E_S, v.S, v.S_diag, v.Coh, heat, work, np.broadcast_to(beta_t, (m,)), c_t,
+        de_r, np.where(no_identity, np.nan, beta_r0 * de_r - ds + c_t),
+        np.where(no_identity, np.nan, d_inst), np.full(m, de_in), qu, qu + work,
+        np.full(m, np.nan) if bath_T is None else -bath_T * ds, ds,
+        v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], [shared[k] for k in keys],
+    )
 
 
 def undriven_bounds(
     traj: Trajectory,
     model: LindbladModel,
     samples: Samples,
-    ref: ReferenceState,
+    reference: BetaSolveResult,
     bath_T: float | None = None,
-) -> UndrivenBounds:
-    """Evaluate the undriven chain on every trajectory sample.
+) -> Bounds:
+    """The bound chain of an undriven model, with the reference fixed at t = 0.
 
-    ``samples`` comes from ``evaluate_samples(traj, model)`` and ``ref`` is
-    the entropy-matched reference for the initial state. With a
-    negative-branch reference the upper bound flips direction; samples are then
-    flagged ``direction_flipped`` and Q_u is reported as the flipped lower
-    bound, as configured.
+    ``samples`` comes from ``evaluate_samples(traj, model)`` and ``reference``
+    is the entropy match of the initial state. The heat is
+    Q = E_S(0) - E_S(t) and W = 0; a saturated reference (a pure start) leaves
+    the gap identity pair undefined.
     """
     if model.driven:
         raise DrivenModelSupplied("undriven_bounds requires an undriven model")
-    h = model.hamiltonian(0.0)
-    beta_r = ref.beta_R
-    t_r = 1.0 / beta_r if beta_r != 0.0 else math.inf
-
-    e_th = linalg.trace_product(ref.gibbs.matrix, h).real
-    base_flags: tuple[str, ...] = ()
-    if qstate.has_degenerate_spectrum(samples.levels[0]):
-        base_flags += ("degenerate_spectrum",)
-    if beta_r < 0.0:
-        base_flags += ("direction_flipped",)
-    if ref.saturated:
-        base_flags += ("reference_saturated",)
-
-    v, m = samples.values, len(traj.times)
-    ds = v.S - v.S[0]
-    de_r = v.E_S - e_th
-    de_in = v.E_S[0] - e_th
-    d_direct = (np.full(m, np.nan) if ref.saturated
-                else _relative_entropies(traj, lambda block: ref.gibbs.matrix))
-    flags = [base_flags + ("identity_suppressed",) if singular else base_flags
-             for singular in (np.isnan(d_direct) & (not ref.saturated)).tolist()]
-    return UndrivenBounds(
-        v.t, v.E_S, v.S, v.S_diag, v.Coh, de_r, ds, beta_r * de_r - ds, d_direct,
-        np.full(m, de_in), de_in - _scaled_product(t_r, ds), -(v.E_S - v.E_S[0]),
-        np.full(m, np.nan) if bath_T is None else -bath_T * ds,
-        v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], flags,
-    )
+    e_s = samples.values.E_S
+    return _chain(traj, samples, [reference], -(e_s - e_s[0]), np.zeros(len(traj.times)),
+                  bath_T)
 
 
 def driven_bounds(
@@ -230,14 +232,12 @@ def driven_bounds(
     samples: Samples,
     beta_series: list[BetaSolveResult],
     bath_T: float | None = None,
-) -> DrivenBounds:
-    """Evaluate the driven chain on every sample.
+) -> Bounds:
+    """The bound chain with beta_R(t) matched at every sample.
 
     ``samples`` comes from ``evaluate_samples(traj, model)``;
-    ``beta_series`` must align with traj.times. Saturated samples keep their
-    bound fields (which only need beta_R(0) and the capped beta_R(t) through
-    C(t)) but the gap/relative-entropy identity pair is suppressed because
-    the capped reference is numerically a projector.
+    ``beta_series`` must align with traj.times, and its first solve must be
+    finite and non-saturated, since beta_R(0) enters every sample.
     """
     if len(beta_series) != len(traj.times):
         raise MisalignedSeries(
@@ -246,36 +246,7 @@ def driven_bounds(
     b0 = beta_series[0]
     if b0.error is not None or b0.saturated or not math.isfinite(b0.beta_R):
         raise MisalignedSeries("initial reference parameter must be finite and non-saturated")
-    beta_r0 = b0.beta_R
-    t_r0 = 1.0 / beta_r0 if beta_r0 != 0.0 else math.inf
-
-    v, levels, m = samples.values, samples.levels, len(traj.times)
-    failed = np.array([r.error is not None for r in beta_series])
-    beta_t = np.array([r.beta_R for r in beta_series])
-    p_t, log_z_t = qstate.gibbs_weights(levels, np.where(failed, 0.0, beta_t))
-    saturated = ~failed & (np.array([r.saturated for r in beta_series])
-                           | (np.abs(beta_t) * (levels[:, -1] - levels[:, 0]) > 700.0))
-    e_th0 = float(p_t[0] @ levels[0])
-    ds = v.S - v.S[0]
-    de_r = v.E_S - e_th0
-    de_in = v.E_S[0] - e_th0
-    c_t = (beta_t - beta_r0) * v.E_S + (log_z_t - log_z_t[0])
-    # T_R(0) = inf at beta_R(0) = 0 makes 0 * inf here; the sample is then NaN.
-    with np.errstate(invalid="ignore"):
-        qu = de_in - _scaled_product(t_r0, ds) + t_r0 * c_t
-
-    no_identity = failed | saturated
-    d_inst = _relative_entropies(
-        traj, lambda block: qstate.diagonal_in_basis(p_t[block], samples.vectors[block]))
-    flag = np.select([failed, saturated, np.isnan(d_inst)],
-                     ["beta_solve_failed", "saturated", "identity_suppressed"], "")
-    return DrivenBounds(
-        v.t, v.E_S, v.S, v.S_diag, v.Coh, traj.heat, traj.work, beta_t, c_t, de_r,
-        np.where(no_identity, np.nan, beta_r0 * de_r - ds + c_t),
-        np.where(no_identity, np.nan, d_inst), np.full(m, de_in), qu, qu + traj.work,
-        np.full(m, np.nan) if bath_T is None else -bath_T * ds, ds,
-        v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], [(f,) if f else () for f in flag.tolist()],
-    )
+    return _chain(traj, samples, beta_series, traj.heat, traj.work, bath_T)
 
 
 def nlp_comparison(

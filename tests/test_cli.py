@@ -108,6 +108,13 @@ def test_config_errors_exit_3(tmp_path):
     {"top_level": {"sweep": [{"name": "a"}, {"name": "a"}]}},
     {"top_level": {"sweep": [{"name": "entry1"}, {}]}},
     {"top_level": {"sweep": [{"name": "../escaped"}]}},
+    # a pure start has S = 0, where beta_R(0) saturates: the driven chain needs S > 0
+    {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0]]},
+     "top_level": {"integrator": {"dt": 0.001, "t_end": 1.0, "n_samples": 3}}},
+    # on the undriven pump a pure start runs, so only the booleans can stop it
+    {"initial_state": {"kind": "pure", "vector": [[True, False]] + [[False, False]] * 8},
+     "top_level": {"model": "rydberg", "model_params": {}, "bath_T": None,
+                   "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
         "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
@@ -119,7 +126,8 @@ def test_config_errors_exit_3(tmp_path):
         "step-count-beyond-int64-flag", "samples-beyond-steps-flag", "dt-string",
         "t-end-bool", "bath-T-string", "eps0-string",
         "model-params-not-an-object", "beta-string", "sweep-name-not-a-string",
-        "sweep-names-repeated", "sweep-name-repeats-a-default", "sweep-name-escapes-out"])
+        "sweep-names-repeated", "sweep-name-repeats-a-default", "sweep-name-escapes-out",
+        "driven-pure-start", "pure-vector-booleans"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
@@ -213,6 +221,10 @@ def test_custom_matrix_model(tmp_path):
     assert cols["Q"][-1] > 0.1
     meta = read_meta(out)
     assert meta["reference"]["saturated"] is True  # pure initial state
+    # the capped reference is numerically a projector: no gap identity pair
+    assert np.isnan(cols["gap_P"]).all() and np.isnan(cols["D_direct"]).all()
+    assert "gap_nonneg" not in meta["verdicts"] and "gap_identity" not in meta["verdicts"]
+    assert all(f == "saturated" for f in cols["flags"])
 
 
 def test_environment_variable_sets_output_dir(tmp_path, monkeypatch):
@@ -309,6 +321,60 @@ def test_negative_branch_through_config(tmp_path):
     assert all("direction_flipped" in f for f in cols["flags"])
 
 
+def test_driven_negative_branch_through_config(tmp_path):
+    # the fig2 erasure on the negative branch: beta_R(0) < 0 turns the upper
+    # bound Q <= Qu~ + W into the lower bound Q >= Qu~ + W
+    config = tmp_path / "neg.json"
+    raw = cli.scenario_defaults("fig2")
+    raw["beta_branch"] = "negative"
+    raw["integrator"]["n_samples"] = 41
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = run_cli("run", "--config", str(config), "--out", str(out))
+    meta = read_meta(out)
+    assert meta["reference"]["beta_R0"] < 0
+    assert "heat_lower_flipped" in meta["verdicts"]
+    assert "heat_upper" not in meta["verdicts"]
+    assert code == 0
+    _, cols = plotting.read_bounds_csv(out / "bounds.csv")
+    assert all("direction_flipped" in f for f in cols["flags"])
+
+
+def test_driven_maximally_mixed_start(tmp_path):
+    # beta_R(0) = 0, so T_R(0) diverges; T_R(0) C(0) = inf * 0 counts as 0.
+    # A RuntimeWarning would fail the test (pyproject.toml filterwarnings).
+    raw = cli.scenario_defaults("fig2")
+    raw["initial_state"] = {"kind": "maximally_mixed"}
+    raw["integrator"].update(t_end=2.0, n_samples=21)
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    run_cli("run", "--config", str(config), "--out", str(out))
+    meta = read_meta(out)
+    _, cols = plotting.read_bounds_csv(out / "bounds.csv")
+    assert meta["reference"]["beta_R0"] == 0.0
+    assert math.isfinite(cols["Qu_tilde"][0])
+    assert "heat_upper" in meta["verdicts"]
+
+
+def test_maximally_mixed_sweep_draws_the_coherence_term(tmp_path):
+    # sweep.svg draws T_R(0) dCoh with T_R(0) = 1 at beta_R(0) = 0, as bounds.svg does
+    raw = cli.scenario_defaults("figS1")
+    raw["initial_state"] = {"kind": "maximally_mixed"}
+    raw["sweep"] = raw["sweep"][:2]
+    for entry in raw["sweep"]:
+        t_end = entry["overrides"]["integrator"]["t_end"]
+        entry["overrides"]["integrator"] = {"dt": t_end / 2000, "t_end": t_end, "n_samples": 11}
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out), "--plots") == 0
+    coherence = re.findall(r'<polyline points="([^"]*)"[^>]*/>\n<line[^>]*/>\n'
+                           r'<text[^>]*>T_R\(0\) dCoh</text>', (out / "sweep.svg").read_text())
+    assert len(coherence) == 2
+    assert all(len(points.split()) == 11 for points in coherence)
+
+
 def reference_csv(path, header, records):
     """The per-cell writer the columnar CSV writers replace.
 
@@ -341,8 +407,8 @@ def reference_bounds_csv(result, path):
     """NaN is an empty cell in the optional columns and ``nan`` elsewhere."""
     columns = plotting.UNDRIVEN_COLUMNS if result.kind == "undriven" else plotting.DRIVEN_COLUMNS
     table = result.bounds
-    records = [[None if c in thermo.OPTIONAL_COLUMNS and math.isnan(getattr(table, c)[k])
-                else getattr(table, c)[k] for c in columns[:-1]] + [";".join(table.flags[k])]
+    records = [[None if c in thermo.OPTIONAL_COLUMNS and math.isnan(table[c][k])
+                else table[c][k] for c in columns[:-1]] + [";".join(table.flags[k])]
                for k in range(len(table.t))]
     reference_csv(path, columns, records)
 
@@ -371,12 +437,11 @@ def synthetic_result(kind, n):
 
     Every column, optional or not, holds NaN at some samples.
     """
-    cls = thermo.UndrivenBounds if kind == "undriven" else thermo.DrivenBounds
-    fields = [f.name for f in dataclasses.fields(cls) if f.name != "flags"]
+    fields = [f.name for f in dataclasses.fields(thermo.Bounds) if f.name != "flags"]
     columns = [np.array([SPECIAL_VALUES[(k * 5 + j) % len(SPECIAL_VALUES)] for k in range(n)])
                for j in range(len(fields))]
     flags = [FLAG_SETS[k % len(FLAG_SETS)] for k in range(n)]
-    return SimpleNamespace(kind=kind, bounds=cls(*columns, flags=flags), model=SimpleNamespace(dim=3),
+    return SimpleNamespace(kind=kind, bounds=thermo.Bounds(*columns, flags=flags), model=SimpleNamespace(dim=3),
                            trajectory=synthetic_trajectory(n, 3, SPECIAL_VALUES))
 
 

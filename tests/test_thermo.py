@@ -34,13 +34,13 @@ def test_initial_time_algebra(rydberg):
     h = model.hamiltonian(0.0)
     rho0 = models.initial_state("sorted_ascending_diagonal", h, beta=30.0)
     traj = propagate(model, rho0, 1.0, 0.01, 3)
-    ref, _ = solved_reference(h, rho0)
-    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
+    ref, res = solved_reference(h, rho0)
+    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), res)
     assert rows.dS[0] == 0.0
-    assert rows.dE_R[0] == pytest.approx(rows.dE_in[0], abs=1e-14)
-    assert rows.gap_P[0] == pytest.approx(ref.beta_R * rows.dE_in[0], abs=1e-12)
-    assert rows.gap_P[0] == pytest.approx(rows.D_direct[0], abs=1e-10)
-    assert rows.gap_P[0] >= -1e-9
+    assert rows.dE_R_tilde[0] == pytest.approx(rows.dE_in_tilde[0], abs=1e-14)
+    assert rows.gap[0] == pytest.approx(ref.beta_R * rows.dE_in_tilde[0], abs=1e-12)
+    assert rows.gap[0] == pytest.approx(rows.D_inst[0], abs=1e-10)
+    assert rows.gap[0] >= -1e-9
 
 
 def test_thermal_start_zero_contrast(rydberg):
@@ -49,12 +49,12 @@ def test_thermal_start_zero_contrast(rydberg):
     h = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h, beta=30.0)
     traj = propagate(model, rho0, 20.0, 0.01, 11)
-    ref, _ = solved_reference(h, rho0)
-    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
-    assert abs(rows.dE_in[0]) < 1e-12
+    ref, res = solved_reference(h, rho0)
+    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), res)
+    assert abs(rows.dE_in_tilde[0]) < 1e-12
     t_r = 1.0 / ref.beta_R
-    assert rows.Q_u == pytest.approx(-t_r * rows.dS, abs=1e-12)
-    assert np.all(rows.Q <= rows.Q_u + 1e-8)
+    assert rows.Qu_tilde == pytest.approx(-t_r * rows.dS, abs=1e-12)
+    assert np.all(rows.Q <= rows.Qu_tilde + 1e-8)
 
 
 def test_gap_identity_undriven(rydberg):
@@ -62,10 +62,10 @@ def test_gap_identity_undriven(rydberg):
     h = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h, beta=30.0)
     traj = propagate(model, rho0, 50.0, 0.01, 26)
-    ref, _ = solved_reference(h, rho0)
-    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), ref)
-    assert np.max(np.abs(rows.gap_P - rows.D_direct)) < 1e-8
-    assert np.all(rows.gap_P >= -1e-8)
+    _, res = solved_reference(h, rho0)
+    rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), res)
+    assert np.max(np.abs(rows.gap - rows.D_inst)) < 1e-8
+    assert np.all(rows.gap >= -1e-8)
     assert all("degenerate_spectrum" in f for f in rows.flags)
 
 
@@ -75,10 +75,10 @@ def test_coherence_split_is_exact(fig2_result):
 
 
 def test_undriven_bounds_rejects_driven_model(erasure, fig2_result):
-    ref = qstate.gibbs_state(erasure.hamiltonian(0.0), 1.0)
+    res = fig2_result.beta_results[0]
     samples = thermo.evaluate_samples(fig2_result.trajectory, erasure)
     with pytest.raises(DrivenModelSupplied):
-        thermo.undriven_bounds(fig2_result.trajectory, erasure, samples, ref)
+        thermo.undriven_bounds(fig2_result.trajectory, erasure, samples, res)
 
 
 def test_driven_bounds_misaligned_series(erasure, fig2_result):
@@ -95,13 +95,13 @@ def test_bound_ordering_frozen_weak_coupling():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 30.0, 1e-3, 61)
-    ref, res = solved_reference(h0, rho0)
+    _, res = solved_reference(h0, rho0)
     assert res.beta_R == pytest.approx(2.0, abs=1e-8)
     samples = thermo.evaluate_samples(traj, model)
-    rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0 / params.bath_beta)
+    rows = thermo.undriven_bounds(traj, model, samples, res, bath_T=1.0 / params.bath_beta)
     assert rows.dS[-1] > 1e-3  # heating toward the hotter bath
     assert np.all(rows.lp_lower <= rows.Q + 1e-8)
-    assert np.all(rows.Q <= rows.Q_u + 1e-8)
+    assert np.all(rows.Q <= rows.Qu_tilde + 1e-8)
 
 
 def test_degenerate_saturation_stationary_state():
@@ -109,12 +109,12 @@ def test_degenerate_saturation_stationary_state():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=params.bath_beta)
     traj = propagate(model, rho0, 10.0, 5e-4, 21)
-    ref, _ = solved_reference(h0, rho0)
+    _, res = solved_reference(h0, rho0)
     samples = thermo.evaluate_samples(traj, model)
-    rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0 / params.bath_beta)
+    rows = thermo.undriven_bounds(traj, model, samples, res, bath_T=1.0 / params.bath_beta)
     assert np.all(np.abs(rows.Q) < 1e-9)
     assert np.all(np.abs(rows.dS) < 1e-9)
-    assert np.all(np.abs(rows.Q_u) < 1e-9)
+    assert np.all(np.abs(rows.Qu_tilde) < 1e-9)
 
 
 def test_driven_path_reduces_to_undriven():
@@ -125,17 +125,17 @@ def test_driven_path_reduces_to_undriven():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
-    ref, res = solved_reference(h0, rho0)
+    _, res = solved_reference(h0, rho0)
     samples = thermo.evaluate_samples(traj, model)
-    u = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0)
+    u = thermo.undriven_bounds(traj, model, samples, res, bath_T=1.0)
     series = [res] * len(traj.times)
     d = thermo.driven_bounds(traj, model, samples, series, bath_T=1.0)
     assert np.all(np.abs(d.C_t) < 1e-10)
-    assert d.gap == pytest.approx(u.gap_P, abs=1e-9)
-    assert d.D_inst == pytest.approx(u.D_direct, abs=1e-9)
-    assert d.Qu_tilde == pytest.approx(u.Q_u, abs=1e-9)
-    assert d.upper == pytest.approx(u.Q_u, abs=1e-9)  # W = 0
-    assert d.dE_R_tilde == pytest.approx(u.dE_R, abs=1e-12)
+    assert d.gap == pytest.approx(u.gap, abs=1e-9)
+    assert d.D_inst == pytest.approx(u.D_inst, abs=1e-9)
+    assert d.Qu_tilde == pytest.approx(u.Qu_tilde, abs=1e-9)
+    assert d.upper == pytest.approx(u.Qu_tilde, abs=1e-9)  # W = 0
+    assert d.dE_R_tilde == pytest.approx(u.dE_R_tilde, abs=1e-12)
     assert d.lp_lower == pytest.approx(u.lp_lower, abs=1e-12)
 
 
@@ -162,15 +162,15 @@ def test_negative_branch_flips_bound_direction():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("sorted_ascending_diagonal", h0, beta=1.0)
     traj = propagate(model, rho0, 10.0, 1e-3, 21)
-    ref, res = solved_reference(h0, rho0, branch=BRANCH_NEGATIVE)
+    _, res = solved_reference(h0, rho0, branch=BRANCH_NEGATIVE)
     assert res.beta_R == pytest.approx(-1.0, abs=1e-8)
     samples = thermo.evaluate_samples(traj, model)
-    rows = thermo.undriven_bounds(traj, model, samples, ref, bath_T=1.0)
+    rows = thermo.undriven_bounds(traj, model, samples, res, bath_T=1.0)
     assert all("direction_flipped" in f for f in rows.flags)
-    assert np.all(rows.gap_P >= -1e-9)  # the gap identity is sign-independent
-    assert rows.gap_P == pytest.approx(rows.D_direct, abs=1e-9)
-    assert np.all(rows.Q >= rows.Q_u - 1e-8)  # flipped: lower bound on dissipated heat
-    assert rows.Q[-1] > rows.Q_u[-1] + 1e-4  # strict at late times
+    assert np.all(rows.gap >= -1e-9)  # the gap identity is sign-independent
+    assert rows.gap == pytest.approx(rows.D_inst, abs=1e-9)
+    assert np.all(rows.Q >= rows.Qu_tilde - 1e-8)  # flipped: lower bound on dissipated heat
+    assert rows.Q[-1] > rows.Qu_tilde[-1] + 1e-4  # strict at late times
 
 
 def test_driven_bounds_marks_saturated_and_failed_samples():
