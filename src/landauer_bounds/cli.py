@@ -245,10 +245,10 @@ def _build_model(config: ScenarioConfig) -> tuple[LindbladModel, np.ndarray | No
     return models.build_erasure(params), None
 
 
-def _build_initial_state(config: ScenarioConfig, model: LindbladModel) -> DensityMatrix:
+def _build_initial_state(config: ScenarioConfig, model: LindbladModel,
+                         h0: np.ndarray) -> DensityMatrix:
     init = config.initial_state
     kind = init["kind"]
-    h0 = model.hamiltonian(0.0)
     try:
         if kind in ("gibbs", "sorted_ascending_diagonal"):
             return models.initial_state(kind, h0, beta=_real(init["beta"], "initial_state beta"))
@@ -271,7 +271,16 @@ def _build_initial_state(config: ScenarioConfig, model: LindbladModel) -> Densit
 def run_pipeline(config: ScenarioConfig) -> PipelineResult:
     """Propagate, solve references, and evaluate bounds for one configuration."""
     model, bell = _build_model(config)
-    rho0 = _build_initial_state(config, model)
+    h0 = model.hamiltonian(0.0)
+    rho0 = _build_initial_state(config, model, h0)
+    # beta_R(0) enters every driven sample, so a start that saturates it is
+    # refused before propagating, by the series solve's criterion at sample 0.
+    if model.driven and refsolve.solve_beta_series(
+            np.linalg.eigvalsh(h0)[None], [qstate.von_neumann_entropy(rho0)],
+            config.beta_branch)[0].saturated:
+        raise ConfigError(f"initial_state of kind {config.initial_state['kind']!r}"
+                          " saturates beta_R(0): S(rho0) is at the Gibbs entropy floor"
+                          " of H(0), and driven models need S(rho0) > 0")
     traj = propagate(model, rho0, config.t_end, config.dt, config.n_samples)
 
     samples = thermo.evaluate_samples(traj, model)
@@ -280,10 +289,6 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
         kind = "driven"
         beta_results = refsolve.solve_beta_series(samples.levels, samples.values.S,
                                                   config.beta_branch)
-        if beta_results[0].saturated:
-            raise ConfigError(f"initial_state of kind {config.initial_state['kind']!r}"
-                              " saturates beta_R(0): S(rho0) is at the Gibbs entropy floor"
-                              " of H(0), and driven models need S(rho0) > 0")
         bounds = thermo.driven_bounds(traj, model, samples, beta_results, config.bath_T)
     else:
         kind = "undriven"

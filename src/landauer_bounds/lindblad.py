@@ -3,24 +3,26 @@
 drho/dt = -i [H(t), rho] + sum_mu gamma_mu (L rho L^dag - {L^dag L, rho}/2)
 
 ``augmented_generators`` is the only definition of these dynamics. It turns
-protocol values at an array of times into generators of the augmented state
-y = [vec rho, Q, W] (row-major vec), whose two extra rows carry the
-dissipated-heat and work integrals
+protocol values at an array of times into real generators of the augmented
+state y = [x, Q, W], where x holds the real orthonormal Hermitian coordinates
+of rho (x_ii = rho_ii; x_ij = sqrt(2) Re rho_ij and x_ji = sqrt(2) Im rho_ij
+for i < j) and the two extra rows carry the dissipated-heat and work integrals
 
     Q(t) = -int_0^t Tr[H(t') drho/dt'] dt',   W(t) = int_0^t Tr[dH/dt' rho] dt'.
 
-Propagation runs in real orthonormal Hermitian coordinates of rho (x_ii =
-rho_ii; x_ij = sqrt(2) Re rho_ij and x_ji = sqrt(2) Im rho_ij for i < j), in
-which ``real_generators`` makes each generator real, exactly up to rounding,
-keeping its Frobenius norm, spectrum and trace row. One RK4 step is the exact
-linear map S = I + h/6 (K1 + 2 K2 + 2 K3 + K4); heat and work share the stage
-weights of the state, which keeps dE_S = W - Q at integrator accuracy. Driven
-models build the maps of STEP_BLOCK steps at a time and multiply those between
-two samples pairwise into one segment product; undriven models use powers of
-their one map. One sample loop applies them, renormalizes the trace at each
-sample (the correction is recorded) and checks the state norm; the trace-row
-defect |1^T S - 1^T| of every step map and the positivity of the states are
-checked on arrays.
+Only the d^2 x d^2 complex Liouvillian is formed, from the jump terms and d
+strided adds each of -i K (x) I and +i I (x) conj(K), with no Kronecker
+product against the identity; one elementwise similarity makes it real, and the
+Q and W rows are inner products with the coordinates of H and dH/dt. One RK4
+step is the exact linear map S = I + h/6 (K1 + 2 K2 + 2 K3 + K4), formed in
+three reused buffers; heat and work share the stage weights of the state, which
+keeps dE_S = W - Q at integrator accuracy. Driven models build the maps one
+block at a time, as many steps as fit in STEP_BLOCK_BYTES, and multiply those
+between two samples pairwise into one segment product; undriven models use
+powers of their one map. One sample loop applies them, renormalizes the trace
+at each sample (the correction is recorded) and checks the state norm; the
+trace-row defect |1^T S - 1^T| of every step map and the positivity of the
+states are checked on arrays.
 """
 
 from __future__ import annotations
@@ -49,10 +51,18 @@ _MIN_EIG_LIMIT = -1e-6
 _SPECTRAL_RADIUS_LIMIT = 1.0 + 1e-9
 _COARSE_STEP = 0.1
 
-# Driven step maps are built this many steps at a time: large enough that
-# protocol evaluation and matrix products are batched, small enough that the
-# maps of a long run never sit in memory at once.
-STEP_BLOCK = 128
+# Driven step maps are built one block of steps at a time, each block's maps
+# taking at most this many bytes: max(1, STEP_BLOCK_BYTES // (8 k^2)) steps for
+# k x k real maps, k = d^2 + 2, so 512 steps for a qubit and 2 for d = 9. The
+# block's generators, stage buffers and maps then stay in cache, protocol
+# evaluation and matrix products are still batched, and the maps of a long run
+# never sit in memory at once.
+STEP_BLOCK_BYTES = 147_456
+
+
+def steps_per_block(dim: int) -> int:
+    """Driven steps whose real step maps fit in STEP_BLOCK_BYTES, at least one."""
+    return max(1, STEP_BLOCK_BYTES // (8 * (dim * dim + 2) ** 2))
 
 
 @dataclass(frozen=True)
@@ -161,68 +171,27 @@ def _hamiltonian_rates(model: LindbladModel, times: np.ndarray) -> np.ndarray:
             - protocol_values(ham, times - h_fd, model.dim, "Hamiltonian")) / (2.0 * h_fd)
 
 
-def _transpose(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched Kronecker product: vec(A rho B) = kron(A, B^T) vec(rho), row-major."""
-    d = a.shape[-1]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(-1, d * d, d * d)
-
-
-def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
-    """Generators of y = [vec rho, Q, W] at each time, shape (m, d^2 + 2, d^2 + 2).
-
-    The leading d^2 x d^2 block is the Liouvillian on row-major vec(rho);
-    row d^2 is dQ/dt = -Tr[H L(rho)] and row d^2 + 1 is dW/dt = Tr[dH/dt rho]
-    (zero for undriven models). The Q and W columns are zero.
-    """
-    times = np.asarray(times, dtype=float)
-    d, n = model.dim, model.dim ** 2
-    h = linalg.require_hermitian(protocol_values(model.hamiltonian_protocol, times, d,
-                                                 "Hamiltonian"))
-    # With K = H - (i/2) sum_mu gamma_mu L^dag L the generator is
-    # -i (K rho - rho K^dag) + sum_mu gamma_mu L rho L^dag.
-    k_eff = h.copy()
-    jumps: np.ndarray | float = 0.0
-    for ch in model.channels:
-        if ch.rate == 0.0:
-            continue
-        l_op = protocol_values(ch.operator_protocol, times, d, "jump operator")
-        k_eff -= (0.5j * ch.rate) * np.einsum("...ki,...kj->...ij", l_op.conj(), l_op)
-        jumps = jumps + ch.rate * _kron(l_op, l_op.conj())
-    eye = np.eye(d, dtype=np.complex128)
-    liou = -1j * (_kron(k_eff, eye) - _kron(eye, k_eff.conj())) + jumps
-
-    gen = np.zeros((len(times), n + 2, n + 2), dtype=np.complex128)
-    gen[:, :n, :n] = liou
-    # Tr[A X] = vec(A^T) . vec(X) for row-major vec.
-    gen[:, n, :n] = -(_transpose(h).reshape(-1, 1, n) @ liou)[:, 0]
-    if model.driven:
-        gen[:, n + 1, :n] = _transpose(_hamiltonian_rates(model, times)).reshape(-1, n)
-    return gen
-
-
 @functools.lru_cache(maxsize=None)
 def _coordinates(dim: int) -> tuple[np.ndarray, ...]:
-    """z, P, w0, i0, w1, i1 of the real coordinates of v = [vec rho, Q, W].
+    """z, P and the similarity terms (w, c, p) x 2 of the real coordinates of vec rho.
 
-    x = Re(z * v), z = sqrt(2) above the diagonal of rho, i sqrt(2) below it and
-    1 elsewhere: on Hermitian rho, the unitary T = (diag z + diag(conj z) P) / 2
-    with P the transpose permutation. A generator A that preserves Hermiticity
-    has P A P = conj(A), so T A T^dag = Re[(z z^dag / 2) * A + (z z^T / 2) * A P],
-    whose coefficients are real or imaginary: in the interleaved float view f
-    of A, T A T^dag = w0 f[i0] + w1 f[i1].
+    x = Re(z * vec rho), z = sqrt(2) above the diagonal of rho, i sqrt(2) below
+    it and 1 on it: on Hermitian rho, the unitary T = (diag z + diag(conj z) P) / 2
+    with P the transpose permutation. A Liouvillian A that preserves
+    Hermiticity has P A P = conj(A), so T A T^dag = Re[(z z^dag / 2) * A +
+    (z z^T / 2) * A P], whose coefficients are real or imaginary: entry (j, k)
+    is the sum over both terms of w[j, k] times the real (p = 0) or imaginary
+    (p = 1) part of A at flat index c[j, k]. Each w has a trailing unit axis for
+    time.
     """
-    size = dim * dim + 2
-    rows, cols = np.divmod(np.arange(size), dim)
-    z = np.select([rows < cols, (cols < rows) & (rows < dim)], [2 ** 0.5, 2 ** 0.5 * 1j], 1 + 0j)
-    perm = np.where(rows < dim, cols * dim + rows, np.arange(size))
-    cells, terms = np.arange(size * size, dtype=np.int32).reshape(size, size), [z, perm]
+    n = dim * dim
+    rows, cols = np.divmod(np.arange(n), dim)
+    z = np.select([rows < cols, cols < rows], [2 ** 0.5, 2 ** 0.5 * 1j], 1 + 0j)
+    perm = cols * dim + rows
+    cells, terms = np.arange(n * n).reshape(n, n), [z, perm]
     for coef, picks in ((np.outer(z, z.conj()) / 2, cells), (np.outer(z, z) / 2, cells[:, perm])):
         imag = coef.imag != 0
-        terms += [np.where(imag, -coef.imag, coef.real).ravel(), (2 * picks + imag).ravel()]
+        terms += [np.where(imag, -coef.imag, coef.real)[..., None], picks, imag.astype(int)]
     for term in terms:  # shared by every caller through the cache
         term.setflags(write=False)
     return tuple(terms)
@@ -232,34 +201,86 @@ def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
     """Real coordinates (..., d^2) of Hermitian (..., d, d) matrices."""
     rho = np.asarray(rho)
     n = rho.shape[-1] ** 2
-    return (_coordinates(rho.shape[-1])[0][:n] * rho.reshape(*rho.shape[:-2], n)).real
+    return (_coordinates(rho.shape[-1])[0] * rho.reshape(*rho.shape[:-2], n)).real
 
 
 def density_matrices(x: np.ndarray) -> np.ndarray:
     """Exactly Hermitian (..., d, d) matrices of real coordinates (..., d^2)."""
-    d, n = math.isqrt(x.shape[-1]), x.shape[-1]
-    z, perm = (a[:n] for a in _coordinates(d)[:2])
+    d = math.isqrt(x.shape[-1])
+    z, perm = _coordinates(d)[:2]
     return ((0.5 * z.conj()) * x + (0.5 * z[perm]) * x[..., perm]).reshape(*x.shape[:-1], d, d)
 
 
-def real_generators(gen: np.ndarray) -> np.ndarray:
-    """Real generators T A T^dag of Hermiticity-preserving complex generators A
-    of [vec rho, Q, W], shape (..., d^2 + 2, d^2 + 2)."""
-    w0, i0, w1, i1 = _coordinates(math.isqrt(gen.shape[-1]))[2:]
-    flat = np.ascontiguousarray(gen, np.complex128).view(np.float64).reshape(*gen.shape[:-2], -1)
-    return (w0 * flat[..., i0] + w1 * flat[..., i1]).reshape(gen.shape)
+def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A = T L T^dag at each time, as a (d^2, d^2, m) array, from the Hamiltonians h.
+
+    Only the complex Liouvillian L is formed, in a (d, d, d, d, m) buffer that
+    holds L[(a, b), (c, e)] at [a, b, c, e]: one contraction over the stacked
+    channels fills it with sum_mu gamma_mu L_mu (x) conj(L_mu), and -i K (x) I
+    and +i I (x) conj(K) are added on d strided slices each, with
+    K = H - (i/2) sum_mu gamma_mu L_mu^dag L_mu. Time is the last, contiguous
+    axis of every operator array, so each operation runs over all m times.
+    """
+    m, d, n = len(times), model.dim, model.dim ** 2
+    # L rho = -i (K rho - rho K^dag) + sum_mu gamma_mu L_mu rho L_mu^dag, and
+    # vec(A rho B) = (A (x) B^T) vec(rho) for row-major vec.
+    minus_i_k = np.multiply(-1j, np.moveaxis(h, 0, -1), order="C")
+    liou = np.zeros((d, d, d, d, m), dtype=np.complex128)
+    channels = [ch for ch in model.channels if ch.rate != 0.0]
+    if channels:  # stacked as (mu, d, d, m), each weighted by its rate
+        ops = np.stack([np.moveaxis(protocol_values(ch.operator_protocol, times, d,
+                                                    "jump operator"), 0, -1) for ch in channels])
+        conj = ops.conj()
+        weighted = np.array([ch.rate for ch in channels])[:, None, None, None] * ops
+        minus_i_k -= 0.5 * np.einsum("ukit,ukjt->ijt", conj, weighted)
+        np.einsum("uact,ubet->abcet", weighted, conj, out=liou)
+    plus_i_conj_k = minus_i_k.conj()
+    for j in range(d):
+        liou[:, j, :, j] += minus_i_k
+        liou[j, :, j, :] += plus_i_conj_k
+
+    w0, c0, p0, w1, c1, p1 = _coordinates(d)[2:]
+    parts = liou.reshape(n * n, m).view(np.float64).reshape(n * n, m, 2)
+    real = w0 * parts[c0, :, p0]
+    real += w1 * parts[c1, :, p1]
+    return real
+
+
+def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
+    """Real generators of y = [x, Q, W] at each time, shape (m, d^2 + 2, d^2 + 2).
+
+    x = ``hermitian_coordinates(rho)``. The leading d^2 x d^2 block is
+    A = T L T^dag for the complex Liouvillian L on row-major vec(rho) (see
+    ``_coordinates``), built without Kronecker products against the identity
+    (see ``_real_liouvillians``); row d^2 is dQ/dt = -Tr[H L(rho)] = -h . A x
+    with h the coordinates of H, and row d^2 + 1 is dW/dt = Tr[dH/dt rho], the
+    coordinates of dH/dt (zero for undriven models). The Q and W columns are
+    zero.
+    """
+    times = np.asarray(times, dtype=float)
+    n = model.dim ** 2
+    h = linalg.require_hermitian(protocol_values(model.hamiltonian_protocol, times, model.dim,
+                                                 "Hamiltonian"))
+    real = _real_liouvillians(model, times, h)
+    gen = np.zeros((len(times), n + 2, n + 2))
+    gen[:, :n, :n] = np.moveaxis(real, -1, 0)
+    gen[:, n, :n] = -np.einsum("tj,jkt->tk", hermitian_coordinates(h), real)
+    if model.driven:
+        gen[:, n + 1, :n] = hermitian_coordinates(_hamiltonian_rates(model, times))
+    return gen
 
 
 def generator(model: LindbladModel, t: float, rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Right-hand side of the master equation at (t, rho): the Liouvillian
-    block of ``augmented_generators`` applied to vec(rho).
+    block of ``augmented_generators`` applied to the coordinates of rho.
 
-    Returns a traceless Hermitian matrix for a valid Hermitian input.
+    ``rho`` must be Hermitian; the result is exactly Hermitian, and traceless
+    up to rounding.
     """
     r = rho.matrix if isinstance(rho, DensityMatrix) else linalg.as_operator(rho)
-    d = model.dim
-    liou = augmented_generators(model, np.array([float(t)]))[0, :d * d, :d * d]
-    return (liou @ r.ravel()).reshape(d, d)
+    n = model.dim ** 2
+    liou = augmented_generators(model, np.array([float(t)]))[0, :n, :n]
+    return density_matrices(liou @ hermitian_coordinates(r))
 
 
 def hamiltonian_rate(model: LindbladModel, t: float) -> np.ndarray:
@@ -271,24 +292,40 @@ def hamiltonian_rate(model: LindbladModel, t: float) -> np.ndarray:
     return np.array(_hamiltonian_rates(model, np.array([float(t)]))[0])
 
 
+def _add_identity(maps: np.ndarray) -> np.ndarray:
+    """Add I to each matrix of a C-contiguous (m, k, k) stack in place; return it."""
+    maps.reshape(len(maps), -1)[:, ::maps.shape[-1] + 1] += 1.0
+    return maps
+
+
 def _rk4_step_maps(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
                    dt: float) -> np.ndarray:
     """Exact one-step maps of classical RK4 for y' = A(t) y, batched over steps.
 
-    ``a_start``, ``a_mid`` and ``a_end`` hold A at t, t + dt/2 and t + dt.
+    ``a_start``, ``a_mid`` and ``a_end`` hold A at t, t + dt/2 and t + dt. With
+    K1 = A(t), K2 = A(t + dt/2) (I + dt/2 K1), K3 = A(t + dt/2) (I + dt/2 K2) and
+    K4 = A(t + dt) (I + dt K3) the map is I + dt/6 (K1 + 2 K2 + 2 K3 + K4). Three
+    buffers are reused across the stages, and I is added on their diagonals.
     """
-    eye = np.eye(a_start.shape[-1])
-    k1 = a_start
-    k2 = a_mid @ (eye + (0.5 * dt) * k1)
-    k3 = a_mid @ (eye + (0.5 * dt) * k2)
-    k4 = a_end @ (eye + dt * k3)
-    return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = _add_identity(np.multiply(a_start, 0.5 * dt))
+    total = np.matmul(a_mid, stage)  # K2
+    _add_identity(np.multiply(total, 0.5 * dt, out=stage))
+    k = np.matmul(a_mid, stage)  # K3
+    total *= 2.0
+    total += a_start
+    _add_identity(np.multiply(k, dt, out=stage))
+    k *= 2.0
+    total += k
+    total += np.matmul(a_end, stage, out=k)  # K4
+    total *= dt / 6.0
+    return _add_identity(total)
 
 
 def _warn_if_coarse(gen: np.ndarray, n: int, dt: float) -> bool:
     """Warn when dt times the largest Frobenius norm of a Liouvillian in ``gen``
     (a bound on its spectral radius) reaches 0.1; return whether it warned."""
-    scale = dt * float(np.sqrt(np.max(np.sum(np.abs(gen[:, :n, :n]) ** 2, axis=(1, 2)))))
+    liou = gen[:, :n, :n]
+    scale = dt * float(np.sqrt(np.max(np.einsum("tij,tij->t", liou, liou))))
     if scale < _COARSE_STEP:
         return False
     warnings.warn(f"dt * generator scale = {scale:.3g} >= {_COARSE_STEP}; "
@@ -300,7 +337,8 @@ def _trace_row_defects(maps: np.ndarray, dim: int, first: int, dt: float) -> flo
     """Largest |1^T S - 1^T| over the rho blocks of the maps S of steps first + 1, ...;
     ``StabilityError`` names the time of the first step beyond 1e-6."""
     n = dim * dim
-    defects = np.linalg.norm(maps[:, :n:dim + 1, :n].sum(axis=1) - np.eye(dim).ravel(), axis=-1)
+    rows = np.einsum("tij->tj", maps[:, :n:dim + 1, :n]) - np.eye(dim).ravel()
+    defects = np.sqrt(np.einsum("tj,tj->t", rows, rows))
     bad = np.flatnonzero(defects > _STEP_DRIFT_LIMIT)
     if bad.size:
         raise StabilityError(f"trace drift up to {defects[bad[0]]:.3e} in one step"
@@ -312,19 +350,19 @@ def _driven_maps(model: LindbladModel, dt: float,
                  sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
     """Yield the product of the step maps between each pair of consecutive samples,
     with the largest trace-row defect of the maps built so far."""
-    n, k = model.dim ** 2, model.dim ** 2 + 2
+    n, k, block = model.dim ** 2, model.dim ** 2 + 2, steps_per_block(model.dim)
     n_steps, max_defect, warned, carry = int(sample_idx[-1]), 0.0, False, np.eye(k)
-    for first in range(0, n_steps, STEP_BLOCK):
-        count = min(STEP_BLOCK, n_steps - first)
-        gen = real_generators(
-            augmented_generators(model, (first + 0.5 * np.arange(2 * count + 1)) * dt))
+    for first in range(0, n_steps, block):
+        count = min(block, n_steps - first)
+        gen = augmented_generators(model, (first + 0.5 * np.arange(2 * count + 1)) * dt)
         warned = warned or _warn_if_coarse(gen, n, dt)
         maps = _rk4_step_maps(gen[:-1:2], gen[1::2], gen[2::2], dt)
+        del gen  # freed before the next block's generators are built
         max_defect = max(max_defect, _trace_row_defects(maps, model.dim, first, dt))
         # Segments end at the block's samples and last step; each is padded with
         # identity maps (index ``count``) to 2^j maps and multiplied pairwise.
         ends = sample_idx[(sample_idx > first) & (sample_idx <= first + count)] - first
-        bounds = np.union1d(ends, [count])
+        bounds = np.append(ends[ends < count], count)
         starts = np.concatenate([[0], bounds[:-1]])
         idx = starts[:, None] + np.arange(1 << int(np.max(bounds - starts) - 1).bit_length())
         idx[idx >= bounds[:, None]] = count
@@ -341,7 +379,7 @@ def _undriven_maps(model: LindbladModel, dt: float,
                    sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
     """The power of the one step map spanning each sample gap, with its trace-row defect."""
     n = model.dim ** 2
-    gen = real_generators(augmented_generators(model, np.zeros(1)))
+    gen = augmented_generators(model, np.zeros(1))
     _warn_if_coarse(gen, n, dt)
     step_map = _rk4_step_maps(gen, gen, gen, dt)
     defect = _trace_row_defects(step_map, model.dim, 0, dt)
@@ -388,8 +426,8 @@ def propagate(
         raise ValueError(f"n_samples {n_samples} exceeds available steps {n_steps} + 1")
     dt_eff = t_end / n_steps
 
-    sample_idx = np.unique(np.rint(np.linspace(0, n_steps, n_samples)).astype(int))
-    if len(sample_idx) != n_samples:
+    sample_idx = np.rint(np.linspace(0, n_steps, n_samples)).astype(int)
+    if np.any(np.diff(sample_idx) == 0):
         raise ValueError("sample grid collapsed; reduce n_samples")
     times = sample_idx * dt_eff
 

@@ -12,6 +12,8 @@ Driven models match beta_R(t) at every sample. Undriven ones keep the match
 of t = 0, so C = 0, W = 0 and Q = E_S(0) - E_S(t): the paper's undriven bound
 Q <= Q_u = dE_in - T_R dS. When beta_R(0) < 0 the upper bound flips into the
 lower bound Q >= Q_u~ + W, and every sample is flagged ``direction_flipped``.
+At beta_R(0) = 0, T_R(0) (C - dS) = T_R(0) gap is taken with 0 * inf = 0, so
+Q_u~ is +inf (vacuous) wherever the gap is open.
 
 The entropy change dS is always recomputed from sampled states, never
 accumulated, so integrator error cannot leak into an inequality check.
@@ -185,8 +187,9 @@ def _chain(traj: Trajectory, samples: Samples, beta_series: list[BetaSolveResult
     de_r = v.E_S - e_th0
     de_in = v.E_S[0] - e_th0
     c_t = (beta_t - beta_r0) * v.E_S + (log_z_t - log_z_t[0])
-    # At beta_R(0) = 0 a sample where both S and C changed is inf - inf = NaN.
-    with np.errstate(invalid="ignore"):
+    if beta_r0 == 0.0:
+        qu = de_in + _scaled_product(t_r0, c_t - ds)
+    else:
         qu = de_in - _scaled_product(t_r0, ds) + _scaled_product(t_r0, c_t)
 
     no_identity = failed | saturated

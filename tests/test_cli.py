@@ -142,6 +142,22 @@ def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     assert err.count("\n") == 1
 
 
+def test_driven_pure_start_is_refused_before_propagating(tmp_path, capsys, monkeypatch):
+    # S(rho0) = 0 and the levels of H(0) already show that beta_R(0) saturates
+    def no_propagation(*args, **kwargs):
+        raise RuntimeError("propagate must not run")
+
+    monkeypatch.setattr(cli, "propagate", no_propagation)
+    raw = cli.scenario_defaults("fig2")
+    raw["initial_state"] = {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0]]}
+    config = tmp_path / "pure.json"
+    config.write_text(json.dumps(raw))
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == (
+        "configuration error: initial_state of kind 'pure' saturates beta_R(0): S(rho0) is at"
+        " the Gibbs entropy floor of H(0), and driven models need S(rho0) > 0\n")
+
+
 def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
     # Energy bases and state functionals are shared by the reference solves,
     # the bound chain and the NLP comparison: one stacked state_functionals
@@ -354,6 +370,9 @@ def test_driven_maximally_mixed_start(tmp_path):
     _, cols = plotting.read_bounds_csv(out / "bounds.csv")
     assert meta["reference"]["beta_R0"] == 0.0
     assert math.isfinite(cols["Qu_tilde"][0])
+    # T_R(0) (C - dS) = inf * gap: the bound is vacuous, not undefined, after t = 0
+    assert not np.any(np.isnan(cols["Qu_tilde"]))
+    assert np.all(cols["Qu_tilde"][1:] == math.inf)
     assert "heat_upper" in meta["verdicts"]
 
 

@@ -1,15 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
 
 import hypothesis.strategies as hst
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from landauer_bounds import models
+from landauer_bounds import lindblad, models
 from landauer_bounds.errors import StabilityError, UndrivenModelWarning
 from landauer_bounds.lindblad import (
-    STEP_BLOCK,
     JumpChannel,
     LindbladModel,
     augmented_generators,
@@ -18,7 +18,7 @@ from landauer_bounds.lindblad import (
     hamiltonian_rate,
     hermitian_coordinates,
     propagate,
-    real_generators,
+    steps_per_block,
 )
 from landauer_bounds.qstate import DensityMatrix
 
@@ -257,8 +257,8 @@ def test_step_maps_match_stage_by_stage_rk4(case, erasure):
 
 @pytest.mark.parametrize("case, t_end, n_samples, gaps", [
     ("erasure", 3.07, 31, {10, 11}),
-    # one gap of three STEP_BLOCKs and a partial block
-    ("erasure", (3 * STEP_BLOCK + 16) / 100, 2, {3 * STEP_BLOCK + 16}),
+    # one gap of three blocks of qubit step maps and a partial block
+    ("erasure", (3 * steps_per_block(2) + 16) / 100, 2, {3 * steps_per_block(2) + 16}),
     ("erasure", 1.5, 151, {1}),
     ("amplitude_damping", 3.07, 31, {10, 11}),
 ], ids=["uneven-gaps", "gap-over-three-blocks", "every-step", "undriven-uneven-gaps"])
@@ -279,13 +279,67 @@ def test_segment_products_match_stage_by_stage_rk4(case, t_end, n_samples, gaps,
     assert (np.max(np.abs(work)) > 1e-3) == model.driven
 
 
+def complex_generators(model, times):
+    """Complex generators of [vec rho, Q, W] (row-major vec), built from
+    Kronecker products with the identity: the oracle of ``augmented_generators``."""
+    d, n = model.dim, model.dim ** 2
+
+    def kron(a, b):  # vec(A rho B) = kron(A, B^T) vec(rho)
+        return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(-1, n, n)
+
+    def values(protocol):
+        return np.broadcast_to(np.asarray(protocol(times), dtype=complex), (len(times), d, d))
+
+    h = values(model.hamiltonian_protocol)
+    k_eff, jumps = h.copy(), 0.0
+    for ch in model.channels:
+        l_op = values(ch.operator_protocol)
+        k_eff = k_eff - 0.5j * ch.rate * np.swapaxes(l_op.conj(), -1, -2) @ l_op
+        jumps = jumps + ch.rate * kron(l_op, l_op.conj())
+    eye = np.eye(d)
+    liou = -1j * (kron(k_eff, eye) - kron(eye, k_eff.conj())) + jumps
+    gen = np.zeros((len(times), n + 2, n + 2), dtype=complex)
+    gen[:, :n, :n] = liou
+    gen[:, n, :n] = -(np.swapaxes(h, -1, -2).reshape(-1, 1, n) @ liou)[:, 0]  # -Tr[H L(rho)]
+    if model.driven:
+        gen[:, n + 1, :n] = np.swapaxes(values(model.hamiltonian_rate_protocol), -1, -2).reshape(-1, n)
+    return gen
+
+
+def coordinate_map(dim):
+    """The unitary T with T vec(rho) = hermitian_coordinates(rho) on Hermitian rho,
+    extended by the identity on Q and W, written out entry by entry."""
+    n = dim * dim
+    t = np.zeros((n + 2, n + 2), dtype=complex)
+    t[n, n] = t[n + 1, n + 1] = 1.0
+    for i in range(dim):
+        t[i * dim + i, i * dim + i] = 1.0
+        for j in range(i + 1, dim):
+            upper, lower = i * dim + j, j * dim + i
+            t[upper, upper] = t[upper, lower] = 2 ** -0.5  # sqrt(2) Re rho_ij
+            t[lower, upper], t[lower, lower] = -1j * 2 ** -0.5, 1j * 2 ** -0.5  # sqrt(2) Im rho_ij
+    return t
+
+
+def assert_real_generators_match_oracle(model, times):
+    """``augmented_generators`` equals T A T^dag of the complex oracle A at every time."""
+    real, oracle = augmented_generators(model, times), complex_generators(model, times)
+    assert real.dtype == np.float64 and real.shape == oracle.shape
+    t = coordinate_map(model.dim)
+    for r, a in zip(real, oracle):
+        assert np.max(np.abs(t @ a @ t.conj().T - r)) <= 1e-12 * np.linalg.norm(a)
+    return real, oracle
+
+
 @hst.composite
-def random_lindbladians(draw):
+def random_lindbladians(draw, driven=False):
     """A random Hermitian H, one to three random jump operators and a random state.
 
     Hypothesis draws the dimension, the number of jumps and a seed; the
     entries come from that seed, so every model is generic (no degenerate
     or defective spectrum that would make eigenvalues ill conditioned).
+    Driven models have H(t) = H0 + sin(w t) H1 with its analytic dH/dt and
+    jump operators L(t) = L0 + cos(w t) L1.
     """
     dim = draw(hst.sampled_from([2, 3, 4]))
     n_jumps = draw(hst.integers(1, 3))
@@ -294,9 +348,23 @@ def random_lindbladians(draw):
     a, rho, *jumps = re + 1j * im
     h = (a + a.conj().T) / 2
     rho = rho @ rho.conj().T
-    model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, driven=False,
-                          channels=tuple(map(JumpChannel.constant,
-                                             rng.uniform(0.05, 2.0, n_jumps), jumps)))
+    rates = rng.uniform(0.05, 2.0, n_jumps)
+    if not driven:
+        model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, driven=False,
+                              channels=tuple(map(JumpChannel.constant, rates, jumps)))
+        return model, rho / np.trace(rho).real
+    re, im = rng.normal(size=(2, 1 + n_jumps, dim, dim))
+    b, *jumps1 = re + 1j * im
+    h1, omega = (b + b.conj().T) / 2, rng.uniform(0.5, 3.0)
+
+    def wave(fn, a0, a1, scale=1.0):  # a0 + scale fn(omega t) a1, for a time or an array of times
+        return lambda t: a0 + scale * fn(omega * np.asarray(t, dtype=float))[..., None, None] * a1
+
+    model = LindbladModel(
+        dim=dim, hamiltonian_protocol=wave(np.sin, h, h1), driven=True,
+        hamiltonian_rate_protocol=wave(np.cos, 0.0, h1, omega),
+        channels=tuple(JumpChannel(rate, wave(np.cos, l0, l1))
+                       for rate, l0, l1 in zip(rates, jumps, jumps1)))
     return model, rho / np.trace(rho).real
 
 
@@ -305,9 +373,7 @@ def random_lindbladians(draw):
 def test_real_coordinates_of_random_lindbladians(case):
     model, rho = case
     n = model.dim ** 2
-    gen = augmented_generators(model, np.zeros(1))
-    real = real_generators(gen)
-    assert real.dtype == np.float64
+    real, gen = assert_real_generators_match_oracle(model, np.zeros(1))
     norm = np.linalg.norm(gen[0])
     assert abs(np.linalg.norm(real[0]) - norm) <= 1e-12 * norm
     complex_eigs = list(np.linalg.eigvals(gen[0, :n, :n]))
@@ -325,6 +391,55 @@ def test_real_coordinates_of_random_lindbladians(case):
     assert np.array_equal(back, back.conj().T)
     assert np.max(np.abs(back - rho)) < 1e-15
     assert np.max(np.abs(hermitian_coordinates(back) - x)) < 1e-15
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(random_lindbladians(driven=True))
+def test_real_generators_of_random_driven_lindbladians(case):
+    model, rho = case
+    times = np.linspace(0.0, 2.0, 5)
+    real, _ = assert_real_generators_match_oracle(model, times)
+    assert np.any(real[:, -1] != 0.0)  # the work row
+    for i, t in enumerate(times):  # generator() builds one time at a time
+        assert np.max(np.abs(real[i, :-2, :-2] @ hermitian_coordinates(rho)
+                             - hermitian_coordinates(generator(model, t, rho)))) < 1e-13
+
+
+@pytest.mark.parametrize("budget_steps", [3, None], ids=["three-steps", "whole-run"])
+def test_block_size_does_not_change_results(budget_steps, erasure, monkeypatch):
+    # 1537 steps in uneven sample gaps of 51 and 52 steps span several default
+    # blocks; three-step blocks end inside every gap, one block holds them all.
+    rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
+    default = propagate(erasure, rho0, 7.685, 0.005, 31)
+    assert default.n_steps > 2 * steps_per_block(2)
+    monkeypatch.setattr(lindblad, "STEP_BLOCK_BYTES",
+                        8 * 6 ** 2 * (budget_steps or default.n_steps))
+    assert steps_per_block(2) == (budget_steps or default.n_steps)
+    traj = propagate(erasure, rho0, 7.685, 0.005, 31)
+    assert set(np.diff(np.rint(traj.times / traj.dt)).astype(int).tolist()) == {51, 52}
+    assert np.max(np.abs(traj.states - default.states)) < 1e-13
+    assert np.max(np.abs(traj.heat - default.heat)) < 1e-13
+    assert np.max(np.abs(traj.work - default.work)) < 1e-13
+
+
+def test_steps_per_block_follow_the_byte_budget():
+    assert [steps_per_block(d) for d in (2, 4, 9)] == [512, 56, 2]
+    assert steps_per_block(40) == 1
+
+
+def test_propagate_memory_is_bounded(erasure):
+    # The paper-size erasure (20k steps, 401 samples) builds its step maps a
+    # block at a time: about 1.5 MB at the peak, while holding all maps of the
+    # run at once would take more than 11 MB.
+    rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
+    propagate(erasure, rho0, 0.1, 5e-4, 2)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        propagate(erasure, rho0, 10.0, 5e-4, 401)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_erasure_protocols_accept_time_arrays(erasure):
@@ -347,5 +462,5 @@ def test_constant_protocol_broadcasts_over_times():
     assert np.all(gens == gens[0])
     assert np.all(gens[:, 5] == 0)  # finite-difference dH/dt of a constant
     rho = excited_state()
-    assert np.allclose((gens[0, :4, :4] @ rho.matrix.ravel()).reshape(2, 2),
+    assert np.allclose(density_matrices(gens[0, :4, :4] @ hermitian_coordinates(rho.matrix)),
                        generator(model, 0.3, rho), atol=1e-15)
