@@ -8,7 +8,7 @@ heat, including their quantum-coherence decomposition.
 
 from .errors import LandauerBoundsError
 from .lindblad import JumpChannel, LindbladModel, Trajectory, generator, hamiltonian_rate, propagate
-from .linalg import EigenSystem, eigh, trace_product
+from .linalg import eigh
 from .models import (
     ErasureParams,
     RydbergParams,
@@ -17,10 +17,7 @@ from .models import (
     initial_state,
 )
 from .qstate import (
-    DensityMatrix,
-    ReferenceState,
     ThermoSample,
-    dephase_and_coherence,
     fidelity_pure,
     gibbs_state,
     relative_entropy,
@@ -42,20 +39,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BetaSolveResult",
     "Bounds",
-    "DensityMatrix",
-    "EigenSystem",
     "ErasureParams",
     "JumpChannel",
     "LandauerBoundsError",
     "LindbladModel",
     "NlpComparison",
-    "ReferenceState",
     "RydbergParams",
     "ThermoSample",
     "Trajectory",
     "build_erasure",
     "build_rydberg",
-    "dephase_and_coherence",
     "driven_bounds",
     "eigh",
     "evaluate_samples",
@@ -71,7 +64,6 @@ __all__ = [
     "solve_beta",
     "solve_beta_series",
     "state_functionals",
-    "trace_product",
     "undriven_bounds",
     "von_neumann_entropy",
 ]

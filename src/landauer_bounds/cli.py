@@ -29,10 +29,8 @@ import numpy as np
 
 from . import models, plotting, qstate, refsolve, thermo
 from .errors import ConfigError, LandauerBoundsError, SchemaError, UnnormalizedVector
-from .linalg import EigenSystem
 from .lindblad import JumpChannel, LindbladModel, Trajectory, propagate, step_count
 from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
-from .qstate import DensityMatrix
 from .refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE
 
 EXIT_OK = 0
@@ -99,7 +97,7 @@ class ScenarioConfig:
     beta_branch: str
     out_dir: Path
     plots: bool
-    sweep: tuple[tuple[str, dict[str, Any]], ...]
+    sweep: tuple[tuple[str, "ScenarioConfig"], ...]
     custom_model_file: str | None
 
 
@@ -128,10 +126,28 @@ def _sweep_entries(raw: dict[str, Any]) -> list[tuple[str, dict[str, Any]]]:
     return [(name, e.get("overrides", {})) for name, e in zip(names, sweep)]
 
 
-def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: bool) -> ScenarioConfig:
+def _merge(base: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
+    out = copy.deepcopy(base)
+    for key, val in overrides.items():
+        if isinstance(val, dict) and isinstance(out.get(key), dict):
+            out[key] = _merge(out[key], val)
+        else:
+            out[key] = val
+    return out
+
+
+def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: bool,
+                 integrator: dict[str, Any] | None = None) -> ScenarioConfig:
+    """Validate a raw configuration and every sweep entry merged into it. The
+    ``integrator`` values (``--dt``, ``--t-end``, ``--samples``) replace the
+    configured ones, also after a sweep entry's overrides."""
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys {unknown}")
+    if integrator:
+        if not isinstance(raw.get("integrator", {}), dict):
+            raise ConfigError("integrator must be an object")
+        raw = _merge(raw, {"integrator": integrator})
     try:
         integ = raw["integrator"]
         dt = _real(integ["dt"], "dt")
@@ -163,7 +179,10 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         params = raw.get("model_params", {})
         if not isinstance(params, dict):
             raise ConfigError("model_params must be an object")
-        sweep = _sweep_entries(raw)
+        base = {k: v for k, v in raw.items() if k != "sweep"}
+        sweep = [(entry, build_config(_merge(base, overrides), f"{name}/{entry}",
+                                      Path(out_dir) / entry, plots, integrator))
+                 for entry, overrides in _sweep_entries(raw)]
         return ScenarioConfig(
             name=name,
             model=model,
@@ -246,7 +265,7 @@ def _build_model(config: ScenarioConfig) -> tuple[LindbladModel, np.ndarray | No
 
 
 def _build_initial_state(config: ScenarioConfig, model: LindbladModel,
-                         h0: np.ndarray) -> DensityMatrix:
+                         h0: np.ndarray) -> np.ndarray:
     init = config.initial_state
     kind = init["kind"]
     try:
@@ -284,7 +303,6 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
     traj = propagate(model, rho0, config.t_end, config.dt, config.n_samples)
 
     samples = thermo.evaluate_samples(traj, model)
-    basis0 = EigenSystem(samples.levels[0], samples.vectors[0])
     if model.driven:
         kind = "driven"
         beta_results = refsolve.solve_beta_series(samples.levels, samples.values.S,
@@ -292,14 +310,15 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
         bounds = thermo.driven_bounds(traj, model, samples, beta_results, config.bath_T)
     else:
         kind = "undriven"
-        beta_results = [refsolve.solve_beta(basis0, samples.values.S[0], config.beta_branch)]
+        beta_results = [refsolve.solve_beta(samples.levels[0], samples.values.S[0],
+                                            config.beta_branch)]
         bounds = thermo.undriven_bounds(traj, model, samples, beta_results[0], config.bath_T)
 
     nlp = None
     if config.bath_T is not None:
         nlp = thermo.nlp_comparison(traj, model, samples, 1.0 / config.bath_T)
 
-    meta = _build_meta(config, basis0, traj, kind, bounds, beta_results, nlp, bell)
+    meta = _build_meta(config, samples.levels[0], traj, kind, bounds, beta_results, nlp, bell)
     return PipelineResult(config=config, model=model, trajectory=traj, kind=kind,
                           bounds=bounds, beta_results=beta_results, nlp=nlp,
                           meta=meta, bell_state=bell)
@@ -332,14 +351,14 @@ def _verdicts(bounds: thermo.Bounds, nlp: thermo.NlpComparison | None,
     return verdicts
 
 
-def _build_meta(config: ScenarioConfig, basis0: EigenSystem, traj: Trajectory,
+def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
                 kind: str, bounds: thermo.Bounds,
                 beta_results: list[refsolve.BetaSolveResult],
                 nlp: thermo.NlpComparison | None,
                 bell: np.ndarray | None) -> dict[str, Any]:
     b0 = beta_results[0]
     flipped = b0.beta_R < 0
-    degenerate = bool(qstate.has_degenerate_spectrum(basis0.eigenvalues))
+    degenerate = bool(qstate.has_degenerate_spectrum(levels0))
 
     balance = float(np.max(np.abs((bounds.E_S - bounds.E_S[0]) - (traj.work - traj.heat))))
 
@@ -465,31 +484,16 @@ def _exit_code(meta: dict[str, Any]) -> int:
     return EXIT_OK if all(v["holds"] for v in verdicts.values()) else EXIT_VIOLATION
 
 
-def _merge(base: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
-    out = copy.deepcopy(base)
-    for key, val in overrides.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
-    return out
-
-
-def run_scenario(config: ScenarioConfig, raw: dict[str, Any] | None = None) -> int:
+def run_scenario(config: ScenarioConfig) -> int:
     """Execute one scenario (or its sweep) and write all outputs."""
     if not config.sweep:
         result = run_pipeline(config)
         write_outputs(result)
         return _exit_code(result.meta)
 
-    if raw is None:
-        raise ConfigError("sweep execution needs the raw configuration dict")
     entries = []
     codes = []
-    for name, overrides in config.sweep:
-        sub_raw = _merge({k: v for k, v in raw.items() if k != "sweep"}, overrides)
-        sub = build_config(sub_raw, f"{config.name}/{name}",
-                           config.out_dir / name, config.plots)
+    for name, sub in config.sweep:
         result = run_pipeline(sub)
         write_outputs(result)
         codes.append(_exit_code(result.meta))
@@ -553,23 +557,16 @@ def main(argv: list[str] | None = None) -> int:
             if not isinstance(raw, dict):
                 raise ConfigError(f"config {args.config} is not a JSON object")
             name = raw.get("name", Path(args.config).stem)
-        for key, val in (("dt", args.dt), ("t_end", args.t_end), ("n_samples", args.samples)):
-            if val is not None:
-                if not isinstance(raw.setdefault("integrator", {}), dict):
-                    raise ConfigError("integrator must be an object")
-                raw["integrator"][key] = val
-                for _, overrides in _sweep_entries(raw):
-                    integ = overrides.get("integrator")
-                    if isinstance(integ, dict):
-                        integ.pop(key, None)
+        integrator = {key: val for key, val in (("dt", args.dt), ("t_end", args.t_end),
+                                                ("n_samples", args.samples)) if val is not None}
         out_dir = args.out or os.environ.get("LANDAUER_OUT") or "landauer-out"
-        config = build_config(raw, name, out_dir, args.plots)
+        config = build_config(raw, name, out_dir, args.plots, integrator)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        return run_scenario(config, raw)
+        return run_scenario(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

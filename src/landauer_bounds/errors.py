@@ -19,10 +19,6 @@ class InvalidState(LandauerBoundsError):
     """Density-matrix invariants (trace, positivity, Hermiticity) violated."""
 
 
-class SingularReference(LandauerBoundsError):
-    """Reference state is rank deficient; relative entropy diverges."""
-
-
 class UnnormalizedVector(LandauerBoundsError):
     """State vector is not normalized."""
 

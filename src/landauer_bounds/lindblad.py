@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import linalg
+from . import linalg, qstate
 from .errors import (
     DimensionMismatch,
     PositivityError,
@@ -44,7 +44,6 @@ from .errors import (
     StabilityError,
     UndrivenModelWarning,
 )
-from .qstate import DensityMatrix
 
 _STEP_DRIFT_LIMIT = 1e-6
 _MIN_EIG_LIMIT = -1e-6
@@ -270,17 +269,16 @@ def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     return gen
 
 
-def generator(model: LindbladModel, t: float, rho: DensityMatrix | np.ndarray) -> np.ndarray:
+def generator(model: LindbladModel, t: float, rho: np.ndarray) -> np.ndarray:
     """Right-hand side of the master equation at (t, rho): the Liouvillian
     block of ``augmented_generators`` applied to the coordinates of rho.
 
     ``rho`` must be Hermitian; the result is exactly Hermitian, and traceless
     up to rounding.
     """
-    r = rho.matrix if isinstance(rho, DensityMatrix) else linalg.as_operator(rho)
     n = model.dim ** 2
     liou = augmented_generators(model, np.array([float(t)]))[0, :n, :n]
-    return density_matrices(liou @ hermitian_coordinates(r))
+    return density_matrices(liou @ hermitian_coordinates(linalg.as_operator(rho)))
 
 
 def hamiltonian_rate(model: LindbladModel, t: float) -> np.ndarray:
@@ -398,14 +396,16 @@ def step_count(t_end: float, dt: float) -> int:
 
 def propagate(
     model: LindbladModel,
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     t_end: float,
     dt: float,
     n_samples: int,
 ) -> Trajectory:
     """RK4 propagation over [0, t_end] retaining n_samples uniform samples.
 
-    The step count is ceil(t_end / dt); dt is shrunk to divide t_end exactly.
+    ``rho0`` is a (d, d) density matrix, checked by ``qstate.require_state``
+    before any step. The step count is ceil(t_end / dt); dt is shrunk to
+    divide t_end exactly.
     Warns when dt times the generator scale reaches 0.1 anywhere on the run.
     Raises ``StabilityError`` when a step map changes the trace of a unit-norm
     state by more than 1e-6, an undriven step map has spectral radius above
@@ -419,8 +419,10 @@ def propagate(
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     d, n = model.dim, model.dim ** 2
-    if rho0.matrix.shape != (d, d):
-        raise DimensionMismatch(f"initial state shape {rho0.matrix.shape} != dim {d}")
+    rho0 = linalg.as_operator(rho0)
+    if rho0.shape != (d, d):
+        raise DimensionMismatch(f"initial state shape {rho0.shape} != dim {d}")
+    qstate.require_state(rho0)
     n_steps = step_count(t_end, dt)
     if n_samples > n_steps + 1:
         raise ValueError(f"n_samples {n_samples} exceeds available steps {n_steps} + 1")
@@ -434,7 +436,7 @@ def propagate(
     # Sample 0 is the initial state, reached by the identity.
     segments = itertools.chain([(np.eye(n + 2), 0.0)], (
         _driven_maps if model.driven else _undriven_maps)(model, dt_eff, sample_idx))
-    y = np.concatenate([hermitian_coordinates(rho0.matrix), [0.0, 0.0]])
+    y = np.concatenate([hermitian_coordinates(rho0), [0.0, 0.0]])
     states = np.empty((n_samples, d, d), dtype=np.complex128)
     # The loop writes each sample's real coordinates into the first half of its
     # row of ``states``; each block is expanded in place after the loop.

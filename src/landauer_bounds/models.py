@@ -29,7 +29,6 @@ import numpy as np
 from . import linalg, qstate
 from .errors import DarkStateViolation
 from .lindblad import JumpChannel, LindbladModel
-from .qstate import DensityMatrix
 
 RYDBERG_BASIS = ("00", "01", "0r", "10", "11", "1r", "r0", "r1", "rr")
 
@@ -181,40 +180,45 @@ def initial_state(
     *,
     beta: float | None = None,
     vector: np.ndarray | None = None,
-    dim: int | None = None,
-) -> DensityMatrix:
-    """Construct a benchmark initial state.
+) -> np.ndarray:
+    """Construct a benchmark initial state as a (d, d) density matrix.
 
     kinds:
       ``gibbs``                    Gibbs state of h0 at the given beta.
-      ``sorted_ascending_diagonal``  diagonal in the ascending-energy eigenbasis
+      ``sorted_ascending_diagonal``  diagonal in an ascending-energy eigenbasis
                                    of h0, populations = Gibbs populations of h0
                                    re-sorted ascending (population inversion;
                                    same spectrum, hence same entropy, as the
-                                   Gibbs state).
-      ``maximally_mixed``          I/d (d from h0 or ``dim``).
+                                   Gibbs state). ``ValueError`` when the sorted
+                                   populations of one degenerate level of h0
+                                   differ by more than TRACE_ATOL: that state
+                                   would depend on the basis chosen there.
+      ``maximally_mixed``          I/d, d from h0.
       ``pure``                     projector onto ``vector``.
     """
     if kind == "gibbs":
         if h0 is None or beta is None:
             raise ValueError("gibbs initial state needs h0 and beta")
-        return qstate.gibbs_state(h0, beta).gibbs
+        return qstate.gibbs_state(h0, beta)
     if kind == "sorted_ascending_diagonal":
         if h0 is None or beta is None:
             raise ValueError("sorted_ascending_diagonal needs h0 and beta")
-        es = linalg.eigh(h0)
-        p, _ = qstate.gibbs_weights(es.eigenvalues, beta)
-        return DensityMatrix.from_matrix(qstate.diagonal_in_basis(np.sort(p), es.eigenvectors),
-                                         check=False)
+        w, v = linalg.eigh(h0)
+        p = np.sort(qstate.gibbs_weights(w, beta)[0])
+        cluster = qstate.level_clusters(w)
+        spread = np.abs(p[:, None] - p[None, :])[cluster[:, None] == cluster[None, :]]
+        if spread.max() > qstate.TRACE_ATOL:
+            raise ValueError(f"sorted populations differ by {spread.max():.3g} inside a"
+                             " degenerate level of H(0), so the inverted state depends on"
+                             " the eigenbasis chosen there")
+        return qstate.diagonal_in_basis(p, v)
     if kind == "maximally_mixed":
-        if dim is None:
-            if h0 is None:
-                raise ValueError("maximally_mixed needs h0 or dim")
-            dim = linalg.as_operator(h0).shape[0]
-        return DensityMatrix.from_matrix(np.eye(dim, dtype=np.complex128) / dim,
-                                         check=False)
+        if h0 is None:
+            raise ValueError("maximally_mixed needs h0")
+        dim = linalg.as_operator(h0).shape[0]
+        return np.eye(dim, dtype=np.complex128) / dim
     if kind == "pure":
         if vector is None:
             raise ValueError("pure initial state needs a vector")
-        return DensityMatrix.pure(vector)
+        return qstate.pure_state(vector)
     raise ValueError(f"unknown initial state kind {kind!r}")

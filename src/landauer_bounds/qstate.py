@@ -1,8 +1,10 @@
-"""Quantum-state functionals: entropies, coherence, Gibbs states, fidelity.
+"""Quantum-state functionals on plain arrays: entropies, coherence, Gibbs states.
 
-Entropy, block dephasing, Gibbs weights and relative entropy are each written
-once, for (..., d, d) stacks of states and (..., d) stacks of energy levels;
-the single-state functions run the same code on one state.
+A state is a (d, d) complex array and energy levels are the ascending
+eigenvalues that ``linalg.eigh`` returns. Entropy, relative entropy, block
+dephasing and Gibbs weights are each written once and also take (..., d, d)
+stacks of states and (..., d) stacks of levels. ``require_state`` is the one
+check of a state that comes from outside the pipeline.
 
 Convention notes:
   * natural log everywhere; 0 ln 0 = 0;
@@ -15,64 +17,19 @@ Convention notes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidState, SingularReference, UnnormalizedVector
-from .linalg import EigenSystem
+from .errors import InvalidState, UnnormalizedVector
 
 TRACE_ATOL = 1e-9
 POSITIVITY_ATOL = 1e-9
 
 # Hamiltonian eigenvalues closer than this count as one degenerate level for
-# the dephasing map (see dephase_and_coherence).
+# the dephasing map (see state_functionals) and for the inverted initial state.
 DEGENERACY_ATOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Unit-trace, positive-semidefinite Hermitian state."""
-
-    matrix: np.ndarray
-    dim: int
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, check: bool = True) -> "DensityMatrix":
-        a = linalg.as_operator(m).copy()
-        if check:
-            a = linalg.require_hermitian(a)
-            tr = float(np.trace(a).real)
-            if abs(tr - 1.0) > TRACE_ATOL:
-                raise InvalidState(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL:.1e}")
-            wmin = float(np.linalg.eigvalsh(a)[0])
-            if wmin < -POSITIVITY_ATOL:
-                raise InvalidState(f"negative eigenvalue {wmin:.3e} beyond tolerance")
-        a.setflags(write=False)
-        return cls(matrix=a, dim=a.shape[0])
-
-    @classmethod
-    def pure(cls, psi: np.ndarray) -> "DensityMatrix":
-        v = _unit_vector(psi)
-        return cls.from_matrix(np.outer(v, v.conj()), check=False)
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceState:
-    """Gibbs reference e^{-beta_R H}/Z with its bookkeeping scalars.
-
-    ``free_energy`` is -T_R ln Z; it is -inf at beta_R = 0 where T_R diverges.
-    ``saturated`` marks |beta_R| * spectral spread > 700, where the state is
-    numerically a projector onto the extremal energy subspace.
-    """
-
-    beta_R: float
-    gibbs: DensityMatrix
-    log_Z: float
-    free_energy: float
-    saturated: bool = False
 
 
 class ThermoSample(NamedTuple):
@@ -85,12 +42,32 @@ class ThermoSample(NamedTuple):
     Coh: np.ndarray
 
 
+def require_state(rho: np.ndarray) -> np.ndarray:
+    """Validate a (d, d) density matrix: Hermitian (``NonHermitianInput``), unit
+    trace within TRACE_ATOL and no eigenvalue below -POSITIVITY_ATOL
+    (``InvalidState``). Returns it as a complex128 array."""
+    a = linalg.require_hermitian(rho)
+    tr = float(np.trace(a).real)
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise InvalidState(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL:.1e}")
+    wmin = float(np.linalg.eigvalsh(a)[0])
+    if wmin < -POSITIVITY_ATOL:
+        raise InvalidState(f"negative eigenvalue {wmin:.3e} beyond tolerance")
+    return a
+
+
 def _unit_vector(psi: np.ndarray) -> np.ndarray:
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise UnnormalizedVector(f"vector norm |psi| = {nrm!r} is not 1")
     return v
+
+
+def pure_state(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of a normalized vector; ``UnnormalizedVector`` otherwise."""
+    v = _unit_vector(psi)
+    return np.outer(v, v.conj())
 
 
 def _clamped_probabilities(w: np.ndarray) -> np.ndarray:
@@ -111,17 +88,12 @@ def shannon_entropy(p: np.ndarray) -> np.ndarray:
     return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
-def _entropies(matrices: np.ndarray) -> np.ndarray:
-    """von Neumann entropy of each state in a (..., d, d) stack."""
-    return shannon_entropy(_clamped_probabilities(np.linalg.eigvalsh(matrices)))
+def von_neumann_entropy(rho: np.ndarray) -> np.ndarray:
+    """S = -Tr[rho ln rho] in nats of each state in a (..., d, d) stack."""
+    return shannon_entropy(_clamped_probabilities(np.linalg.eigvalsh(rho)))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S = -Tr[rho ln rho] in nats."""
-    return float(_entropies(rho.matrix))
-
-
-def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """D(rho || sigma) = Tr[rho ln rho] - Tr[rho ln sigma] over broadcast stacks.
 
     Each sigma is decomposed here, independently of rho, because the two
@@ -132,29 +104,22 @@ def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     singular = w[..., 0] <= 1e-12
     log_w = np.log(np.where(singular[..., None], 1.0, w))
     populations = np.diagonal(linalg.adjoint(v) @ rho @ v, axis1=-2, axis2=-1).real
-    return np.where(singular, np.nan, -_entropies(rho) - np.sum(log_w * populations, axis=-1))
+    return np.where(singular, np.nan,
+                    -von_neumann_entropy(rho) - np.sum(log_w * populations, axis=-1))
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """D(rho || sigma) of two states; ``SingularReference`` when sigma is not full rank."""
-    if rho.dim != sigma.dim:
-        raise InvalidState(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    d = float(relative_entropies(rho.matrix, sigma.matrix))
-    if math.isnan(d):
-        sig_min = float(np.linalg.eigvalsh(sigma.matrix)[0])
-        raise SingularReference(f"reference min eigenvalue {sig_min:.3e} <= 1e-12")
-    return d
-
-
-def _cluster_breaks(levels: np.ndarray) -> np.ndarray:
-    """True between consecutive ascending levels that lie in different clusters."""
+def level_clusters(levels: np.ndarray) -> np.ndarray:
+    """Index of the degenerate level that each of the ascending levels (..., d)
+    belongs to: neighbours closer than DEGENERACY_ATOL max(1, max |E|) share one."""
     scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1, keepdims=True))
-    return np.diff(levels, axis=-1) > DEGENERACY_ATOL * scale
+    breaks = np.diff(levels, axis=-1) > DEGENERACY_ATOL * scale
+    return np.cumsum(np.insert(breaks, 0, False, axis=-1), axis=-1)
 
 
 def has_degenerate_spectrum(levels: np.ndarray) -> np.ndarray:
     """True for each row of ascending levels (..., d) with a gap below the degeneracy tolerance."""
-    return ~np.all(_cluster_breaks(np.asarray(levels)), axis=-1)
+    levels = np.asarray(levels)
+    return level_clusters(levels)[..., -1] < levels.shape[-1] - 1
 
 
 def _dephased_entropies(rotated: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -162,27 +127,13 @@ def _dephased_entropies(rotated: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
     Coherences between different degenerate clusters are zeroed; what is left
     is block diagonal, and its spectrum is that of the dephased state.
+    Coherences inside a degenerate level are kept, so S' does not depend on
+    the basis an eigensolver picks there; for a nondegenerate spectrum S' is
+    the Shannon entropy of the populations <E_n|rho|E_n>.
     """
-    breaks = _cluster_breaks(levels)
-    cluster = np.cumsum(np.insert(breaks, 0, False, axis=-1), axis=-1)
+    cluster = level_clusters(levels)
     same = cluster[..., :, None] == cluster[..., None, :]
-    return _entropies(np.where(same, rotated, 0.0))
-
-
-def dephase_and_coherence(rho: DensityMatrix, basis: EigenSystem) -> tuple[float, float]:
-    """Diagonal entropy S' and coherence Coh = S' - S in an energy eigenbasis.
-
-    For a nondegenerate spectrum, S' is the Shannon entropy of the
-    populations <E_n|rho|E_n>. Degenerate levels (gaps below 1e-9) are
-    dephased as whole spectral blocks, i.e. coherences *within* a degenerate
-    eigenspace are kept. This keeps S' independent of the arbitrary basis
-    choice inside degenerate clusters, so the value is well-defined for any
-    eigensolver output; it coincides with the population form whenever the
-    spectrum is nondegenerate.
-    """
-    v = basis.eigenvectors
-    s_diag = float(_dephased_entropies(linalg.adjoint(v) @ rho.matrix @ v, basis.eigenvalues))
-    return s_diag, s_diag - von_neumann_entropy(rho)
+    return von_neumann_entropy(np.where(same, rotated, 0.0))
 
 
 def gibbs_weights(levels: np.ndarray, beta: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -205,32 +156,19 @@ def diagonal_in_basis(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return linalg.hermitian_part((vectors * weights[..., None, :]) @ linalg.adjoint(vectors))
 
 
-def gibbs_state(h: np.ndarray, beta: float) -> ReferenceState:
-    """Gibbs reference state e^{-beta H}/Z for any finite beta (either sign).
-
-    Built from ``gibbs_weights`` in the eigenbasis of h; the result is flagged
-    ``saturated`` when |beta| * spread exceeds 700.
-    """
+def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs state e^{-beta H}/Z for any finite beta (either sign), built from
+    ``gibbs_weights`` in the eigenbasis of h."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    basis = linalg.eigh(h)
-    w = basis.eigenvalues
-    p, log_z = gibbs_weights(w, beta)
-    log_z = float(log_z)
-    return ReferenceState(
-        beta_R=float(beta),
-        gibbs=DensityMatrix.from_matrix(diagonal_in_basis(p, basis.eigenvectors), check=False),
-        log_Z=log_z,
-        free_energy=-log_z / beta if beta != 0.0 else -math.inf,
-        saturated=abs(beta) * float(w[-1] - w[0]) > 700.0,
-    )
+    w, v = linalg.eigh(h)
+    return diagonal_in_basis(gibbs_weights(w, beta)[0], v)
 
 
-def fidelity_pure(rho: DensityMatrix | np.ndarray, psi: np.ndarray) -> float:
-    """<psi|rho|psi> for a state (or a (d, d) density matrix) and a normalized vector psi."""
+def fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> float:
+    """<psi|rho|psi> for a (d, d) density matrix and a normalized vector psi."""
     v = _unit_vector(psi)
-    r = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    return float(np.real(v.conj() @ r @ v))
+    return float(np.real(v.conj() @ rho @ v))
 
 
 def state_functionals(t: np.ndarray, rho: np.ndarray, levels: np.ndarray,
@@ -244,6 +182,6 @@ def state_functionals(t: np.ndarray, rho: np.ndarray, levels: np.ndarray,
     """
     rotated = linalg.adjoint(vectors) @ rho @ vectors
     e_s = np.sum(levels * np.diagonal(rotated, axis1=-2, axis2=-1).real, axis=-1)
-    s = _entropies(rho)
+    s = von_neumann_entropy(rho)
     s_diag = _dephased_entropies(rotated, levels)
     return ThermoSample(t=t, E_S=e_s, S=s, S_diag=s_diag, Coh=s_diag - s)

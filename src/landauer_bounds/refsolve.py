@@ -21,7 +21,6 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstantEntropy, TargetOutOfRange
-from .linalg import EigenSystem
 
 BRANCH_NON_NEGATIVE = "non-negative"
 BRANCH_NEGATIVE = "negative"
@@ -63,7 +62,8 @@ def gibbs_entropy(h: np.ndarray, beta: float) -> float:
     """von Neumann entropy of the Gibbs state of ``h`` at inverse parameter beta."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    return float(_entropy_from_levels(linalg.eigh(h).eigenvalues, beta))
+    levels, _ = linalg.eigh(h)
+    return float(_entropy_from_levels(levels, beta))
 
 
 def _row_errors(levels: np.ndarray, targets: np.ndarray) -> list[Exception | None]:
@@ -125,11 +125,11 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
             for b, r, s in zip(beta.tolist(), residual.tolist(), saturated.tolist())]
 
 
-def solve_beta(basis: EigenSystem, s_target: float,
+def solve_beta(levels: np.ndarray, s_target: float,
                branch: str = BRANCH_NON_NEGATIVE) -> BetaSolveResult:
     """Find beta_R with gibbs_entropy(h, beta_R) = s_target on the given branch.
 
-    ``basis`` is the eigensystem of h; only its energy levels are used.
+    ``levels`` are the ascending eigenvalues of h.
 
     Non-negative branch: the bracket upper edge doubles from 1 until the
     entropy falls below the target; if that never happens before the cap
@@ -139,7 +139,7 @@ def solve_beta(basis: EigenSystem, s_target: float,
     Raises ``ConstantEntropy`` for h proportional to the identity and
     ``TargetOutOfRange`` for a target outside [0, ln d].
     """
-    levels = np.asarray(basis.eigenvalues, dtype=np.float64)[None]
+    levels = np.asarray(levels, dtype=np.float64)[None]
     targets = np.array([float(s_target)])
     error = _row_errors(levels, targets)[0]
     if error is not None:

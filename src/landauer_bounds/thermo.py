@@ -70,7 +70,7 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
     m, d = len(traj.times), model.dim
     times = traj.times if model.driven else traj.times[:1]
     h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
-    levels, vectors = np.linalg.eigh(linalg.require_hermitian(h))
+    levels, vectors = linalg.eigh(h)
     levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
     parts = [qstate.state_functionals(traj.times[b], traj.states[b], levels[b], vectors[b])
              for b in sample_blocks(m)]
@@ -87,7 +87,7 @@ def _relative_entropies(traj: Trajectory, weights: np.ndarray,
     parts = []
     for b in sample_blocks(len(traj.times)):
         rows = b if len(weights) > 1 else slice(None)
-        parts.append(qstate.relative_entropies(
+        parts.append(qstate.relative_entropy(
             traj.states[b], qstate.diagonal_in_basis(weights[rows], vectors[rows])))
     return np.concatenate(parts)
 

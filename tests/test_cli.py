@@ -213,6 +213,52 @@ def test_unstable_step_exits_1(tmp_path):
     assert code == 1
 
 
+def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
+    raw = cli.scenario_defaults("fig2")
+    raw["integrator"] = {"dt": 0.01, "t_end": 1.0, "n_samples": 3}
+    raw["sweep"] = [{"name": "a", "overrides": {}},
+                    {"name": "b", "overrides": {"integrator": {"dt": "x"}}}]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (out / "a").exists()
+
+
+def test_command_line_integrator_values_reach_every_sweep_entry(tmp_path):
+    config = cli.build_config(cli.scenario_defaults("figS1"), "figS1", tmp_path, False,
+                              {"dt": 0.05, "n_samples": 3})
+    assert [name for name, _ in config.sweep] == ["tau=5", "tau=10", "tau=20"]
+    for name, entry in config.sweep:
+        assert (entry.dt, entry.n_samples, entry.sweep) == (0.05, 3, ())
+        assert entry.out_dir == tmp_path / name and entry.name == f"figS1/{name}"
+    assert [entry.t_end for _, entry in config.sweep] == [5.0, 10.0, 20.0]
+
+
+def test_sorted_start_on_a_degenerate_level_exits_3(tmp_path, capsys):
+    # H = diag(0, 0, 1) at beta = 1: the sorted populations 0.155 and 0.422 would
+    # share the degenerate level, where any basis is an eigenbasis
+    (tmp_path / "m.json").write_text(json.dumps({
+        "dim": 3,
+        "hamiltonian": {"re": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+        "channels": [{"rate": 0.1, "operator": {"re": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                                       [0.0, 0.0, 0.0]]}}],
+    }))
+    config = tmp_path / "sorted.json"
+    config.write_text(json.dumps({
+        "model": "custom", "custom_model_file": str(tmp_path / "m.json"),
+        "initial_state": {"kind": "sorted_ascending_diagonal", "beta": 1.0},
+        "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3},
+    }))
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid initial_state of kind"
+                          " 'sorted_ascending_diagonal'")
+    assert "degenerate level" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_custom_matrix_model(tmp_path):
     model_file = tmp_path / "damping.json"
     model_file.write_text(json.dumps({

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from landauer_bounds import lindblad, models
-from landauer_bounds.errors import StabilityError, UndrivenModelWarning
+from landauer_bounds import lindblad, models, qstate
+from landauer_bounds.errors import (
+    InvalidState,
+    NonHermitianInput,
+    StabilityError,
+    UndrivenModelWarning,
+)
 from landauer_bounds.lindblad import (
     JumpChannel,
     LindbladModel,
@@ -20,7 +25,6 @@ from landauer_bounds.lindblad import (
     propagate,
     steps_per_block,
 )
-from landauer_bounds.qstate import DensityMatrix
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
@@ -37,12 +41,12 @@ def amplitude_damping_model(eps=1.0, gamma=0.2):
 
 
 def excited_state():
-    return DensityMatrix.from_matrix(np.diag([0.0, 1.0]).astype(complex))
+    return np.diag([0.0, 1.0]).astype(complex)
 
 
 def test_generator_stationary_eigenstate():
     model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=(), driven=False)
-    out = generator(model, 0.0, DensityMatrix.pure(np.array([1, 0])))
+    out = generator(model, 0.0, qstate.pure_state(np.array([1, 0])))
     assert np.max(np.abs(out)) < 1e-14
 
 
@@ -60,7 +64,7 @@ def test_generator_is_traceless_hermitian(rydberg):
     rng = np.random.default_rng(11)
     a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     m = a @ a.conj().T
-    rho = DensityMatrix.from_matrix(m / np.trace(m).real)
+    rho = m / np.trace(m).real
     out = generator(model, 0.0, rho)
     assert abs(np.trace(out)) < 1e-12
     assert np.max(np.abs(out - out.conj().T)) < 1e-11
@@ -68,17 +72,17 @@ def test_generator_is_traceless_hermitian(rydberg):
 
 def test_generator_dark_state_is_stationary(rydberg):
     model, bell = rydberg
-    out = generator(model, 0.0, DensityMatrix.pure(bell))
+    out = generator(model, 0.0, qstate.pure_state(bell))
     assert np.max(np.abs(out)) < 1e-12
 
 
 def test_propagate_zero_generator():
     model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: np.zeros((2, 2), complex),
                           channels=(), driven=False)
-    rho0 = DensityMatrix.from_matrix(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
+    rho0 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
     traj = propagate(model, rho0, 1.0, 0.01, 5)
     for st in traj.states:
-        assert np.allclose(st, rho0.matrix, atol=1e-14)
+        assert np.allclose(st, rho0, atol=1e-14)
     assert np.all(traj.heat == 0.0)
     assert np.all(traj.work == 0.0)
 
@@ -172,6 +176,20 @@ def test_propagate_validates_arguments():
         propagate(model, excited_state(), 1.0, 0.5, 9)  # more samples than steps
 
 
+@pytest.mark.parametrize("rho0, error", [
+    (np.diag([0.6, 0.5]), InvalidState),  # trace 1.1
+    (np.diag([1.1, -0.1]), InvalidState),  # eigenvalue -0.1
+    (np.array([[0.5, 0.2], [0.0, 0.5]]), NonHermitianInput),
+], ids=["trace-above-1", "negative-eigenvalue", "non-hermitian"])
+def test_propagate_checks_the_initial_state_before_any_step(monkeypatch, rho0, error):
+    def no_steps(*args):
+        raise AssertionError("propagate built step maps for an invalid initial state")
+
+    monkeypatch.setattr(lindblad, "augmented_generators", no_steps)
+    with pytest.raises(error):
+        propagate(amplitude_damping_model(), rho0.astype(complex), 1.0, 0.01, 5)
+
+
 def test_propagate_shrinks_dt_to_divide_horizon():
     with pytest.warns(UserWarning, match="accuracy may degrade"):
         traj = propagate(amplitude_damping_model(), excited_state(), 1.0, 0.3, 3)
@@ -217,7 +235,7 @@ def reference_propagate(model, rho0, t_end, dt, n_samples):
         w = float(np.sum(hdot(t) * r.T).real) if model.driven else 0.0
         return k, -float(np.sum(h * k.T).real), w
 
-    rho, q, w = rho0.matrix.astype(complex), 0.0, 0.0
+    rho, q, w = rho0.astype(complex), 0.0, 0.0
     out = ([rho], [0.0], [0.0])
     for step in range(n_steps):
         t = step * dt
@@ -462,5 +480,5 @@ def test_constant_protocol_broadcasts_over_times():
     assert np.all(gens == gens[0])
     assert np.all(gens[:, 5] == 0)  # finite-difference dH/dt of a constant
     rho = excited_state()
-    assert np.allclose(density_matrices(gens[0, :4, :4] @ hermitian_coordinates(rho.matrix)),
+    assert np.allclose(density_matrices(gens[0, :4, :4] @ hermitian_coordinates(rho)),
                        generator(model, 0.3, rho), atol=1e-15)

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from landauer_bounds import linalg, qstate, refsolve
 from landauer_bounds.models import (
@@ -68,9 +70,9 @@ def test_erasure_jump_operators_connect_instantaneous_eigenstates():
     p = ErasureParams()
     model = build_erasure(p)
     for t in (0.0, 3.3, 7.1, p.tau):
-        es = linalg.eigh(model.hamiltonian(float(t)))
-        ground, excited = es.eigenvectors[:, 0], es.eigenvectors[:, 1]
-        eps = float(es.eigenvalues[1] - es.eigenvalues[0])
+        w, v = linalg.eigh(model.hamiltonian(float(t)))
+        ground, excited = v[:, 0], v[:, 1]
+        eps = float(w[1] - w[0])
         n_b = 1.0 / math.expm1(p.bath_beta * eps)
         l_down = model.channels[0].operator(float(t))
         # emission maps the excited state onto the ground state
@@ -92,15 +94,15 @@ def test_erasure_validates_parameters():
 
 def test_initial_state_sorted_flat_distribution_is_maximally_mixed():
     rho = initial_state("sorted_ascending_diagonal", QUBIT_H, beta=0.0)
-    assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-14)
+    assert np.allclose(rho, np.eye(2) / 2, atol=1e-14)
 
 
 def test_initial_state_sorted_two_level_populations():
     rho = initial_state("sorted_ascending_diagonal", QUBIT_H, beta=1.0)
     p_hot = math.exp(-0.5) / (2 * math.cosh(0.5))  # 0.2689... on the ground state
     # ascending-energy basis of diag(0.5, -0.5) is (e1, e0)
-    assert rho.matrix[1, 1].real == pytest.approx(p_hot, abs=1e-12)
-    assert rho.matrix[0, 0].real == pytest.approx(1 - p_hot, abs=1e-12)
+    assert rho[1, 1].real == pytest.approx(p_hot, abs=1e-12)
+    assert rho[0, 0].real == pytest.approx(1 - p_hot, abs=1e-12)
 
 
 def test_initial_state_sorted_preserves_entropy_and_beta():
@@ -110,7 +112,7 @@ def test_initial_state_sorted_preserves_entropy_and_beta():
     gibbs = initial_state("gibbs", h, beta=30.0)
     s_sorted = qstate.von_neumann_entropy(sorted_state)
     assert s_sorted == pytest.approx(qstate.von_neumann_entropy(gibbs), abs=1e-12)
-    res = refsolve.solve_beta(linalg.eigh(h), s_sorted)
+    res = refsolve.solve_beta(np.linalg.eigvalsh(h), s_sorted)
     assert abs(res.beta_R - 30.0) < 1e-7
 
 
@@ -119,7 +121,7 @@ def test_sorted_state_is_local_energy_maximum():
     # diagonal rearrangements: any transposition lowers the energy.
     model, _ = build_rydberg(RydbergParams())
     h = model.hamiltonian(0.0)
-    w = linalg.eigh(h).eigenvalues
+    w, _ = linalg.eigh(h)
     x = -30.0 * (w - w[0])
     q = np.sort(np.exp(x) / np.exp(x).sum())
     base = float(q @ w)
@@ -132,9 +134,51 @@ def test_sorted_state_is_local_energy_maximum():
 
 def test_initial_state_maximally_mixed_and_pure():
     mm = initial_state("maximally_mixed", np.eye(3, dtype=complex))
-    assert np.allclose(mm.matrix, np.eye(3) / 3)
+    assert np.allclose(mm, np.eye(3) / 3)
     vec = np.array([1, 1j]) / math.sqrt(2)
     pure = initial_state("pure", vector=vec)
-    assert np.allclose(pure.matrix, np.outer(vec, vec.conj()))
+    assert np.allclose(pure, np.outer(vec, vec.conj()))
     with pytest.raises(ValueError):
         initial_state("bogus", QUBIT_H, beta=1.0)
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@hst.composite
+def mirrored_degenerate_hamiltonians(draw):
+    """H = U diag(c - a, [c,] c + a) U^dagger with offsets a from {0, 0.7, 1.3} and
+    at least one degenerate level, a random unitary U, a random unitary W and beta."""
+    dim = draw(hst.sampled_from([2, 3, 4]))
+    offsets = np.array(draw(hst.lists(hst.sampled_from([0.0, 0.7, 1.3]),
+                                      min_size=dim // 2, max_size=dim // 2)))
+    center = draw(hst.floats(-2.0, 2.0))
+    levels = np.sort(np.concatenate([center - offsets, [center] * (dim % 2), center + offsets]))
+    assume(qstate.has_degenerate_spectrum(levels))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    u, w = random_unitary(rng, dim), random_unitary(rng, dim)
+    return linalg.hermitian_part((u * levels) @ u.conj().T), w, draw(hst.floats(-3.0, 3.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(mirrored_degenerate_hamiltonians())
+def test_initial_states_do_not_depend_on_the_eigenbasis(case):
+    h, w, beta = case
+    rotated_h = linalg.hermitian_part(w @ h @ w.conj().T)
+    for kind in ("gibbs", "sorted_ascending_diagonal"):
+        rho = initial_state(kind, h, beta=beta)
+        rotated = initial_state(kind, rotated_h, beta=beta)
+        assert np.max(np.abs(rotated - w @ rho @ w.conj().T)) < 1e-12
+    assert qstate.von_neumann_entropy(initial_state("sorted_ascending_diagonal", h, beta=beta)) \
+        == pytest.approx(qstate.von_neumann_entropy(initial_state("gibbs", h, beta=beta)), abs=1e-12)
+
+
+def test_sorted_state_is_refused_where_a_degenerate_level_needs_a_basis():
+    # diag(0, 0, 1) at beta = 1: the degenerate level would get populations 0.155 and 0.422
+    with pytest.raises(ValueError, match="degenerate level"):
+        initial_state("sorted_ascending_diagonal", np.diag([0.0, 0.0, 1.0]), beta=1.0)
+    # at beta = 0 every population is 1/3, so there is nothing to choose
+    rho = initial_state("sorted_ascending_diagonal", np.diag([0.0, 0.0, 1.0]), beta=0.0)
+    assert np.allclose(rho, np.eye(3) / 3, atol=1e-15)

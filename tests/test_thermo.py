@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from landauer_bounds import linalg, models, qstate, refsolve, thermo
+from landauer_bounds import models, qstate, refsolve, thermo
 from landauer_bounds.errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
 from landauer_bounds.lindblad import JumpChannel, LindbladModel, propagate
-from landauer_bounds.qstate import DensityMatrix
 from landauer_bounds.refsolve import BRANCH_NEGATIVE, BetaSolveResult
 
 
@@ -25,8 +24,7 @@ def frozen_erasure(params=None):
 
 
 def solved_reference(h, rho0, branch="non-negative"):
-    res = refsolve.solve_beta(linalg.eigh(h), qstate.von_neumann_entropy(rho0), branch)
-    return qstate.gibbs_state(h, res.beta_R), res
+    return refsolve.solve_beta(np.linalg.eigvalsh(h), qstate.von_neumann_entropy(rho0), branch)
 
 
 def test_initial_time_algebra(rydberg):
@@ -34,11 +32,11 @@ def test_initial_time_algebra(rydberg):
     h = model.hamiltonian(0.0)
     rho0 = models.initial_state("sorted_ascending_diagonal", h, beta=30.0)
     traj = propagate(model, rho0, 1.0, 0.01, 3)
-    ref, res = solved_reference(h, rho0)
+    res = solved_reference(h, rho0)
     rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), res)
     assert rows.dS[0] == 0.0
     assert rows.dE_R_tilde[0] == pytest.approx(rows.dE_in_tilde[0], abs=1e-14)
-    assert rows.gap[0] == pytest.approx(ref.beta_R * rows.dE_in_tilde[0], abs=1e-12)
+    assert rows.gap[0] == pytest.approx(res.beta_R * rows.dE_in_tilde[0], abs=1e-12)
     assert rows.gap[0] == pytest.approx(rows.D_inst[0], abs=1e-10)
     assert rows.gap[0] >= -1e-9
 
@@ -49,10 +47,10 @@ def test_thermal_start_zero_contrast(rydberg):
     h = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h, beta=30.0)
     traj = propagate(model, rho0, 20.0, 0.01, 11)
-    ref, res = solved_reference(h, rho0)
+    res = solved_reference(h, rho0)
     rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), res)
     assert abs(rows.dE_in_tilde[0]) < 1e-12
-    t_r = 1.0 / ref.beta_R
+    t_r = 1.0 / res.beta_R
     assert rows.Qu_tilde == pytest.approx(-t_r * rows.dS, abs=1e-12)
     assert np.all(rows.Q <= rows.Qu_tilde + 1e-8)
 
@@ -62,7 +60,7 @@ def test_gap_identity_undriven(rydberg):
     h = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h, beta=30.0)
     traj = propagate(model, rho0, 50.0, 0.01, 26)
-    _, res = solved_reference(h, rho0)
+    res = solved_reference(h, rho0)
     rows = thermo.undriven_bounds(traj, model, thermo.evaluate_samples(traj, model), res)
     assert np.max(np.abs(rows.gap - rows.D_inst)) < 1e-8
     assert np.all(rows.gap >= -1e-8)
@@ -95,7 +93,7 @@ def test_bound_ordering_frozen_weak_coupling():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 30.0, 1e-3, 61)
-    _, res = solved_reference(h0, rho0)
+    res = solved_reference(h0, rho0)
     assert res.beta_R == pytest.approx(2.0, abs=1e-8)
     samples = thermo.evaluate_samples(traj, model)
     rows = thermo.undriven_bounds(traj, model, samples, res, bath_T=1.0 / params.bath_beta)
@@ -109,7 +107,7 @@ def test_degenerate_saturation_stationary_state():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=params.bath_beta)
     traj = propagate(model, rho0, 10.0, 5e-4, 21)
-    _, res = solved_reference(h0, rho0)
+    res = solved_reference(h0, rho0)
     samples = thermo.evaluate_samples(traj, model)
     rows = thermo.undriven_bounds(traj, model, samples, res, bath_T=1.0 / params.bath_beta)
     assert np.all(np.abs(rows.Q) < 1e-9)
@@ -125,7 +123,7 @@ def test_driven_path_reduces_to_undriven():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
-    _, res = solved_reference(h0, rho0)
+    res = solved_reference(h0, rho0)
     samples = thermo.evaluate_samples(traj, model)
     u = thermo.undriven_bounds(traj, model, samples, res, bath_T=1.0)
     series = [res] * len(traj.times)
@@ -147,8 +145,8 @@ def test_instantaneous_matching_identity_holds_for_constant_hamiltonian():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
-    entropies = [qstate.von_neumann_entropy(DensityMatrix.from_matrix(st)) for st in traj.states]
-    levels = np.array([linalg.eigh(h0).eigenvalues] * len(entropies))
+    entropies = qstate.von_neumann_entropy(traj.states)
+    levels = np.array([np.linalg.eigvalsh(h0)] * len(entropies))
     series = refsolve.solve_beta_series(levels, entropies)
     d = thermo.driven_bounds(traj, model, thermo.evaluate_samples(traj, model), series)
     assert d.gap == pytest.approx(d.D_inst, abs=1e-9)
@@ -162,7 +160,7 @@ def test_negative_branch_flips_bound_direction():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("sorted_ascending_diagonal", h0, beta=1.0)
     traj = propagate(model, rho0, 10.0, 1e-3, 21)
-    _, res = solved_reference(h0, rho0, branch=BRANCH_NEGATIVE)
+    res = solved_reference(h0, rho0, branch=BRANCH_NEGATIVE)
     assert res.beta_R == pytest.approx(-1.0, abs=1e-8)
     samples = thermo.evaluate_samples(traj, model)
     rows = thermo.undriven_bounds(traj, model, samples, res, bath_T=1.0)
@@ -178,7 +176,7 @@ def test_driven_bounds_marks_saturated_and_failed_samples():
     h0 = model.hamiltonian(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=1.0)
     traj = propagate(model, rho0, 1.0, 1e-3, 3)
-    good = refsolve.solve_beta(linalg.eigh(h0), qstate.von_neumann_entropy(rho0))
+    good = refsolve.solve_beta(np.linalg.eigvalsh(h0), qstate.von_neumann_entropy(rho0))
     saturated = BetaSolveResult(2.5e8, 0.0, True, good.branch)
     failed = BetaSolveResult(math.nan, math.nan, False, good.branch, error="no bracket")
     samples = thermo.evaluate_samples(traj, model)
@@ -219,7 +217,6 @@ def test_nlp_driven_slack_matches_relative_entropy(fig2_result):
     bath_beta = 1.0
     for k in range(0, len(c), 40):
         eq = qstate.gibbs_state(fig2_result.model.hamiltonian(c.t[k]), bath_beta)
-        d = qstate.relative_entropy(DensityMatrix.from_matrix(fig2_result.trajectory.states[k]),
-                                    eq.gibbs)
+        d = qstate.relative_entropy(fig2_result.trajectory.states[k], eq)
         assert c.slack_S25[k] == pytest.approx(d, abs=1e-8)
         assert c.slack_S25[k] >= -1e-8
