@@ -21,9 +21,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -82,9 +82,23 @@ def _figs1_defaults() -> dict[str, Any]:
     return cfg
 
 
-@dataclass(frozen=True)
+class BuiltRun(NamedTuple):
+    """What a validated configuration runs: the model, the initial state and,
+    for the Rydberg pump, its Bell state."""
+
+    model: LindbladModel
+    rho0: np.ndarray
+    bell: np.ndarray | None
+
+
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Validated scenario configuration (see README for the JSON schema)."""
+    """Validated scenario configuration (see README for the JSON schema).
+
+    ``built`` holds the model and initial state, built and checked with the
+    rest of the configuration; it is None for a sweep, whose entries each
+    carry their own.
+    """
 
     name: str
     model: str
@@ -99,6 +113,7 @@ class ScenarioConfig:
     plots: bool
     sweep: tuple[tuple[str, "ScenarioConfig"], ...]
     custom_model_file: str | None
+    built: BuiltRun | None = None
 
 
 def _real(value: Any, what: str) -> float:
@@ -140,7 +155,12 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
                  integrator: dict[str, Any] | None = None) -> ScenarioConfig:
     """Validate a raw configuration and every sweep entry merged into it. The
     ``integrator`` values (``--dt``, ``--t-end``, ``--samples``) replace the
-    configured ones, also after a sweep entry's overrides."""
+    configured ones, also after a sweep entry's overrides.
+
+    The model and initial state of a configuration without a sweep, and of
+    each sweep entry, are built here (see ``_build_run``), so a bad entry
+    stops the run before any entry has written an output.
+    """
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys {unknown}")
@@ -183,7 +203,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         sweep = [(entry, build_config(_merge(base, overrides), f"{name}/{entry}",
                                       Path(out_dir) / entry, plots, integrator))
                  for entry, overrides in _sweep_entries(raw)]
-        return ScenarioConfig(
+        config = ScenarioConfig(
             name=name,
             model=model,
             model_params={k: _real(v, f"model_params {k}") for k, v in params.items()},
@@ -202,6 +222,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    return config if config.sweep else replace(config, built=_build_run(config))
 
 
 def load_custom_model(path: str | Path) -> LindbladModel:
@@ -287,8 +308,9 @@ def _build_initial_state(config: ScenarioConfig, model: LindbladModel,
     raise ConfigError(f"unknown initial_state kind {kind!r}")
 
 
-def run_pipeline(config: ScenarioConfig) -> PipelineResult:
-    """Propagate, solve references, and evaluate bounds for one configuration."""
+def _build_run(config: ScenarioConfig) -> BuiltRun:
+    """The model and initial state of a configuration; ``ConfigError`` when
+    either cannot be built or a driven start saturates beta_R(0)."""
     model, bell = _build_model(config)
     h0 = model.hamiltonian(0.0)
     rho0 = _build_initial_state(config, model, h0)
@@ -300,6 +322,13 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
         raise ConfigError(f"initial_state of kind {config.initial_state['kind']!r}"
                           " saturates beta_R(0): S(rho0) is at the Gibbs entropy floor"
                           " of H(0), and driven models need S(rho0) > 0")
+    return BuiltRun(model, rho0, bell)
+
+
+def run_pipeline(config: ScenarioConfig) -> PipelineResult:
+    """Propagate, solve references, and evaluate bounds for one configuration
+    built by ``build_config``."""
+    model, rho0, bell = config.built
     traj = propagate(model, rho0, config.t_end, config.dt, config.n_samples)
 
     samples = thermo.evaluate_samples(traj, model)
@@ -435,13 +464,16 @@ def write_bounds_csv(result: PipelineResult, path: Path) -> None:
 
 
 def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
-    """One row per sample; each block of samples is formatted in one %-format pass."""
+    """One row per sample; each block of samples is formatted in one %-format pass.
+
+    A column that is +0.0 in every row of a block is written there as the
+    literal ``0`` (what ``%.15g`` gives) without formatting; -0.0 is formatted.
+    """
     traj = result.trajectory
     upper, strict = np.triu_indices(result.model.dim), np.triu_indices(result.model.dim, 1)
     header = ["t", "Q", "W", "min_eig"]
     header += [f"rho_{i}_{j}_re" for i, j in zip(*upper)]
     header += [f"rho_{i}_{j}_im" for i, j in zip(*strict)]
-    line = ",".join(["%.15g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for b in thermo.sample_blocks(len(traj.times)):
@@ -449,7 +481,9 @@ def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
             block = np.column_stack([traj.times[b], traj.heat[b], traj.work[b],
                                      traj.min_eigenvalues[b], rho[:, upper[0], upper[1]].real,
                                      rho[:, strict[0], strict[1]].imag])
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            formatted = np.any((block != 0.0) | np.signbit(block), axis=0)
+            line = ",".join(np.where(formatted, "%.15g", "0").tolist()) + "\r\n"
+            fh.write(line * len(block) % tuple(block[:, formatted].ravel().tolist()))
 
 
 def _json_safe(obj: Any) -> Any:
@@ -561,11 +595,6 @@ def main(argv: list[str] | None = None) -> int:
                                                 ("n_samples", args.samples)) if val is not None}
         out_dir = args.out or os.environ.get("LANDAUER_OUT") or "landauer-out"
         config = build_config(raw, name, out_dir, args.plots, integrator)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         return run_scenario(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ between two samples pairwise into one segment product; undriven models use
 powers of their one map. One sample loop applies them, renormalizes the trace
 at each sample (the correction is recorded) and checks the state norm; the
 trace-row defect |1^T S - 1^T| of every step map and the positivity of the
-states are checked on arrays.
+states are checked on arrays; the spectra of that check are kept for the
+entropies downstream.
 """
 
 from __future__ import annotations
@@ -131,7 +132,9 @@ class Trajectory:
     """Sampled propagation output with accumulated heat/work and diagnostics.
 
     ``states`` is the (m, d, d) complex array of the sampled density matrices
-    and ``min_eigenvalues`` holds the smallest eigenvalue of each.
+    and ``spectra`` the (m, d) array of their ascending eigenvalues, computed
+    once for the positivity check and reused for every entropy of the states;
+    ``min_eigenvalues`` is its first column.
     ``max_step_trace_drift`` is, for driven and undriven models alike, the
     largest trace-row defect |1^T S - 1^T| over the step maps S: the most one
     step can change Tr rho of a state of unit Frobenius norm.
@@ -143,11 +146,15 @@ class Trajectory:
     states: np.ndarray
     heat: np.ndarray
     work: np.ndarray
-    min_eigenvalues: np.ndarray
+    spectra: np.ndarray
     max_step_trace_drift: float
     cumulative_trace_drift: float
     dt: float
     n_steps: int
+
+    @property
+    def min_eigenvalues(self) -> np.ndarray:
+        return self.spectra[:, 0]
 
 
 def protocol_values(protocol: Callable[..., np.ndarray], times: np.ndarray,
@@ -454,13 +461,14 @@ def propagate(
         y[:n] /= tr
         coords[i], heat[i], work[i] = y[:n], y[n], y[n + 1]
 
-    mins = np.empty(n_samples)
+    spectra = np.empty((n_samples, d))
     for b in sample_blocks(n_samples):
         states[b] = density_matrices(coords[b])
-        mins[b] = np.linalg.eigvalsh(states[b])[:, 0]
+        spectra[b] = np.linalg.eigvalsh(states[b])
+    mins = spectra[:, 0]
     bad = np.flatnonzero(mins < _MIN_EIG_LIMIT)
     if bad.size:
         raise PositivityError(f"min eigenvalue {mins[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
-    return Trajectory(times=times, states=states, heat=heat, work=work, min_eigenvalues=mins,
+    return Trajectory(times=times, states=states, heat=heat, work=work, spectra=spectra,
                       max_step_trace_drift=max_defect, cumulative_trace_drift=cumulative,
                       dt=dt_eff, n_steps=n_steps)

@@ -4,7 +4,10 @@ A state is a (d, d) complex array and energy levels are the ascending
 eigenvalues that ``linalg.eigh`` returns. Entropy, relative entropy, block
 dephasing and Gibbs weights are each written once and also take (..., d, d)
 stacks of states and (..., d) stacks of levels. ``require_state`` is the one
-check of a state that comes from outside the pipeline.
+check of a state that comes from outside the pipeline. ``state_functionals``
+takes the spectra of the states, which propagation computes anyway, and
+decomposes no state itself; only the degenerate clusters of a dephased state
+need their own (smaller) decomposition.
 
 Convention notes:
   * natural log everywhere; 0 ln 0 = 0;
@@ -33,13 +36,15 @@ DEGENERACY_ATOL = 1e-9
 
 
 class ThermoSample(NamedTuple):
-    """State functionals at a stack of samples, one (m,) array per field."""
+    """State functionals at a stack of samples: one (m,) array per field, and
+    the (m, d) populations <E_n|rho|E_n> in the energy eigenbasis."""
 
     t: np.ndarray
     E_S: np.ndarray
     S: np.ndarray
     S_diag: np.ndarray
     Coh: np.ndarray
+    populations: np.ndarray
 
 
 def require_state(rho: np.ndarray) -> np.ndarray:
@@ -122,18 +127,31 @@ def has_degenerate_spectrum(levels: np.ndarray) -> np.ndarray:
     return level_clusters(levels)[..., -1] < levels.shape[-1] - 1
 
 
-def _dephased_entropies(rotated: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _dephased_entropies(rotated: np.ndarray, populations: np.ndarray,
+                        levels: np.ndarray) -> np.ndarray:
     """Entropy S' of each block-dephased state, from rho in the energy basis.
 
     Coherences between different degenerate clusters are zeroed; what is left
     is block diagonal, and its spectrum is that of the dephased state.
     Coherences inside a degenerate level are kept, so S' does not depend on
-    the basis an eigensolver picks there; for a nondegenerate spectrum S' is
-    the Shannon entropy of the populations <E_n|rho|E_n>.
+    the basis an eigensolver picks there. Levels ascend, so each cluster is a
+    contiguous index range: its part of the spectrum is the population of a
+    single level, or the eigenvalues of the cluster's sub-block of rho. The
+    samples are grouped by cluster pattern, one ``eigvalsh`` call per
+    degenerate cluster of each pattern; a nondegenerate spectrum needs none.
     """
     cluster = level_clusters(levels)
-    same = cluster[..., :, None] == cluster[..., None, :]
-    return von_neumann_entropy(np.where(same, rotated, 0.0))
+    spectra = populations.copy()
+    todo = cluster[:, -1] < cluster.shape[-1] - 1  # samples with a degenerate level
+    while todo.any():
+        pattern = cluster[int(np.argmax(todo))]
+        rows = todo & np.all(cluster == pattern, axis=-1)
+        todo &= ~rows
+        edges = [0, *(np.flatnonzero(np.diff(pattern)) + 1).tolist(), len(pattern)]
+        for a, b in zip(edges, edges[1:]):
+            if b - a > 1:
+                spectra[rows, a:b] = np.linalg.eigvalsh(rotated[rows, a:b, a:b])
+    return shannon_entropy(_clamped_probabilities(spectra))
 
 
 def gibbs_weights(levels: np.ndarray, beta: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -171,17 +189,21 @@ def fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(v.conj() @ rho @ v))
 
 
-def state_functionals(t: np.ndarray, rho: np.ndarray, levels: np.ndarray,
-                      vectors: np.ndarray) -> ThermoSample:
-    """E_S, S, S' and Coh of a stack of states in the energy eigenbases of H(t).
+def state_functionals(t: np.ndarray, rho: np.ndarray, spectra: np.ndarray,
+                      levels: np.ndarray, vectors: np.ndarray) -> ThermoSample:
+    """E_S, S, S', Coh and the energy-basis populations of a stack of states.
 
-    ``rho`` and ``vectors`` are (m, d, d) stacks and ``levels`` is (m, d),
+    ``rho`` and ``vectors`` are (m, d, d) stacks; ``spectra`` is (m, d), row i
+    holding the ascending eigenvalues of rho[i], and ``levels`` is (m, d),
     row i holding the ascending eigenvalues of H(t_i) with eigenvectors in
-    the columns of vectors[i]. E_S uses the basis energies:
-    Tr[H rho] = sum_n lambda_n <E_n|rho|E_n>.
+    the columns of vectors[i]. S comes from the spectra, clamped and checked
+    as in ``von_neumann_entropy``, so no state is decomposed again here. E_S
+    uses the basis energies: Tr[H rho] = sum_n lambda_n <E_n|rho|E_n>.
     """
     rotated = linalg.adjoint(vectors) @ rho @ vectors
-    e_s = np.sum(levels * np.diagonal(rotated, axis1=-2, axis2=-1).real, axis=-1)
-    s = von_neumann_entropy(rho)
-    s_diag = _dephased_entropies(rotated, levels)
-    return ThermoSample(t=t, E_S=e_s, S=s, S_diag=s_diag, Coh=s_diag - s)
+    populations = np.diagonal(rotated, axis1=-2, axis2=-1).real.copy()
+    e_s = np.sum(levels * populations, axis=-1)
+    s = shannon_entropy(_clamped_probabilities(spectra))
+    s_diag = _dephased_entropies(rotated, populations, levels)
+    return ThermoSample(t=t, E_S=e_s, S=s, S_diag=s_diag, Coh=s_diag - s,
+                        populations=populations)

@@ -21,11 +21,18 @@ accumulated, so integrator error cannot leak into an inequality check.
 ``evaluate_samples`` makes the one pass over the samples: it diagonalizes
 H(t) at all samples of a driven model in one stacked call (once per run for an
 undriven one, broadcast to every sample without a copy) and evaluates E_S, S,
-S' and Coh on stacks of states. The reference solves, the bound chain and the
-NLP comparison read these arrays. Gibbs weights at beta_R(t) and at the bath
-beta, relative entropies and every bound column are array expressions over
-the samples, returned as one table of columns. Stacks of density matrices are
-formed SAMPLE_BLOCK samples at a time.
+S', Coh and the energy-basis populations on stacks of states. S comes from the
+spectra that ``propagate`` computed for its positivity check, so each sampled
+state is decomposed once. The reference solves, the bound chain and the NLP
+comparison read these arrays. rho_th(t) is diagonal in the energy basis of
+H(t), so the instantaneous relative entropy needs no further decomposition:
+
+    D(rho || rho_th) = -S - sum_n ln p_n <E_n|rho|E_n>,
+
+with p_n the Gibbs weights at beta_R(t). Gibbs weights at beta_R(t) and at the
+bath beta, relative entropies and every bound column are array expressions
+over the samples, returned as one table of columns. Stacks of density
+matrices are formed SAMPLE_BLOCK samples at a time.
 """
 
 from __future__ import annotations
@@ -50,10 +57,10 @@ SAMPLE_BLOCK = 256
 
 
 class Samples(NamedTuple):
-    """Levels (m, d) and eigenvectors (m, d, d) of H(t) and state functionals at every sample."""
+    """Levels (m, d) of H(t) and the state functionals at every sample,
+    including the populations of rho(t) in the eigenbasis of H(t)."""
 
     levels: np.ndarray
-    vectors: np.ndarray
     values: ThermoSample
 
 
@@ -72,24 +79,10 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
     h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
     levels, vectors = linalg.eigh(h)
     levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
-    parts = [qstate.state_functionals(traj.times[b], traj.states[b], levels[b], vectors[b])
+    parts = [qstate.state_functionals(traj.times[b], traj.states[b], traj.spectra[b],
+                                      levels[b], vectors[b])
              for b in sample_blocks(m)]
-    return Samples(levels, vectors, ThermoSample(*map(np.concatenate, zip(*parts))))
-
-
-def _relative_entropies(traj: Trajectory, weights: np.ndarray,
-                        vectors: np.ndarray) -> np.ndarray:
-    """D(rho(t) || sigma(t)) at every sample, NaN where sigma(t) is singular.
-
-    sigma(t) = V diag(weights) V^dagger from row t of the (n, d) ``weights``
-    and (n, d, d) ``vectors``, or from their one row when n = 1.
-    """
-    parts = []
-    for b in sample_blocks(len(traj.times)):
-        rows = b if len(weights) > 1 else slice(None)
-        parts.append(qstate.relative_entropy(
-            traj.states[b], qstate.diagonal_in_basis(weights[rows], vectors[rows])))
-    return np.concatenate(parts)
+    return Samples(levels, ThermoSample(*map(np.concatenate, zip(*parts))))
 
 
 # Columns left undefined (NaN) by design at some samples; a NaN in any other
@@ -171,7 +164,12 @@ def _chain(traj: Trajectory, samples: Samples, beta_series: list[BetaSolveResult
     """The bound chain at every sample, from one beta_R solve per sample or one
     that holds at all of them (a fixed reference). A failed or saturated solve
     leaves the gap identity pair undefined, since a capped reference is
-    numerically a projector; the bounds only need beta_R(0) and C(t)."""
+    numerically a projector; the bounds only need beta_R(0) and C(t).
+
+    D_inst = -S - sum_n ln p_n <E_n|rho|E_n> from the Gibbs weights p at
+    beta_R(t) and the populations of ``samples``; it is NaN where the
+    reference is singular (a weight <= 1e-12), flagged ``identity_suppressed``.
+    """
     v, levels, m = samples.values, samples.levels, len(traj.times)
     n = len(beta_series)
     beta_r0 = beta_series[0].beta_R
@@ -193,7 +191,9 @@ def _chain(traj: Trajectory, samples: Samples, beta_series: list[BetaSolveResult
         qu = de_in - _scaled_product(t_r0, ds) + _scaled_product(t_r0, c_t)
 
     no_identity = failed | saturated
-    d_inst = _relative_entropies(traj, p_t, samples.vectors[:n])
+    log_p = np.log(p_t, out=np.zeros_like(p_t), where=p_t > 0.0)
+    d_inst = np.where(p_t.min(axis=-1) <= 1e-12, np.nan,
+                      -v.S - np.sum(log_p * v.populations, axis=-1))
     keys = (4 * qstate.has_degenerate_spectrum(levels)
             + np.select([failed, saturated, np.isnan(d_inst)], [1, 2, 3], 0)).tolist()
     flipped = ("direction_flipped",) if beta_r0 < 0.0 else ()

@@ -161,8 +161,11 @@ def test_driven_pure_start_is_refused_before_propagating(tmp_path, capsys, monke
 def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
     # Energy bases and state functionals are shared by the reference solves,
     # the bound chain and the NLP comparison: one stacked state_functionals
-    # call per block of samples, and no eigh per sample.
-    calls = {"eigh": 0, "state_functionals": 0}
+    # call per block of samples, and no eigh per sample. Every entropy after
+    # propagate comes from its spectra and the energy-basis populations, so
+    # no state is decomposed again.
+    calls = dict.fromkeys(["eigh", "state_functionals", "von_neumann_entropy",
+                           "relative_entropy"], 0)
 
     def count(module, name):
         fn = getattr(module, name)
@@ -174,14 +177,19 @@ def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(linalg, "eigh")
-    count(qstate, "state_functionals")
-    raw = cli.scenario_defaults("fig2")
-    raw["integrator"].update(t_end=2.0, n_samples=21)
-    result = cli.run_pipeline(cli.build_config(raw, "fig2", tmp_path, plots=False))
-    n = len(result.trajectory.times)
-    assert n == 21
-    assert calls["state_functionals"] == math.ceil(n / thermo.SAMPLE_BLOCK)
-    assert calls["eigh"] <= 5
+    for name in ("state_functionals", "von_neumann_entropy", "relative_entropy"):
+        count(qstate, name)
+    for scenario in ("fig1", "fig2"):
+        raw = cli.scenario_defaults(scenario)
+        raw["integrator"].update(t_end=2.0, n_samples=21)
+        config = cli.build_config(raw, scenario, tmp_path, plots=False)
+        calls.update(dict.fromkeys(calls, 0))
+        result = cli.run_pipeline(config)
+        n = len(result.trajectory.times)
+        assert n == 21
+        assert calls["state_functionals"] == math.ceil(n / thermo.SAMPLE_BLOCK)
+        assert calls["von_neumann_entropy"] == calls["relative_entropy"] == 0
+        assert calls["eigh"] <= 5
 
 
 @pytest.mark.parametrize("scenario", ["fig1", "fig2"])
@@ -223,6 +231,29 @@ def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(config), "--out", str(out)) == 3
     assert capsys.readouterr().err.count("\n") == 1
+    assert not (out / "a").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model_params": {"tua": 5.0}},
+    {"model_params": {"tau": 0.0}},
+    {"initial_state": {"kind": "pure"}},
+    {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}},
+    {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0]]}},
+    {"initial_state": {"kind": "warm"}},
+], ids=["model-params-typo", "tau-zero", "pure-without-vector", "pure-vector-length",
+        "driven-pure-start", "unknown-initial-state"])
+def test_bad_second_sweep_entry_stops_the_run_before_the_first(tmp_path, capsys, overrides):
+    # the model and initial state of every entry are built with the configuration
+    raw = cli.scenario_defaults("fig2")
+    raw["integrator"] = {"dt": 0.01, "t_end": 1.0, "n_samples": 11}
+    raw["sweep"] = [{"name": "a", "overrides": {}}, {"name": "b", "overrides": overrides}]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert not (out / "a").exists()
 
 
@@ -484,8 +515,9 @@ def synthetic_trajectory(n, d, values):
     head, re_im = cells[:4 * n].reshape(4, n), cells[4 * n:].reshape(2, n, d, d)
     matrices = np.empty((n, d, d), dtype=complex)
     matrices.real, matrices.imag = re_im  # re + 1j * im would turn an infinite im into NaN
+    spectra = np.broadcast_to(head[3][:, None], (n, d))  # only min_eig is written
     return Trajectory(times=head[0], states=matrices, heat=head[1], work=head[2],
-                      min_eigenvalues=head[3], max_step_trace_drift=0.0,
+                      spectra=spectra, max_step_trace_drift=0.0,
                       cumulative_trace_drift=0.0, dt=1.0, n_steps=n - 1)
 
 
@@ -524,6 +556,27 @@ def test_csv_writers_match_per_cell_reference(tmp_path, request, monkeypatch, so
         write(result, tmp_path / "new.csv")
         reference(result, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_trajectory_writer_zero_columns_match_reference(tmp_path, monkeypatch):
+    # In blocks of 7: rho_0_0_re is +0.0 in every row, rho_0_1_re is -0.0 in
+    # every row, and rho_1_1_re is +0.0 in the second block only.
+    result = SimpleNamespace(model=SimpleNamespace(dim=2),
+                             trajectory=synthetic_trajectory(20, 2, [0.25, -1 / 3, 1e16, 0.1]))
+    states = result.trajectory.states
+    states.real[:, 0, 0] = 0.0
+    states.real[:, 0, 1] = -0.0
+    states.real[7:14, 1, 1] = 0.0
+    monkeypatch.setattr(thermo, "SAMPLE_BLOCK", 7)
+    cli.write_trajectory_csv(result, tmp_path / "new.csv")
+    reference_trajectory_csv(result, tmp_path / "old.csv")
+    written = (tmp_path / "new.csv").read_text().splitlines()
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    cells = [line.split(",") for line in written[1:]]
+    column = written[0].split(",").index
+    assert {row[column("rho_0_0_re")] for row in cells} == {"0"}
+    assert {row[column("rho_0_1_re")] for row in cells} == {"-0"}
+    assert [row[column("rho_1_1_re")] == "0" for row in cells] == [7 <= k < 14 for k in range(20)]
 
 
 def test_fig1_csv_spans_more_than_one_block(fig1_result):

@@ -1,7 +1,11 @@
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from random_cases import degeneracy_patterns, random_hamiltonian, random_state_of_rank
 
 from landauer_bounds import linalg, qstate
 from landauer_bounds.errors import InvalidState, NonHermitianInput, UnnormalizedVector
@@ -28,7 +32,8 @@ def diag_state(*populations):
 def dephase(rho, h):
     """S' and Coh of one state in the energy basis of h, as a one-state stack."""
     w, v = linalg.eigh(h)
-    out = qstate.state_functionals(np.zeros(1), rho[None], w[None], v[None])
+    out = qstate.state_functionals(np.zeros(1), rho[None], np.linalg.eigvalsh(rho)[None],
+                                   w[None], v[None])
     return out.S_diag[0], out.Coh[0]
 
 
@@ -211,11 +216,12 @@ def test_first_law_identity():
         free_energy = -qstate.gibbs_weights(w, beta)[1] / beta
         for _ in range(5):
             rho = random_state(rng, 4)
-            sm = qstate.state_functionals(0.0, rho, w, v)
+            sm = qstate.state_functionals(np.zeros(1), rho[None], np.linalg.eigvalsh(rho)[None],
+                                          w[None], v[None])
             f_neq = free_energy + qstate.relative_entropy(rho, gibbs) / beta
-            assert sm.E_S == pytest.approx((1 / beta) * sm.S + f_neq, abs=1e-8)
-            assert sm.Coh >= -1e-10
-            assert sm.Coh == pytest.approx(sm.S_diag - sm.S, abs=1e-12)
+            assert sm.E_S[0] == pytest.approx((1 / beta) * sm.S[0] + f_neq, abs=1e-8)
+            assert sm.Coh[0] >= -1e-10
+            assert sm.Coh[0] == pytest.approx(sm.S_diag[0] - sm.S[0], abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 9, "degenerate"])
@@ -228,7 +234,8 @@ def test_stacked_functionals_match_single_states(dim):
                                     + 1j * rng.standard_normal((dim, dim))) for _ in range(6)]
     levels, vectors = linalg.eigh(np.array(hs))
     states = np.array([random_state(rng, len(hs[0])) for _ in hs])
-    stacked = qstate.state_functionals(np.arange(6.0), states, levels, vectors)
+    stacked = qstate.state_functionals(np.arange(6.0), states, np.linalg.eigvalsh(states),
+                                       levels, vectors)
     for i, (rho, h) in enumerate(zip(states, hs)):
         s = entropy_oracle(rho)
         s_diag = entropy_oracle(dephased_oracle(rho, h))
@@ -237,6 +244,41 @@ def test_stacked_functionals_match_single_states(dim):
         assert stacked.S[i] == pytest.approx(s, abs=1e-12)
         assert stacked.S_diag[i] == pytest.approx(s_diag, abs=1e-12)
         assert stacked.Coh[i] == pytest.approx(s_diag - s, abs=1e-12)
+        assert stacked.populations[i] == pytest.approx(
+            np.diagonal(vectors[i].conj().T @ rho @ vectors[i]).real, abs=1e-15)
+
+
+@hst.composite
+def stacks_with_changing_degeneracy(draw):
+    """States of random rank and Hamiltonians of one dimension d <= 4 whose
+    degeneracy pattern cycles through two drawn ones and a nondegenerate one."""
+    dim = draw(hst.sampled_from([2, 3, 4]))
+    patterns = [draw(degeneracy_patterns(dim)), draw(degeneracy_patterns(dim)), [1] * dim]
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    sizes = [patterns[k % 3] for k in range(draw(hst.integers(1, 9)))]
+    hs = np.array([random_hamiltonian(rng, s) for s in sizes])
+    states = np.array([random_state_of_rank(rng, dim, int(rng.integers(1, dim + 1)))
+                       for _ in sizes])
+    return hs, states, sizes
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(stacks_with_changing_degeneracy())
+def test_dephased_entropy_matches_masked_matrix(case):
+    # S' is read from the populations and the clusters' sub-blocks; the oracle
+    # zeroes the coherences between clusters and decomposes the whole matrix
+    hs, states, sizes = case
+    levels, vectors = linalg.eigh(hs)
+    spectra = np.linalg.eigvalsh(states)
+    out = qstate.state_functionals(np.arange(len(hs), dtype=float), states, spectra,
+                                   levels, vectors)
+    assert np.array_equal(out.S, qstate.von_neumann_entropy(states))
+    for k, (rho, v, s) in enumerate(zip(states, vectors, sizes)):
+        cluster = np.repeat(np.arange(len(s)), s)
+        rotated = v.conj().T @ rho @ v
+        masked = np.where(cluster[:, None] == cluster[None, :], rotated, 0.0)
+        assert out.S_diag[k] == pytest.approx(qstate.von_neumann_entropy(masked), abs=1e-12)
+        assert out.populations[k] == pytest.approx(np.diag(rotated).real, abs=1e-15)
 
 
 def test_stacked_relative_entropy_matches_single_states():

@@ -1,12 +1,15 @@
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from random_cases import degeneracy_patterns, random_hamiltonian, random_state_of_rank
 
-from landauer_bounds import models, qstate, refsolve, thermo
+from landauer_bounds import linalg, models, qstate, refsolve, thermo
 from landauer_bounds.errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
-from landauer_bounds.lindblad import JumpChannel, LindbladModel, propagate
-from landauer_bounds.refsolve import BRANCH_NEGATIVE, BetaSolveResult
+from landauer_bounds.lindblad import JumpChannel, LindbladModel, Trajectory, propagate
+from landauer_bounds.refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE, BetaSolveResult
 
 
 def frozen_erasure(params=None):
@@ -220,3 +223,80 @@ def test_nlp_driven_slack_matches_relative_entropy(fig2_result):
         d = qstate.relative_entropy(fig2_result.trajectory.states[k], eq)
         assert c.slack_S25[k] == pytest.approx(d, abs=1e-8)
         assert c.slack_S25[k] >= -1e-8
+
+
+def sampled_trajectory(states):
+    """A Trajectory of given states at times 0, 1, ..., with their spectra."""
+    m = len(states)
+    return Trajectory(times=np.arange(m, dtype=float), states=states, heat=np.zeros(m),
+                      work=np.zeros(m), spectra=np.linalg.eigvalsh(states),
+                      max_step_trace_drift=0.0, cumulative_trace_drift=0.0, dt=1.0,
+                      n_steps=m - 1)
+
+
+@hst.composite
+def states_hamiltonians_and_betas(draw):
+    """Up to five states of random rank with one Hamiltonian each (d <= 4, with
+    or without degenerate levels) and one beta each."""
+    dim = draw(hst.sampled_from([2, 3, 4]))
+    m = draw(hst.integers(1, 5))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    hs = np.array([random_hamiltonian(rng, draw(degeneracy_patterns(dim))) for _ in range(m)])
+    states = np.array([random_state_of_rank(rng, dim, int(rng.integers(1, dim + 1)))
+                       for _ in range(m)])
+    return hs, states, rng.uniform(-2.0, 2.0, size=m)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(states_hamiltonians_and_betas())
+def test_instantaneous_relative_entropy_matches_oracle(case):
+    # D_inst comes from the Gibbs weights and the energy-basis populations;
+    # the oracle decomposes each rho and each Gibbs state on its own
+    hs, states, betas = case
+    traj = sampled_trajectory(states)
+    driven = LindbladModel(dim=hs.shape[-1], hamiltonian_protocol=lambda t: hs[np.rint(t).astype(int)],
+                           channels=(), driven=True)
+    series = [BetaSolveResult(float(b), 0.0, False, BRANCH_NON_NEGATIVE) for b in betas]
+    rows = thermo.driven_bounds(traj, driven, thermo.evaluate_samples(traj, driven), series)
+    expected = [float(qstate.relative_entropy(rho, qstate.gibbs_state(h, b)))
+                for rho, h, b in zip(states, hs, betas)]
+    assert rows.D_inst == pytest.approx(expected, abs=1e-12)
+    # an undriven model shares the reference of t = 0 across the samples
+    undriven = LindbladModel(dim=hs.shape[-1], hamiltonian_protocol=lambda t: hs[0],
+                             channels=(), driven=False)
+    rows = thermo.undriven_bounds(traj, undriven, thermo.evaluate_samples(traj, undriven),
+                                  series[0])
+    expected = qstate.relative_entropy(states, qstate.gibbs_state(hs[0], betas[0]))
+    assert rows.D_inst == pytest.approx(expected, abs=1e-12)
+
+
+def test_singular_reference_leaves_the_identity_pair_undefined():
+    # beta = 30 on levels 0 and 1 gives the excited level a weight of 9.4e-14
+    traj = sampled_trajectory(np.array([np.diag([0.6, 0.4]).astype(complex)]))
+    model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: np.diag([0.0, 1.0]),
+                          channels=(), driven=False)
+    samples = thermo.evaluate_samples(traj, model)
+    rows = thermo.undriven_bounds(traj, model, samples,
+                                  BetaSolveResult(30.0, 0.0, False, BRANCH_NON_NEGATIVE))
+    assert math.isnan(rows.D_inst[0]) and math.isfinite(rows.gap[0])
+    assert rows.flags[0] == ("identity_suppressed",)
+    rows = thermo.undriven_bounds(traj, model, samples,
+                                  BetaSolveResult(27.0, 0.0, False, BRANCH_NON_NEGATIVE))
+    assert math.isfinite(rows.D_inst[0]) and rows.flags[0] == ()
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(hst.sampled_from([2, 3, 4]), hst.integers(0, 2 ** 32 - 1))
+def test_entropy_from_trajectory_spectra_is_bit_for_bit(dim, seed):
+    # S is read from the spectra that propagate computed for its positivity check
+    rng = np.random.default_rng(seed)
+    jump = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    jump /= np.linalg.norm(jump)
+    h = random_hamiltonian(rng, [1] * dim)
+    model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h,
+                          channels=(JumpChannel.constant(0.3, jump),), driven=False)
+    traj = propagate(model, random_state_of_rank(rng, dim, dim), 2.0, 0.01, 21)
+    assert np.array_equal(traj.spectra, np.linalg.eigvalsh(traj.states))
+    assert np.array_equal(traj.min_eigenvalues, traj.spectra[:, 0])
+    values = thermo.evaluate_samples(traj, model).values
+    assert np.array_equal(values.S, qstate.von_neumann_entropy(traj.states))
