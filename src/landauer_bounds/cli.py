@@ -27,8 +27,14 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from . import models, plotting, qstate, refsolve, thermo
-from .errors import ConfigError, LandauerBoundsError, SchemaError, UnnormalizedVector
+from . import linalg, models, plotting, qstate, refsolve, thermo
+from .errors import (
+    ConfigError,
+    LandauerBoundsError,
+    NonHermitianInput,
+    SchemaError,
+    UnnormalizedVector,
+)
 from .lindblad import JumpChannel, LindbladModel, Trajectory, propagate, step_count
 from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
 from .refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE
@@ -230,7 +236,9 @@ def load_custom_model(path: str | Path) -> LindbladModel:
 
     Schema: {"dim": d, "hamiltonian": {"re": [[..]], "im": [[..]]},
              "channels": [{"rate": g, "operator": {"re": [[..]], "im": [[..]]}}]}
-    with "im" optional.
+    with "im" optional. Raises ``SchemaError`` for a file that cannot be read
+    or does not follow the schema, and ``NonHermitianInput`` for a Hamiltonian
+    that is not Hermitian.
     """
     try:
         spec = json.loads(Path(path).read_text())
@@ -242,6 +250,7 @@ def load_custom_model(path: str | Path) -> LindbladModel:
         )
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise SchemaError(f"custom model file {path}: {exc}") from exc
+    linalg.require_hermitian(h)
     return LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h,
                          channels=channels, driven=False)
 
@@ -249,10 +258,10 @@ def load_custom_model(path: str | Path) -> LindbladModel:
 def _matrix_from_json(obj: dict[str, Any], dim: int) -> np.ndarray:
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=float)
-    m = re + 1j * im
-    if m.shape != (dim, dim):
-        raise ValueError(f"matrix shape {m.shape} != ({dim}, {dim})")
-    return m
+    for part in (re, im):  # checked before adding, which would broadcast
+        if part.shape != (dim, dim):
+            raise ValueError(f"matrix shape {part.shape} != ({dim}, {dim})")
+    return re + 1j * im
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +283,13 @@ def _build_model(config: ScenarioConfig) -> tuple[LindbladModel, np.ndarray | No
     if config.model == "custom":
         if config.custom_model_file is None:
             raise ConfigError("model 'custom' needs custom_model_file")
-        return load_custom_model(config.custom_model_file), None
+        try:
+            return load_custom_model(config.custom_model_file), None
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from exc
+        except NonHermitianInput as exc:
+            raise ConfigError(f"custom model file {config.custom_model_file}:"
+                              f" Hamiltonian {exc}") from exc
     params_type = models.RydbergParams if config.model == "rydberg" else models.ErasureParams
     try:
         params = params_type(**config.model_params)

@@ -19,17 +19,16 @@ three reused buffers; heat and work share the stage weights of the state, which
 keeps dE_S = W - Q at integrator accuracy. Driven models build the maps one
 block at a time, as many steps as fit in STEP_BLOCK_BYTES, and multiply those
 between two samples pairwise into one segment product; undriven models use
-powers of their one map. One sample loop applies them, renormalizes the trace
-at each sample (the correction is recorded) and checks the state norm; the
-trace-row defect |1^T S - 1^T| of every step map and the positivity of the
-states are checked on arrays; the spectra of that check are kept for the
-entropies downstream.
+powers of their one map. The sample loop only applies them and stores each
+sample; the trace normalization, its record and the state-norm check are done
+on the arrays after it, as are the trace-row defect |1^T S - 1^T| of every step
+map and the positivity of the states, whose spectra are kept for the entropies
+downstream.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -138,8 +137,10 @@ class Trajectory:
     ``max_step_trace_drift`` is, for driven and undriven models alike, the
     largest trace-row defect |1^T S - 1^T| over the step maps S: the most one
     step can change Tr rho of a state of unit Frobenius norm.
-    ``cumulative_trace_drift`` is the sum over samples of |Tr rho - 1|
-    removed by renormalization there.
+    ``cumulative_trace_drift`` is the sum over samples i of |T_i / T_{i-1} - 1|,
+    with T_i the trace of the state propagated without renormalization and
+    T_{-1} = 1: the |Tr rho - 1| that renormalizing at every sample would
+    remove there.
     """
 
     times: np.ndarray
@@ -353,8 +354,9 @@ def _trace_row_defects(maps: np.ndarray, dim: int, first: int, dt: float) -> flo
 
 def _driven_maps(model: LindbladModel, dt: float,
                  sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield the product of the step maps between each pair of consecutive samples,
-    with the largest trace-row defect of the maps built so far."""
+    """Yield, block by block, the products of the step maps between consecutive
+    samples that end in the block, with the largest trace-row defect of the maps
+    built so far."""
     n, k, block = model.dim ** 2, model.dim ** 2 + 2, steps_per_block(model.dim)
     n_steps, max_defect, warned, carry = int(sample_idx[-1]), 0.0, False, np.eye(k)
     for first in range(0, n_steps, block):
@@ -376,13 +378,14 @@ def _driven_maps(model: LindbladModel, dt: float,
             products = products[:, 1::2] @ products[:, ::2]
         products = products[:, 0]
         products[0] = products[0] @ carry
-        yield from ((product, max_defect) for product in products[:len(ends)])
+        yield products[:len(ends)], max_defect
         carry = products[-1] if len(bounds) > len(ends) else np.eye(k)
 
 
 def _undriven_maps(model: LindbladModel, dt: float,
-                   sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
-    """The power of the one step map spanning each sample gap, with its trace-row defect."""
+                   sample_idx: np.ndarray) -> Iterator[tuple[list[np.ndarray], float]]:
+    """The power of the one step map spanning each sample gap, as one block, with
+    its trace-row defect."""
     n = model.dim ** 2
     gen = augmented_generators(model, np.zeros(1))
     _warn_if_coarse(gen, n, dt)
@@ -393,7 +396,7 @@ def _undriven_maps(model: LindbladModel, dt: float,
         raise StabilityError(f"step map spectral radius {radius:.6g} > 1 at dt={dt!r}")
     gaps = np.diff(sample_idx).tolist()
     powers = {gap: np.linalg.matrix_power(step_map[0], gap) for gap in set(gaps)}
-    return ((powers[gap], defect) for gap in gaps)
+    yield [powers[gap] for gap in gaps], defect
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -418,6 +421,14 @@ def propagate(
     state by more than 1e-6, an undriven step map has spectral radius above
     1 + 1e-9 or a sampled state has Frobenius norm above 10, and
     ``PositivityError`` when a sampled state has an eigenvalue below -1e-6.
+
+    The sample loop only multiplies: y = segment @ y, stored unnormalized. The
+    state at sample i is then y_i / T_i with T_i = Tr y_i, its Frobenius norm
+    before the renormalization at that sample is |y_i| / T_{i-1}, and its Q and
+    W increments are those of y divided by T_{i-1} (T_{-1} = 1), which is the
+    per-sample renormalization in exact arithmetic. The norm check therefore
+    runs after the last step map is built, and names the first sample above
+    10; an unstable run overflows quietly until then.
     """
     from .thermo import sample_blocks  # thermo imports this module
 
@@ -439,27 +450,36 @@ def propagate(
     if np.any(np.diff(sample_idx) == 0):
         raise ValueError("sample grid collapsed; reduce n_samples")
     times = sample_idx * dt_eff
-
-    # Sample 0 is the initial state, reached by the identity.
-    segments = itertools.chain([(np.eye(n + 2), 0.0)], (
-        _driven_maps if model.driven else _undriven_maps)(model, dt_eff, sample_idx))
-    y = np.concatenate([hermitian_coordinates(rho0), [0.0, 0.0]])
     states = np.empty((n_samples, d, d), dtype=np.complex128)
     # The loop writes each sample's real coordinates into the first half of its
-    # row of ``states``; each block is expanded in place after the loop.
+    # row of ``states`` and its Q and W into ``qw``, unnormalized: the trace is
+    # divided out on the arrays afterwards, and each block is expanded in place.
     coords = states.view(np.float64).reshape(n_samples, 2 * n)[:, :n]
-    heat, work, cumulative = np.empty(n_samples), np.empty(n_samples), 0.0
-    for i, (segment, max_defect) in enumerate(segments):
-        y = segment @ y
+    qw = np.empty((n_samples, 2))
+    y = np.concatenate([hermitian_coordinates(rho0), [0.0, 0.0]])
+    coords[0], qw[0] = y[:n], y[n:]  # sample 0 is the initial state
+    first = 1
+    for segments, max_defect in (_driven_maps if model.driven else _undriven_maps)(
+            model, dt_eff, sample_idx):
+        # An unstable step overflows here; the norm check below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, segment in enumerate(segments, first):
+                y = segment @ y
+                coords[i], qw[i] = y[:n], y[n:]
+        first += len(segments)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = coords[:, ::d + 1].sum(axis=1)  # T_i
+        before = np.concatenate([[1.0], traces[:-1]])  # T_{i-1}
         # A unit-trace positive state has Frobenius norm <= 1; large growth means
         # the step size is unstable even when the trace happens to be preserved.
-        frob = math.sqrt(float(y[:n] @ y[:n]))
-        if not frob <= 10.0:
-            raise StabilityError(f"state norm {frob:.3e} at t={times[i].item()!r}")
-        tr = float(y[:n:d + 1].sum())
-        cumulative += abs(tr - 1.0)
-        y[:n] /= tr
-        coords[i], heat[i], work[i] = y[:n], y[n], y[n + 1]
+        frob = np.sqrt(np.einsum("ij,ij->i", coords, coords)) / before
+        bad = np.flatnonzero(~(frob <= 10.0))
+        if bad.size:
+            raise StabilityError(f"state norm {frob[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
+        cumulative = float(np.sum(np.abs(traces / before - 1.0)))
+        coords /= traces[:, None]
+        heat, work = np.cumsum(np.diff(qw, axis=0, prepend=0.0).T / before, axis=1)
 
     spectra = np.empty((n_samples, d))
     for b in sample_blocks(n_samples):

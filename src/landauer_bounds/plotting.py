@@ -69,15 +69,22 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks or [lo]
 
 
+def _finite_range(arrays: list[np.ndarray]) -> tuple[float, float]:
+    """Smallest and largest finite value over the arrays, or (0, 1) if none."""
+    values = np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
+    values = values[np.isfinite(values)]
+    return (float(values.min()), float(values.max())) if values.size else (0.0, 1.0)
+
+
 def _panel_svg(panel: Panel, x0: int, y0: int, width: int, height: int) -> list[str]:
     ml, mr, mt, mb = 72, 16, 26, 42
     px, py = x0 + ml, y0 + mt
     pw, ph = width - ml - mr, height - mt - mb
 
-    xs = [v for s in panel.series for v in s.x if math.isfinite(v)]
-    ys = [v for s in panel.series for v in s.y if math.isfinite(v)]
-    xlo, xhi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    ylo, yhi = (min(ys), max(ys)) if ys else (0.0, 1.0)
+    arrays = [(np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float))
+              for s in panel.series]
+    xlo, xhi = _finite_range([x for x, _ in arrays])
+    ylo, yhi = _finite_range([y for _, y in arrays])
     if xhi <= xlo:
         xhi = xlo + 1.0
     if yhi <= ylo:
@@ -109,10 +116,9 @@ def _panel_svg(panel: Panel, x0: int, y0: int, width: int, height: int) -> list[
         out.append(f'<text x="{px - 7}" y="{y + 3:.2f}" text-anchor="end" font-size="10" fill="#333">{_fmt(v)}</text>')
         out.append(f'<line x1="{px}" y1="{y:.2f}" x2="{px + pw}" y2="{y:.2f}" stroke="#ddd" stroke-width="0.5"/>')
 
-    for i, s in enumerate(panel.series):
+    for i, (s, (x, y)) in enumerate(zip(panel.series, arrays)):
         color = _PALETTE[i % len(_PALETTE)]
         dash = _DASHES[i % len(_DASHES)]
-        x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
         finite = np.isfinite(x) & np.isfinite(y)
         xy = np.column_stack([sx(x[finite]), sy(y[finite])])
         pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())

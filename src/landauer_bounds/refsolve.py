@@ -2,13 +2,17 @@
 
 The Gibbs entropy is strictly decreasing in beta on the non-negative branch
 (and increasing on the negative branch) for any H not proportional to the
-identity, so bisection on a doubling bracket converges unconditionally; its
-derivative -beta Var(E) vanishes at beta = 0 and at saturation, which rules
-out Newton-type iterations. Every solve starts from the same bracket, so a
-series of solves is one solve per sample on that sample's energy levels. The
-samples of a series are solved at once: bracket doubling and bisection run on
-an (m, d) array of levels, and each row leaves the live set at the step where
-a lone solve of that row would stop, so ``solve_beta`` is the one-row case.
+identity, so a root found on a doubling bracket is unique. Its derivative
+-beta Var(E) vanishes at beta = 0 and at saturation, where a Newton step
+would leave the bracket, so the bracket is shrunk by Illinois-modified
+regula falsi (Dowell & Jarratt, BIT 11, 168, 1971): secant steps that never
+leave the bracket, superlinear where the entropy is smooth, and a midpoint
+whenever the secant point falls outside. Every solve starts from the same
+bracket, so a series of solves is one solve per sample on that sample's
+energy levels. The samples of a series are solved at once: bracket doubling
+and the Illinois steps run on an (m, d) array of levels, and each row leaves
+the live set at the step where a lone solve of that row would stop, so
+``solve_beta`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import ConstantEntropy, TargetOutOfRange
 BRANCH_NON_NEGATIVE = "non-negative"
 BRANCH_NEGATIVE = "negative"
 
-_MAX_BISECTIONS = 200
+_MAX_STEPS = 200
 _CAP_FACTOR = 1e8
 
 
@@ -51,11 +55,13 @@ def _entropy_from_levels(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
     Computed as ln z - sum p x on the shifted exponents x = -beta (E - E_ext),
     never as ln Z + beta <E>, which cancels catastrophically near the cap.
     """
-    beta = np.asarray(beta, dtype=np.float64)[..., None]
-    x = -beta * (levels - np.where(beta >= 0.0, levels[..., :1], levels[..., -1:]))
+    beta = np.asarray(beta, dtype=np.float64)
+    # Levels first, in C order, so that each sum over levels adds whole rows.
+    levels = np.moveaxis(levels, -1, 0).copy()
+    x = -beta * (levels - np.where(beta >= 0.0, levels[0], levels[-1]))
     weights = np.exp(x)
-    z = weights.sum(axis=-1, keepdims=True)
-    return (np.log(z) - np.sum(weights / z * x, axis=-1, keepdims=True))[..., 0]
+    z = weights.sum(axis=0)
+    return np.log(z) - np.sum(weights / z * x, axis=0)
 
 
 def gibbs_entropy(h: np.ndarray, beta: float) -> float:
@@ -83,7 +89,7 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
 
     Every row follows the search that ``solve_beta`` documents: the bracket
     edge doubles from 1 until the entropy falls below the target or passes
-    the cap 1e8 / spread, then bisection halves the bracket until it is
+    the cap 1e8 / spread, then Illinois steps shrink the bracket until it is
     narrower than 1e-13 (1 + |hi|). A row leaves the live set at the step
     where it would stop if solved alone, so its result does not depend on
     the other rows.
@@ -96,28 +102,53 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
         raise ValueError(f"unknown branch {branch!r}")
     m = len(targets)
     cap = _CAP_FACTOR / (levels[:, -1] - levels[:, 0])
-    s0 = _entropy_from_levels(search, np.zeros(m))
-    at_zero = s0 <= targets
+    # f = S - target on the bracket edges: f_lo >= 0 > f_hi once bracketed
+    f_lo = _entropy_from_levels(search, np.zeros(m)) - targets
+    at_zero = f_lo <= 0.0
     saturated = np.zeros(m, dtype=bool)
-    lo, hi = np.zeros(m), np.ones(m)
+    lo, hi, f_hi = np.zeros(m), np.ones(m), np.zeros(m)
 
     live = np.flatnonzero(~at_zero)
     while live.size:
-        above = _entropy_from_levels(search[live], hi[live]) >= targets[live]
-        live = live[above]
-        lo[live], hi[live] = hi[live], 2.0 * hi[live]
+        f = _entropy_from_levels(search[live], hi[live]) - targets[live]
+        above = f >= 0.0
+        f_hi[live[~above]] = f[~above]
+        live, f = live[above], f[above]
+        lo[live], f_lo[live], hi[live] = hi[live], f, 2.0 * hi[live]
         over = hi[live] > cap[live]
         saturated[live[over]] = True
         live = live[~over]
 
-    live = np.flatnonzero(~at_zero & ~saturated)
-    for _ in range(_MAX_BISECTIONS):
-        if not live.size:
+    # Illinois regula falsi (Dowell & Jarratt 1971) on the live rows, kept
+    # compact: the secant point of the bracket [a, b] replaces the edge of its
+    # sign, and when one edge is replaced twice in a row the f of the other is
+    # halved. A secant point outside the bracket is replaced by the midpoint,
+    # and every point is kept a quarter of the stopping width from the edges,
+    # so a bracket whose edge is a root to rounding still closes.
+    rows = np.flatnonzero(~at_zero & ~saturated)
+    a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
+    lev, tgt, last = search[rows], targets[rows], np.zeros(rows.size)
+    for _ in range(_MAX_STEPS):
+        width = 1e-13 * (1.0 + np.abs(b))
+        live = b - a > width
+        if not live.all():
+            lo[rows[~live]], hi[rows[~live]] = a[~live], b[~live]
+            rows, a, b, fa, fb, lev, tgt, last, width = (
+                v[live] for v in (rows, a, b, fa, fb, lev, tgt, last, width))
+        if not rows.size:
             break
-        mid = 0.5 * (lo[live] + hi[live])
-        up = _entropy_from_levels(search[live], mid) >= targets[live]
-        lo[live[up]], hi[live[~up]] = mid[up], mid[~up]
-        live = live[hi[live] - lo[live] > 1e-13 * (1.0 + np.abs(hi[live]))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = a + (b - a) * (fa / (fa - fb))
+        inside = (x >= a) & (x <= b)
+        x = np.clip(np.where(inside, x, 0.5 * (a + b)), a + 0.25 * width, b - 0.25 * width)
+        f = _entropy_from_levels(lev, x) - tgt
+        up = f >= 0.0
+        edge = np.where(up, 1.0, -1.0) * inside  # 0 after a midpoint step
+        halve = np.where(edge * last > 0.0, 0.5, 1.0)
+        a, fa, b, fb = (np.where(up, x, a), np.where(up, f, halve * fa),
+                        np.where(up, b, x), np.where(up, halve * fb, f))
+        last = edge
+    lo[rows], hi[rows] = a, b
 
     beta = np.where(at_zero, 0.0, sign * np.where(saturated, cap, 0.5 * (lo + hi)))
     residual = np.abs(_entropy_from_levels(levels, beta) - targets)
@@ -134,7 +165,9 @@ def solve_beta(levels: np.ndarray, s_target: float,
     Non-negative branch: the bracket upper edge doubles from 1 until the
     entropy falls below the target; if that never happens before the cap
     1e8 / spread (target below the ground-degeneracy entropy floor), the cap
-    is returned with ``saturated`` set. The negative branch runs the same
+    is returned with ``saturated`` set. Otherwise Illinois steps shrink the
+    bracket, at most 200 of them, until it is narrower than 1e-13 (1 + |hi|),
+    and its midpoint is returned. The negative branch runs the same
     search on the mirrored levels -w, since S(beta; w) = S(-beta; -w).
     Raises ``ConstantEntropy`` for h proportional to the identity and
     ``TargetOutOfRange`` for a target outside [0, ln d].

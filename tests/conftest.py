@@ -41,3 +41,10 @@ def fig2_result(tmp_path_factory):
     cfg = build_config(scenario_defaults("fig2"), "fig2",
                        tmp_path_factory.mktemp("fig2"), plots=False)
     return run_pipeline(cfg)
+
+
+@pytest.fixture(scope="session")
+def figS1_results(tmp_path_factory):
+    cfg = build_config(scenario_defaults("figS1"), "figS1",
+                       tmp_path_factory.mktemp("figS1"), plots=False)
+    return {name: run_pipeline(entry) for name, entry in cfg.sweep}

@@ -1,5 +1,5 @@
 """The paper's claims at paper parameters: Fig. 1, its population-inverted
-inset, and Fig. 2, each checked on the full-size run."""
+inset, Fig. 2 and the Fig. S1 tau-sweep, each checked on the full-size run."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,18 @@ def test_every_verdict_holds(request, fixture, expected):
     verdicts = request.getfixturevalue(fixture).meta["verdicts"]
     assert set(verdicts) == expected
     assert all(v["holds"] for v in verdicts.values()), verdicts
+
+
+def test_every_figS1_verdict_holds(figS1_results):
+    # tau = 5, 10 and 20 at dt = tau / 20000: 60k driven steps in all
+    assert list(figS1_results) == ["tau=5", "tau=10", "tau=20"]
+    for name, result in figS1_results.items():
+        tau = float(name.removeprefix("tau="))
+        assert result.trajectory.n_steps == 20000
+        assert result.trajectory.times[-1] == pytest.approx(tau)
+        verdicts = result.meta["verdicts"]
+        assert set(verdicts) == DRIVEN_VERDICTS
+        assert all(v["holds"] for v in verdicts.values()), (name, verdicts)
 
 
 @pytest.mark.parametrize("fixture", ["fig1_result", "fig1_inset_result"])

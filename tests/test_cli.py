@@ -290,13 +290,45 @@ def test_sorted_start_on_a_degenerate_level_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+DAMPED_QUBIT = {
+    "dim": 2,
+    "hamiltonian": {"re": [[-0.5, 0.0], [0.0, 0.5]]},
+    "channels": [{"rate": 0.4, "operator": {"re": [[0.0, 1.0], [0.0, 0.0]]}}],
+}
+
+
+@pytest.mark.parametrize("model_file", [
+    None,
+    {"dim": 2, "hamiltonain": DAMPED_QUBIT["hamiltonian"]},
+    # one row would broadcast to [[1, 0], [1, 0]] if added to the default "im"
+    {"dim": 2, "hamiltonian": {"re": [[1.0, 0.0]]}},
+    {"dim": 2, "hamiltonian": {"re": [[0.0, 1.0], [0.0, 0.0]]}},
+], ids=["missing-file", "bad-key", "wrong-shape", "non-hermitian"])
+@pytest.mark.parametrize("second_entry", [False, True], ids=["run", "second-sweep-entry"])
+def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_file, second_entry):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(DAMPED_QUBIT))
+    if model_file is not None:
+        bad.write_text(json.dumps(model_file))
+    raw = {"model": "custom", "custom_model_file": str(bad),
+           "initial_state": {"kind": "maximally_mixed"},
+           "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}
+    if second_entry:
+        raw["custom_model_file"] = str(good)
+        raw["sweep"] = [{"name": "a"}, {"name": "b", "overrides": {"custom_model_file": str(bad)}}]
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: custom model file {bad}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_custom_matrix_model(tmp_path):
     model_file = tmp_path / "damping.json"
-    model_file.write_text(json.dumps({
-        "dim": 2,
-        "hamiltonian": {"re": [[-0.5, 0.0], [0.0, 0.5]]},
-        "channels": [{"rate": 0.4, "operator": {"re": [[0.0, 1.0], [0.0, 0.0]]}}],
-    }))
+    model_file.write_text(json.dumps(DAMPED_QUBIT))
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({
         "name": "damping",

@@ -166,6 +166,39 @@ def test_propagate_rejects_absurd_step():
         propagate(amplitude_damping_model(), excited_state(), 50.0, 50.0, 2)
 
 
+def test_unstable_run_names_its_first_sample_with_norm_above_10():
+    # Only H = diag(1, -1): each RK4 step of dt = 20 multiplies the coherence of
+    # |+> by |R(40i)| ~ 1e5, so the state overflows long before sample 400.
+    model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=(), driven=True,
+                          hamiltonian_rate_protocol=lambda t: np.zeros((2, 2)))
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    with pytest.warns(UserWarning, match="accuracy may degrade") as caught:
+        with pytest.raises(StabilityError, match=r"^state norm 7\.524e\+04 at t=20\.0$"):
+            propagate(model, plus, 20.0 * 400, 20.0, 401)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cumulative_trace_drift_sums_the_per_sample_corrections(monkeypatch):
+    # Step maps that scale rho by 1 + eps leave a trace (1 + eps)^gap at each
+    # sample, which renormalizing there would remove.
+    eps, step_maps = 1e-10, lindblad._rk4_step_maps
+
+    def scaled(*args):
+        maps = step_maps(*args)
+        maps[:, :4, :4] *= 1.0 + eps
+        return maps
+
+    monkeypatch.setattr(lindblad, "_rk4_step_maps", scaled)
+    model, rho0 = amplitude_damping_model(), excited_state()
+    for case in (model, dataclasses.replace(model, driven=True,
+                                            hamiltonian_rate_protocol=lambda t: np.zeros((2, 2)))):
+        traj = propagate(case, rho0, 3.07, 0.01, 31)
+        gaps = np.diff(np.rint(traj.times / traj.dt))
+        assert traj.cumulative_trace_drift == pytest.approx(np.sum((1.0 + eps) ** gaps - 1.0),
+                                                            rel=1e-6)
+        assert np.allclose(np.trace(traj.states, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-15)
+
+
 def test_propagate_validates_arguments():
     model = amplitude_damping_model()
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from landauer_bounds import refsolve
 from landauer_bounds.errors import ConstantEntropy, TargetOutOfRange
@@ -125,3 +127,68 @@ def test_series_collects_per_sample_errors():
     assert out[0].error is None and out[2].error is None
     assert out[1].error is not None and math.isnan(out[1].beta_R)
     assert out[2].beta_R == pytest.approx(1.0, abs=1e-8)
+
+
+def oracle_entropy(levels, beta):
+    """Gibbs entropy at beta >= 0 written out level by level."""
+    x = [-beta * (e - levels[0]) for e in levels]
+    z = math.fsum(math.exp(v) for v in x)
+    return math.log(z) - math.fsum(math.exp(v) / z * v for v in x)
+
+
+def oracle_beta(levels, target):
+    """Scalar bisection on the doubling bracket, to a width of 1e-15 (1 + hi)."""
+    lo, hi = 0.0, 1.0
+    while oracle_entropy(levels, hi) >= target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-15 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if oracle_entropy(levels, mid) >= target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@hst.composite
+def ground_degenerate_levels(draw, ground):
+    """Ascending levels, d <= 4, whose lowest level is repeated ``ground`` times;
+    the other gaps are 0.5 to 2."""
+    dim = draw(hst.integers(ground + 1, 4))
+    gaps = draw(hst.lists(hst.floats(0.5, 2.0), min_size=dim - ground, max_size=dim - ground))
+    return draw(hst.floats(-2.0, 2.0)) + np.concatenate([np.zeros(ground), np.cumsum(gaps)])
+
+
+SOLVER_CASES = settings(max_examples=40, derandomize=True, deadline=None, database=None)
+
+
+@pytest.mark.parametrize("ground", [1, 2], ids=["non-degenerate", "degenerate-ground"])
+@SOLVER_CASES
+@given(data=hst.data())
+def test_solve_beta_matches_a_bisection_oracle_on_both_branches(ground, data):
+    levels = data.draw(ground_degenerate_levels(ground))
+    # beta* in [0.3, 3]: S(beta) is steep enough there that the two roots
+    # differ only by rounding
+    steps = data.draw(hst.lists(hst.floats(0.05, 0.5), min_size=2, max_size=5))
+    betas = 0.25 + np.cumsum(steps)
+    targets = [oracle_entropy(levels, b) for b in betas]
+    series = solve_beta_series(np.tile(levels, (len(targets), 1)), targets)
+    assert all(r.residual < 1e-10 and not r.saturated for r in series)
+    solved = [r.beta_R for r in series]
+    assert np.all(np.diff(solved) > 0.0)  # the entropy targets decrease
+    for beta, target in zip(solved, targets):
+        assert abs(beta - oracle_beta(levels, target)) <= 1e-12 * (1.0 + abs(beta))
+        # S(beta; w) = S(-beta; -w): the negative branch on the mirrored levels
+        mirrored = solve_beta(-levels[::-1], target, branch=BRANCH_NEGATIVE)
+        assert mirrored.beta_R == pytest.approx(-beta, rel=1e-12, abs=1e-12)
+        assert mirrored.residual < 1e-10
+
+
+@pytest.mark.parametrize("ground", [1, 2], ids=["non-degenerate", "degenerate-ground"])
+@SOLVER_CASES
+@given(data=hst.data())
+def test_target_below_the_entropy_floor_saturates_at_the_cap(ground, data):
+    levels = data.draw(ground_degenerate_levels(ground))
+    target = data.draw(hst.floats(0.0, 0.99)) * math.log(ground)  # floor ln(ground)
+    cap = 1e8 / (levels[-1] - levels[0])
+    res = solve_beta(levels, target)
+    assert res.saturated and res.beta_R == cap
+    mirrored = solve_beta(-levels[::-1], target, branch=BRANCH_NEGATIVE)
+    assert mirrored.saturated and mirrored.beta_R == -cap
