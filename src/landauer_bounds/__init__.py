@@ -7,7 +7,7 @@ heat, including their quantum-coherence decomposition.
 """
 
 from .errors import LandauerBoundsError
-from .lindblad import JumpChannel, LindbladModel, Trajectory, generator, hamiltonian_rate, propagate
+from .lindblad import JumpChannel, LindbladModel, Trajectory, propagate
 from .linalg import eigh
 from .models import (
     ErasureParams,
@@ -24,7 +24,7 @@ from .qstate import (
     state_functionals,
     von_neumann_entropy,
 )
-from .refsolve import BetaSolveResult, gibbs_entropy, solve_beta, solve_beta_series
+from .refsolve import BetaSolveResult, solve_beta, solve_beta_series
 from .thermo import (
     Bounds,
     NlpComparison,
@@ -53,10 +53,7 @@ __all__ = [
     "eigh",
     "evaluate_samples",
     "fidelity_pure",
-    "generator",
-    "gibbs_entropy",
     "gibbs_state",
-    "hamiltonian_rate",
     "initial_state",
     "nlp_comparison",
     "propagate",

@@ -70,7 +70,3 @@ class ConfigError(LandauerBoundsError):
 
 class SchemaError(LandauerBoundsError):
     """Input file does not match the expected schema."""
-
-
-class UndrivenModelWarning(UserWarning):
-    """Hamiltonian rate requested for an undriven model (identically zero)."""

@@ -10,6 +10,9 @@ for i < j) and the two extra rows carry the dissipated-heat and work integrals
 
     Q(t) = -int_0^t Tr[H(t') drho/dt'] dt',   W(t) = int_0^t Tr[dH/dt' rho] dt'.
 
+The work integral uses the analytic dH/dt of the model's own protocol, so a
+driven model must supply ``hamiltonian_rate_protocol``.
+
 Only the d^2 x d^2 complex Liouvillian is formed, from the jump terms and d
 strided adds each of -i K (x) I and +i I (x) conj(K), with no Kronecker
 product against the identity; one elementwise similarity makes it real, and the
@@ -42,7 +45,6 @@ from .errors import (
     PositivityError,
     ProtocolDomainError,
     StabilityError,
-    UndrivenModelWarning,
 )
 
 _STEP_DRIFT_LIMIT = 1e-6
@@ -86,12 +88,6 @@ class JumpChannel:
         op.setflags(write=False)
         return cls(rate=rate, operator_protocol=lambda t: op)
 
-    def operator(self, t: float) -> np.ndarray:
-        try:
-            return linalg.as_operator(self.operator_protocol(t))
-        except Exception as exc:
-            raise ProtocolDomainError(f"jump operator failed at t={t!r}: {exc}") from exc
-
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
@@ -99,9 +95,9 @@ class LindbladModel:
 
     ``driven = False`` asserts that the Hamiltonian and all channel operators
     are time independent; the propagator then builds the step map once.
-    ``hamiltonian_rate_protocol`` optionally supplies the analytic dH/dt used
-    by the work integral; otherwise a central finite difference with step
-    1e-6 * protocol_timescale is used.
+    A driven model must supply ``hamiltonian_rate_protocol``, the analytic
+    dH/dt that the work integral uses; ``ValueError`` otherwise, also from
+    ``dataclasses.replace``. An undriven model's rate is never evaluated.
 
     Every protocol maps a time to a (d, d) matrix. Called with a 1-D array of
     m times it must return either the (m, d, d) stack of values or one
@@ -114,7 +110,10 @@ class LindbladModel:
     channels: tuple[JumpChannel, ...]
     driven: bool = False
     hamiltonian_rate_protocol: Callable[[float], np.ndarray] | None = None
-    protocol_timescale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.driven and self.hamiltonian_rate_protocol is None:
+            raise ValueError("a driven model needs hamiltonian_rate_protocol (analytic dH/dt)")
 
     def hamiltonian(self, t: float) -> np.ndarray:
         try:
@@ -167,15 +166,6 @@ def protocol_values(protocol: Callable[..., np.ndarray], times: np.ndarray,
     except Exception as exc:
         raise ProtocolDomainError(
             f"{what} failed at t in [{times[0]!r}, {times[-1]!r}]: {exc}") from exc
-
-
-def _hamiltonian_rates(model: LindbladModel, times: np.ndarray) -> np.ndarray:
-    if model.hamiltonian_rate_protocol is not None:
-        return protocol_values(model.hamiltonian_rate_protocol, times, model.dim, "dH/dt")
-    h_fd = 1e-6 * model.protocol_timescale
-    ham = model.hamiltonian_protocol
-    return (protocol_values(ham, times + h_fd, model.dim, "Hamiltonian")
-            - protocol_values(ham, times - h_fd, model.dim, "Hamiltonian")) / (2.0 * h_fd)
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,8 +251,8 @@ def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     ``_coordinates``), built without Kronecker products against the identity
     (see ``_real_liouvillians``); row d^2 is dQ/dt = -Tr[H L(rho)] = -h . A x
     with h the coordinates of H, and row d^2 + 1 is dW/dt = Tr[dH/dt rho], the
-    coordinates of dH/dt (zero for undriven models). The Q and W columns are
-    zero.
+    coordinates of ``hamiltonian_rate_protocol`` (zero for undriven models).
+    The Q and W columns are zero.
     """
     times = np.asarray(times, dtype=float)
     n = model.dim ** 2
@@ -273,29 +263,9 @@ def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     gen[:, :n, :n] = np.moveaxis(real, -1, 0)
     gen[:, n, :n] = -np.einsum("tj,jkt->tk", hermitian_coordinates(h), real)
     if model.driven:
-        gen[:, n + 1, :n] = hermitian_coordinates(_hamiltonian_rates(model, times))
+        rate = protocol_values(model.hamiltonian_rate_protocol, times, model.dim, "dH/dt")
+        gen[:, n + 1, :n] = hermitian_coordinates(rate)
     return gen
-
-
-def generator(model: LindbladModel, t: float, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation at (t, rho): the Liouvillian
-    block of ``augmented_generators`` applied to the coordinates of rho.
-
-    ``rho`` must be Hermitian; the result is exactly Hermitian, and traceless
-    up to rounding.
-    """
-    n = model.dim ** 2
-    liou = augmented_generators(model, np.array([float(t)]))[0, :n, :n]
-    return density_matrices(liou @ hermitian_coordinates(linalg.as_operator(rho)))
-
-
-def hamiltonian_rate(model: LindbladModel, t: float) -> np.ndarray:
-    """dH/dt at time t: analytic protocol when available, else central difference."""
-    if not model.driven:
-        warnings.warn("hamiltonian_rate of an undriven model is identically zero",
-                      UndrivenModelWarning, stacklevel=2)
-        return np.zeros((model.dim, model.dim), dtype=np.complex128)
-    return np.array(_hamiltonian_rates(model, np.array([float(t)]))[0])
 
 
 def _add_identity(maps: np.ndarray) -> np.ndarray:

@@ -30,9 +30,6 @@ from . import linalg, qstate
 from .errors import DarkStateViolation
 from .lindblad import JumpChannel, LindbladModel
 
-RYDBERG_BASIS = ("00", "01", "0r", "10", "11", "1r", "r0", "r1", "rr")
-
-
 @dataclass(frozen=True)
 class RydbergParams:
     """Couplings in units of the Rabi-frequency unit Omega = 2 pi MHz."""
@@ -81,10 +78,7 @@ def build_rydberg(params: RydbergParams) -> tuple[LindbladModel, np.ndarray]:
         h += params.omega * (_dyad(i11, bright) + _dyad(i00, bright))
     h = h + h.conj().T
 
-    jump_pairs = ((i01, i0r), (i00, i0r), (i10, ir0), (i00, ir0))
-    channels = tuple(
-        JumpChannel.constant(params.gamma / 2.0, _dyad(i, j)) for i, j in jump_pairs
-    )
+    jumps = [_dyad(i, j) for i, j in ((i01, i0r), (i00, i0r), (i10, ir0), (i00, ir0))]
 
     bell = np.zeros(9, dtype=np.complex128)
     bell[i00] = 1.0 / math.sqrt(2.0)
@@ -92,16 +86,15 @@ def build_rydberg(params: RydbergParams) -> tuple[LindbladModel, np.ndarray]:
 
     if float(np.linalg.norm(h @ bell)) > 1e-12:
         raise DarkStateViolation("H does not annihilate the Bell state")
-    for ch in channels:
-        if float(np.linalg.norm(ch.operator(0.0) @ bell)) > 1e-12:
-            raise DarkStateViolation("a jump operator does not annihilate the Bell state")
+    if any(float(np.linalg.norm(jump @ bell)) > 1e-12 for jump in jumps):
+        raise DarkStateViolation("a jump operator does not annihilate the Bell state")
 
     h.setflags(write=False)
     bell.setflags(write=False)
     model = LindbladModel(
         dim=9,
         hamiltonian_protocol=lambda t: h,
-        channels=channels,
+        channels=tuple(JumpChannel.constant(params.gamma / 2.0, jump) for jump in jumps),
         driven=False,
     )
     return model, bell
@@ -138,7 +131,7 @@ def build_erasure(params: ErasureParams) -> LindbladModel:
         c, s = e * np.cos(th), e * np.sin(th)
         return _qubit_operators(c, s, s, -c)
 
-    def hamiltonian_rate(t) -> np.ndarray:
+    def dh_dt(t) -> np.ndarray:
         # d/dt of (eps/2)(cos th sz + sin th sx): gap ramp plus axis rotation.
         th = theta(t)
         c, s = np.cos(th), np.sin(th)
@@ -169,8 +162,7 @@ def build_erasure(params: ErasureParams) -> LindbladModel:
         hamiltonian_protocol=hamiltonian,
         channels=(JumpChannel(gamma, emission), JumpChannel(gamma, absorption)),
         driven=True,
-        hamiltonian_rate_protocol=hamiltonian_rate,
-        protocol_timescale=tau,
+        hamiltonian_rate_protocol=dh_dt,
     )
 
 

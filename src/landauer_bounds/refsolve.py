@@ -18,12 +18,10 @@ the live set at the step where a lone solve of that row would stop, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import ConstantEntropy, TargetOutOfRange
 
 BRANCH_NON_NEGATIVE = "non-negative"
@@ -33,10 +31,10 @@ _MAX_STEPS = 200
 _CAP_FACTOR = 1e8
 
 
-@dataclass(frozen=True)
-class BetaSolveResult:
+class BetaSolveResult(NamedTuple):
     """Outcome of one entropy-matching solve.
 
+    A named tuple, since a series builds one per sample.
     ``saturated`` means the target lies below the entropy floor reachable on
     the searched branch; ``beta_R`` is then the search cap, not a root.
     Failed solves in a series carry the message in ``error``.
@@ -62,14 +60,6 @@ def _entropy_from_levels(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
     weights = np.exp(x)
     z = weights.sum(axis=0)
     return np.log(z) - np.sum(weights / z * x, axis=0)
-
-
-def gibbs_entropy(h: np.ndarray, beta: float) -> float:
-    """von Neumann entropy of the Gibbs state of ``h`` at inverse parameter beta."""
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    levels, _ = linalg.eigh(h)
-    return float(_entropy_from_levels(levels, beta))
 
 
 def _row_errors(levels: np.ndarray, targets: np.ndarray) -> list[Exception | None]:
@@ -158,7 +148,7 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
 
 def solve_beta(levels: np.ndarray, s_target: float,
                branch: str = BRANCH_NON_NEGATIVE) -> BetaSolveResult:
-    """Find beta_R with gibbs_entropy(h, beta_R) = s_target on the given branch.
+    """Find beta_R with S(gibbs(beta_R, h)) = s_target on the given branch.
 
     ``levels`` are the ascending eigenvalues of h.
 

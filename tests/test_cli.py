@@ -352,6 +352,40 @@ def test_custom_matrix_model(tmp_path):
     assert all(f == "saturated" for f in cols["flags"])
 
 
+def thermal_channels(temperature, gamma=0.1, omega=1.0):
+    """Emission and absorption of a qubit with gap omega coupled to a bath."""
+    n_bath = 1.0 / math.expm1(omega / temperature)
+    return [{"rate": gamma * (n_bath + 1.0), "operator": {"re": [[0.0, 1.0], [0.0, 0.0]]}},
+            {"rate": gamma * n_bath, "operator": {"re": [[0.0, 0.0], [1.0, 0.0]]}}]
+
+
+@pytest.mark.parametrize("bath_T, code", [(0.5, 2), (5.0, 0), (None, 0)],
+                         ids=["cold-bath-T", "hot-bath-T", "no-bath"])
+def test_qubit_between_two_baths(tmp_path, bath_T, code):
+    # Baths at T = 0.5 and T = 5 warm a qubit that starts thermal at 0.5. The
+    # first-law bounds need no bath and hold; the Landauer bound -T dS <= Q
+    # holds only for a bath temperature the environment really has.
+    (tmp_path / "m.json").write_text(json.dumps({
+        "dim": 2, "hamiltonian": {"re": [[-0.5, 0.0], [0.0, 0.5]]},
+        "channels": thermal_channels(0.5) + thermal_channels(5.0)}))
+    config = tmp_path / "two-baths.json"
+    config.write_text(json.dumps({
+        "model": "custom", "custom_model_file": str(tmp_path / "m.json"),
+        "initial_state": {"kind": "gibbs", "beta": 2.0},
+        "integrator": {"dt": 0.01, "t_end": 40.0, "n_samples": 41}, "bath_T": bath_T}))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == code
+    verdicts = read_meta(out)["verdicts"]
+    for name in ("heat_upper", "gap_nonneg", "gap_identity"):
+        assert verdicts[name]["holds"]
+    if bath_T is None:
+        assert "lp_lower" not in verdicts
+    else:
+        assert verdicts["lp_lower"]["holds"] == (bath_T == 5.0)
+    if bath_T == 0.5:
+        assert verdicts["lp_lower"]["worst_slack"] == pytest.approx(-0.137, abs=1e-3)
+
+
 def test_environment_variable_sets_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("LANDAUER_OUT", str(tmp_path / "env-out"))
     assert run_cli("run", "--scenario", "fig1", "--t-end", "2", "--samples", "3") == 0

@@ -1,26 +1,20 @@
+import contextlib
 import dataclasses
 import math
 import tracemalloc
 
-import hypothesis.strategies as hst
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from random_cases import random_lindbladians
 
-from landauer_bounds import lindblad, models, qstate
-from landauer_bounds.errors import (
-    InvalidState,
-    NonHermitianInput,
-    StabilityError,
-    UndrivenModelWarning,
-)
+from landauer_bounds import linalg, lindblad, models, qstate
+from landauer_bounds.errors import InvalidState, NonHermitianInput, StabilityError
 from landauer_bounds.lindblad import (
     JumpChannel,
     LindbladModel,
     augmented_generators,
     density_matrices,
-    generator,
-    hamiltonian_rate,
     hermitian_coordinates,
     propagate,
     steps_per_block,
@@ -28,6 +22,11 @@ from landauer_bounds.lindblad import (
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
+
+
+def zero_rate(t):
+    """dH/dt of a constant Hamiltonian, for driven clones of undriven models."""
+    return np.zeros((2, 2))
 
 
 def amplitude_damping_model(eps=1.0, gamma=0.2):
@@ -115,13 +114,9 @@ def test_rk4_order_against_analytic_solution():
 
 def test_constant_and_generic_paths_agree():
     const = amplitude_damping_model()
-    driven_clone = dataclasses.replace(const, driven=True)
+    # the clone takes the driven path: step maps built per step from protocols
+    driven_clone = dataclasses.replace(const, driven=True, hamiltonian_rate_protocol=zero_rate)
     a = propagate(const, excited_state(), 2.0, 0.01, 9)
-    with pytest.warns(UndrivenModelWarning):
-        # the clone advertises driven dynamics, so dH/dt falls back to a
-        # finite difference of the constant Hamiltonian (zero, with warning
-        # emitted by the public op; the loop itself uses the FD directly)
-        hamiltonian_rate(const, 0.0)
     b = propagate(driven_clone, excited_state(), 2.0, 0.01, 9)
     for sa, sb in zip(a.states, b.states):
         assert np.max(np.abs(sa - sb)) < 1e-13
@@ -137,19 +132,20 @@ def test_driven_energy_balance(erasure):
     assert np.max(np.abs((e - e[0]) - (traj.work - traj.heat))) < 1e-8
 
 
-def test_hamiltonian_rate_undriven_warns():
-    model = amplitude_damping_model()
-    with pytest.warns(UndrivenModelWarning):
-        out = hamiltonian_rate(model, 0.3)
-    assert np.all(out == 0)
+def test_driven_model_needs_an_analytic_rate():
+    const = amplitude_damping_model()
+    with pytest.raises(ValueError, match="hamiltonian_rate_protocol"):
+        LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=(), driven=True)
+    with pytest.raises(ValueError, match="hamiltonian_rate_protocol"):
+        dataclasses.replace(const, driven=True)
 
 
 def test_hamiltonian_rate_analytic_vs_finite_difference(erasure):
-    fd_model = dataclasses.replace(erasure, hamiltonian_rate_protocol=None)
+    # central difference of H(t) with step 1e-6 tau
+    ham, step = erasure.hamiltonian_protocol, 1e-6 * models.ErasureParams().tau
     for t in (2.5, 5.0, 7.5):
-        analytic = hamiltonian_rate(erasure, t)
-        fd = hamiltonian_rate(fd_model, t)
-        assert np.max(np.abs(analytic - fd)) < 1e-7
+        fd = (ham(t + step) - ham(t - step)) / (2.0 * step)
+        assert np.max(np.abs(erasure.hamiltonian_rate_protocol(t) - fd)) < 1e-7
 
 
 def test_hamiltonian_rate_at_protocol_start(erasure):
@@ -158,7 +154,7 @@ def test_hamiltonian_rate_at_protocol_start(erasure):
     params = models.ErasureParams()
     expected = -(params.eps0 / 2.0) * (math.pi / params.tau) * np.array(
         [[0, 1], [1, 0]], dtype=complex)
-    assert np.allclose(hamiltonian_rate(erasure, 0.0), expected, atol=1e-15)
+    assert np.allclose(erasure.hamiltonian_rate_protocol(0.0), expected, atol=1e-15)
 
 
 def test_propagate_rejects_absurd_step():
@@ -170,7 +166,7 @@ def test_unstable_run_names_its_first_sample_with_norm_above_10():
     # Only H = diag(1, -1): each RK4 step of dt = 20 multiplies the coherence of
     # |+> by |R(40i)| ~ 1e5, so the state overflows long before sample 400.
     model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=(), driven=True,
-                          hamiltonian_rate_protocol=lambda t: np.zeros((2, 2)))
+                          hamiltonian_rate_protocol=zero_rate)
     plus = np.full((2, 2), 0.5, dtype=complex)
     with pytest.warns(UserWarning, match="accuracy may degrade") as caught:
         with pytest.raises(StabilityError, match=r"^state norm 7\.524e\+04 at t=20\.0$"):
@@ -190,8 +186,7 @@ def test_cumulative_trace_drift_sums_the_per_sample_corrections(monkeypatch):
 
     monkeypatch.setattr(lindblad, "_rk4_step_maps", scaled)
     model, rho0 = amplitude_damping_model(), excited_state()
-    for case in (model, dataclasses.replace(model, driven=True,
-                                            hamiltonian_rate_protocol=lambda t: np.zeros((2, 2)))):
+    for case in (model, dataclasses.replace(model, driven=True, hamiltonian_rate_protocol=zero_rate)):
         traj = propagate(case, rho0, 3.07, 0.01, 31)
         gaps = np.diff(np.rint(traj.times / traj.dt))
         assert traj.cumulative_trace_drift == pytest.approx(np.sum((1.0 + eps) ** gaps - 1.0),
@@ -249,14 +244,7 @@ def reference_propagate(model, rho0, t_end, dt, n_samples):
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     dt = t_end / n_steps
     keep = set(np.rint(np.linspace(0, n_steps, n_samples)).astype(int).tolist())
-    ham = model.hamiltonian_protocol
-    if model.hamiltonian_rate_protocol is not None:
-        hdot = model.hamiltonian_rate_protocol
-    else:
-        h_fd = 1e-6 * model.protocol_timescale
-
-        def hdot(t):
-            return (ham(t + h_fd) - ham(t - h_fd)) / (2.0 * h_fd)
+    ham, hdot = model.hamiltonian_protocol, model.hamiltonian_rate_protocol
 
     def rhs(t, r):
         h = ham(t)
@@ -287,13 +275,12 @@ def reference_propagate(model, rho0, t_end, dt, n_samples):
     return out
 
 
-@pytest.mark.parametrize("case", ["erasure", "erasure_fd_rate", "amplitude_damping"])
+@pytest.mark.parametrize("case", ["erasure", "amplitude_damping"])
 def test_step_maps_match_stage_by_stage_rk4(case, erasure):
     if case == "amplitude_damping":
         model, rho0, t_end = amplitude_damping_model(), excited_state(), 5.0
     else:
-        model = erasure if case == "erasure" else dataclasses.replace(
-            erasure, hamiltonian_rate_protocol=None)
+        model = erasure
         rho0, t_end = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0), 3.0
     traj = propagate(model, rho0, t_end, 0.01, 31)
     states, heat, work = reference_propagate(model, rho0, t_end, 0.01, 31)
@@ -306,20 +293,24 @@ def test_step_maps_match_stage_by_stage_rk4(case, erasure):
     assert (np.max(np.abs(work)) > 1e-3) == model.driven
 
 
-@pytest.mark.parametrize("case, t_end, n_samples, gaps", [
-    ("erasure", 3.07, 31, {10, 11}),
-    # one gap of three blocks of qubit step maps and a partial block
-    ("erasure", (3 * steps_per_block(2) + 16) / 100, 2, {3 * steps_per_block(2) + 16}),
-    ("erasure", 1.5, 151, {1}),
-    ("amplitude_damping", 3.07, 31, {10, 11}),
+@pytest.mark.parametrize("case, t_end, n_samples, gaps, coarse", [
+    ("erasure", 3.07, 31, {10, 11}, False),
+    # one gap of three blocks of qubit step maps and a partial block; it runs
+    # past t = tau, where the gap eps_tau = 10 makes dt * scale = 0.145
+    ("erasure", (3 * steps_per_block(2) + 16) / 100, 2, {3 * steps_per_block(2) + 16}, True),
+    ("erasure", 1.5, 151, {1}, False),
+    ("amplitude_damping", 3.07, 31, {10, 11}, False),
 ], ids=["uneven-gaps", "gap-over-three-blocks", "every-step", "undriven-uneven-gaps"])
-def test_segment_products_match_stage_by_stage_rk4(case, t_end, n_samples, gaps, erasure):
+def test_segment_products_match_stage_by_stage_rk4(case, t_end, n_samples, gaps, coarse,
+                                                   erasure):
     if case == "amplitude_damping":
         model, rho0 = amplitude_damping_model(), excited_state()
     else:
         model = erasure
         rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
-    traj = propagate(model, rho0, t_end, 0.01, n_samples)
+    with (pytest.warns(UserWarning, match="accuracy may degrade") if coarse
+          else contextlib.nullcontext()):
+        traj = propagate(model, rho0, t_end, 0.01, n_samples)
     assert set(np.diff(np.rint(traj.times / traj.dt)).astype(int).tolist()) == gaps
     states, heat, work = reference_propagate(model, rho0, t_end, 0.01, n_samples)
     assert len(states) == len(traj.states) == n_samples
@@ -357,6 +348,16 @@ def complex_generators(model, times):
     return gen
 
 
+def generator(model, t, rho):
+    """Right-hand side of the master equation at (t, rho): the Liouvillian
+    block of ``augmented_generators`` applied to the coordinates of rho, which
+    must be Hermitian. The result is exactly Hermitian, and traceless up to
+    rounding."""
+    n = model.dim ** 2
+    liou = augmented_generators(model, np.array([float(t)]))[0, :n, :n]
+    return density_matrices(liou @ hermitian_coordinates(linalg.as_operator(rho)))
+
+
 def coordinate_map(dim):
     """The unitary T with T vec(rho) = hermitian_coordinates(rho) on Hermitian rho,
     extended by the identity on Q and W, written out entry by entry."""
@@ -380,43 +381,6 @@ def assert_real_generators_match_oracle(model, times):
     for r, a in zip(real, oracle):
         assert np.max(np.abs(t @ a @ t.conj().T - r)) <= 1e-12 * np.linalg.norm(a)
     return real, oracle
-
-
-@hst.composite
-def random_lindbladians(draw, driven=False):
-    """A random Hermitian H, one to three random jump operators and a random state.
-
-    Hypothesis draws the dimension, the number of jumps and a seed; the
-    entries come from that seed, so every model is generic (no degenerate
-    or defective spectrum that would make eigenvalues ill conditioned).
-    Driven models have H(t) = H0 + sin(w t) H1 with its analytic dH/dt and
-    jump operators L(t) = L0 + cos(w t) L1.
-    """
-    dim = draw(hst.sampled_from([2, 3, 4]))
-    n_jumps = draw(hst.integers(1, 3))
-    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
-    re, im = rng.normal(size=(2, 2 + n_jumps, dim, dim))
-    a, rho, *jumps = re + 1j * im
-    h = (a + a.conj().T) / 2
-    rho = rho @ rho.conj().T
-    rates = rng.uniform(0.05, 2.0, n_jumps)
-    if not driven:
-        model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, driven=False,
-                              channels=tuple(map(JumpChannel.constant, rates, jumps)))
-        return model, rho / np.trace(rho).real
-    re, im = rng.normal(size=(2, 1 + n_jumps, dim, dim))
-    b, *jumps1 = re + 1j * im
-    h1, omega = (b + b.conj().T) / 2, rng.uniform(0.5, 3.0)
-
-    def wave(fn, a0, a1, scale=1.0):  # a0 + scale fn(omega t) a1, for a time or an array of times
-        return lambda t: a0 + scale * fn(omega * np.asarray(t, dtype=float))[..., None, None] * a1
-
-    model = LindbladModel(
-        dim=dim, hamiltonian_protocol=wave(np.sin, h, h1), driven=True,
-        hamiltonian_rate_protocol=wave(np.cos, 0.0, h1, omega),
-        channels=tuple(JumpChannel(rate, wave(np.cos, l0, l1))
-                       for rate, l0, l1 in zip(rates, jumps, jumps1)))
-    return model, rho / np.trace(rho).real
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -507,11 +471,12 @@ def test_erasure_protocols_accept_time_arrays(erasure):
 def test_constant_protocol_broadcasts_over_times():
     h = 0.5 * SZ
     model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: h,
-                          channels=(JumpChannel.constant(0.2, LOWER),), driven=True)
+                          channels=(JumpChannel.constant(0.2, LOWER),), driven=True,
+                          hamiltonian_rate_protocol=zero_rate)
     gens = augmented_generators(model, np.linspace(0.0, 1.0, 5))
     assert gens.shape == (5, 6, 6)
     assert np.all(gens == gens[0])
-    assert np.all(gens[:, 5] == 0)  # finite-difference dH/dt of a constant
+    assert np.all(gens[:, 5] == 0)  # the work row of a zero dH/dt
     rho = excited_state()
     assert np.allclose(density_matrices(gens[0, :4, :4] @ hermitian_coordinates(rho)),
                        generator(model, 0.3, rho), atol=1e-15)

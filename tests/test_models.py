@@ -22,7 +22,7 @@ def test_rydberg_dark_state_identities():
     h = model.hamiltonian(0.0)
     assert np.linalg.norm(h @ bell) < 1e-12
     for ch in model.channels:
-        assert np.linalg.norm(ch.operator(0.0) @ bell) < 1e-12
+        assert np.linalg.norm(ch.operator_protocol(0.0) @ bell) < 1e-12
         assert ch.rate == pytest.approx(0.03 / 2)
     assert model.dim == 9 and not model.driven and len(model.channels) == 4
 
@@ -60,7 +60,7 @@ def test_erasure_instantaneous_spectrum():
 def test_erasure_occupation_factor():
     # with beta * eps = 1 at t = 0: N_B = 1/(e - 1)
     model = build_erasure(ErasureParams(eps0=1.0, bath_beta=1.0))
-    l_up = model.channels[1].operator(0.0)
+    l_up = model.channels[1].operator_protocol(0.0)
     n_b = float(np.linalg.norm(l_up) ** 2) / 1.0  # |L2|^2 = eps * N_B, eps = 1
     assert n_b == pytest.approx(1.0 / (math.e - 1.0), abs=1e-12)
     assert n_b == pytest.approx(0.58198, abs=5e-6)
@@ -74,7 +74,7 @@ def test_erasure_jump_operators_connect_instantaneous_eigenstates():
         ground, excited = v[:, 0], v[:, 1]
         eps = float(w[1] - w[0])
         n_b = 1.0 / math.expm1(p.bath_beta * eps)
-        l_down = model.channels[0].operator(float(t))
+        l_down = model.channels[0].operator_protocol(float(t))
         # emission maps the excited state onto the ground state
         assert np.linalg.norm(l_down @ ground) < 1e-12
         amp = np.linalg.norm(l_down @ excited)

@@ -10,7 +10,6 @@ from landauer_bounds.errors import ConstantEntropy, TargetOutOfRange
 from landauer_bounds.refsolve import (
     BRANCH_NEGATIVE,
     BRANCH_NON_NEGATIVE,
-    gibbs_entropy,
     solve_beta,
     solve_beta_series,
 )
@@ -21,6 +20,12 @@ QUBIT_LEVELS = np.array([-0.5, 0.5])
 
 def binary_entropy(p):
     return -(p * math.log(p) + (1 - p) * math.log(1 - p))
+
+
+def gibbs_entropy(h, beta):
+    """von Neumann entropy of the Gibbs state of ``h`` at beta >= 0, from its
+    levels written out one by one (``oracle_entropy``)."""
+    return oracle_entropy(np.linalg.eigvalsh(h).tolist(), beta)
 
 
 def test_gibbs_entropy_infinite_temperature():

@@ -4,11 +4,22 @@ import hypothesis.strategies as hst
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from random_cases import degeneracy_patterns, random_hamiltonian, random_state_of_rank
+from random_cases import (
+    degeneracy_patterns,
+    random_hamiltonian,
+    random_lindbladians,
+    random_state_of_rank,
+)
 
 from landauer_bounds import linalg, models, qstate, refsolve, thermo
 from landauer_bounds.errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
-from landauer_bounds.lindblad import JumpChannel, LindbladModel, Trajectory, propagate
+from landauer_bounds.lindblad import (
+    JumpChannel,
+    LindbladModel,
+    Trajectory,
+    augmented_generators,
+    propagate,
+)
 from landauer_bounds.refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE, BetaSolveResult
 
 
@@ -20,7 +31,7 @@ def frozen_erasure(params=None):
     return LindbladModel(
         dim=2,
         hamiltonian_protocol=lambda t: h0,
-        channels=tuple(JumpChannel.constant(ch.rate, ch.operator(0.0))
+        channels=tuple(JumpChannel.constant(ch.rate, ch.operator_protocol(0.0))
                        for ch in driven.channels),
         driven=False,
     ), params
@@ -255,7 +266,8 @@ def test_instantaneous_relative_entropy_matches_oracle(case):
     hs, states, betas = case
     traj = sampled_trajectory(states)
     driven = LindbladModel(dim=hs.shape[-1], hamiltonian_protocol=lambda t: hs[np.rint(t).astype(int)],
-                           channels=(), driven=True)
+                           channels=(), driven=True,
+                           hamiltonian_rate_protocol=lambda t: np.zeros_like(hs[0]))
     series = [BetaSolveResult(float(b), 0.0, False, BRANCH_NON_NEGATIVE) for b in betas]
     rows = thermo.driven_bounds(traj, driven, thermo.evaluate_samples(traj, driven), series)
     expected = [float(qstate.relative_entropy(rho, qstate.gibbs_state(h, b)))
@@ -300,3 +312,37 @@ def test_entropy_from_trajectory_spectra_is_bit_for_bit(dim, seed):
     assert np.array_equal(traj.min_eigenvalues, traj.spectra[:, 0])
     values = thermo.evaluate_samples(traj, model).values
     assert np.array_equal(values.S, qstate.von_neumann_entropy(traj.states))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(hst.booleans().flatmap(lambda driven: random_lindbladians(driven=driven)))
+def test_first_law_bounds_need_no_bath_on_generic_models(case):
+    # Generic Lindbladians (cf. Denisov et al., PRL 123, 140403, 2019) have no
+    # bath temperature; the bound chain needs only entropy matching. By the
+    # first law dE_S = W - Q, upper - Q = T_R(0) gap = T_R(0) D(rho || rho_th),
+    # which is how the paper derives the heat bound. An undriven model runs
+    # both wrappers: beta_R fixed at t = 0, and matched at every sample.
+    model, rho0 = case
+    t_end, n = 0.5, model.dim ** 2
+    # dt * the largest Liouvillian norm on [0, t_end] is at most 0.08, below
+    # the coarse-step warning
+    liou = augmented_generators(model, np.linspace(0.0, t_end, 21))[:, :n, :n]
+    steps = math.ceil(np.sqrt(np.max(np.einsum("tij,tij->t", liou, liou))) * t_end / 0.08)
+    traj = propagate(model, rho0, t_end, t_end / steps, 11)
+    samples = thermo.evaluate_samples(traj, model)
+    v = samples.values
+    series = refsolve.solve_beta_series(samples.levels, v.S)
+    runs = [(thermo.driven_bounds(traj, model, samples, series), series[0])]
+    if not model.driven:
+        reference = refsolve.solve_beta(samples.levels[0], v.S[0])
+        runs.append((thermo.undriven_bounds(traj, model, samples, reference), reference))
+    for rows, reference in runs:
+        assert np.all(rows.gap >= -1e-10)
+        assert np.max(np.abs(rows.gap - rows.D_inst)) < 1e-10
+        assert np.max(np.abs(rows.dS - (rows.dS_diag - rows.dCoh))) < 1e-12
+        balance = np.abs((v.E_S - v.E_S[0]) - (rows.W - rows.Q))
+        assert np.max(balance) < 1e-8
+        t_r0 = 1.0 / reference.beta_R
+        assert np.all(np.abs(rows.upper - rows.Q - t_r0 * rows.gap)
+                      <= balance + 1e-12 * max(1.0, t_r0))
+        assert np.all(rows.Q <= rows.upper + 1e-8)
