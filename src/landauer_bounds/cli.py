@@ -21,9 +21,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from .errors import (
     ConfigError,
     LandauerBoundsError,
     NonHermitianInput,
-    SchemaError,
     UnnormalizedVector,
 )
-from .lindblad import JumpChannel, LindbladModel, Trajectory, propagate, step_count
+from .lindblad import (JumpChannel, LindbladModel, Trajectory, propagate, sample_blocks,
+                       step_count)
 from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
 from .refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE
 
@@ -50,6 +50,16 @@ CONFIG_KEYS = frozenset({"name", "model", "model_params", "initial_state", "inte
                          "bath_T", "beta_branch", "sweep", "custom_model_file"})
 SWEEP_KEYS = frozenset({"name", "overrides"})
 
+_FIG2: dict[str, Any] = {
+    "model": "erasure",
+    "model_params": {"eps0": 0.4, "eps_tau": 10.0, "tau": 10.0,
+                     "gamma": 0.2, "bath_beta": 1.0},
+    "initial_state": {"kind": "gibbs", "beta": 1.0},
+    "integrator": {"dt": 10.0 / 20000, "t_end": 10.0, "n_samples": 401},
+    "bath_T": 1.0,
+    "beta_branch": BRANCH_NON_NEGATIVE,
+}
+
 _SCENARIOS: dict[str, dict[str, Any]] = {
     "fig1": {
         "model": "rydberg",
@@ -61,21 +71,8 @@ _SCENARIOS: dict[str, dict[str, Any]] = {
         "bath_T": None,
         "beta_branch": BRANCH_NON_NEGATIVE,
     },
-    "fig2": {
-        "model": "erasure",
-        "model_params": {"eps0": 0.4, "eps_tau": 10.0, "tau": 10.0,
-                         "gamma": 0.2, "bath_beta": 1.0},
-        "initial_state": {"kind": "gibbs", "beta": 1.0},
-        "integrator": {"dt": 10.0 / 20000, "t_end": 10.0, "n_samples": 401},
-        "bath_T": 1.0,
-        "beta_branch": BRANCH_NON_NEGATIVE,
-    },
-}
-
-
-def _figs1_defaults() -> dict[str, Any]:
-    cfg = copy.deepcopy(_SCENARIOS["fig2"])
-    cfg["sweep"] = [
+    "fig2": _FIG2,
+    "figS1": {**_FIG2, "sweep": [
         {
             "name": f"tau={tau:g}",
             "overrides": {
@@ -84,30 +81,18 @@ def _figs1_defaults() -> dict[str, Any]:
             },
         }
         for tau in (5.0, 10.0, 20.0)
-    ]
-    return cfg
-
-
-class BuiltRun(NamedTuple):
-    """What a validated configuration runs: the model, the initial state and,
-    for the Rydberg pump, its Bell state."""
-
-    model: LindbladModel
-    rho0: np.ndarray
-    bell: np.ndarray | None
+    ]},
+}
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Validated scenario configuration (see README for the JSON schema).
-
-    ``built`` holds the model and initial state, built and checked with the
-    rest of the configuration; it is None for a sweep, whose entries each
-    carry their own.
-    """
+    """One validated run (see README for the JSON schema): the model built from
+    ``model_name`` and ``model_params``, its initial state ``rho0`` and, for the
+    Rydberg pump, its Bell state, with the settings that meta.json records."""
 
     name: str
-    model: str
+    model_name: str
     model_params: dict[str, float]
     initial_state: dict[str, Any]
     dt: float
@@ -117,9 +102,23 @@ class ScenarioConfig:
     beta_branch: str
     out_dir: Path
     plots: bool
-    sweep: tuple[tuple[str, "ScenarioConfig"], ...]
-    custom_model_file: str | None
-    built: BuiltRun | None = None
+    model: LindbladModel
+    rho0: np.ndarray
+    bell: np.ndarray | None
+
+    @property
+    def kind(self) -> str:
+        return "driven" if self.model.driven else "undriven"
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Validated sweep: one run per entry, each writing into out_dir/<entry name>."""
+
+    name: str
+    out_dir: Path
+    plots: bool
+    runs: tuple[tuple[str, ScenarioConfig], ...]
 
 
 def _real(value: Any, what: str) -> float:
@@ -129,15 +128,16 @@ def _real(value: Any, what: str) -> float:
     return float(value)
 
 
-def _sweep_entries(raw: dict[str, Any]) -> list[tuple[str, dict[str, Any]]]:
+def _sweep_entries(sweep: Any) -> list[tuple[str, dict[str, Any]]]:
     """(name, overrides) of each sweep entry; a name (default entry{i}) is an
     output subdirectory, so it must be one path component and unique."""
-    sweep = raw.get("sweep") or []
     if not isinstance(sweep, list) or not all(
             isinstance(e, dict) and set(e) <= SWEEP_KEYS
             and isinstance(e.get("overrides", {}), dict) for e in sweep):
         raise ConfigError(f"sweep must be a list of objects with keys in {sorted(SWEEP_KEYS)}"
                           " and object-valued overrides")
+    if any("sweep" in e.get("overrides", {}) for e in sweep):
+        raise ConfigError("sweep entry overrides may not contain a sweep")
     names = [e.get("name", f"entry{i}") for i, e in enumerate(sweep)]
     for name in names:
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
@@ -158,18 +158,24 @@ def _merge(base: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
 
 
 def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: bool,
-                 integrator: dict[str, Any] | None = None) -> ScenarioConfig:
-    """Validate a raw configuration and every sweep entry merged into it. The
-    ``integrator`` values (``--dt``, ``--t-end``, ``--samples``) replace the
-    configured ones, also after a sweep entry's overrides.
+                 integrator: dict[str, Any] | None = None) -> ScenarioConfig | Sweep:
+    """Validate a raw configuration: one run, or with a non-empty ``sweep`` a
+    ``Sweep`` of runs, each the configuration merged with an entry's overrides.
+    The ``integrator`` values (``--dt``, ``--t-end``, ``--samples``) replace
+    the configured ones, also after a sweep entry's overrides.
 
-    The model and initial state of a configuration without a sweep, and of
-    each sweep entry, are built here (see ``_build_run``), so a bad entry
-    stops the run before any entry has written an output.
+    A run's model and initial state are built here, and beta_R(0) is checked,
+    so a bad sweep entry stops the sweep before any entry has written an output.
     """
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys {unknown}")
+    if raw.get("sweep"):
+        base = {k: v for k, v in raw.items() if k != "sweep"}
+        return Sweep(name, Path(out_dir), plots, tuple(
+            (entry, build_config(_merge(base, overrides), f"{name}/{entry}",
+                                 Path(out_dir) / entry, plots, integrator))
+            for entry, overrides in _sweep_entries(raw["sweep"])))
     if integrator:
         if not isinstance(raw.get("integrator", {}), dict):
             raise ConfigError("integrator must be an object")
@@ -179,9 +185,9 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         dt = _real(integ["dt"], "dt")
         t_end = _real(integ["t_end"], "t_end")
         n_samples = integ["n_samples"]
-        model = str(raw["model"])
-        if model not in ("rydberg", "erasure", "custom"):
-            raise ConfigError(f"unknown model {model!r}")
+        model_name = str(raw["model"])
+        if model_name not in ("rydberg", "erasure", "custom"):
+            raise ConfigError(f"unknown model {model_name!r}")
         if not (0 < dt < math.inf and 0 < t_end < math.inf):
             raise ConfigError("dt and t_end must be positive and finite")
         if type(n_samples) is float and n_samples.is_integer():
@@ -205,30 +211,29 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
         params = raw.get("model_params", {})
         if not isinstance(params, dict):
             raise ConfigError("model_params must be an object")
-        base = {k: v for k, v in raw.items() if k != "sweep"}
-        sweep = [(entry, build_config(_merge(base, overrides), f"{name}/{entry}",
-                                      Path(out_dir) / entry, plots, integrator))
-                 for entry, overrides in _sweep_entries(raw)]
-        config = ScenarioConfig(
-            name=name,
-            model=model,
-            model_params={k: _real(v, f"model_params {k}") for k, v in params.items()},
-            initial_state=init,
-            dt=dt,
-            t_end=t_end,
-            n_samples=n_samples,
-            bath_T=bath,
-            beta_branch=branch,
-            out_dir=Path(out_dir),
-            plots=plots,
-            sweep=tuple(sweep),
-            custom_model_file=raw.get("custom_model_file"),
-        )
+        params = {k: _real(v, f"model_params {k}") for k, v in params.items()}
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    return config if config.sweep else replace(config, built=_build_run(config))
+    model, bell = _build_model(model_name, params, raw.get("custom_model_file"))
+    h0 = model.hamiltonian(0.0)
+    rho0 = _build_initial_state(init, model.dim, h0)
+    # beta_R(0) enters every sample, so a start without one is refused before
+    # propagating, by the series solve's criteria at sample 0. A driven start
+    # must not saturate it either; the undriven pump runs from a pure start.
+    b0 = refsolve.solve_beta_series(np.linalg.eigvalsh(h0)[None],
+                                    [qstate.von_neumann_entropy(rho0)], branch)[0]
+    if b0.error is not None:
+        raise ConfigError(f"no reference temperature beta_R(0) for H(0): {b0.error}")
+    if model.driven and b0.saturated:
+        raise ConfigError(f"initial_state of kind {init['kind']!r} saturates beta_R(0):"
+                          " S(rho0) is at the Gibbs entropy floor of H(0), and driven"
+                          " models need S(rho0) > 0")
+    return ScenarioConfig(name=name, model_name=model_name, model_params=params,
+                          initial_state=init, dt=dt, t_end=t_end, n_samples=n_samples,
+                          bath_T=bath, beta_branch=branch, out_dir=Path(out_dir), plots=plots,
+                          model=model, rho0=rho0, bell=bell)
 
 
 def load_custom_model(path: str | Path) -> LindbladModel:
@@ -236,9 +241,8 @@ def load_custom_model(path: str | Path) -> LindbladModel:
 
     Schema: {"dim": d, "hamiltonian": {"re": [[..]], "im": [[..]]},
              "channels": [{"rate": g, "operator": {"re": [[..]], "im": [[..]]}}]}
-    with "im" optional. Raises ``SchemaError`` for a file that cannot be read
-    or does not follow the schema, and ``NonHermitianInput`` for a Hamiltonian
-    that is not Hermitian.
+    with "im" optional. Raises ``ConfigError`` naming the file when it cannot
+    be read, does not follow the schema or has a non-Hermitian Hamiltonian.
     """
     try:
         spec = json.loads(Path(path).read_text())
@@ -248,9 +252,11 @@ def load_custom_model(path: str | Path) -> LindbladModel:
             JumpChannel.constant(float(ch["rate"]), _matrix_from_json(ch["operator"], dim))
             for ch in spec.get("channels", [])
         )
+        linalg.require_hermitian(h)
+    except NonHermitianInput as exc:
+        raise ConfigError(f"custom model file {path}: Hamiltonian {exc}") from exc
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"custom model file {path}: {exc}") from exc
-    linalg.require_hermitian(h)
+        raise ConfigError(f"custom model file {path}: {exc}") from exc
     return LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h,
                          channels=channels, driven=False)
 
@@ -269,103 +275,67 @@ class PipelineResult:
     """Everything a single scenario run produced, before serialization."""
 
     config: ScenarioConfig
-    model: LindbladModel
     trajectory: Trajectory
-    kind: str  # "undriven" | "driven"
     bounds: thermo.Bounds
     beta_results: list[refsolve.BetaSolveResult]
     nlp: thermo.NlpComparison | None
     meta: dict[str, Any]
-    bell_state: np.ndarray | None = None
 
 
-def _build_model(config: ScenarioConfig) -> tuple[LindbladModel, np.ndarray | None]:
-    if config.model == "custom":
-        if config.custom_model_file is None:
+def _build_model(name: str, params: dict[str, float],
+                 custom_model_file: Any) -> tuple[LindbladModel, np.ndarray | None]:
+    if name == "custom":
+        if custom_model_file is None:
             raise ConfigError("model 'custom' needs custom_model_file")
-        try:
-            return load_custom_model(config.custom_model_file), None
-        except SchemaError as exc:
-            raise ConfigError(str(exc)) from exc
-        except NonHermitianInput as exc:
-            raise ConfigError(f"custom model file {config.custom_model_file}:"
-                              f" Hamiltonian {exc}") from exc
-    params_type = models.RydbergParams if config.model == "rydberg" else models.ErasureParams
+        return load_custom_model(custom_model_file), None
+    params_type = models.RydbergParams if name == "rydberg" else models.ErasureParams
     try:
-        params = params_type(**config.model_params)
+        typed = params_type(**params)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model_params for {config.model!r}: {exc}") from exc
-    if config.model == "rydberg":
-        return models.build_rydberg(params)
-    return models.build_erasure(params), None
+        raise ConfigError(f"invalid model_params for {name!r}: {exc}") from exc
+    if name == "rydberg":
+        return models.build_rydberg(typed)
+    return models.build_erasure(typed), None
 
 
-def _build_initial_state(config: ScenarioConfig, model: LindbladModel,
-                         h0: np.ndarray) -> np.ndarray:
-    init = config.initial_state
-    kind = init["kind"]
+def _build_initial_state(init: dict[str, Any], dim: int, h0: np.ndarray) -> np.ndarray:
+    """The initial state of a JSON object whose values are checked here; the
+    kind and the values it needs are ``models.initial_state``'s to check."""
+    kind, beta, vector = init["kind"], init.get("beta"), init.get("vector")
     try:
-        if kind in ("gibbs", "sorted_ascending_diagonal"):
-            return models.initial_state(kind, h0, beta=_real(init["beta"], "initial_state beta"))
-        if kind == "maximally_mixed":
-            return models.initial_state(kind, h0)
-        if kind == "pure":
-            vec = np.array([complex(_real(re, "pure vector entry"), _real(im, "pure vector entry"))
-                            for re, im in init["vector"]])
-            if vec.shape != (model.dim,):
-                raise ConfigError(f"pure initial state vector has {len(vec)} entries, "
-                                  f"the model has dimension {model.dim}")
-            return models.initial_state(kind, vector=vec)
-    except KeyError as exc:
-        raise ConfigError(f"initial_state of kind {kind!r} needs {exc}") from exc
+        if beta is not None:
+            beta = _real(beta, "initial_state beta")
+        if vector is not None:
+            vector = np.array([complex(_real(re, "pure vector entry"),
+                                       _real(im, "pure vector entry")) for re, im in vector])
+            if vector.shape != (dim,):
+                raise ConfigError(f"pure initial state vector has {len(vector)} entries, "
+                                  f"the model has dimension {dim}")
+        return models.initial_state(kind, h0, beta=beta, vector=vector)
     except (TypeError, ValueError, UnnormalizedVector) as exc:
         raise ConfigError(f"invalid initial_state of kind {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown initial_state kind {kind!r}")
-
-
-def _build_run(config: ScenarioConfig) -> BuiltRun:
-    """The model and initial state of a configuration; ``ConfigError`` when
-    either cannot be built or a driven start saturates beta_R(0)."""
-    model, bell = _build_model(config)
-    h0 = model.hamiltonian(0.0)
-    rho0 = _build_initial_state(config, model, h0)
-    # beta_R(0) enters every driven sample, so a start that saturates it is
-    # refused before propagating, by the series solve's criterion at sample 0.
-    if model.driven and refsolve.solve_beta_series(
-            np.linalg.eigvalsh(h0)[None], [qstate.von_neumann_entropy(rho0)],
-            config.beta_branch)[0].saturated:
-        raise ConfigError(f"initial_state of kind {config.initial_state['kind']!r}"
-                          " saturates beta_R(0): S(rho0) is at the Gibbs entropy floor"
-                          " of H(0), and driven models need S(rho0) > 0")
-    return BuiltRun(model, rho0, bell)
 
 
 def run_pipeline(config: ScenarioConfig) -> PipelineResult:
-    """Propagate, solve references, and evaluate bounds for one configuration
-    built by ``build_config``."""
-    model, rho0, bell = config.built
-    traj = propagate(model, rho0, config.t_end, config.dt, config.n_samples)
+    """Propagate, solve references, and evaluate bounds for one run built by
+    ``build_config``."""
+    model = config.model
+    traj = propagate(model, config.rho0, config.t_end, config.dt, config.n_samples)
 
     samples = thermo.evaluate_samples(traj, model)
     if model.driven:
-        kind = "driven"
-        beta_results = refsolve.solve_beta_series(samples.levels, samples.values.S,
-                                                  config.beta_branch)
+        beta_results = refsolve.solve_beta_series(samples.levels, samples.S, config.beta_branch)
         bounds = thermo.driven_bounds(traj, model, samples, beta_results, config.bath_T)
     else:
-        kind = "undriven"
-        beta_results = [refsolve.solve_beta(samples.levels[0], samples.values.S[0],
-                                            config.beta_branch)]
+        beta_results = [refsolve.solve_beta(samples.levels[0], samples.S[0], config.beta_branch)]
         bounds = thermo.undriven_bounds(traj, model, samples, beta_results[0], config.bath_T)
 
     nlp = None
     if config.bath_T is not None:
         nlp = thermo.nlp_comparison(traj, model, samples, 1.0 / config.bath_T)
 
-    meta = _build_meta(config, samples.levels[0], traj, kind, bounds, beta_results, nlp, bell)
-    return PipelineResult(config=config, model=model, trajectory=traj, kind=kind,
-                          bounds=bounds, beta_results=beta_results, nlp=nlp,
-                          meta=meta, bell_state=bell)
+    meta = _build_meta(config, samples.levels[0], traj, bounds, beta_results, nlp)
+    return PipelineResult(config, traj, bounds, beta_results, nlp, meta)
 
 
 def _verdicts(bounds: thermo.Bounds, nlp: thermo.NlpComparison | None,
@@ -396,10 +366,8 @@ def _verdicts(bounds: thermo.Bounds, nlp: thermo.NlpComparison | None,
 
 
 def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
-                kind: str, bounds: thermo.Bounds,
-                beta_results: list[refsolve.BetaSolveResult],
-                nlp: thermo.NlpComparison | None,
-                bell: np.ndarray | None) -> dict[str, Any]:
+                bounds: thermo.Bounds, beta_results: list[refsolve.BetaSolveResult],
+                nlp: thermo.NlpComparison | None) -> dict[str, Any]:
     b0 = beta_results[0]
     flipped = b0.beta_R < 0
     degenerate = bool(qstate.has_degenerate_spectrum(levels0))
@@ -409,7 +377,7 @@ def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
     meta: dict[str, Any] = {
         "scenario": config.name,
         "config": {
-            "model": config.model,
+            "model": config.model_name,
             "model_params": config.model_params,
             "initial_state": config.initial_state,
             "integrator": {"dt": config.dt, "t_end": config.t_end,
@@ -450,9 +418,9 @@ def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
         },
         "verdicts": _verdicts(bounds, nlp, flipped),
     }
-    if bell is not None:
-        meta["bell_fidelity_end"] = qstate.fidelity_pure(traj.states[-1], bell)
-    if kind == "driven":
+    if config.bell is not None:
+        meta["bell_fidelity_end"] = qstate.fidelity_pure(traj.states[-1], config.bell)
+    if config.model.driven:
         beta_t = bounds.beta_R_t[~np.isnan(bounds.beta_R_t)]
         meta["reference"]["beta_R_final"] = float(beta_t[-1]) if beta_t.size else None
     return meta
@@ -468,10 +436,10 @@ def write_bounds_csv(result: PipelineResult, path: Path) -> None:
     """One row per sample; each block of samples is formatted column by column.
     NaN is an empty cell in ``thermo.OPTIONAL_COLUMNS`` and ``nan`` elsewhere."""
     table = result.bounds
-    columns = UNDRIVEN_COLUMNS if result.kind == "undriven" else DRIVEN_COLUMNS
+    columns = UNDRIVEN_COLUMNS if result.config.kind == "undriven" else DRIVEN_COLUMNS
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
-        for b in thermo.sample_blocks(len(table)):
+        for b in sample_blocks(len(table)):
             cells = [_format_cells(table[c][b], c in thermo.OPTIONAL_COLUMNS)
                      for c in columns[:-1]]
             cells.append([";".join(f) for f in table.flags[b]])
@@ -485,13 +453,14 @@ def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
     literal ``0`` (what ``%.15g`` gives) without formatting; -0.0 is formatted.
     """
     traj = result.trajectory
-    upper, strict = np.triu_indices(result.model.dim), np.triu_indices(result.model.dim, 1)
+    d = traj.states.shape[-1]
+    upper, strict = np.triu_indices(d), np.triu_indices(d, 1)
     header = ["t", "Q", "W", "min_eig"]
     header += [f"rho_{i}_{j}_re" for i, j in zip(*upper)]
     header += [f"rho_{i}_{j}_im" for i, j in zip(*strict)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for b in thermo.sample_blocks(len(traj.times)):
+        for b in sample_blocks(len(traj.times)):
             rho = traj.states[b]
             block = np.column_stack([traj.times[b], traj.heat[b], traj.work[b],
                                      traj.min_eigenvalues[b], rho[:, upper[0], upper[1]].real,
@@ -524,7 +493,8 @@ def write_outputs(result: PipelineResult) -> Path:
     write_bounds_csv(result, out / "bounds.csv")
     write_meta_json(result.meta, out / "meta.json")
     if result.config.plots:
-        plotting.emit_plots(result.kind, result.bounds, result.meta["reference"]["beta_R0"], out)
+        plotting.emit_plots(result.config.kind, result.bounds,
+                            result.meta["reference"]["beta_R0"], out)
     return out
 
 
@@ -533,40 +503,37 @@ def _exit_code(meta: dict[str, Any]) -> int:
     return EXIT_OK if all(v["holds"] for v in verdicts.values()) else EXIT_VIOLATION
 
 
-def run_scenario(config: ScenarioConfig) -> int:
-    """Execute one scenario (or its sweep) and write all outputs."""
-    if not config.sweep:
+def run_scenario(config: ScenarioConfig | Sweep) -> int:
+    """Execute one run, or each run of a sweep, and write all outputs."""
+    if isinstance(config, ScenarioConfig):
         result = run_pipeline(config)
         write_outputs(result)
         return _exit_code(result.meta)
 
     entries = []
-    codes = []
-    for name, sub in config.sweep:
-        result = run_pipeline(sub)
+    for name, run in config.runs:
+        result = run_pipeline(run)
         write_outputs(result)
-        codes.append(_exit_code(result.meta))
-        entries.append((name, result.bounds, result.meta["reference"]["beta_R0"], result.meta))
+        entries.append((name, result.bounds, result.meta))
 
     summary = {
         "scenario": config.name,
         "sweep": [
             {"name": name, "verdicts": meta["verdicts"],
              "reference": meta["reference"], "diagnostics": meta["diagnostics"]}
-            for name, _, _, meta in entries
+            for name, _, meta in entries
         ],
     }
     config.out_dir.mkdir(parents=True, exist_ok=True)
     write_meta_json(summary, config.out_dir / "meta.json")
     if config.plots:
-        panels = plotting.sweep_panels([(n, r, b) for n, r, b, _ in entries])
+        panels = plotting.sweep_panels([(name, bounds, meta["reference"]["beta_R0"])
+                                        for name, bounds, meta in entries])
         (config.out_dir / "sweep.svg").write_text(plotting.render(panels))
-    return max(codes) if codes else EXIT_OK
+    return max(_exit_code(meta) for _, _, meta in entries)
 
 
 def scenario_defaults(name: str) -> dict[str, Any]:
-    if name == "figS1":
-        return _figs1_defaults()
     if name in _SCENARIOS:
         return copy.deepcopy(_SCENARIOS[name])
     raise ConfigError(f"unknown scenario {name!r}")
@@ -579,7 +546,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a scenario and emit CSV/JSON/SVG outputs")
-    run.add_argument("--scenario", choices=["fig1", "fig2", "figS1"],
+    run.add_argument("--scenario", choices=list(_SCENARIOS),
                      help="built-in scenario with its default parameters")
     run.add_argument("--config", help="path to a scenario configuration JSON file")
     run.add_argument("--out", help="output directory (default: $LANDAUER_OUT or ./landauer-out)")

@@ -61,9 +61,21 @@ _COARSE_STEP = 0.1
 STEP_BLOCK_BYTES = 147_456
 
 
+# Stacks of density matrices (states, Gibbs references and their rotations),
+# the positivity check of the propagated states and the text of the CSV
+# outputs are formed this many samples at a time: enough to batch the work,
+# few enough that the stacks of a long run never sit in memory at once.
+SAMPLE_BLOCK = 256
+
+
 def steps_per_block(dim: int) -> int:
     """Driven steps whose real step maps fit in STEP_BLOCK_BYTES, at least one."""
     return max(1, STEP_BLOCK_BYTES // (8 * (dim * dim + 2) ** 2))
+
+
+def sample_blocks(n: int) -> list[slice]:
+    """Slices of SAMPLE_BLOCK consecutive samples covering n samples."""
+    return [slice(i, i + SAMPLE_BLOCK) for i in range(0, n, SAMPLE_BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -400,8 +412,6 @@ def propagate(
     runs after the last step map is built, and names the first sample above
     10; an unstable run overflows quietly until then.
     """
-    from .thermo import sample_blocks  # thermo imports this module
-
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     if n_samples < 2:

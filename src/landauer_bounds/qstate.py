@@ -36,8 +36,9 @@ DEGENERACY_ATOL = 1e-9
 
 
 class ThermoSample(NamedTuple):
-    """State functionals at a stack of samples: one (m,) array per field, and
-    the (m, d) populations <E_n|rho|E_n> in the energy eigenbasis."""
+    """State functionals at a stack of samples: one (m,) array per field, the
+    (m, d) populations <E_n|rho|E_n> in the energy eigenbasis and the (m, d)
+    ascending energy levels E_n of H(t) at each sample."""
 
     t: np.ndarray
     E_S: np.ndarray
@@ -45,6 +46,7 @@ class ThermoSample(NamedTuple):
     S_diag: np.ndarray
     Coh: np.ndarray
     populations: np.ndarray
+    levels: np.ndarray
 
 
 def require_state(rho: np.ndarray) -> np.ndarray:
@@ -206,4 +208,4 @@ def state_functionals(t: np.ndarray, rho: np.ndarray, spectra: np.ndarray,
     s = shannon_entropy(_clamped_probabilities(spectra))
     s_diag = _dephased_entropies(rotated, populations, levels)
     return ThermoSample(t=t, E_S=e_s, S=s, S_diag=s_diag, Coh=s_diag - s,
-                        populations=populations)
+                        populations=populations, levels=levels)

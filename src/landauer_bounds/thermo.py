@@ -32,47 +32,29 @@ H(t), so the instantaneous relative entropy needs no further decomposition:
 with p_n the Gibbs weights at beta_R(t). Gibbs weights at beta_R(t) and at the
 bath beta, relative entropies and every bound column are array expressions
 over the samples, returned as one table of columns. Stacks of density
-matrices are formed SAMPLE_BLOCK samples at a time.
+matrices are formed ``lindblad.SAMPLE_BLOCK`` samples at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
 from . import linalg, qstate
 from .errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
-from .lindblad import LindbladModel, Trajectory, protocol_values
+from .lindblad import LindbladModel, Trajectory, protocol_values, sample_blocks
 from .qstate import ThermoSample
 from .refsolve import BetaSolveResult
 
-# Stacks of density matrices (states, Gibbs references and their rotations),
-# the positivity check of the propagated states and the text of the CSV
-# outputs are formed this many samples at a time: enough to batch the work,
-# few enough that the stacks of a long run never sit in memory at once.
-SAMPLE_BLOCK = 256
 
-
-class Samples(NamedTuple):
-    """Levels (m, d) of H(t) and the state functionals at every sample,
-    including the populations of rho(t) in the eigenbasis of H(t)."""
-
-    levels: np.ndarray
-    values: ThermoSample
-
-
-def sample_blocks(n: int) -> list[slice]:
-    """Slices of SAMPLE_BLOCK consecutive samples covering n samples."""
-    return [slice(i, i + SAMPLE_BLOCK) for i in range(0, n, SAMPLE_BLOCK)]
-
-
-def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
+def evaluate_samples(traj: Trajectory, model: LindbladModel) -> ThermoSample:
     """Diagonalize H(t) and evaluate E_S, S, S', Coh at every sample.
 
-    An undriven model shares one eigensystem, computed once, across samples.
+    An undriven model shares one eigensystem, computed once, across samples,
+    and its ``levels`` are that one row broadcast to every sample.
     """
     m, d = len(traj.times), model.dim
     times = traj.times if model.driven else traj.times[:1]
@@ -82,7 +64,8 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> Samples:
     parts = [qstate.state_functionals(traj.times[b], traj.states[b], traj.spectra[b],
                                       levels[b], vectors[b])
              for b in sample_blocks(m)]
-    return Samples(levels, ThermoSample(*map(np.concatenate, zip(*parts))))
+    computed = list(zip(*parts))[:-1]  # every field but the levels, which need no copy
+    return ThermoSample(*map(np.concatenate, computed), levels=levels)
 
 
 # Columns left undefined (NaN) by design at some samples; a NaN in any other
@@ -159,7 +142,7 @@ def _scaled_product(t_r: float, x: np.ndarray) -> np.ndarray:
 _IDENTITY_FLAGS = ((), ("beta_solve_failed",), ("saturated",), ("identity_suppressed",))
 
 
-def _chain(traj: Trajectory, samples: Samples, beta_series: list[BetaSolveResult],
+def _chain(traj: Trajectory, v: ThermoSample, beta_series: list[BetaSolveResult],
            heat: np.ndarray, work: np.ndarray, bath_T: float | None) -> Bounds:
     """The bound chain at every sample, from one beta_R solve per sample or one
     that holds at all of them (a fixed reference). A failed or saturated solve
@@ -167,10 +150,10 @@ def _chain(traj: Trajectory, samples: Samples, beta_series: list[BetaSolveResult
     numerically a projector; the bounds only need beta_R(0) and C(t).
 
     D_inst = -S - sum_n ln p_n <E_n|rho|E_n> from the Gibbs weights p at
-    beta_R(t) and the populations of ``samples``; it is NaN where the
+    beta_R(t) and the populations of ``v``; it is NaN where the
     reference is singular (a weight <= 1e-12), flagged ``identity_suppressed``.
     """
-    v, levels, m = samples.values, samples.levels, len(traj.times)
+    levels, m = v.levels, len(traj.times)
     n = len(beta_series)
     beta_r0 = beta_series[0].beta_R
     t_r0 = 1.0 / beta_r0 if beta_r0 != 0.0 else math.inf
@@ -211,7 +194,7 @@ def _chain(traj: Trajectory, samples: Samples, beta_series: list[BetaSolveResult
 def undriven_bounds(
     traj: Trajectory,
     model: LindbladModel,
-    samples: Samples,
+    samples: ThermoSample,
     reference: BetaSolveResult,
     bath_T: float | None = None,
 ) -> Bounds:
@@ -224,7 +207,7 @@ def undriven_bounds(
     """
     if model.driven:
         raise DrivenModelSupplied("undriven_bounds requires an undriven model")
-    e_s = samples.values.E_S
+    e_s = samples.E_S
     return _chain(traj, samples, [reference], -(e_s - e_s[0]), np.zeros(len(traj.times)),
                   bath_T)
 
@@ -232,7 +215,7 @@ def undriven_bounds(
 def driven_bounds(
     traj: Trajectory,
     model: LindbladModel,
-    samples: Samples,
+    samples: ThermoSample,
     beta_series: list[BetaSolveResult],
     bath_T: float | None = None,
 ) -> Bounds:
@@ -255,7 +238,7 @@ def driven_bounds(
 def nlp_comparison(
     traj: Trajectory,
     model: LindbladModel,
-    samples: Samples,
+    samples: ThermoSample,
     bath_beta: float | None,
 ) -> NlpComparison:
     """Slacks of the comparison bounds built from the instantaneous thermal state.
@@ -270,9 +253,9 @@ def nlp_comparison(
         raise NoBathTemperature("nlp_comparison needs a positive bath inverse temperature")
     temp = 1.0 / bath_beta
 
-    v = samples.values
-    p_eq, log_z_eq = qstate.gibbs_weights(samples.levels, bath_beta)
-    e_eq = np.sum(p_eq * samples.levels, axis=-1)
+    v = samples
+    p_eq, log_z_eq = qstate.gibbs_weights(v.levels, bath_beta)
+    e_eq = np.sum(p_eq * v.levels, axis=-1)
     s_eq = qstate.shannon_entropy(p_eq)
     slack_s25 = (bath_beta * (v.E_S - e_eq[0]) - (v.S - s_eq[0]) + (log_z_eq - log_z_eq[0])
                  if model.driven else np.full(len(traj.times), np.nan))

@@ -47,4 +47,4 @@ def fig2_result(tmp_path_factory):
 def figS1_results(tmp_path_factory):
     cfg = build_config(scenario_defaults("figS1"), "figS1",
                        tmp_path_factory.mktemp("figS1"), plots=False)
-    return {name: run_pipeline(entry) for name, entry in cfg.sweep}
+    return {name: run_pipeline(entry) for name, entry in cfg.runs}

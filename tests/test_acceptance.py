@@ -36,7 +36,7 @@ def test_every_figS1_verdict_holds(figS1_results):
 @pytest.mark.parametrize("fixture", ["fig1_result", "fig1_inset_result"])
 def test_bell_fidelity_never_decreases(request, fixture):
     result = request.getfixturevalue(fixture)
-    fidelity = np.array([qstate.fidelity_pure(st, result.bell_state)
+    fidelity = np.array([qstate.fidelity_pure(st, result.config.bell)
                          for st in result.trajectory.states])
     assert np.all(np.diff(fidelity) >= 0.0)
     assert fidelity[-1] > 0.69

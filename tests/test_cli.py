@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from landauer_bounds import cli, linalg, plotting, qstate, thermo
+from landauer_bounds import cli, linalg, lindblad, plotting, qstate, thermo
 from landauer_bounds.errors import SchemaError
 from landauer_bounds.lindblad import Trajectory
 
@@ -187,7 +187,7 @@ def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
         result = cli.run_pipeline(config)
         n = len(result.trajectory.times)
         assert n == 21
-        assert calls["state_functionals"] == math.ceil(n / thermo.SAMPLE_BLOCK)
+        assert calls["state_functionals"] == math.ceil(n / lindblad.SAMPLE_BLOCK)
         assert calls["von_neumann_entropy"] == calls["relative_entropy"] == 0
         assert calls["eigh"] <= 5
 
@@ -198,7 +198,7 @@ def test_sample_blocks_do_not_change_results(tmp_path, monkeypatch, scenario):
     raw["integrator"].update(t_end=2.0, n_samples=20)
     config = cli.build_config(raw, scenario, tmp_path, plots=False)
     whole = cli.run_pipeline(config)
-    monkeypatch.setattr(thermo, "SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 7)
     blocked = cli.run_pipeline(config)
     for new, old in ((blocked.bounds, whole.bounds), (blocked.nlp, whole.nlp)):
         if old is None:
@@ -213,12 +213,23 @@ def test_sample_blocks_do_not_change_results(tmp_path, monkeypatch, scenario):
     assert blocked.meta == whole.meta
 
 
-def test_unstable_step_exits_1(tmp_path):
-    out = tmp_path / "boom"
+@pytest.mark.parametrize("scenario, changes, error", [
+    ("fig2", {"integrator": {"dt": 10.0, "t_end": 10.0, "n_samples": 2}},
+     "StabilityError: state norm 9.244e+02 at t=10.0"),
+    # the pump a hundred times faster than fig1: one RK4 step of 0.4 leaves the
+    # state with a negative eigenvalue, while its norm stays bounded
+    ("fig1", {"model_params": {"omega2": 2.0, "omega": 1.0, "gamma": 3.0},
+              "integrator": {"dt": 0.4, "t_end": 2.0, "n_samples": 6}},
+     "PositivityError: min eigenvalue -3.458e-03 at t=0.4"),
+], ids=["stability", "positivity"])
+def test_unstable_step_exits_1(tmp_path, capsys, scenario, changes, error):
+    raw = {**cli.scenario_defaults(scenario), **changes}
+    config = tmp_path / "unstable.json"
+    config.write_text(json.dumps(raw))
     with pytest.warns(UserWarning, match="accuracy may degrade"):
-        code = run_cli("run", "--scenario", "fig2", "--out", str(out),
-                       "--dt", "10", "--t-end", "10", "--samples", "2")
+        code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
     assert code == 1
+    assert capsys.readouterr().err == f"runtime error: {error}\n"
 
 
 def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
@@ -241,8 +252,10 @@ def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
     {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}},
     {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0]]}},
     {"initial_state": {"kind": "warm"}},
+    # an entry is one run: its overrides cannot open a sweep of their own
+    {"sweep": [{"name": "inner"}]},
 ], ids=["model-params-typo", "tau-zero", "pure-without-vector", "pure-vector-length",
-        "driven-pure-start", "unknown-initial-state"])
+        "driven-pure-start", "unknown-initial-state", "nested-sweep"])
 def test_bad_second_sweep_entry_stops_the_run_before_the_first(tmp_path, capsys, overrides):
     # the model and initial state of every entry are built with the configuration
     raw = cli.scenario_defaults("fig2")
@@ -260,11 +273,11 @@ def test_bad_second_sweep_entry_stops_the_run_before_the_first(tmp_path, capsys,
 def test_command_line_integrator_values_reach_every_sweep_entry(tmp_path):
     config = cli.build_config(cli.scenario_defaults("figS1"), "figS1", tmp_path, False,
                               {"dt": 0.05, "n_samples": 3})
-    assert [name for name, _ in config.sweep] == ["tau=5", "tau=10", "tau=20"]
-    for name, entry in config.sweep:
-        assert (entry.dt, entry.n_samples, entry.sweep) == (0.05, 3, ())
+    assert [name for name, _ in config.runs] == ["tau=5", "tau=10", "tau=20"]
+    for name, entry in config.runs:
+        assert isinstance(entry, cli.ScenarioConfig) and (entry.dt, entry.n_samples) == (0.05, 3)
         assert entry.out_dir == tmp_path / name and entry.name == f"figS1/{name}"
-    assert [entry.t_end for _, entry in config.sweep] == [5.0, 10.0, 20.0]
+    assert [entry.t_end for _, entry in config.runs] == [5.0, 10.0, 20.0]
 
 
 def test_sorted_start_on_a_degenerate_level_exits_3(tmp_path, capsys):
@@ -297,15 +310,22 @@ DAMPED_QUBIT = {
 }
 
 
-@pytest.mark.parametrize("model_file", [
-    None,
-    {"dim": 2, "hamiltonain": DAMPED_QUBIT["hamiltonian"]},
+@pytest.mark.parametrize("model_file, message", [
+    (None, "custom model file {bad}: "),
+    ({"dim": 2, "hamiltonain": DAMPED_QUBIT["hamiltonian"]}, "custom model file {bad}: "),
     # one row would broadcast to [[1, 0], [1, 0]] if added to the default "im"
-    {"dim": 2, "hamiltonian": {"re": [[1.0, 0.0]]}},
-    {"dim": 2, "hamiltonian": {"re": [[0.0, 1.0], [0.0, 0.0]]}},
-], ids=["missing-file", "bad-key", "wrong-shape", "non-hermitian"])
+    ({"dim": 2, "hamiltonian": {"re": [[1.0, 0.0]]}}, "custom model file {bad}: "),
+    ({"dim": 2, "hamiltonian": {"re": [[0.0, 1.0], [0.0, 0.0]]}},
+     "custom model file {bad}: Hamiltonian "),
+    # the Gibbs entropy of H = I / 2 is ln 2 at every beta, so no beta_R(0)
+    # matches S(rho0) and no bound of the run is defined
+    ({**DAMPED_QUBIT, "hamiltonian": {"re": [[0.5, 0.0], [0.0, 0.5]]}},
+     "no reference temperature beta_R(0) for H(0): Hamiltonian proportional to identity"),
+], ids=["missing-file", "bad-key", "wrong-shape", "non-hermitian",
+        "hamiltonian-proportional-to-identity"])
 @pytest.mark.parametrize("second_entry", [False, True], ids=["run", "second-sweep-entry"])
-def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_file, second_entry):
+def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_file, message,
+                                                     second_entry):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(DAMPED_QUBIT))
     if model_file is not None:
@@ -321,7 +341,7 @@ def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_fil
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(config), "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: custom model file {bad}: ")
+    assert err.startswith("configuration error: " + message.format(bad=bad))
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -552,7 +572,8 @@ def reference_csv(path, header, records):
 
 
 def reference_trajectory_csv(result, path):
-    traj, d = result.trajectory, result.model.dim
+    traj = result.trajectory
+    d = traj.states.shape[-1]
     header = ["t", "Q", "W", "min_eig"]
     header += [f"rho_{i}_{j}_re" for i in range(d) for j in range(i, d)]
     header += [f"rho_{i}_{j}_im" for i in range(d) for j in range(i + 1, d)]
@@ -567,7 +588,8 @@ def reference_trajectory_csv(result, path):
 
 def reference_bounds_csv(result, path):
     """NaN is an empty cell in the optional columns and ``nan`` elsewhere."""
-    columns = plotting.UNDRIVEN_COLUMNS if result.kind == "undriven" else plotting.DRIVEN_COLUMNS
+    undriven = result.config.kind == "undriven"
+    columns = plotting.UNDRIVEN_COLUMNS if undriven else plotting.DRIVEN_COLUMNS
     table = result.bounds
     records = [[None if c in thermo.OPTIONAL_COLUMNS and math.isnan(table[c][k])
                 else table[c][k] for c in columns[:-1]] + [";".join(table.flags[k])]
@@ -604,7 +626,8 @@ def synthetic_result(kind, n):
     columns = [np.array([SPECIAL_VALUES[(k * 5 + j) % len(SPECIAL_VALUES)] for k in range(n)])
                for j in range(len(fields))]
     flags = [FLAG_SETS[k % len(FLAG_SETS)] for k in range(n)]
-    return SimpleNamespace(kind=kind, bounds=thermo.Bounds(*columns, flags=flags), model=SimpleNamespace(dim=3),
+    return SimpleNamespace(config=SimpleNamespace(kind=kind),
+                           bounds=thermo.Bounds(*columns, flags=flags),
                            trajectory=synthetic_trajectory(n, 3, SPECIAL_VALUES))
 
 
@@ -616,7 +639,7 @@ def test_csv_writers_match_per_cell_reference(tmp_path, request, monkeypatch, so
     else:
         result = synthetic_result(source, 40)
     if block is not None:
-        monkeypatch.setattr(thermo, "SAMPLE_BLOCK", block)
+        monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", block)
     for write, reference in ((cli.write_trajectory_csv, reference_trajectory_csv),
                              (cli.write_bounds_csv, reference_bounds_csv)):
         write(result, tmp_path / "new.csv")
@@ -627,13 +650,12 @@ def test_csv_writers_match_per_cell_reference(tmp_path, request, monkeypatch, so
 def test_trajectory_writer_zero_columns_match_reference(tmp_path, monkeypatch):
     # In blocks of 7: rho_0_0_re is +0.0 in every row, rho_0_1_re is -0.0 in
     # every row, and rho_1_1_re is +0.0 in the second block only.
-    result = SimpleNamespace(model=SimpleNamespace(dim=2),
-                             trajectory=synthetic_trajectory(20, 2, [0.25, -1 / 3, 1e16, 0.1]))
+    result = SimpleNamespace(trajectory=synthetic_trajectory(20, 2, [0.25, -1 / 3, 1e16, 0.1]))
     states = result.trajectory.states
     states.real[:, 0, 0] = 0.0
     states.real[:, 0, 1] = -0.0
     states.real[7:14, 1, 1] = 0.0
-    monkeypatch.setattr(thermo, "SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 7)
     cli.write_trajectory_csv(result, tmp_path / "new.csv")
     reference_trajectory_csv(result, tmp_path / "old.csv")
     written = (tmp_path / "new.csv").read_text().splitlines()
@@ -647,7 +669,7 @@ def test_trajectory_writer_zero_columns_match_reference(tmp_path, monkeypatch):
 
 def test_fig1_csv_spans_more_than_one_block(fig1_result):
     # the byte comparison above then covers a full block and a partial one
-    assert thermo.SAMPLE_BLOCK < len(fig1_result.bounds) < 2 * thermo.SAMPLE_BLOCK
+    assert lindblad.SAMPLE_BLOCK < len(fig1_result.bounds) < 2 * lindblad.SAMPLE_BLOCK
     assert np.isnan(fig1_result.bounds.lp_lower).any()
 
 
@@ -655,8 +677,7 @@ def test_trajectory_writer_memory_stays_bounded(tmp_path):
     # pump size: 4,001 samples of 9 x 9 states. Formatting the whole file in
     # one pass holds about 13 MB at once; a block of samples about 1.6 MB.
     rng = np.random.default_rng(0)
-    result = SimpleNamespace(model=SimpleNamespace(dim=9),
-                             trajectory=synthetic_trajectory(4001, 9, rng.standard_normal(997)))
+    result = SimpleNamespace(trajectory=synthetic_trajectory(4001, 9, rng.standard_normal(997)))
     tracemalloc.start()
     try:
         current = tracemalloc.get_traced_memory()[0]

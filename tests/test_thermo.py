@@ -206,9 +206,9 @@ def test_driven_bounds_marks_saturated_and_failed_samples():
 
 def test_nlp_requires_bath(fig2_result, rydberg):
     model, _ = rydberg
-    samples = thermo.evaluate_samples(fig2_result.trajectory, fig2_result.model)
+    samples = thermo.evaluate_samples(fig2_result.trajectory, fig2_result.config.model)
     with pytest.raises(NoBathTemperature):
-        thermo.nlp_comparison(fig2_result.trajectory, fig2_result.model, samples, None)
+        thermo.nlp_comparison(fig2_result.trajectory, fig2_result.config.model, samples, None)
     with pytest.raises(NoBathTemperature):
         thermo.nlp_comparison(fig2_result.trajectory, model, samples, -1.0)
 
@@ -230,7 +230,7 @@ def test_nlp_driven_slack_matches_relative_entropy(fig2_result):
     assert c is not None
     bath_beta = 1.0
     for k in range(0, len(c), 40):
-        eq = qstate.gibbs_state(fig2_result.model.hamiltonian(c.t[k]), bath_beta)
+        eq = qstate.gibbs_state(fig2_result.config.model.hamiltonian(c.t[k]), bath_beta)
         d = qstate.relative_entropy(fig2_result.trajectory.states[k], eq)
         assert c.slack_S25[k] == pytest.approx(d, abs=1e-8)
         assert c.slack_S25[k] >= -1e-8
@@ -310,7 +310,7 @@ def test_entropy_from_trajectory_spectra_is_bit_for_bit(dim, seed):
     traj = propagate(model, random_state_of_rank(rng, dim, dim), 2.0, 0.01, 21)
     assert np.array_equal(traj.spectra, np.linalg.eigvalsh(traj.states))
     assert np.array_equal(traj.min_eigenvalues, traj.spectra[:, 0])
-    values = thermo.evaluate_samples(traj, model).values
+    values = thermo.evaluate_samples(traj, model)
     assert np.array_equal(values.S, qstate.von_neumann_entropy(traj.states))
 
 
@@ -330,7 +330,7 @@ def test_first_law_bounds_need_no_bath_on_generic_models(case):
     steps = math.ceil(np.sqrt(np.max(np.einsum("tij,tij->t", liou, liou))) * t_end / 0.08)
     traj = propagate(model, rho0, t_end, t_end / steps, 11)
     samples = thermo.evaluate_samples(traj, model)
-    v = samples.values
+    v = samples
     series = refsolve.solve_beta_series(samples.levels, v.S)
     runs = [(thermo.driven_bounds(traj, model, samples, series), series[0])]
     if not model.driven:
