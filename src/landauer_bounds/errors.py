@@ -36,16 +36,12 @@ class ProtocolDomainError(LandauerBoundsError):
 
 
 class StabilityError(LandauerBoundsError):
-    """The integrator step is unstable.
-
-    Every step map may change the trace of a unit-norm state by at most 1e-6,
-    the state's Frobenius norm may not exceed 10 at any sample, and the step
-    map of an undriven run may not have spectral radius above 1 + 1e-9.
-    """
+    """The integrator step is unstable, by the limits that ``lindblad.propagate`` lists."""
 
 
 class PositivityError(LandauerBoundsError):
-    """Propagated state developed a negative eigenvalue beyond tolerance."""
+    """A propagated state has an eigenvalue below -``qstate.POSITIVITY_ATOL`` (1e-9),
+    the tolerance of every entropy; the message names the first such sample time."""
 
 
 class DrivenModelSupplied(LandauerBoundsError):

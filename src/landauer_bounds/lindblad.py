@@ -10,8 +10,8 @@ for i < j) and the two extra rows carry the dissipated-heat and work integrals
 
     Q(t) = -int_0^t Tr[H(t') drho/dt'] dt',   W(t) = int_0^t Tr[dH/dt' rho] dt'.
 
-The work integral uses the analytic dH/dt of the model's own protocol, so a
-driven model must supply ``hamiltonian_rate_protocol``.
+The work integral uses the analytic dH/dt of the model's own protocol,
+``hamiltonian_rate_protocol``; a model that supplies one is driven.
 
 Only the d^2 x d^2 complex Liouvillian is formed, from the jump terms and d
 strided adds each of -i K (x) I and +i I (x) conj(K), with no Kronecker
@@ -48,7 +48,6 @@ from .errors import (
 )
 
 _STEP_DRIFT_LIMIT = 1e-6
-_MIN_EIG_LIMIT = -1e-6
 _SPECTRAL_RADIUS_LIMIT = 1.0 + 1e-9
 _COARSE_STEP = 0.1
 
@@ -105,11 +104,9 @@ class JumpChannel:
 class LindbladModel:
     """Hamiltonian protocol plus jump channels.
 
-    ``driven = False`` asserts that the Hamiltonian and all channel operators
-    are time independent; the propagator then builds the step map once.
-    A driven model must supply ``hamiltonian_rate_protocol``, the analytic
-    dH/dt that the work integral uses; ``ValueError`` otherwise, also from
-    ``dataclasses.replace``. An undriven model's rate is never evaluated.
+    A model is driven exactly when it supplies ``hamiltonian_rate_protocol``,
+    the analytic dH/dt of the work integral; without one, its Hamiltonian and
+    channel operators are time independent and its step map is built once.
 
     Every protocol maps a time to a (d, d) matrix. Called with a 1-D array of
     m times it must return either the (m, d, d) stack of values or one
@@ -120,12 +117,11 @@ class LindbladModel:
     dim: int
     hamiltonian_protocol: Callable[[float], np.ndarray]
     channels: tuple[JumpChannel, ...]
-    driven: bool = False
     hamiltonian_rate_protocol: Callable[[float], np.ndarray] | None = None
 
-    def __post_init__(self) -> None:
-        if self.driven and self.hamiltonian_rate_protocol is None:
-            raise ValueError("a driven model needs hamiltonian_rate_protocol (analytic dH/dt)")
+    @property
+    def driven(self) -> bool:
+        return self.hamiltonian_rate_protocol is not None
 
     def hamiltonian(self, t: float) -> np.ndarray:
         try:
@@ -381,9 +377,23 @@ def _undriven_maps(model: LindbladModel, dt: float,
     yield [powers[gap] for gap in gaps], defect
 
 
-def step_count(t_end: float, dt: float) -> int:
-    """Number of RK4 steps over [0, t_end]: ceil(t_end / dt), at least 1."""
-    return max(1, math.ceil(t_end / dt - 1e-12))
+def sample_grid(t_end: float, dt: float, n_samples: int) -> tuple[np.ndarray, float]:
+    """Step indices of n_samples uniform samples over ceil(t_end / dt) steps, at
+    least 1, and the step that divides t_end; ``ValueError`` names a bad value."""
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    steps = t_end / dt  # a count beyond int64 is 0 here, below every n_samples - 1
+    n_steps = max(1, math.ceil(steps - 1e-12)) if steps < 2.0 ** 63 else 0
+    if n_steps < n_samples - 1:
+        raise ValueError(f"t_end / dt = {steps:.6g} steps must fit in int64 and"
+                         f" be at least n_samples - 1 = {n_samples - 1}")
+    sample_idx = np.rint(np.linspace(0, n_steps, n_samples)).astype(int)
+    if np.any(np.diff(sample_idx) == 0):
+        raise ValueError("sample grid collapsed; reduce n_samples")
+    return sample_idx, t_end / n_steps
 
 
 def propagate(
@@ -396,13 +406,13 @@ def propagate(
     """RK4 propagation over [0, t_end] retaining n_samples uniform samples.
 
     ``rho0`` is a (d, d) density matrix, checked by ``qstate.require_state``
-    before any step. The step count is ceil(t_end / dt); dt is shrunk to
-    divide t_end exactly.
+    before any step. The samples and the step, dt shrunk to divide t_end
+    exactly, are ``sample_grid``'s, whose ``ValueError`` names a bad argument.
     Warns when dt times the generator scale reaches 0.1 anywhere on the run.
     Raises ``StabilityError`` when a step map changes the trace of a unit-norm
     state by more than 1e-6, an undriven step map has spectral radius above
     1 + 1e-9 or a sampled state has Frobenius norm above 10, and
-    ``PositivityError`` when a sampled state has an eigenvalue below -1e-6.
+    ``PositivityError`` at the first sample whose spectrum dips below -``qstate.POSITIVITY_ATOL``.
 
     The sample loop only multiplies: y = segment @ y, stored unnormalized. The
     state at sample i is then y_i / T_i with T_i = Tr y_i, its Frobenius norm
@@ -412,23 +422,12 @@ def propagate(
     runs after the last step map is built, and names the first sample above
     10; an unstable run overflows quietly until then.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    sample_idx, dt_eff = sample_grid(t_end, dt, n_samples)
     d, n = model.dim, model.dim ** 2
     rho0 = linalg.as_operator(rho0)
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"initial state shape {rho0.shape} != dim {d}")
     qstate.require_state(rho0)
-    n_steps = step_count(t_end, dt)
-    if n_samples > n_steps + 1:
-        raise ValueError(f"n_samples {n_samples} exceeds available steps {n_steps} + 1")
-    dt_eff = t_end / n_steps
-
-    sample_idx = np.rint(np.linspace(0, n_steps, n_samples)).astype(int)
-    if np.any(np.diff(sample_idx) == 0):
-        raise ValueError("sample grid collapsed; reduce n_samples")
     times = sample_idx * dt_eff
     states = np.empty((n_samples, d, d), dtype=np.complex128)
     # The loop writes each sample's real coordinates into the first half of its
@@ -466,9 +465,9 @@ def propagate(
         states[b] = density_matrices(coords[b])
         spectra[b] = np.linalg.eigvalsh(states[b])
     mins = spectra[:, 0]
-    bad = np.flatnonzero(mins < _MIN_EIG_LIMIT)
+    bad = np.flatnonzero(mins < -qstate.POSITIVITY_ATOL)
     if bad.size:
         raise PositivityError(f"min eigenvalue {mins[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
     return Trajectory(times=times, states=states, heat=heat, work=work, spectra=spectra,
                       max_step_trace_drift=max_defect, cumulative_trace_drift=cumulative,
-                      dt=dt_eff, n_steps=n_steps)
+                      dt=dt_eff, n_steps=int(sample_idx[-1]))

@@ -91,13 +91,11 @@ def build_rydberg(params: RydbergParams) -> tuple[LindbladModel, np.ndarray]:
 
     h.setflags(write=False)
     bell.setflags(write=False)
-    model = LindbladModel(
+    return LindbladModel(
         dim=9,
         hamiltonian_protocol=lambda t: h,
         channels=tuple(JumpChannel.constant(params.gamma / 2.0, jump) for jump in jumps),
-        driven=False,
-    )
-    return model, bell
+    ), bell
 
 
 def _qubit_operators(m00, m01, m10, m11) -> np.ndarray:
@@ -161,7 +159,6 @@ def build_erasure(params: ErasureParams) -> LindbladModel:
         dim=2,
         hamiltonian_protocol=hamiltonian,
         channels=(JumpChannel(gamma, emission), JumpChannel(gamma, absorption)),
-        driven=True,
         hamiltonian_rate_protocol=dh_dt,
     )
 

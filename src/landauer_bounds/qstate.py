@@ -29,6 +29,8 @@ from .errors import InvalidState, UnnormalizedVector
 
 TRACE_ATOL = 1e-9
 POSITIVITY_ATOL = 1e-9
+# A reference state with a weight at or below this makes D(rho || sigma) +inf.
+SINGULAR_WEIGHT = 1e-12
 
 # Hamiltonian eigenvalues closer than this count as one degenerate level for
 # the dephasing map (see state_functionals) and for the inverted initial state.
@@ -104,11 +106,11 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """D(rho || sigma) = Tr[rho ln rho] - Tr[rho ln sigma] over broadcast stacks.
 
     Each sigma is decomposed here, independently of rho, because the two
-    generally do not commute. Where sigma has an eigenvalue <= 1e-12 the
-    divergence is +inf and the entry is NaN.
+    generally do not commute. Where sigma has an eigenvalue <= SINGULAR_WEIGHT
+    the divergence is +inf and the entry is NaN.
     """
     w, v = np.linalg.eigh(sigma)
-    singular = w[..., 0] <= 1e-12
+    singular = w[..., 0] <= SINGULAR_WEIGHT
     log_w = np.log(np.where(singular[..., None], 1.0, w))
     populations = np.diagonal(linalg.adjoint(v) @ rho @ v, axis1=-2, axis2=-1).real
     return np.where(singular, np.nan,

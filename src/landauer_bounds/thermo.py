@@ -151,7 +151,7 @@ def _chain(traj: Trajectory, v: ThermoSample, beta_series: list[BetaSolveResult]
 
     D_inst = -S - sum_n ln p_n <E_n|rho|E_n> from the Gibbs weights p at
     beta_R(t) and the populations of ``v``; it is NaN where the
-    reference is singular (a weight <= 1e-12), flagged ``identity_suppressed``.
+    reference is singular (``qstate.SINGULAR_WEIGHT``), flagged ``identity_suppressed``.
     """
     levels, m = v.levels, len(traj.times)
     n = len(beta_series)
@@ -175,7 +175,7 @@ def _chain(traj: Trajectory, v: ThermoSample, beta_series: list[BetaSolveResult]
 
     no_identity = failed | saturated
     log_p = np.log(p_t, out=np.zeros_like(p_t), where=p_t > 0.0)
-    d_inst = np.where(p_t.min(axis=-1) <= 1e-12, np.nan,
+    d_inst = np.where(p_t.min(axis=-1) <= qstate.SINGULAR_WEIGHT, np.nan,
                       -v.S - np.sum(log_p * v.populations, axis=-1))
     keys = (4 * qstate.has_degenerate_spectrum(levels)
             + np.select([failed, saturated, np.isnan(d_inst)], [1, 2, 3], 0)).tolist()

@@ -50,7 +50,7 @@ def random_lindbladians(draw, driven=False):
     rho = rho @ rho.conj().T
     rates = rng.uniform(0.05, 2.0, n_jumps)
     if not driven:
-        model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, driven=False,
+        model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h,
                               channels=tuple(map(JumpChannel.constant, rates, jumps)))
         return model, rho / np.trace(rho).real
     re, im = rng.normal(size=(2, 1 + n_jumps, dim, dim))
@@ -61,7 +61,7 @@ def random_lindbladians(draw, driven=False):
         return lambda t: a0 + scale * fn(omega * np.asarray(t, dtype=float))[..., None, None] * a1
 
     model = LindbladModel(
-        dim=dim, hamiltonian_protocol=wave(np.sin, h, h1), driven=True,
+        dim=dim, hamiltonian_protocol=wave(np.sin, h, h1),
         hamiltonian_rate_protocol=wave(np.cos, 0.0, h1, omega),
         channels=tuple(JumpChannel(rate, wave(np.cos, l0, l1))
                        for rate, l0, l1 in zip(rates, jumps, jumps1)))

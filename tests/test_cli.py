@@ -115,6 +115,10 @@ def test_config_errors_exit_3(tmp_path):
     {"initial_state": {"kind": "pure", "vector": [[True, False]] + [[False, False]] * 8},
      "top_level": {"model": "rydberg", "model_params": {}, "bath_T": None,
                    "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}},
+    # json.dumps writes NaN and Infinity, which no configuration number may be
+    {"top_level": {"model": "rydberg", "model_params": {"gamma": math.nan}, "bath_T": None,
+                   "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}},
+    {"top_level": {"bath_T": math.inf}},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
         "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
@@ -127,7 +131,7 @@ def test_config_errors_exit_3(tmp_path):
         "t-end-bool", "bath-T-string", "eps0-string",
         "model-params-not-an-object", "beta-string", "sweep-name-not-a-string",
         "sweep-names-repeated", "sweep-name-repeats-a-default", "sweep-name-escapes-out",
-        "driven-pure-start", "pure-vector-booleans"])
+        "driven-pure-start", "pure-vector-booleans", "rydberg-gamma-nan", "bath-T-infinity"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
@@ -140,6 +144,7 @@ def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_driven_pure_start_is_refused_before_propagating(tmp_path, capsys, monkeypatch):
@@ -221,7 +226,12 @@ def test_sample_blocks_do_not_change_results(tmp_path, monkeypatch, scenario):
     ("fig1", {"model_params": {"omega2": 2.0, "omega": 1.0, "gamma": 3.0},
               "integrator": {"dt": 0.4, "t_end": 2.0, "n_samples": 6}},
      "PositivityError: min eigenvalue -3.458e-03 at t=0.4"),
-], ids=["stability", "positivity"])
+    # a negative eigenvalue beyond the entropies' tolerance of 1e-9 is refused
+    # by propagate, with the time of its sample
+    ("fig1", {"model_params": {"omega2": 2.0, "omega": 1.0, "gamma": 3.0},
+              "integrator": {"dt": 0.08, "t_end": 2.0, "n_samples": 26}},
+     "PositivityError: min eigenvalue -6.628e-07 at t=0.08"),
+], ids=["stability", "positivity", "positivity-below-entropy-tolerance"])
 def test_unstable_step_exits_1(tmp_path, capsys, scenario, changes, error):
     raw = {**cli.scenario_defaults(scenario), **changes}
     config = tmp_path / "unstable.json"
@@ -254,8 +264,9 @@ def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
     {"initial_state": {"kind": "warm"}},
     # an entry is one run: its overrides cannot open a sweep of their own
     {"sweep": [{"name": "inner"}]},
+    {"model_params": {"gamma": math.nan}},
 ], ids=["model-params-typo", "tau-zero", "pure-without-vector", "pure-vector-length",
-        "driven-pure-start", "unknown-initial-state", "nested-sweep"])
+        "driven-pure-start", "unknown-initial-state", "nested-sweep", "gamma-nan"])
 def test_bad_second_sweep_entry_stops_the_run_before_the_first(tmp_path, capsys, overrides):
     # the model and initial state of every entry are built with the configuration
     raw = cli.scenario_defaults("fig2")
@@ -321,8 +332,14 @@ DAMPED_QUBIT = {
     # matches S(rho0) and no bound of the run is defined
     ({**DAMPED_QUBIT, "hamiltonian": {"re": [[0.5, 0.0], [0.0, 0.5]]}},
      "no reference temperature beta_R(0) for H(0): Hamiltonian proportional to identity"),
+    # json.dumps writes Infinity and NaN, which no model number may be
+    ({**DAMPED_QUBIT, "channels": [{"rate": math.inf, "operator": {"re": [[0.0, 1.0],
+                                                                        [0.0, 0.0]]}}]},
+     "custom model file {bad}: Infinity is not a finite JSON number"),
+    ({**DAMPED_QUBIT, "hamiltonian": {"re": [[-0.5, 0.0], [0.0, math.nan]]}},
+     "custom model file {bad}: NaN is not a finite JSON number"),
 ], ids=["missing-file", "bad-key", "wrong-shape", "non-hermitian",
-        "hamiltonian-proportional-to-identity"])
+        "hamiltonian-proportional-to-identity", "rate-infinity", "hamiltonian-nan"])
 @pytest.mark.parametrize("second_entry", [False, True], ids=["run", "second-sweep-entry"])
 def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_file, message,
                                                      second_entry):

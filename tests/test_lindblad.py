@@ -35,7 +35,6 @@ def amplitude_damping_model(eps=1.0, gamma=0.2):
         dim=2,
         hamiltonian_protocol=lambda t: h,
         channels=(JumpChannel.constant(gamma, LOWER),),
-        driven=False,
     )
 
 
@@ -44,7 +43,7 @@ def excited_state():
 
 
 def test_generator_stationary_eigenstate():
-    model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=(), driven=False)
+    model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=())
     out = generator(model, 0.0, qstate.pure_state(np.array([1, 0])))
     assert np.max(np.abs(out)) < 1e-14
 
@@ -53,7 +52,7 @@ def test_generator_pure_decay_algebra():
     gamma = 0.37
     model = LindbladModel(
         dim=2, hamiltonian_protocol=lambda t: np.zeros((2, 2), complex),
-        channels=(JumpChannel.constant(gamma, LOWER),), driven=False)
+        channels=(JumpChannel.constant(gamma, LOWER),))
     out = generator(model, 0.0, excited_state())
     assert np.allclose(out, gamma * np.diag([1.0, -1.0]), atol=1e-14)
 
@@ -77,7 +76,7 @@ def test_generator_dark_state_is_stationary(rydberg):
 
 def test_propagate_zero_generator():
     model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: np.zeros((2, 2), complex),
-                          channels=(), driven=False)
+                          channels=())
     rho0 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
     traj = propagate(model, rho0, 1.0, 0.01, 5)
     for st in traj.states:
@@ -115,7 +114,7 @@ def test_rk4_order_against_analytic_solution():
 def test_constant_and_generic_paths_agree():
     const = amplitude_damping_model()
     # the clone takes the driven path: step maps built per step from protocols
-    driven_clone = dataclasses.replace(const, driven=True, hamiltonian_rate_protocol=zero_rate)
+    driven_clone = dataclasses.replace(const, hamiltonian_rate_protocol=zero_rate)
     a = propagate(const, excited_state(), 2.0, 0.01, 9)
     b = propagate(driven_clone, excited_state(), 2.0, 0.01, 9)
     for sa, sb in zip(a.states, b.states):
@@ -130,14 +129,6 @@ def test_driven_energy_balance(erasure):
     h_t = [erasure.hamiltonian(float(t)) for t in traj.times]
     e = np.array([float(np.trace(st @ h).real) for st, h in zip(traj.states, h_t)])
     assert np.max(np.abs((e - e[0]) - (traj.work - traj.heat))) < 1e-8
-
-
-def test_driven_model_needs_an_analytic_rate():
-    const = amplitude_damping_model()
-    with pytest.raises(ValueError, match="hamiltonian_rate_protocol"):
-        LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=(), driven=True)
-    with pytest.raises(ValueError, match="hamiltonian_rate_protocol"):
-        dataclasses.replace(const, driven=True)
 
 
 def test_hamiltonian_rate_analytic_vs_finite_difference(erasure):
@@ -165,7 +156,7 @@ def test_propagate_rejects_absurd_step():
 def test_unstable_run_names_its_first_sample_with_norm_above_10():
     # Only H = diag(1, -1): each RK4 step of dt = 20 multiplies the coherence of
     # |+> by |R(40i)| ~ 1e5, so the state overflows long before sample 400.
-    model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=(), driven=True,
+    model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=(),
                           hamiltonian_rate_protocol=zero_rate)
     plus = np.full((2, 2), 0.5, dtype=complex)
     with pytest.warns(UserWarning, match="accuracy may degrade") as caught:
@@ -186,7 +177,7 @@ def test_cumulative_trace_drift_sums_the_per_sample_corrections(monkeypatch):
 
     monkeypatch.setattr(lindblad, "_rk4_step_maps", scaled)
     model, rho0 = amplitude_damping_model(), excited_state()
-    for case in (model, dataclasses.replace(model, driven=True, hamiltonian_rate_protocol=zero_rate)):
+    for case in (model, dataclasses.replace(model, hamiltonian_rate_protocol=zero_rate)):
         traj = propagate(case, rho0, 3.07, 0.01, 31)
         gaps = np.diff(np.rint(traj.times / traj.dt))
         assert traj.cumulative_trace_drift == pytest.approx(np.sum((1.0 + eps) ** gaps - 1.0),
@@ -202,6 +193,10 @@ def test_propagate_validates_arguments():
         propagate(model, excited_state(), 1.0, 0.1, 1)
     with pytest.raises(ValueError):
         propagate(model, excited_state(), 1.0, 0.5, 9)  # more samples than steps
+    with pytest.raises(ValueError, match=r"^t_end / dt = inf steps must fit in int64"):
+        propagate(model, excited_state(), 1e300, 1e-300, 5)
+    with pytest.raises(ValueError, match=r"^dt must be positive and finite, got nan$"):
+        propagate(model, excited_state(), 1.0, math.nan, 5)
 
 
 @pytest.mark.parametrize("rho0, error", [
@@ -471,7 +466,7 @@ def test_erasure_protocols_accept_time_arrays(erasure):
 def test_constant_protocol_broadcasts_over_times():
     h = 0.5 * SZ
     model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: h,
-                          channels=(JumpChannel.constant(0.2, LOWER),), driven=True,
+                          channels=(JumpChannel.constant(0.2, LOWER),),
                           hamiltonian_rate_protocol=zero_rate)
     gens = augmented_generators(model, np.linspace(0.0, 1.0, 5))
     assert gens.shape == (5, 6, 6)

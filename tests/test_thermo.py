@@ -33,7 +33,6 @@ def frozen_erasure(params=None):
         hamiltonian_protocol=lambda t: h0,
         channels=tuple(JumpChannel.constant(ch.rate, ch.operator_protocol(0.0))
                        for ch in driven.channels),
-        driven=False,
     ), params
 
 
@@ -266,7 +265,7 @@ def test_instantaneous_relative_entropy_matches_oracle(case):
     hs, states, betas = case
     traj = sampled_trajectory(states)
     driven = LindbladModel(dim=hs.shape[-1], hamiltonian_protocol=lambda t: hs[np.rint(t).astype(int)],
-                           channels=(), driven=True,
+                           channels=(),
                            hamiltonian_rate_protocol=lambda t: np.zeros_like(hs[0]))
     series = [BetaSolveResult(float(b), 0.0, False, BRANCH_NON_NEGATIVE) for b in betas]
     rows = thermo.driven_bounds(traj, driven, thermo.evaluate_samples(traj, driven), series)
@@ -275,7 +274,7 @@ def test_instantaneous_relative_entropy_matches_oracle(case):
     assert rows.D_inst == pytest.approx(expected, abs=1e-12)
     # an undriven model shares the reference of t = 0 across the samples
     undriven = LindbladModel(dim=hs.shape[-1], hamiltonian_protocol=lambda t: hs[0],
-                             channels=(), driven=False)
+                             channels=())
     rows = thermo.undriven_bounds(traj, undriven, thermo.evaluate_samples(traj, undriven),
                                   series[0])
     expected = qstate.relative_entropy(states, qstate.gibbs_state(hs[0], betas[0]))
@@ -286,7 +285,7 @@ def test_singular_reference_leaves_the_identity_pair_undefined():
     # beta = 30 on levels 0 and 1 gives the excited level a weight of 9.4e-14
     traj = sampled_trajectory(np.array([np.diag([0.6, 0.4]).astype(complex)]))
     model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: np.diag([0.0, 1.0]),
-                          channels=(), driven=False)
+                          channels=())
     samples = thermo.evaluate_samples(traj, model)
     rows = thermo.undriven_bounds(traj, model, samples,
                                   BetaSolveResult(30.0, 0.0, False, BRANCH_NON_NEGATIVE))
@@ -306,7 +305,7 @@ def test_entropy_from_trajectory_spectra_is_bit_for_bit(dim, seed):
     jump /= np.linalg.norm(jump)
     h = random_hamiltonian(rng, [1] * dim)
     model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h,
-                          channels=(JumpChannel.constant(0.3, jump),), driven=False)
+                          channels=(JumpChannel.constant(0.3, jump),))
     traj = propagate(model, random_state_of_rank(rng, dim, dim), 2.0, 0.01, 21)
     assert np.array_equal(traj.spectra, np.linalg.eigvalsh(traj.states))
     assert np.array_equal(traj.min_eigenvalues, traj.spectra[:, 0])
