@@ -34,8 +34,8 @@ from .errors import (
     NonHermitianInput,
     UnnormalizedVector,
 )
-from .lindblad import (JumpChannel, LindbladModel, Trajectory, propagate, sample_blocks,
-                       sample_grid)
+from .lindblad import (JumpChannel, LindbladModel, Trajectory, propagate, protocol_values,
+                       sample_blocks, sample_grid)
 from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
 from .refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE
 
@@ -122,15 +122,11 @@ class Sweep:
 
 
 def _real(value: Any, what: str) -> float:
-    """A JSON number (int or float, not bool) as a float."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+    """A finite JSON number (int or float, not bool) as a float; the JSON reader
+    yields NaN, Infinity and 1e400 as floats and huge integer literals as ints."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _refuse_non_finite(name: str) -> Any:
-    """``parse_constant`` of every JSON input: NaN, Infinity and -Infinity are refused."""
-    raise ValueError(f"{name} is not a finite JSON number")
 
 
 def _sweep_entries(sweep: Any) -> list[tuple[str, dict[str, Any]]]:
@@ -216,7 +212,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     model, bell = _build_model(model_name, params, raw.get("custom_model_file"))
-    h0 = model.hamiltonian(0.0)
+    h0 = protocol_values(model.hamiltonian_protocol, np.zeros(1), model.dim, "Hamiltonian")[0]
     rho0 = _build_initial_state(init, model.dim, h0)
     # beta_R(0) enters every sample, so a start without one is refused before
     # propagating, by the series solve's criteria at sample 0. A driven start
@@ -244,7 +240,7 @@ def load_custom_model(path: str | Path) -> LindbladModel:
     be read, does not follow the schema or has a non-Hermitian Hamiltonian.
     """
     try:
-        spec = json.loads(Path(path).read_text(), parse_constant=_refuse_non_finite)
+        spec = json.loads(Path(path).read_text())
         dim = int(spec["dim"])
         h = _matrix_from_json(spec["hamiltonian"], dim)
         channels = tuple(
@@ -254,7 +250,7 @@ def load_custom_model(path: str | Path) -> LindbladModel:
         linalg.require_hermitian(h)
     except NonHermitianInput as exc:
         raise ConfigError(f"custom model file {path}: Hamiltonian {exc}") from exc
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"custom model file {path}: {exc}") from exc
     return LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, channels=channels)
 
@@ -265,6 +261,8 @@ def _matrix_from_json(obj: dict[str, Any], dim: int) -> np.ndarray:
     for part in (re, im):  # checked before adding, which would broadcast
         if part.shape != (dim, dim):
             raise ValueError(f"matrix shape {part.shape} != ({dim}, {dim})")
+        if not np.all(np.isfinite(part)):
+            raise ValueError("matrix entries must be finite")
     return re + 1j * im
 
 
@@ -392,7 +390,7 @@ def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
             "beta_R0": b0.beta_R,
             "residual": b0.residual,
             "saturated": b0.saturated,
-            "branch": b0.branch,
+            "branch": config.beta_branch,
             "direction_flipped": flipped,
         },
         "diagnostics": {
@@ -565,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
             name = args.scenario
         else:
             try:
-                raw = json.loads(Path(args.config).read_text(), parse_constant=_refuse_non_finite)
+                raw = json.loads(Path(args.config).read_text())
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             if not isinstance(raw, dict):

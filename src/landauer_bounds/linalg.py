@@ -31,12 +31,12 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Validate Hermiticity entrywise (max |m - m^dagger| <= atol), also on stacks."""
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity entrywise (max |m - m^dagger| <= HERMITICITY_ATOL), also on stacks."""
     a = as_operator(m)
     dev = np.max(np.abs(a - adjoint(a)))
-    if dev > atol:
-        raise NonHermitianInput(f"max |m - m^dagger| = {dev:.3e} exceeds {atol:.1e}")
+    if dev > HERMITICITY_ATOL:
+        raise NonHermitianInput(f"max |m - m^dagger| = {dev:.3e} exceeds {HERMITICITY_ATOL:.1e}")
     return a
 
 

@@ -79,7 +79,7 @@ def sample_blocks(n: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class JumpChannel:
-    """One dissipation channel: damping rate gamma >= 0 and operator protocol.
+    """One dissipation channel: finite damping rate gamma >= 0 and operator protocol.
 
     ``operator_protocol`` maps a time to a (d, d) operator. Called with a 1-D
     array of m times it must return either the (m, d, d) stack of operators
@@ -90,8 +90,8 @@ class JumpChannel:
     operator_protocol: Callable[[float], np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"channel rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < math.inf:  # NaN fails too
+            raise ValueError(f"channel rate must be finite and >= 0, got {self.rate!r}")
 
     @classmethod
     def constant(cls, rate: float, operator: np.ndarray) -> "JumpChannel":
@@ -122,15 +122,6 @@ class LindbladModel:
     @property
     def driven(self) -> bool:
         return self.hamiltonian_rate_protocol is not None
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        try:
-            h = linalg.as_operator(self.hamiltonian_protocol(t))
-        except Exception as exc:
-            raise ProtocolDomainError(f"Hamiltonian failed at t={t!r}: {exc}") from exc
-        if h.shape != (self.dim, self.dim):
-            raise ProtocolDomainError(f"Hamiltonian shape {h.shape} != dim {self.dim}")
-        return h
 
 
 @dataclass(frozen=True, eq=False)

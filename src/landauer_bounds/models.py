@@ -30,6 +30,17 @@ from . import linalg, qstate
 from .errors import DarkStateViolation
 from .lindblad import JumpChannel, LindbladModel
 
+
+def _require_finite(params: object, names: tuple[str, ...], positive: bool) -> None:
+    """``ValueError`` naming the first field that is not finite and >= 0 (> 0
+    when ``positive``); NaN fails every comparison, so it is refused too."""
+    for name in names:
+        value = getattr(params, name)
+        if not (0 < value < math.inf or (value == 0 and not positive)):
+            raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0,"
+                             f" got {value!r}")
+
+
 @dataclass(frozen=True)
 class RydbergParams:
     """Couplings in units of the Rabi-frequency unit Omega = 2 pi MHz."""
@@ -39,8 +50,7 @@ class RydbergParams:
     gamma: float = 0.03
 
     def __post_init__(self) -> None:
-        if min(self.omega2, self.omega, self.gamma) < 0:
-            raise ValueError("Rydberg parameters must be non-negative")
+        _require_finite(self, ("omega2", "omega", "gamma"), positive=False)
 
 
 @dataclass(frozen=True)
@@ -54,18 +64,13 @@ class ErasureParams:
     bath_beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eps0 <= 0 or self.eps_tau <= 0:
-            raise ValueError("eps0 and eps_tau must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.bath_beta <= 0:
-            raise ValueError("bath_beta must be positive")
+        _require_finite(self, ("eps0", "eps_tau", "tau", "bath_beta"), positive=True)
+        _require_finite(self, ("gamma",), positive=False)
 
 
-def _dyad(i: int, j: int, dim: int = 9) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=np.complex128)
+def _dyad(i: int, j: int) -> np.ndarray:
+    """|i><j| on the 9 Rydberg-pair levels."""
+    m = np.zeros((9, 9), dtype=np.complex128)
     m[i, j] = 1.0
     return m
 

@@ -49,12 +49,13 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round ticks on [lo, hi]."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0]
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -131,8 +132,9 @@ def _panel_svg(panel: Panel, x0: int, y0: int, width: int, height: int) -> list[
     return out
 
 
-def render(panels: list[Panel], width: int = 760, panel_height: int = 300) -> str:
-    """Render stacked panels as an SVG document (deterministic bytes)."""
+def render(panels: list[Panel]) -> str:
+    """Render stacked panels, each 760 x 300, as an SVG document (deterministic bytes)."""
+    width, panel_height = 760, 300
     height = panel_height * len(panels)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -212,18 +214,16 @@ def sweep_panels(entries: list[tuple[str, Any, float]]) -> list[Panel]:
     return panels
 
 
-def emit_plots(kind: str, cols: Any, beta_r0: float, out_dir: str | Path) -> list[Path]:
+def emit_plots(kind: str, cols: Any, beta_r0: float, out_dir: str | Path) -> None:
     """Render bounds.svg for one run's bound columns into ``out_dir``.
 
     ``kind`` is "undriven" or "driven"; ``cols[name]`` is the bounds.csv
     column ``name`` as an array, NaN where undefined: a ``thermo`` table or
     what ``read_bounds_csv`` returns. A beta_R(0) that is zero or not finite
-    is drawn with T_R = 1. Returns the written SVG paths.
+    is drawn with T_R = 1.
     """
     panels = (fig1_style_panels if kind == "undriven" else fig2_style_panels)(
         cols, _drawn_temperature(beta_r0))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    target = out / "bounds.svg"
-    target.write_text(render(panels))
-    return [target]
+    (out / "bounds.svg").write_text(render(panels))

@@ -42,7 +42,6 @@ class ThermoSample(NamedTuple):
     (m, d) populations <E_n|rho|E_n> in the energy eigenbasis and the (m, d)
     ascending energy levels E_n of H(t) at each sample."""
 
-    t: np.ndarray
     E_S: np.ndarray
     S: np.ndarray
     S_diag: np.ndarray
@@ -193,8 +192,8 @@ def fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(v.conj() @ rho @ v))
 
 
-def state_functionals(t: np.ndarray, rho: np.ndarray, spectra: np.ndarray,
-                      levels: np.ndarray, vectors: np.ndarray) -> ThermoSample:
+def state_functionals(rho: np.ndarray, spectra: np.ndarray, levels: np.ndarray,
+                      vectors: np.ndarray) -> ThermoSample:
     """E_S, S, S', Coh and the energy-basis populations of a stack of states.
 
     ``rho`` and ``vectors`` are (m, d, d) stacks; ``spectra`` is (m, d), row i
@@ -209,5 +208,5 @@ def state_functionals(t: np.ndarray, rho: np.ndarray, spectra: np.ndarray,
     e_s = np.sum(levels * populations, axis=-1)
     s = shannon_entropy(_clamped_probabilities(spectra))
     s_diag = _dephased_entropies(rotated, populations, levels)
-    return ThermoSample(t=t, E_S=e_s, S=s, S_diag=s_diag, Coh=s_diag - s,
+    return ThermoSample(E_S=e_s, S=s, S_diag=s_diag, Coh=s_diag - s,
                         populations=populations, levels=levels)

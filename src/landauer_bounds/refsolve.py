@@ -43,7 +43,6 @@ class BetaSolveResult(NamedTuple):
     beta_R: float
     residual: float
     saturated: bool
-    branch: str
     error: str | None = None
 
 
@@ -142,7 +141,7 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
 
     beta = np.where(at_zero, 0.0, sign * np.where(saturated, cap, 0.5 * (lo + hi)))
     residual = np.abs(_entropy_from_levels(levels, beta) - targets)
-    return [BetaSolveResult(b, r, s, branch)
+    return [BetaSolveResult(b, r, s)
             for b, r, s in zip(beta.tolist(), residual.tolist(), saturated.tolist())]
 
 
@@ -187,5 +186,5 @@ def solve_beta_series(levels: np.ndarray, entropies: Sequence[float] | np.ndarra
     ok = np.array([e is None for e in errors], dtype=bool)
     solved = iter(_solve_rows(levels[ok], targets[ok], branch))
     return [next(solved) if e is None
-            else BetaSolveResult(math.nan, math.nan, False, branch, error=str(e))
+            else BetaSolveResult(math.nan, math.nan, False, error=str(e))
             for e in errors]

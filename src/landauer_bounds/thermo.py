@@ -5,7 +5,7 @@ rho_th(t) at beta_R(t) = 1/T_R(t) from entropy matching and the correction
 C(t) = (beta_R(t) - beta_R(0)) E_S(t) + ln Z(t)/Z(0):
 
     gap    = beta_R(0) dE_R~ - dS + C = D(rho(t) || rho_th(t)) >= 0
-    Q_u~   = dE_in~ - T_R(0) dS + T_R(0) C
+    Q_u~   = dE_in~ - T_R(0) dS + T_R(0) C,   dE_in~ = dE_R~(0)
     lp <= Q <= Q_u~ + W               (lp = -T dS needs a genuine bath at T)
 
 Driven models match beta_R(t) at every sample. Undriven ones keep the match
@@ -61,8 +61,7 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> ThermoSample:
     h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
     levels, vectors = linalg.eigh(h)
     levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
-    parts = [qstate.state_functionals(traj.times[b], traj.states[b], traj.spectra[b],
-                                      levels[b], vectors[b])
+    parts = [qstate.state_functionals(traj.states[b], traj.spectra[b], levels[b], vectors[b])
              for b in sample_blocks(m)]
     computed = list(zip(*parts))[:-1]  # every field but the levels, which need no copy
     return ThermoSample(*map(np.concatenate, computed), levels=levels)
@@ -109,7 +108,6 @@ class Bounds(_Table):
     dE_R_tilde: np.ndarray
     gap: np.ndarray
     D_inst: np.ndarray
-    dE_in_tilde: np.ndarray
     Qu_tilde: np.ndarray
     upper: np.ndarray
     lp_lower: np.ndarray
@@ -127,8 +125,6 @@ class NlpComparison(_Table):
     """
 
     t: np.ndarray
-    F_neq_T: np.ndarray
-    F_eq_t: np.ndarray
     slack_S23: np.ndarray
     slack_S25: np.ndarray
 
@@ -183,9 +179,9 @@ def _chain(traj: Trajectory, v: ThermoSample, beta_series: list[BetaSolveResult]
     shared = {k: ("degenerate_spectrum",) * (k >= 4) + flipped + _IDENTITY_FLAGS[k % 4]
               for k in set(keys)}
     return Bounds(
-        v.t, v.E_S, v.S, v.S_diag, v.Coh, heat, work, np.broadcast_to(beta_t, (m,)), c_t,
-        de_r, np.where(no_identity, np.nan, beta_r0 * de_r - ds + c_t),
-        np.where(no_identity, np.nan, d_inst), np.full(m, de_in), qu, qu + work,
+        traj.times, v.E_S, v.S, v.S_diag, v.Coh, heat, work, np.broadcast_to(beta_t, (m,)),
+        c_t, de_r, np.where(no_identity, np.nan, beta_r0 * de_r - ds + c_t),
+        np.where(no_identity, np.nan, d_inst), qu, qu + work,
         np.full(m, np.nan) if bath_T is None else -bath_T * ds, ds,
         v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], [shared[k] for k in keys],
     )
@@ -251,13 +247,10 @@ def nlp_comparison(
     """
     if bath_beta is None or not math.isfinite(bath_beta) or bath_beta <= 0:
         raise NoBathTemperature("nlp_comparison needs a positive bath inverse temperature")
-    temp = 1.0 / bath_beta
-
     v = samples
     p_eq, log_z_eq = qstate.gibbs_weights(v.levels, bath_beta)
     e_eq = np.sum(p_eq * v.levels, axis=-1)
     s_eq = qstate.shannon_entropy(p_eq)
     slack_s25 = (bath_beta * (v.E_S - e_eq[0]) - (v.S - s_eq[0]) + (log_z_eq - log_z_eq[0])
                  if model.driven else np.full(len(traj.times), np.nan))
-    return NlpComparison(v.t, v.E_S - temp * v.S, -temp * log_z_eq,
-                         bath_beta * (v.E_S - e_eq) - (v.S - s_eq), slack_s25)
+    return NlpComparison(traj.times, bath_beta * (v.E_S - e_eq) - (v.S - s_eq), slack_s25)

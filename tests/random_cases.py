@@ -2,11 +2,21 @@
 the hypothesis tests. A test's strategy draws the sizes and an integer seed;
 the matrices come from a numpy generator seeded with it."""
 
+import math
+
 import hypothesis.strategies as hst
 import numpy as np
 
 from landauer_bounds import linalg
-from landauer_bounds.lindblad import JumpChannel, LindbladModel
+from landauer_bounds.lindblad import JumpChannel, LindbladModel, augmented_generators
+
+
+def quiet_step(model, t_end):
+    """The largest step dividing t_end with dt times the largest Liouvillian
+    norm on [0, t_end] at most 0.08, below the coarse-step warning."""
+    n = model.dim ** 2
+    liou = augmented_generators(model, np.linspace(0.0, t_end, 21))[:, :n, :n]
+    return t_end / math.ceil(np.sqrt(np.max(np.einsum("tij,tij->t", liou, liou))) * t_end / 0.08)
 
 
 def random_hamiltonian(rng, sizes):
@@ -66,3 +76,28 @@ def random_lindbladians(draw, driven=False):
         channels=tuple(JumpChannel(rate, wave(np.cos, l0, l1))
                        for rate, l0, l1 in zip(rates, jumps, jumps1)))
     return model, rho / np.trace(rho).real
+
+
+@hst.composite
+def random_davies_models(draw):
+    """An undriven Davies generator, a random state and the generator's beta
+    (Kossakowski, Frigerio, Gorini & Verri, CMP 57, 97, 1977).
+
+    H has d <= 4 generic levels E_n with eigenvectors |n>. Each ordered pair
+    m != n has the jump |m><n| at rate g_mn exp(-beta (E_m - E_n) / 2), g
+    symmetric, so the rates of n -> m and m -> n have the ratio
+    exp(-beta (E_m - E_n)): detailed balance at the drawn beta, which makes
+    the Gibbs state at beta the stationary state.
+    """
+    dim = draw(hst.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    h = random_hamiltonian(rng, [1] * dim)
+    levels, vectors = np.linalg.eigh(h)
+    beta = rng.uniform(0.2, 3.0)
+    g = rng.uniform(0.1, 1.0, (dim, dim))
+    channels = tuple(
+        JumpChannel.constant((g[m, n] + g[n, m]) * math.exp(-beta * (levels[m] - levels[n]) / 2),
+                             np.outer(vectors[:, m], vectors[:, n].conj()))
+        for m in range(dim) for n in range(dim) if m != n)
+    model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, channels=channels)
+    return model, random_state_of_rank(rng, dim, int(rng.integers(1, dim + 1))), beta

@@ -22,6 +22,12 @@ def read_meta(out_dir):
     return json.loads((out_dir / "meta.json").read_text())
 
 
+def dumps_overflowing(obj):
+    """json.dumps of obj with each string "1e400" or "-1e400" written as that
+    number literal, which overflows to an infinite float when read back."""
+    return re.sub(r'"(-?1e400)"', r"\1", json.dumps(obj))
+
+
 def test_tiny_fig1_run_writes_outputs(tmp_path):
     out = tmp_path / "run"
     code = run_cli("run", "--scenario", "fig1", "--out", str(out),
@@ -119,6 +125,11 @@ def test_config_errors_exit_3(tmp_path):
     {"top_level": {"model": "rydberg", "model_params": {"gamma": math.nan}, "bath_T": None,
                    "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}},
     {"top_level": {"bath_T": math.inf}},
+    # nor may a literal that overflows to an infinite float
+    {"top_level": {"model": "rydberg", "model_params": {"gamma": "1e400"}, "bath_T": None,
+                   "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}},
+    {"top_level": {"bath_T": "1e400"}},
+    {"initial_state": {"kind": "sorted_ascending_diagonal", "beta": "-1e400"}},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
         "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
@@ -131,14 +142,15 @@ def test_config_errors_exit_3(tmp_path):
         "t-end-bool", "bath-T-string", "eps0-string",
         "model-params-not-an-object", "beta-string", "sweep-name-not-a-string",
         "sweep-names-repeated", "sweep-name-repeats-a-default", "sweep-name-escapes-out",
-        "driven-pure-start", "pure-vector-booleans", "rydberg-gamma-nan", "bath-T-infinity"])
+        "driven-pure-start", "pure-vector-booleans", "rydberg-gamma-nan", "bath-T-infinity",
+        "rydberg-gamma-1e400", "bath-T-1e400", "sorted-beta-minus-1e400"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
     raw["initial_state"] = change.get("initial_state", raw["initial_state"])
     raw.update(change.get("top_level", {}))
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(change.get("config", raw)))
+    config.write_text(dumps_overflowing(change.get("config", raw)))
     assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"),
                    *change.get("args", [])) == 3
     err = capsys.readouterr().err
@@ -265,15 +277,18 @@ def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
     # an entry is one run: its overrides cannot open a sweep of their own
     {"sweep": [{"name": "inner"}]},
     {"model_params": {"gamma": math.nan}},
+    {"model_params": {"gamma": "1e400"}},
+    {"initial_state": {"kind": "sorted_ascending_diagonal", "beta": "-1e400"}},
 ], ids=["model-params-typo", "tau-zero", "pure-without-vector", "pure-vector-length",
-        "driven-pure-start", "unknown-initial-state", "nested-sweep", "gamma-nan"])
+        "driven-pure-start", "unknown-initial-state", "nested-sweep", "gamma-nan",
+        "gamma-1e400", "sorted-beta-minus-1e400"])
 def test_bad_second_sweep_entry_stops_the_run_before_the_first(tmp_path, capsys, overrides):
     # the model and initial state of every entry are built with the configuration
     raw = cli.scenario_defaults("fig2")
     raw["integrator"] = {"dt": 0.01, "t_end": 1.0, "n_samples": 11}
     raw["sweep"] = [{"name": "a", "overrides": {}}, {"name": "b", "overrides": overrides}]
     config = tmp_path / "sweep.json"
-    config.write_text(json.dumps(raw))
+    config.write_text(dumps_overflowing(raw))
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(config), "--out", str(out)) == 3
     err = capsys.readouterr().err
@@ -332,21 +347,28 @@ DAMPED_QUBIT = {
     # matches S(rho0) and no bound of the run is defined
     ({**DAMPED_QUBIT, "hamiltonian": {"re": [[0.5, 0.0], [0.0, 0.5]]}},
      "no reference temperature beta_R(0) for H(0): Hamiltonian proportional to identity"),
-    # json.dumps writes Infinity and NaN, which no model number may be
+    # json.dumps writes Infinity and NaN, which no model number may be, and
+    # 1e400 and -1e400 overflow to infinite floats
     ({**DAMPED_QUBIT, "channels": [{"rate": math.inf, "operator": {"re": [[0.0, 1.0],
                                                                         [0.0, 0.0]]}}]},
-     "custom model file {bad}: Infinity is not a finite JSON number"),
+     "custom model file {bad}: channel rate must be finite and >= 0, got inf"),
     ({**DAMPED_QUBIT, "hamiltonian": {"re": [[-0.5, 0.0], [0.0, math.nan]]}},
-     "custom model file {bad}: NaN is not a finite JSON number"),
+     "custom model file {bad}: matrix entries must be finite"),
+    ({**DAMPED_QUBIT, "channels": [{"rate": "1e400", "operator": {"re": [[0.0, 1.0],
+                                                                         [0.0, 0.0]]}}]},
+     "custom model file {bad}: channel rate must be finite and >= 0, got inf"),
+    ({**DAMPED_QUBIT, "hamiltonian": {"re": [["-1e400", 0.0], [0.0, 0.5]]}},
+     "custom model file {bad}: matrix entries must be finite"),
 ], ids=["missing-file", "bad-key", "wrong-shape", "non-hermitian",
-        "hamiltonian-proportional-to-identity", "rate-infinity", "hamiltonian-nan"])
+        "hamiltonian-proportional-to-identity", "rate-infinity", "hamiltonian-nan",
+        "rate-1e400", "hamiltonian-minus-1e400"])
 @pytest.mark.parametrize("second_entry", [False, True], ids=["run", "second-sweep-entry"])
 def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_file, message,
                                                      second_entry):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(DAMPED_QUBIT))
     if model_file is not None:
-        bad.write_text(json.dumps(model_file))
+        bad.write_text(dumps_overflowing(model_file))
     raw = {"model": "custom", "custom_model_file": str(bad),
            "initial_state": {"kind": "maximally_mixed"},
            "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}
@@ -469,8 +491,8 @@ def test_emit_plots_minimal_csv(tmp_path):
     row1 = "0,0.1,0.5,0.5,0,0,0.1,0.2,0.2,0.3,,"
     row2 = "1,0.05,0.4,0.45,0.05,0.05,0.05,0.1,0.1,0.2,,"
     path.write_text(f"{header}\r\n{row1}\r\n{row2}\r\n")
-    (written,) = plotting.emit_plots(*plotting.read_bounds_csv(path), 1.0, tmp_path)
-    svg = written.read_text()
+    plotting.emit_plots(*plotting.read_bounds_csv(path), 1.0, tmp_path)
+    svg = (tmp_path / "bounds.svg").read_text()
     assert svg.startswith("<?xml")
     assert "<polyline" in svg
     import xml.dom.minidom

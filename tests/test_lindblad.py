@@ -24,6 +24,12 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -0.1])
+def test_channel_rate_must_be_finite_and_non_negative(rate):
+    with pytest.raises(ValueError, match=rf"^channel rate must be finite and >= 0, got {rate}$"):
+        JumpChannel.constant(rate, LOWER)
+
+
 def zero_rate(t):
     """dH/dt of a constant Hamiltonian, for driven clones of undriven models."""
     return np.zeros((2, 2))
@@ -124,9 +130,9 @@ def test_constant_and_generic_paths_agree():
 
 
 def test_driven_energy_balance(erasure):
-    rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
+    rho0 = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0)
     traj = propagate(erasure, rho0, 2.0, 1e-3, 21)
-    h_t = [erasure.hamiltonian(float(t)) for t in traj.times]
+    h_t = [erasure.hamiltonian_protocol(float(t)) for t in traj.times]
     e = np.array([float(np.trace(st @ h).real) for st, h in zip(traj.states, h_t)])
     assert np.max(np.abs((e - e[0]) - (traj.work - traj.heat))) < 1e-8
 
@@ -223,7 +229,7 @@ def test_propagate_shrinks_dt_to_divide_horizon():
 
 def test_cptp_diagnostics_on_benchmark(rydberg):
     model, bell = rydberg
-    rho0 = models.initial_state("gibbs", model.hamiltonian(0.0), beta=30.0)
+    rho0 = models.initial_state("gibbs", model.hamiltonian_protocol(0.0), beta=30.0)
     traj = propagate(model, rho0, 20.0, 0.01, 11)
     assert traj.max_step_trace_drift < 1e-9
     assert float(np.min(traj.min_eigenvalues)) > -1e-9
@@ -276,7 +282,7 @@ def test_step_maps_match_stage_by_stage_rk4(case, erasure):
         model, rho0, t_end = amplitude_damping_model(), excited_state(), 5.0
     else:
         model = erasure
-        rho0, t_end = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0), 3.0
+        rho0, t_end = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0), 3.0
     traj = propagate(model, rho0, t_end, 0.01, 31)
     states, heat, work = reference_propagate(model, rho0, t_end, 0.01, 31)
     assert len(states) == len(traj.states) == 31
@@ -302,7 +308,7 @@ def test_segment_products_match_stage_by_stage_rk4(case, t_end, n_samples, gaps,
         model, rho0 = amplitude_damping_model(), excited_state()
     else:
         model = erasure
-        rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
+        rho0 = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0)
     with (pytest.warns(UserWarning, match="accuracy may degrade") if coarse
           else contextlib.nullcontext()):
         traj = propagate(model, rho0, t_end, 0.01, n_samples)
@@ -419,7 +425,7 @@ def test_real_generators_of_random_driven_lindbladians(case):
 def test_block_size_does_not_change_results(budget_steps, erasure, monkeypatch):
     # 1537 steps in uneven sample gaps of 51 and 52 steps span several default
     # blocks; three-step blocks end inside every gap, one block holds them all.
-    rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
+    rho0 = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0)
     default = propagate(erasure, rho0, 7.685, 0.005, 31)
     assert default.n_steps > 2 * steps_per_block(2)
     monkeypatch.setattr(lindblad, "STEP_BLOCK_BYTES",
@@ -441,7 +447,7 @@ def test_propagate_memory_is_bounded(erasure):
     # The paper-size erasure (20k steps, 401 samples) builds its step maps a
     # block at a time: about 1.5 MB at the peak, while holding all maps of the
     # run at once would take more than 11 MB.
-    rho0 = models.initial_state("gibbs", erasure.hamiltonian(0.0), beta=1.0)
+    rho0 = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0)
     propagate(erasure, rho0, 0.1, 5e-4, 2)  # lazy set-up outside the measurement
     tracemalloc.start()
     try:

@@ -19,7 +19,7 @@ QUBIT_H = np.diag([0.5, -0.5]).astype(complex)
 
 def test_rydberg_dark_state_identities():
     model, bell = build_rydberg(RydbergParams())
-    h = model.hamiltonian(0.0)
+    h = model.hamiltonian_protocol(0.0)
     assert np.linalg.norm(h @ bell) < 1e-12
     for ch in model.channels:
         assert np.linalg.norm(ch.operator_protocol(0.0) @ bell) < 1e-12
@@ -29,12 +29,25 @@ def test_rydberg_dark_state_identities():
 
 def test_rydberg_zero_couplings_zero_hamiltonian():
     model, _ = build_rydberg(RydbergParams(omega2=0.0, omega=0.0, gamma=0.01))
-    assert np.all(model.hamiltonian(0.0) == 0)
+    assert np.all(model.hamiltonian_protocol(0.0) == 0)
 
 
 def test_rydberg_rejects_negative_parameters():
     with pytest.raises(ValueError):
         RydbergParams(gamma=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("params, field", [
+    (RydbergParams, "omega2"), (RydbergParams, "omega"), (RydbergParams, "gamma"),
+    (ErasureParams, "eps0"), (ErasureParams, "eps_tau"), (ErasureParams, "tau"),
+    (ErasureParams, "gamma"), (ErasureParams, "bath_beta"),
+], ids=lambda p: p if isinstance(p, str) else p.__name__)
+def test_non_finite_parameters_are_refused_by_name(params, field, value):
+    # NaN passes every `< 0` check, and a NaN or infinite rate or gap would
+    # only fail later, inside the linear algebra of propagate
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and >=? 0, got {value}$"):
+        params(**{field: value})
 
 
 def test_erasure_protocol_endpoints():
@@ -43,15 +56,15 @@ def test_erasure_protocol_endpoints():
     sz = np.diag([1.0, -1.0]).astype(complex)
     # theta(0) = -pi makes H(0) = -(eps0/2) sigma_z; theta(tau) = 0 makes
     # H(tau) = +(eps_tau/2) sigma_z (up to sin(pi) rounding in float).
-    assert np.allclose(model.hamiltonian(0.0), -(p.eps0 / 2) * sz, atol=1e-15)
-    assert np.allclose(model.hamiltonian(p.tau), (p.eps_tau / 2) * sz, atol=1e-12)
+    assert np.allclose(model.hamiltonian_protocol(0.0), -(p.eps0 / 2) * sz, atol=1e-15)
+    assert np.allclose(model.hamiltonian_protocol(p.tau), (p.eps_tau / 2) * sz, atol=1e-12)
 
 
 def test_erasure_instantaneous_spectrum():
     p = ErasureParams()
     model = build_erasure(p)
     for t in np.linspace(0.0, p.tau, 41):
-        w = np.linalg.eigvalsh(model.hamiltonian(float(t)))
+        w = np.linalg.eigvalsh(model.hamiltonian_protocol(float(t)))
         eps = p.eps0 + (p.eps_tau - p.eps0) * math.sin(math.pi * t / (2 * p.tau)) ** 2
         assert abs(w[0] + eps / 2) < 1e-12
         assert abs(w[1] - eps / 2) < 1e-12
@@ -70,7 +83,7 @@ def test_erasure_jump_operators_connect_instantaneous_eigenstates():
     p = ErasureParams()
     model = build_erasure(p)
     for t in (0.0, 3.3, 7.1, p.tau):
-        w, v = linalg.eigh(model.hamiltonian(float(t)))
+        w, v = linalg.eigh(model.hamiltonian_protocol(float(t)))
         ground, excited = v[:, 0], v[:, 1]
         eps = float(w[1] - w[0])
         n_b = 1.0 / math.expm1(p.bath_beta * eps)
@@ -107,7 +120,7 @@ def test_initial_state_sorted_two_level_populations():
 
 def test_initial_state_sorted_preserves_entropy_and_beta():
     model, _ = build_rydberg(RydbergParams())
-    h = model.hamiltonian(0.0)
+    h = model.hamiltonian_protocol(0.0)
     sorted_state = initial_state("sorted_ascending_diagonal", h, beta=30.0)
     gibbs = initial_state("gibbs", h, beta=30.0)
     s_sorted = qstate.von_neumann_entropy(sorted_state)
@@ -120,7 +133,7 @@ def test_sorted_state_is_local_energy_maximum():
     # ascending populations on ascending energies maximize Tr[H rho] among
     # diagonal rearrangements: any transposition lowers the energy.
     model, _ = build_rydberg(RydbergParams())
-    h = model.hamiltonian(0.0)
+    h = model.hamiltonian_protocol(0.0)
     w, _ = linalg.eigh(h)
     x = -30.0 * (w - w[0])
     q = np.sort(np.exp(x) / np.exp(x).sum())

@@ -32,8 +32,7 @@ def diag_state(*populations):
 def dephase(rho, h):
     """S' and Coh of one state in the energy basis of h, as a one-state stack."""
     w, v = linalg.eigh(h)
-    out = qstate.state_functionals(np.zeros(1), rho[None], np.linalg.eigvalsh(rho)[None],
-                                   w[None], v[None])
+    out = qstate.state_functionals(rho[None], np.linalg.eigvalsh(rho)[None], w[None], v[None])
     return out.S_diag[0], out.Coh[0]
 
 
@@ -216,8 +215,8 @@ def test_first_law_identity():
         free_energy = -qstate.gibbs_weights(w, beta)[1] / beta
         for _ in range(5):
             rho = random_state(rng, 4)
-            sm = qstate.state_functionals(np.zeros(1), rho[None], np.linalg.eigvalsh(rho)[None],
-                                          w[None], v[None])
+            sm = qstate.state_functionals(rho[None], np.linalg.eigvalsh(rho)[None], w[None],
+                                          v[None])
             f_neq = free_energy + qstate.relative_entropy(rho, gibbs) / beta
             assert sm.E_S[0] == pytest.approx((1 / beta) * sm.S[0] + f_neq, abs=1e-8)
             assert sm.Coh[0] >= -1e-10
@@ -234,12 +233,10 @@ def test_stacked_functionals_match_single_states(dim):
                                     + 1j * rng.standard_normal((dim, dim))) for _ in range(6)]
     levels, vectors = linalg.eigh(np.array(hs))
     states = np.array([random_state(rng, len(hs[0])) for _ in hs])
-    stacked = qstate.state_functionals(np.arange(6.0), states, np.linalg.eigvalsh(states),
-                                       levels, vectors)
+    stacked = qstate.state_functionals(states, np.linalg.eigvalsh(states), levels, vectors)
     for i, (rho, h) in enumerate(zip(states, hs)):
         s = entropy_oracle(rho)
         s_diag = entropy_oracle(dephased_oracle(rho, h))
-        assert stacked.t[i] == i
         assert stacked.E_S[i] == pytest.approx(np.trace(h @ rho).real, abs=1e-12)
         assert stacked.S[i] == pytest.approx(s, abs=1e-12)
         assert stacked.S_diag[i] == pytest.approx(s_diag, abs=1e-12)
@@ -270,8 +267,7 @@ def test_dephased_entropy_matches_masked_matrix(case):
     hs, states, sizes = case
     levels, vectors = linalg.eigh(hs)
     spectra = np.linalg.eigvalsh(states)
-    out = qstate.state_functionals(np.arange(len(hs), dtype=float), states, spectra,
-                                   levels, vectors)
+    out = qstate.state_functionals(states, spectra, levels, vectors)
     assert np.array_equal(out.S, qstate.von_neumann_entropy(states))
     for k, (rho, v, s) in enumerate(zip(states, vectors, sizes)):
         cluster = np.repeat(np.arange(len(s)), s)

@@ -89,7 +89,6 @@ def test_solve_beta_negative_branch():
     # entropy of the beta = 1 Gibbs state sits at beta_R = -1.
     s_target = gibbs_entropy(QUBIT_H, 1.0)
     res = solve_beta(QUBIT_LEVELS, s_target, branch=BRANCH_NEGATIVE)
-    assert res.branch == BRANCH_NEGATIVE
     assert res.beta_R == pytest.approx(-1.0, abs=1e-9)
     assert res.residual < 1e-10
 
