@@ -49,6 +49,9 @@ VERDICT_TOL = 1e-6
 CONFIG_KEYS = frozenset({"name", "model", "model_params", "initial_state", "integrator",
                          "bath_T", "beta_branch", "sweep", "custom_model_file"})
 SWEEP_KEYS = frozenset({"name", "overrides"})
+# what ``_read`` says a JSON value of each kind must be
+_KINDS = {float: "a finite number", int: "an integer", str: "a string", dict: "an object",
+          list: "a list"}
 
 _FIG2: dict[str, Any] = {
     "model": "erasure",
@@ -121,31 +124,37 @@ class Sweep:
     runs: tuple[tuple[str, ScenarioConfig], ...]
 
 
-def _real(value: Any, what: str) -> float:
-    """A finite JSON number (int or float, not bool) as a float; the JSON reader
-    yields NaN, Infinity and 1e400 as floats and huge integer literals as ints."""
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+def _read(value: Any, kind: type, what: str) -> Any:
+    """``value`` as a ``kind``: a finite JSON number (not bool) as a float, an integral
+    one as an int, a str, dict or list as it is; else ``ConfigError`` naming ``what``.
+    NaN, Infinity, 1e400, a huge integer literal and a missing key's None are refused."""
+    number = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and float(value).is_integer():
+        return int(value)
+    if kind in (str, dict, list) and type(value) is kind:
+        return value
+    raise ConfigError(f"{what} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _sweep_entries(sweep: Any) -> list[tuple[str, dict[str, Any]]]:
+def _sweep_entries(sweep: list[Any]) -> list[tuple[str, dict[str, Any]]]:
     """(name, overrides) of each sweep entry; a name (default entry{i}) is an
     output subdirectory, so it must be one path component and unique."""
-    if not isinstance(sweep, list) or not all(
-            isinstance(e, dict) and set(e) <= SWEEP_KEYS
-            and isinstance(e.get("overrides", {}), dict) for e in sweep):
-        raise ConfigError(f"sweep must be a list of objects with keys in {sorted(SWEEP_KEYS)}"
-                          " and object-valued overrides")
-    if any("sweep" in e.get("overrides", {}) for e in sweep):
-        raise ConfigError("sweep entry overrides may not contain a sweep")
-    names = [e.get("name", f"entry{i}") for i, e in enumerate(sweep)]
-    for name in names:
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
+    entries: dict[str, dict[str, Any]] = {}
+    for i, entry in enumerate(sweep):
+        entry = _read(entry, dict, f"sweep entry {i}")
+        if not set(entry) <= SWEEP_KEYS:
+            raise ConfigError(f"sweep entry {i} keys {sorted(entry)} not in {sorted(SWEEP_KEYS)}")
+        name = _read(entry.get("name", f"entry{i}"), str, f"sweep entry {i} name")
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
             raise ConfigError(f"sweep entry name {name!r} is not a single path component")
-    if len(set(names)) < len(names):
-        raise ConfigError(f"sweep entry names {names} are not unique")
-    return [(name, e.get("overrides", {})) for name, e in zip(names, sweep)]
+        if name in entries:
+            raise ConfigError(f"sweep entry name {name!r} is repeated")
+        entries[name] = _read(entry.get("overrides", {}), dict, f"sweep entry {i} overrides")
+        if "sweep" in entries[name]:
+            raise ConfigError("sweep entry overrides may not contain a sweep")
+    return list(entries.items())
 
 
 def _merge(base: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
@@ -168,49 +177,34 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     A run's model and initial state are built here, and beta_R(0) is checked,
     so a bad sweep entry stops the sweep before any entry has written an output.
     """
-    unknown = sorted(set(raw) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown configuration keys {unknown}")
-    if raw.get("sweep"):
+    if not set(raw) <= CONFIG_KEYS:
+        raise ConfigError(f"unknown configuration keys {sorted(set(raw) - CONFIG_KEYS)}")
+    if raw.get("sweep") is not None and _read(raw["sweep"], list, "sweep"):
         base = {k: v for k, v in raw.items() if k != "sweep"}
         return Sweep(name, Path(out_dir), plots, tuple(
             (entry, build_config(_merge(base, overrides), f"{name}/{entry}",
                                  Path(out_dir) / entry, plots, integrator))
             for entry, overrides in _sweep_entries(raw["sweep"])))
-    if integrator:
-        if not isinstance(raw.get("integrator", {}), dict):
-            raise ConfigError("integrator must be an object")
-        raw = _merge(raw, {"integrator": integrator})
+    integ = {**_read(raw.get("integrator", {}), dict, "integrator"), **(integrator or {})}
+    dt = _read(integ.get("dt"), float, "dt")
+    t_end = _read(integ.get("t_end"), float, "t_end")
+    n_samples = _read(integ.get("n_samples"), int, "n_samples")
     try:
-        integ = raw["integrator"]
-        dt = _real(integ["dt"], "dt")
-        t_end = _real(integ["t_end"], "t_end")
-        n_samples = integ["n_samples"]
-        model_name = str(raw["model"])
-        if model_name not in ("rydberg", "erasure", "custom"):
-            raise ConfigError(f"unknown model {model_name!r}")
-        if type(n_samples) is float and n_samples.is_integer():
-            n_samples = int(n_samples)
         sample_grid(t_end, dt, n_samples)
-        branch = raw.get("beta_branch", BRANCH_NON_NEGATIVE)
-        if branch not in (BRANCH_NON_NEGATIVE, BRANCH_NEGATIVE):
-            raise ConfigError(f"unknown beta_branch {branch!r}")
-        bath = raw.get("bath_T")
-        if bath is not None:
-            bath = _real(bath, "bath_T")
-            if bath <= 0:
-                raise ConfigError("bath_T must be positive when set")
-        init = dict(raw["initial_state"])
-        if "kind" not in init:
-            raise ConfigError("initial_state needs a 'kind'")
-        params = raw.get("model_params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("model_params must be an object")
-        params = {k: _real(v, f"model_params {k}") for k, v in params.items()}
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    model_name = _read(raw.get("model"), str, "model")
+    if model_name not in ("rydberg", "erasure", "custom"):
+        raise ConfigError(f"unknown model {model_name!r}")
+    branch = _read(raw.get("beta_branch", BRANCH_NON_NEGATIVE), str, "beta_branch")
+    if branch not in (BRANCH_NON_NEGATIVE, BRANCH_NEGATIVE):
+        raise ConfigError(f"unknown beta_branch {branch!r}")
+    bath = None if raw.get("bath_T") is None else _read(raw["bath_T"], float, "bath_T")
+    if bath is not None and bath <= 0:
+        raise ConfigError("bath_T must be positive when set")
+    init = _read(raw.get("initial_state"), dict, "initial_state")
+    params = {k: _read(v, float, f"model_params {k}")
+              for k, v in _read(raw.get("model_params", {}), dict, "model_params").items()}
     model, bell = _build_model(model_name, params, raw.get("custom_model_file"))
     h0 = protocol_values(model.hamiltonian_protocol, np.zeros(1), model.dim, "Hamiltonian")[0]
     rho0 = _build_initial_state(init, model.dim, h0)
@@ -232,38 +226,43 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
 
 
 def load_custom_model(path: str | Path) -> LindbladModel:
-    """Undriven model from a JSON matrix file.
-
-    Schema: {"dim": d, "hamiltonian": {"re": [[..]], "im": [[..]]},
-             "channels": [{"rate": g, "operator": {"re": [[..]], "im": [[..]]}}]}
-    with "im" optional. Raises ``ConfigError`` naming the file when it cannot
-    be read, does not follow the schema or has a non-Hermitian Hamiltonian.
-    """
+    """Undriven model from a JSON file {"dim": d, "hamiltonian": matrix, "channels":
+    [{"rate": g, "operator": matrix}]}, each matrix read by ``_matrix_from_json``.
+    ``ConfigError`` names the file when it cannot be read, breaks that schema or
+    has a non-Hermitian Hamiltonian."""
     try:
-        spec = json.loads(Path(path).read_text())
-        dim = int(spec["dim"])
-        h = _matrix_from_json(spec["hamiltonian"], dim)
-        channels = tuple(
-            JumpChannel.constant(float(ch["rate"]), _matrix_from_json(ch["operator"], dim))
-            for ch in spec.get("channels", [])
-        )
+        spec = _read(json.loads(Path(path).read_text()), dict, "the file")
+        dim = _read(spec.get("dim"), int, "dim")
+        if dim < 1:
+            raise ConfigError(f"dim must be at least 1, got {dim}")
+        h = _matrix_from_json(spec.get("hamiltonian"), dim, "hamiltonian")
+        channels = []
+        for i, ch in enumerate(_read(spec.get("channels", []), list, "channels")):
+            ch = _read(ch, dict, f"channel {i}")
+            channels.append(JumpChannel.constant(
+                _read(ch.get("rate"), float, f"channel {i} rate"),
+                _matrix_from_json(ch.get("operator"), dim, f"channel {i} operator")))
         linalg.require_hermitian(h)
     except NonHermitianInput as exc:
         raise ConfigError(f"custom model file {path}: Hamiltonian {exc}") from exc
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         raise ConfigError(f"custom model file {path}: {exc}") from exc
-    return LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, channels=channels)
+    return LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, channels=tuple(channels))
 
 
-def _matrix_from_json(obj: dict[str, Any], dim: int) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=float)
-    for part in (re, im):  # checked before adding, which would broadcast
-        if part.shape != (dim, dim):
-            raise ValueError(f"matrix shape {part.shape} != ({dim}, {dim})")
-        if not np.all(np.isfinite(part)):
-            raise ValueError("matrix entries must be finite")
-    return re + 1j * im
+def _matrix_from_json(obj: Any, dim: int, what: str) -> np.ndarray:
+    """The complex matrix of {"re": rows, "im": rows}, each part d lists of d numbers."""
+    obj = _read(obj, dict, what)
+    parts = []
+    for part in ("re", "im"):  # "im" defaults to zeros
+        name = f"{what} {part}"
+        rows = [_read(row, list, f"{name} row {i}")
+                for i, row in enumerate(_read(obj.get(part, [[0.0] * dim] * dim), list, name))]
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise ConfigError(f"{name} must be {dim} rows of {dim} numbers")
+        parts.append([[_read(x, float, f"{name} entry ({i}, {j})") for j, x in enumerate(row)]
+                      for i, row in enumerate(rows)])
+    return np.array(parts[0]) + 1j * np.array(parts[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,9 +280,7 @@ class PipelineResult:
 def _build_model(name: str, params: dict[str, float],
                  custom_model_file: Any) -> tuple[LindbladModel, np.ndarray | None]:
     if name == "custom":
-        if custom_model_file is None:
-            raise ConfigError("model 'custom' needs custom_model_file")
-        return load_custom_model(custom_model_file), None
+        return load_custom_model(_read(custom_model_file, str, "custom_model_file")), None
     params_type = models.RydbergParams if name == "rydberg" else models.ErasureParams
     try:
         typed = params_type(**params)
@@ -295,20 +292,23 @@ def _build_model(name: str, params: dict[str, float],
 
 
 def _build_initial_state(init: dict[str, Any], dim: int, h0: np.ndarray) -> np.ndarray:
-    """The initial state of a JSON object whose values are checked here; the
+    """The initial state of a JSON object whose values are read here; the
     kind and the values it needs are ``models.initial_state``'s to check."""
-    kind, beta, vector = init["kind"], init.get("beta"), init.get("vector")
+    kind = _read(init.get("kind"), str, "initial_state kind")
+    beta, vector = init.get("beta"), init.get("vector")
     try:
         if beta is not None:
-            beta = _real(beta, "initial_state beta")
-        if vector is not None:
-            vector = np.array([complex(_real(re, "pure vector entry"),
-                                       _real(im, "pure vector entry")) for re, im in vector])
+            beta = _read(beta, float, "initial_state beta")
+        if vector is not None:  # a pair that is not [re, im] fails to unpack
+            pairs = (_read(pair, list, "pure vector entry")
+                     for pair in _read(vector, list, "pure vector"))
+            vector = np.array([complex(_read(re, float, "pure vector entry"),
+                                       _read(im, float, "pure vector entry")) for re, im in pairs])
             if vector.shape != (dim,):
                 raise ConfigError(f"pure initial state vector has {len(vector)} entries, "
                                   f"the model has dimension {dim}")
         return models.initial_state(kind, h0, beta=beta, vector=vector)
-    except (TypeError, ValueError, UnnormalizedVector) as exc:
+    except (ValueError, UnnormalizedVector) as exc:
         raise ConfigError(f"invalid initial_state of kind {kind!r}: {exc}") from exc
 
 
@@ -563,12 +563,11 @@ def main(argv: list[str] | None = None) -> int:
             name = args.scenario
         else:
             try:
-                raw = json.loads(Path(args.config).read_text())
+                raw = _read(json.loads(Path(args.config).read_text()), dict,
+                            f"config {args.config}")
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise ConfigError(f"config {args.config} is not a JSON object")
-            name = raw.get("name", Path(args.config).stem)
+            name = _read(raw.get("name", Path(args.config).stem), str, "name")
         integrator = {key: val for key, val in (("dt", args.dt), ("t_end", args.t_end),
                                                 ("n_samples", args.samples)) if val is not None}
         out_dir = args.out or os.environ.get("LANDAUER_OUT") or "landauer-out"

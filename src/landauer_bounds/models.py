@@ -190,13 +190,12 @@ def initial_state(
       ``maximally_mixed``          I/d, d from h0.
       ``pure``                     projector onto ``vector``.
     """
+    if kind in ("gibbs", "sorted_ascending_diagonal") and (
+            h0 is None or beta is None or not math.isfinite(beta)):
+        raise ValueError(f"{kind} initial state needs h0 and a finite beta, got beta={beta!r}")
     if kind == "gibbs":
-        if h0 is None or beta is None:
-            raise ValueError("gibbs initial state needs h0 and beta")
         return qstate.gibbs_state(h0, beta)
     if kind == "sorted_ascending_diagonal":
-        if h0 is None or beta is None:
-            raise ValueError("sorted_ascending_diagonal needs h0 and beta")
         w, v = linalg.eigh(h0)
         p = np.sort(qstate.gibbs_weights(w, beta)[0])
         cluster = qstate.level_clusters(w)

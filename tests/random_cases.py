@@ -79,8 +79,8 @@ def random_lindbladians(draw, driven=False):
 
 
 @hst.composite
-def random_davies_models(draw):
-    """An undriven Davies generator, a random state and the generator's beta
+def random_davies_models(draw, driven=False):
+    """A Davies generator, a random state and the generator's beta
     (Kossakowski, Frigerio, Gorini & Verri, CMP 57, 97, 1977).
 
     H has d <= 4 generic levels E_n with eigenvectors |n>. Each ordered pair
@@ -88,6 +88,12 @@ def random_davies_models(draw):
     symmetric, so the rates of n -> m and m -> n have the ratio
     exp(-beta (E_m - E_n)): detailed balance at the drawn beta, which makes
     the Gibbs state at beta the stationary state.
+
+    Driven models rotate H slowly: H(t) = U(t) H U(t)^dagger with U(t) =
+    exp(-iKt) for a random Hermitian K, the analytic dH/dt = -i[K, H(t)], and
+    the jumps U(t)|m><n|U(t)^dagger between the instantaneous eigenvectors at
+    the same rates. The levels do not move, so the rates keep detailed balance
+    and the Gibbs state of H(t) at beta is stationary under the jumps at t.
     """
     dim = draw(hst.sampled_from([2, 3, 4]))
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
@@ -95,9 +101,27 @@ def random_davies_models(draw):
     levels, vectors = np.linalg.eigh(h)
     beta = rng.uniform(0.2, 3.0)
     g = rng.uniform(0.1, 1.0, (dim, dim))
-    channels = tuple(
-        JumpChannel.constant((g[m, n] + g[n, m]) * math.exp(-beta * (levels[m] - levels[n]) / 2),
-                             np.outer(vectors[:, m], vectors[:, n].conj()))
-        for m in range(dim) for n in range(dim) if m != n)
-    model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, channels=channels)
-    return model, random_state_of_rank(rng, dim, int(rng.integers(1, dim + 1))), beta
+    jumps = [((g[m, n] + g[n, m]) * math.exp(-beta * (levels[m] - levels[n]) / 2),
+              np.outer(vectors[:, m], vectors[:, n].conj()))
+             for m in range(dim) for n in range(dim) if m != n]
+    rho0 = random_state_of_rank(rng, dim, int(rng.integers(1, dim + 1)))
+    if not driven:
+        model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h,
+                              channels=tuple(JumpChannel.constant(rate, op) for rate, op in jumps))
+        return model, rho0, beta
+    k = 0.3 * random_hamiltonian(rng, [1] * dim)
+    k_levels, k_vectors = np.linalg.eigh(k)
+
+    def rotated(a):  # t -> U(t) a U(t)^dagger, for a time or an array of times
+        def protocol(t):
+            phases = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), k_levels))
+            u = (k_vectors * phases[..., None, :]) @ k_vectors.conj().T
+            return u @ a @ linalg.adjoint(u)
+        return protocol
+
+    hamiltonian = rotated(h)
+    model = LindbladModel(
+        dim=dim, hamiltonian_protocol=hamiltonian,
+        hamiltonian_rate_protocol=lambda t: -1j * (k @ hamiltonian(t) - hamiltonian(t) @ k),
+        channels=tuple(JumpChannel(rate, rotated(op)) for rate, op in jumps))
+    return model, rho0, beta

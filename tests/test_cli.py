@@ -130,6 +130,15 @@ def test_config_errors_exit_3(tmp_path):
                    "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}},
     {"top_level": {"bath_T": "1e400"}},
     {"initial_state": {"kind": "sorted_ascending_diagonal", "beta": "-1e400"}},
+    # every JSON value is read as its kind, and the message names the field
+    {"top_level": {"name": 5}, "message": "name must be a string, got 5"},
+    {"initial_state": [["kind", "gibbs"], ["beta", 1.0]],
+     "message": "initial_state must be an object, got [['kind', 'gibbs'], ['beta', 1.0]]"},
+    {"top_level": {"model": 5}, "message": "model must be a string, got 5"},
+    {"top_level": {"model": "custom", "custom_model_file": 5},
+     "message": "custom_model_file must be a string, got 5"},
+    {"top_level": {"sweep": [{"name": "a", "overrides": [["model_params", {"tau": 5.0}]]}]},
+     "message": "sweep entry 0 overrides must be an object, got [['model_params',"},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
         "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
@@ -143,7 +152,9 @@ def test_config_errors_exit_3(tmp_path):
         "model-params-not-an-object", "beta-string", "sweep-name-not-a-string",
         "sweep-names-repeated", "sweep-name-repeats-a-default", "sweep-name-escapes-out",
         "driven-pure-start", "pure-vector-booleans", "rydberg-gamma-nan", "bath-T-infinity",
-        "rydberg-gamma-1e400", "bath-T-1e400", "sorted-beta-minus-1e400"])
+        "rydberg-gamma-1e400", "bath-T-1e400", "sorted-beta-minus-1e400", "name-not-a-string",
+        "initial-state-pairs", "model-not-a-string", "custom-model-file-not-a-string",
+        "sweep-overrides-a-list"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
@@ -154,7 +165,7 @@ def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"),
                    *change.get("args", [])) == 3
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ")
+    assert err.startswith("configuration error: " + change.get("message", ""))
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
@@ -351,17 +362,36 @@ DAMPED_QUBIT = {
     # 1e400 and -1e400 overflow to infinite floats
     ({**DAMPED_QUBIT, "channels": [{"rate": math.inf, "operator": {"re": [[0.0, 1.0],
                                                                         [0.0, 0.0]]}}]},
-     "custom model file {bad}: channel rate must be finite and >= 0, got inf"),
+     "custom model file {bad}: channel 0 rate must be a finite number, got inf"),
     ({**DAMPED_QUBIT, "hamiltonian": {"re": [[-0.5, 0.0], [0.0, math.nan]]}},
-     "custom model file {bad}: matrix entries must be finite"),
+     "custom model file {bad}: hamiltonian re entry (1, 1) must be a finite number, got nan"),
     ({**DAMPED_QUBIT, "channels": [{"rate": "1e400", "operator": {"re": [[0.0, 1.0],
                                                                          [0.0, 0.0]]}}]},
-     "custom model file {bad}: channel rate must be finite and >= 0, got inf"),
+     "custom model file {bad}: channel 0 rate must be a finite number, got inf"),
     ({**DAMPED_QUBIT, "hamiltonian": {"re": [["-1e400", 0.0], [0.0, 0.5]]}},
-     "custom model file {bad}: matrix entries must be finite"),
+     "custom model file {bad}: hamiltonian re entry (0, 0) must be a finite number, got -inf"),
+    # every value is read as its kind, as in the configuration: no numeric
+    # strings or booleans, integers only where an integer is meant
+    ({**DAMPED_QUBIT, "channels": [{"rate": "0.4", "operator": {"re": [[0.0, 1.0],
+                                                                       [0.0, 0.0]]}}]},
+     "custom model file {bad}: channel 0 rate must be a finite number, got '0.4'"),
+    ({**DAMPED_QUBIT, "hamiltonian": {"re": [["-0.5", 0.0], [0.0, 0.5]]}},
+     "custom model file {bad}: hamiltonian re entry (0, 0) must be a finite number, got '-0.5'"),
+    ({**DAMPED_QUBIT, "channels": [{"rate": 0.4, "operator": {"re": [[0.0, True],
+                                                                     [False, 0.0]]}}]},
+     "custom model file {bad}: channel 0 operator re entry (0, 1) must be a finite number,"
+     " got True"),
+    ({**DAMPED_QUBIT, "dim": 2.9}, "custom model file {bad}: dim must be an integer, got 2.9"),
+    ({**DAMPED_QUBIT, "dim": "2"}, "custom model file {bad}: dim must be an integer, got '2'"),
+    ({**DAMPED_QUBIT, "channels": {"rate": 1}},
+     "custom model file {bad}: channels must be a list, got {{'rate': 1}}"),
+    ({**DAMPED_QUBIT, "hamiltonian": {"re": [[-0.5, 0.0], 0.5]}},
+     "custom model file {bad}: hamiltonian re row 1 must be a list, got 0.5"),
 ], ids=["missing-file", "bad-key", "wrong-shape", "non-hermitian",
         "hamiltonian-proportional-to-identity", "rate-infinity", "hamiltonian-nan",
-        "rate-1e400", "hamiltonian-minus-1e400"])
+        "rate-1e400", "hamiltonian-minus-1e400", "rate-string", "hamiltonian-string",
+        "operator-booleans", "dim-fractional", "dim-string", "channels-an-object",
+        "row-not-a-list"])
 @pytest.mark.parametrize("second_entry", [False, True], ids=["run", "second-sweep-entry"])
 def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_file, message,
                                                      second_entry):

@@ -155,6 +155,17 @@ def test_initial_state_maximally_mixed_and_pure():
         initial_state("bogus", QUBIT_H, beta=1.0)
 
 
+@pytest.mark.parametrize("h0, beta", [
+    (QUBIT_H, math.nan), (QUBIT_H, math.inf), (QUBIT_H, -math.inf), (QUBIT_H, None), (None, 1.0),
+], ids=["beta-nan", "beta-inf", "beta-minus-inf", "beta-missing", "h0-missing"])
+@pytest.mark.parametrize("kind", ["gibbs", "sorted_ascending_diagonal"])
+def test_gibbs_based_states_share_one_beta_rule(kind, h0, beta):
+    # the sorted start is the Gibbs populations re-sorted, so it needs what
+    # the Gibbs state needs; a NaN beta would give an all-NaN matrix
+    with pytest.raises(ValueError, match=rf"^{kind} initial state needs h0 and a finite beta"):
+        initial_state(kind, h0, beta=beta)
+
+
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

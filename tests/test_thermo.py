@@ -365,3 +365,28 @@ def test_landauer_side_on_random_undriven_davies_models(case):
     assert np.all(np.diff(slack) <= 1e-12)
     assert np.all(rows.Q - rows.lp_lower >= -1e-10)
     assert np.max(np.abs((rows.Q - rows.lp_lower) - (oracle[0] - oracle) / beta)) < 1e-10
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(random_davies_models(driven=True))
+def test_landauer_side_on_random_driven_davies_models(case):
+    # The Gibbs state rho_eq(t) of H(t) at beta is stationary under the jumps
+    # at t, so with bath_T = 1/beta the entropy production dS + beta dQ is
+    # >= 0 (Spohn, J. Math. Phys. 19, 1227, 1978): the Landauer side
+    # Q >= -T dS. The nlp_S25 slack is beta E_S - S + ln Z(t) =
+    # D(rho(t) || rho_eq(t)) >= 0, the same expression as nlp_S23.
+    model, rho0, beta = case
+    t_end = 1.0
+    traj = propagate(model, rho0, t_end, quiet_step(model, t_end), 11)
+    samples = thermo.evaluate_samples(traj, model)
+    slack = thermo.nlp_comparison(traj, model, samples, beta).slack_S25
+    h = model.hamiltonian_protocol(traj.times)
+    rho_eq = np.array([qstate.gibbs_state(ht, beta) for ht in h])
+    oracle = qstate.relative_entropy(traj.states, rho_eq)
+    assert np.all(slack >= -1e-12)
+    assert np.max(np.abs(slack - oracle)) < 1e-10
+    assert np.all(traj.heat + (samples.S - samples.S[0]) / beta >= -1e-10)
+    # negative control: against the Gibbs state of H(0), which the drive
+    # rotates away from, the slack is not the relative entropy
+    frozen = qstate.relative_entropy(traj.states, qstate.gibbs_state(h[0], beta))
+    assert np.max(np.abs(slack - frozen)) > 1e-6

@@ -4,18 +4,21 @@
 
 Runs ``python -m landauer_bounds.cli run ... --plots`` with PYTHONPATH=SRC_DIR,
 one process per run, into OUT_DIR/<run>: the built-in scenarios fig1, fig2 and
-figS1, and the benchmark workloads pump, erase and erase-sweep at seed 0, whose
-configs ``bench/scenarios.config_bytes`` writes. Two trees made this way from
-two source trees are then compared with
+figS1, the benchmark workloads pump, erase and erase-sweep at seed 0, whose
+configs ``bench/scenarios.config_bytes`` writes, and two-baths, a custom model
+file read through ``--config`` (README's qubit between two baths, run without
+``bath_T``). Two trees made this way from two source trees are then compared with
 
     python tools/compare_outputs.py PARENT_OUT CHANGE_OUT
 
 Prints one line per run; exits 1 when a run exits with a code other than 0, 2
-on bad arguments and 0 otherwise. All six runs take a few seconds.
+on bad arguments and 0 otherwise. All seven runs take a few seconds.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +27,18 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SCENARIOS = ("fig1", "fig2", "figS1")
+
+
+def two_baths_model() -> dict:
+    """A qubit with gap 1 coupled with rate 0.1 to baths at T = 0.5 and T = 5.
+    Its matrices mix integer and float entries and give the Hamiltonian an "im"."""
+    channels = []
+    for temperature in (0.5, 5.0):
+        n_bath = 1.0 / math.expm1(1.0 / temperature)
+        channels += [{"rate": 0.1 * (n_bath + 1.0), "operator": {"re": [[0, 1], [0, 0]]}},
+                     {"rate": 0.1 * n_bath, "operator": {"re": [[0, 0], [1, 0]]}}]
+    return {"dim": 2, "hamiltonian": {"re": [[-0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]},
+            "channels": channels}
 
 
 def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
@@ -39,6 +54,13 @@ def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
         path = config_dir / f"{workload}.json"
         path.write_bytes(scenarios.config_bytes(workload, 0))
         out.append((workload, ["--config", str(path)]))
+    model, config = config_dir / "two-baths-model.json", config_dir / "two-baths.json"
+    model.write_text(json.dumps(two_baths_model()))
+    config.write_text(json.dumps({
+        "model": "custom", "custom_model_file": str(model),
+        "initial_state": {"kind": "gibbs", "beta": 2.0},
+        "integrator": {"dt": 0.01, "t_end": 40.0, "n_samples": 41}}))
+    out.append(("two-baths", ["--config", str(config)]))
     return out
 
 
