@@ -254,10 +254,11 @@ def _matrix_from_json(obj: Any, dim: int, what: str) -> np.ndarray:
     """The complex matrix of {"re": rows, "im": rows}, each part d lists of d numbers."""
     obj = _read(obj, dict, what)
     parts = []
-    for part in ("re", "im"):  # "im" defaults to zeros
+    for part in ("re", "im"):  # "re" is required and bounds d; a missing "im" is zeros
         name = f"{what} {part}"
+        value = obj.get(part) if part == "re" or part in obj else [[0.0] * dim] * dim
         rows = [_read(row, list, f"{name} row {i}")
-                for i, row in enumerate(_read(obj.get(part, [[0.0] * dim] * dim), list, name))]
+                for i, row in enumerate(_read(value, list, name))]
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ConfigError(f"{name} must be {dim} rows of {dim} numbers")
         parts.append([[_read(x, float, f"{name} entry ({i}, {j})") for j, x in enumerate(row)]

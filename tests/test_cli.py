@@ -387,11 +387,19 @@ DAMPED_QUBIT = {
      "custom model file {bad}: channels must be a list, got {{'rate': 1}}"),
     ({**DAMPED_QUBIT, "hamiltonian": {"re": [[-0.5, 0.0], 0.5]}},
      "custom model file {bad}: hamiltonian re row 1 must be a list, got 0.5"),
+    # "im" alone may default to zeros; "re" is required
+    ({**DAMPED_QUBIT, "channels": [{"rate": 0.4, "operator": {"Re": [[0.0, 1.0],
+                                                                     [0.0, 0.0]]}}]},
+     "custom model file {bad}: channel 0 operator re must be a list, got None"),
+    # an integral dim far beyond the file's rows is refused by those rows, before
+    # any d x d default is built
+    ({**DAMPED_QUBIT, "dim": 1e20},
+     "custom model file {bad}: hamiltonian re must be 100000000000000000000 rows of"),
 ], ids=["missing-file", "bad-key", "wrong-shape", "non-hermitian",
         "hamiltonian-proportional-to-identity", "rate-infinity", "hamiltonian-nan",
         "rate-1e400", "hamiltonian-minus-1e400", "rate-string", "hamiltonian-string",
         "operator-booleans", "dim-fractional", "dim-string", "channels-an-object",
-        "row-not-a-list"])
+        "row-not-a-list", "re-missing", "dim-1e20"])
 @pytest.mark.parametrize("second_entry", [False, True], ids=["run", "second-sweep-entry"])
 def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_file, message,
                                                      second_entry):
