@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -46,9 +46,20 @@ EXIT_CONFIG = 3
 
 VERDICT_TOL = 1e-6
 
+# The keys each JSON object may hold; ``_read`` refuses any other by name.
 CONFIG_KEYS = frozenset({"name", "model", "model_params", "initial_state", "integrator",
                          "bath_T", "beta_branch", "sweep", "custom_model_file"})
 SWEEP_KEYS = frozenset({"name", "overrides"})
+INTEGRATOR_KEYS = frozenset({"dt", "t_end", "n_samples"})
+INITIAL_STATE_KEYS = {"gibbs": frozenset({"kind", "beta"}), "pure": frozenset({"kind", "vector"}),
+                      "sorted_ascending_diagonal": frozenset({"kind", "beta"}),
+                      "maximally_mixed": frozenset({"kind"})}
+_PARAMS = {"rydberg": models.RydbergParams, "erasure": models.ErasureParams}
+MODEL_PARAMS_KEYS = {"custom": frozenset(), **{
+    name: frozenset(f.name for f in fields(params)) for name, params in _PARAMS.items()}}
+MODEL_FILE_KEYS = frozenset({"dim", "hamiltonian", "channels"})
+CHANNEL_KEYS = frozenset({"rate", "operator"})
+MATRIX_KEYS = frozenset({"re", "im"})
 # what ``_read`` says a JSON value of each kind must be
 _KINDS = {float: "a finite number", int: "an integer", str: "a string", dict: "an object",
           list: "a list"}
@@ -91,8 +102,8 @@ _SCENARIOS: dict[str, dict[str, Any]] = {
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """One validated run (see README for the JSON schema): the model built from
-    ``model_name`` and ``model_params``, its initial state ``rho0`` and, for the
-    Rydberg pump, its Bell state, with the settings that meta.json records."""
+    ``model_name`` and ``model_params``, its start ``rho0`` with its reference solve
+    ``beta_R0`` and, for the Rydberg pump, the Bell state, with meta.json's settings."""
 
     name: str
     model_name: str
@@ -107,6 +118,7 @@ class ScenarioConfig:
     plots: bool
     model: LindbladModel
     rho0: np.ndarray
+    beta_R0: refsolve.BetaSolveResult
     bell: np.ndarray | None
 
     @property
@@ -124,10 +136,16 @@ class Sweep:
     runs: tuple[tuple[str, ScenarioConfig], ...]
 
 
-def _read(value: Any, kind: type, what: str) -> Any:
-    """``value`` as a ``kind``: a finite JSON number (not bool) as a float, an integral
-    one as an int, a str, dict or list as it is; else ``ConfigError`` naming ``what``.
-    NaN, Infinity, 1e400, a huge integer literal and a missing key's None are refused."""
+def _read(value: Any, kind: type | frozenset[str], what: str) -> Any:
+    """``value`` as a ``kind``: a finite JSON number (not bool) as a float, an integral one
+    as an int, a str, dict or list as it is, and a set of keys as an object with no other
+    key; else ``ConfigError`` naming ``what`` (so NaN, Infinity, 1e400 and None fail)."""
+    if isinstance(kind, frozenset):
+        unknown = [key for key in _read(value, dict, what) if key not in kind]
+        if unknown:
+            raise ConfigError(f"{what} has unknown key {unknown[0]!r},"
+                              f" allowed: {', '.join(sorted(kind)) or 'none'}")
+        return value
     number = type(value) in (int, float) and abs(value) <= sys.float_info.max
     if kind is float and number:
         return float(value)
@@ -143,9 +161,7 @@ def _sweep_entries(sweep: list[Any]) -> list[tuple[str, dict[str, Any]]]:
     output subdirectory, so it must be one path component and unique."""
     entries: dict[str, dict[str, Any]] = {}
     for i, entry in enumerate(sweep):
-        entry = _read(entry, dict, f"sweep entry {i}")
-        if not set(entry) <= SWEEP_KEYS:
-            raise ConfigError(f"sweep entry {i} keys {sorted(entry)} not in {sorted(SWEEP_KEYS)}")
+        entry = _read(entry, SWEEP_KEYS, f"sweep entry {i}")
         name = _read(entry.get("name", f"entry{i}"), str, f"sweep entry {i} name")
         if name in ("", ".", "..") or "/" in name or "\0" in name:
             raise ConfigError(f"sweep entry name {name!r} is not a single path component")
@@ -177,15 +193,15 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     A run's model and initial state are built here, and beta_R(0) is checked,
     so a bad sweep entry stops the sweep before any entry has written an output.
     """
-    if not set(raw) <= CONFIG_KEYS:
-        raise ConfigError(f"unknown configuration keys {sorted(set(raw) - CONFIG_KEYS)}")
+    raw = _read(raw, CONFIG_KEYS, "configuration")
     if raw.get("sweep") is not None and _read(raw["sweep"], list, "sweep"):
         base = {k: v for k, v in raw.items() if k != "sweep"}
         return Sweep(name, Path(out_dir), plots, tuple(
             (entry, build_config(_merge(base, overrides), f"{name}/{entry}",
                                  Path(out_dir) / entry, plots, integrator))
             for entry, overrides in _sweep_entries(raw["sweep"])))
-    integ = {**_read(raw.get("integrator", {}), dict, "integrator"), **(integrator or {})}
+    integ = {**_read(raw.get("integrator", {}), INTEGRATOR_KEYS, "integrator"),
+             **(integrator or {})}
     dt = _read(integ.get("dt"), float, "dt")
     t_end = _read(integ.get("t_end"), float, "t_end")
     n_samples = _read(integ.get("n_samples"), int, "n_samples")
@@ -194,7 +210,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     model_name = _read(raw.get("model"), str, "model")
-    if model_name not in ("rydberg", "erasure", "custom"):
+    if model_name not in MODEL_PARAMS_KEYS:
         raise ConfigError(f"unknown model {model_name!r}")
     branch = _read(raw.get("beta_branch", BRANCH_NON_NEGATIVE), str, "beta_branch")
     if branch not in (BRANCH_NON_NEGATIVE, BRANCH_NEGATIVE):
@@ -203,15 +219,15 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     if bath is not None and bath <= 0:
         raise ConfigError("bath_T must be positive when set")
     init = _read(raw.get("initial_state"), dict, "initial_state")
-    params = {k: _read(v, float, f"model_params {k}")
-              for k, v in _read(raw.get("model_params", {}), dict, "model_params").items()}
+    params = {k: _read(v, float, f"model_params {k}") for k, v in _read(
+        raw.get("model_params", {}), MODEL_PARAMS_KEYS[model_name], "model_params").items()}
     model, bell = _build_model(model_name, params, raw.get("custom_model_file"))
     h0 = protocol_values(model.hamiltonian_protocol, np.zeros(1), model.dim, "Hamiltonian")[0]
     rho0 = _build_initial_state(init, model.dim, h0)
     # beta_R(0) enters every sample, so a start without one is refused before
-    # propagating, by the series solve's criteria at sample 0. A driven start
-    # must not saturate it either; the undriven pump runs from a pure start.
-    b0 = refsolve.solve_beta_series(np.linalg.eigvalsh(h0)[None],
+    # propagating. A driven start must not saturate it; an undriven run, which may
+    # start pure, keeps this solve, made on the levels that evaluate_samples uses.
+    b0 = refsolve.solve_beta_series(np.linalg.eigh(h0[None])[0],
                                     [qstate.von_neumann_entropy(rho0)], branch)[0]
     if b0.error is not None:
         raise ConfigError(f"no reference temperature beta_R(0) for H(0): {b0.error}")
@@ -222,7 +238,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     return ScenarioConfig(name=name, model_name=model_name, model_params=params,
                           initial_state=init, dt=dt, t_end=t_end, n_samples=n_samples,
                           bath_T=bath, beta_branch=branch, out_dir=Path(out_dir), plots=plots,
-                          model=model, rho0=rho0, bell=bell)
+                          model=model, rho0=rho0, beta_R0=b0, bell=bell)
 
 
 def load_custom_model(path: str | Path) -> LindbladModel:
@@ -231,14 +247,14 @@ def load_custom_model(path: str | Path) -> LindbladModel:
     ``ConfigError`` names the file when it cannot be read, breaks that schema or
     has a non-Hermitian Hamiltonian."""
     try:
-        spec = _read(json.loads(Path(path).read_text()), dict, "the file")
+        spec = _read(json.loads(Path(path).read_text()), MODEL_FILE_KEYS, "the file")
         dim = _read(spec.get("dim"), int, "dim")
         if dim < 1:
             raise ConfigError(f"dim must be at least 1, got {dim}")
         h = _matrix_from_json(spec.get("hamiltonian"), dim, "hamiltonian")
         channels = []
         for i, ch in enumerate(_read(spec.get("channels", []), list, "channels")):
-            ch = _read(ch, dict, f"channel {i}")
+            ch = _read(ch, CHANNEL_KEYS, f"channel {i}")
             channels.append(JumpChannel.constant(
                 _read(ch.get("rate"), float, f"channel {i} rate"),
                 _matrix_from_json(ch.get("operator"), dim, f"channel {i} operator")))
@@ -252,7 +268,7 @@ def load_custom_model(path: str | Path) -> LindbladModel:
 
 def _matrix_from_json(obj: Any, dim: int, what: str) -> np.ndarray:
     """The complex matrix of {"re": rows, "im": rows}, each part d lists of d numbers."""
-    obj = _read(obj, dict, what)
+    obj = _read(obj, MATRIX_KEYS, what)
     parts = []
     for part in ("re", "im"):  # "re" is required and bounds d; a missing "im" is zeros
         name = f"{what} {part}"
@@ -282,10 +298,9 @@ def _build_model(name: str, params: dict[str, float],
                  custom_model_file: Any) -> tuple[LindbladModel, np.ndarray | None]:
     if name == "custom":
         return load_custom_model(_read(custom_model_file, str, "custom_model_file")), None
-    params_type = models.RydbergParams if name == "rydberg" else models.ErasureParams
     try:
-        typed = params_type(**params)
-    except (TypeError, ValueError) as exc:
+        typed = _PARAMS[name](**params)
+    except ValueError as exc:
         raise ConfigError(f"invalid model_params for {name!r}: {exc}") from exc
     if name == "rydberg":
         return models.build_rydberg(typed)
@@ -293,9 +308,12 @@ def _build_model(name: str, params: dict[str, float],
 
 
 def _build_initial_state(init: dict[str, Any], dim: int, h0: np.ndarray) -> np.ndarray:
-    """The initial state of a JSON object whose values are read here; the
-    kind and the values it needs are ``models.initial_state``'s to check."""
+    """The initial state of a JSON object whose kind and keys are checked and
+    values read here; a missing value is ``models.initial_state``'s to refuse."""
     kind = _read(init.get("kind"), str, "initial_state kind")
+    if kind not in INITIAL_STATE_KEYS:
+        raise ConfigError(f"unknown initial_state kind {kind!r}")
+    _read(init, INITIAL_STATE_KEYS[kind], f"initial_state of kind {kind!r}")
     beta, vector = init.get("beta"), init.get("vector")
     try:
         if beta is not None:
@@ -324,8 +342,8 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
         beta_results = refsolve.solve_beta_series(samples.levels, samples.S, config.beta_branch)
         bounds = thermo.driven_bounds(traj, model, samples, beta_results, config.bath_T)
     else:
-        beta_results = [refsolve.solve_beta(samples.levels[0], samples.S[0], config.beta_branch)]
-        bounds = thermo.undriven_bounds(traj, model, samples, beta_results[0], config.bath_T)
+        beta_results = [config.beta_R0]
+        bounds = thermo.undriven_bounds(traj, model, samples, config.beta_R0, config.bath_T)
 
     nlp = None
     if config.bath_T is not None:

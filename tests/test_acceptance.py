@@ -4,7 +4,7 @@ inset, Fig. 2 and the Fig. S1 tau-sweep, each checked on the full-size run."""
 import numpy as np
 import pytest
 
-from landauer_bounds import qstate
+from landauer_bounds import cli, qstate
 
 UNDRIVEN_VERDICTS = {"gap_nonneg", "gap_identity", "heat_upper", "coherence_split"}
 DRIVEN_VERDICTS = UNDRIVEN_VERDICTS | {"lp_lower", "nlp_S23", "nlp_S25"}
@@ -41,3 +41,26 @@ def test_bell_fidelity_never_decreases(request, fixture):
     assert np.all(np.diff(fidelity) >= 0.0)
     assert fidelity[-1] > 0.69
     assert result.meta["bell_fidelity_end"] == fidelity[-1]
+
+
+def test_first_law_bound_closes_one_order_in_tau_faster_than_landauer(tmp_path):
+    # Fig. 2 with only tau changed, at dt = tau / 20000 and 401 samples. At t = tau
+    # the upper slack upper - Q is T_R(0) D(rho || rho_th), O(1/tau^2) in slow
+    # driving, and the Landauer slack Q - lp_lower is the entropy production,
+    # O(1/tau). Measured slopes: -1.95, -2.00, -2.00 and -0.95, -1.02, -1.04; the
+    # bands below are +-0.2 around -2 and -1.
+    taus = [10.0, 20.0, 40.0, 80.0]
+    upper, landauer = [], []
+    for tau in taus:
+        raw = cli.scenario_defaults("fig2")
+        raw["model_params"]["tau"] = tau
+        raw["integrator"] = {"dt": tau / 20000, "t_end": tau, "n_samples": 401}
+        bounds = cli.run_pipeline(cli.build_config(raw, "fig2", tmp_path, plots=False)).bounds
+        upper.append(bounds.upper[-1] - bounds.Q[-1])
+        landauer.append(bounds.Q[-1] - bounds.lp_lower[-1])
+    upper, landauer = np.array(upper), np.array(landauer)
+    assert np.all(upper > 0.0) and np.all(upper < landauer), (upper, landauer)
+    upper_slopes = np.diff(np.log(upper)) / np.diff(np.log(taus))
+    landauer_slopes = np.diff(np.log(landauer)) / np.diff(np.log(taus))
+    assert np.all(np.abs(upper_slopes + 2.0) < 0.2), upper_slopes
+    assert np.all(np.abs(landauer_slopes + 1.0) < 0.2), landauer_slopes

@@ -135,7 +135,7 @@ def test_config_errors_exit_3(tmp_path):
     {"initial_state": [["kind", "gibbs"], ["beta", 1.0]],
      "message": "initial_state must be an object, got [['kind', 'gibbs'], ['beta', 1.0]]"},
     {"top_level": {"model": 5}, "message": "model must be a string, got 5"},
-    {"top_level": {"model": "custom", "custom_model_file": 5},
+    {"top_level": {"model": "custom", "custom_model_file": 5, "model_params": {}},
      "message": "custom_model_file must be a string, got 5"},
     {"top_level": {"sweep": [{"name": "a", "overrides": [["model_params", {"tau": 5.0}]]}]},
      "message": "sweep entry 0 overrides must be an object, got [['model_params',"},
@@ -295,7 +295,10 @@ def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
         "gamma-1e400", "sorted-beta-minus-1e400"])
 def test_bad_second_sweep_entry_stops_the_run_before_the_first(tmp_path, capsys, overrides):
     # the model and initial state of every entry are built with the configuration
+    # from a start with no key besides its kind, so that an entry's initial_state
+    # carries only the keys its overrides give it
     raw = cli.scenario_defaults("fig2")
+    raw["initial_state"] = {"kind": "maximally_mixed"}
     raw["integrator"] = {"dt": 0.01, "t_end": 1.0, "n_samples": 11}
     raw["sweep"] = [{"name": "a", "overrides": {}}, {"name": "b", "overrides": overrides}]
     config = tmp_path / "sweep.json"
@@ -390,16 +393,27 @@ DAMPED_QUBIT = {
     # "im" alone may default to zeros; "re" is required
     ({**DAMPED_QUBIT, "channels": [{"rate": 0.4, "operator": {"Re": [[0.0, 1.0],
                                                                      [0.0, 0.0]]}}]},
-     "custom model file {bad}: channel 0 operator re must be a list, got None"),
+     "custom model file {bad}: channel 0 operator has unknown key 'Re', allowed: im, re"),
     # an integral dim far beyond the file's rows is refused by those rows, before
     # any d x d default is built
     ({**DAMPED_QUBIT, "dim": 1e20},
      "custom model file {bad}: hamiltonian re must be 100000000000000000000 rows of"),
+    # a misspelled key would drop what it holds: here every jump, a channel's
+    # bath, or the imaginary part of a matrix
+    ({"dim": 2, "hamiltonian": DAMPED_QUBIT["hamiltonian"], "chanels": DAMPED_QUBIT["channels"]},
+     "custom model file {bad}: the file has unknown key 'chanels', allowed: channels, dim,"
+     " hamiltonian"),
+    ({**DAMPED_QUBIT, "channels": [{**DAMPED_QUBIT["channels"][0], "bath_T": 0.5}]},
+     "custom model file {bad}: channel 0 has unknown key 'bath_T', allowed: operator, rate"),
+    ({**DAMPED_QUBIT, "hamiltonian": {"re": [[-0.5, 0.0], [0.0, 0.5]],
+                                      "Im": [[0.0, -0.1], [0.1, 0.0]]}},
+     "custom model file {bad}: hamiltonian has unknown key 'Im', allowed: im, re"),
 ], ids=["missing-file", "bad-key", "wrong-shape", "non-hermitian",
         "hamiltonian-proportional-to-identity", "rate-infinity", "hamiltonian-nan",
         "rate-1e400", "hamiltonian-minus-1e400", "rate-string", "hamiltonian-string",
         "operator-booleans", "dim-fractional", "dim-string", "channels-an-object",
-        "row-not-a-list", "re-missing", "dim-1e20"])
+        "row-not-a-list", "re-missing", "dim-1e20", "file-unknown-key", "channel-unknown-key",
+        "matrix-unknown-key"])
 @pytest.mark.parametrize("second_entry", [False, True], ids=["run", "second-sweep-entry"])
 def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_file, message,
                                                      second_entry):
@@ -420,6 +434,40 @@ def test_bad_custom_model_file_exits_3_with_one_line(tmp_path, capsys, model_fil
     err = capsys.readouterr().err
     assert err.startswith("configuration error: " + message.format(bad=bad))
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3, "n_sample": 5}},
+     "integrator has unknown key 'n_sample', allowed: dt, n_samples, t_end"),
+    ({"initial_state": {"kind": "gibbs", "beta": 2.0, "vector": [[1.0, 0.0], [0.0, 0.0]]}},
+     "initial_state of kind 'gibbs' has unknown key 'vector', allowed: beta, kind"),
+    ({"initial_state": {"kind": "sorted_ascending_diagonal", "beta": 2.0, "temperature": 0.5}},
+     "initial_state of kind 'sorted_ascending_diagonal' has unknown key 'temperature',"
+     " allowed: beta, kind"),
+    ({"initial_state": {"kind": "pure", "vector": [[0.0, 0.0], [1.0, 0.0]],
+                        "vectr": [[1.0, 0.0], [0.0, 0.0]]}},
+     "initial_state of kind 'pure' has unknown key 'vectr', allowed: kind, vector"),
+    ({"initial_state": {"kind": "maximally_mixed", "beta": 2.0}},
+     "initial_state of kind 'maximally_mixed' has unknown key 'beta', allowed: kind"),
+    # a custom model reads no parameter, so meta.json would record one no run used
+    ({"model_params": {"gamma": 5.0}}, "model_params has unknown key 'gamma', allowed: none"),
+    # an entry is checked after its overrides are merged into the configuration
+    ({"sweep": [{"name": "a"}, {"name": "b", "overrides": {"integrator": {"n_sampels": 5}}}]},
+     "integrator has unknown key 'n_sampels', allowed: dt, n_samples, t_end"),
+], ids=["integrator", "gibbs", "sorted-ascending-diagonal", "pure", "maximally-mixed",
+        "custom-model-params", "sweep-overrides"])
+def test_unknown_key_exits_3_naming_it_and_its_object(tmp_path, capsys, change, message):
+    # each key a run would drop: the configuration runs without it
+    (tmp_path / "m.json").write_text(json.dumps(DAMPED_QUBIT))
+    raw = {"model": "custom", "custom_model_file": str(tmp_path / "m.json"),
+           "initial_state": {"kind": "gibbs", "beta": 2.0},
+           "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}, **change}
+    config = tmp_path / "unknown.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 
@@ -551,6 +599,7 @@ def test_emit_plots_rejects_unknown_schema(tmp_path):
 def test_negative_branch_through_config(tmp_path):
     config = tmp_path / "neg.json"
     raw = cli.scenario_defaults("fig2")
+    del raw["model_params"]  # erasure parameters, which a custom model does not take
     raw["model"] = "custom"
     raw["custom_model_file"] = str(tmp_path / "m.json")
     (tmp_path / "m.json").write_text(json.dumps({

@@ -11,17 +11,21 @@ _SPEC.loader.exec_module(reference_outputs)
 
 
 def test_reference_runs_are_the_figures_and_the_seed_zero_workloads(tmp_path):
-    # and one custom model file, so the comparison reaches cli.load_custom_model
+    # and one custom model file, so the comparison reaches cli.load_custom_model,
+    # and fig1 from every other kind of initial state
     runs = reference_outputs.runs(tmp_path)
     assert [name for name, _ in runs] == ["fig1", "fig2", "figS1", "pump", "erase", "erase-sweep",
-                                          "two-baths"]
+                                          "two-baths", "fig1-inset", "pump-pure", "pump-mixed"]
     assert [args for _, args in runs[:3]] == [["--scenario", n] for n in ("fig1", "fig2", "figS1")]
+    kinds = set()
     for name, args in runs[3:]:
         assert args == ["--config", str(tmp_path / f"{name}.json")]
         raw = json.loads(Path(args[1]).read_text())
         config = cli.build_config(raw, name, tmp_path / "out", plots=True)
         assert isinstance(config, cli.Sweep) == (name == "erase-sweep")
-    assert config.model_name == "custom"  # two-baths, the last run
+        assert (raw["model"] == "custom") == (name == "two-baths")
+        kinds.add(raw["initial_state"]["kind"])
+    assert kinds == set(cli.INITIAL_STATE_KEYS)
 
 
 def test_reference_outputs_refuses_a_directory_without_the_package(tmp_path, capsys):

@@ -5,14 +5,17 @@
 Runs ``python -m landauer_bounds.cli run ... --plots`` with PYTHONPATH=SRC_DIR,
 one process per run, into OUT_DIR/<run>: the built-in scenarios fig1, fig2 and
 figS1, the benchmark workloads pump, erase and erase-sweep at seed 0, whose
-configs ``bench/scenarios.config_bytes`` writes, and two-baths, a custom model
-file read through ``--config`` (README's qubit between two baths, run without
-``bath_T``). Two trees made this way from two source trees are then compared with
+configs ``bench/scenarios.config_bytes`` writes, two-baths, a custom model file
+read through ``--config`` (README's qubit between two baths, run without
+``bath_T``), and fig1 from the three other initial-state kinds: fig1-inset (the
+population-inverted start of the paper's Fig. 1 inset), pump-pure (the pure state
+|01>) and pump-mixed (the maximally mixed state). Two trees made this way from
+two source trees are then compared with
 
     python tools/compare_outputs.py PARENT_OUT CHANGE_OUT
 
 Prints one line per run; exits 1 when a run exits with a code other than 0, 2
-on bad arguments and 0 otherwise. All seven runs take a few seconds.
+on bad arguments and 0 otherwise. All ten runs take a few seconds.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SCENARIOS = ("fig1", "fig2", "figS1")
+# fig1's initial state replaced by one of each other kind
+FIG1_STARTS = {
+    "fig1-inset": {"kind": "sorted_ascending_diagonal", "beta": 30.0},
+    "pump-pure": {"kind": "pure", "vector": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 7},
+    "pump-mixed": {"kind": "maximally_mixed"},
+}
 
 
 def two_baths_model() -> dict:
@@ -61,6 +70,13 @@ def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
         "initial_state": {"kind": "gibbs", "beta": 2.0},
         "integrator": {"dt": 0.01, "t_end": 40.0, "n_samples": 41}}))
     out.append(("two-baths", ["--config", str(config)]))
+    for name, start in FIG1_STARTS.items():
+        config = config_dir / f"{name}.json"
+        config.write_text(json.dumps({
+            "model": "rydberg", "model_params": {"omega2": 0.02, "omega": 0.01, "gamma": 0.03},
+            "initial_state": start,
+            "integrator": {"dt": 0.01, "t_end": 2000.0, "n_samples": 401}}))
+        out.append((name, ["--config", str(config)]))
     return out
 
 
