@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from . import linalg, models, plotting, qstate, refsolve, thermo
+from . import linalg, models, numtext, plotting, qstate, refsolve, thermo
 from .errors import (
     ConfigError,
     LandauerBoundsError,
@@ -174,9 +174,12 @@ def _sweep_entries(sweep: list[Any]) -> list[tuple[str, dict[str, Any]]]:
 
 
 def _merge(base: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
+    """``base`` with ``overrides`` merged in object by object; an ``initial_state``
+    that names a ``kind`` is a new start and replaces the base's whole."""
     out = copy.deepcopy(base)
     for key, val in overrides.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
+        if (isinstance(val, dict) and isinstance(out.get(key), dict)
+                and not (key == "initial_state" and "kind" in val)):
             out[key] = _merge(out[key], val)
         else:
             out[key] = val
@@ -212,6 +215,9 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     model_name = _read(raw.get("model"), str, "model")
     if model_name not in MODEL_PARAMS_KEYS:
         raise ConfigError(f"unknown model {model_name!r}")
+    if model_name != "custom" and raw.get("custom_model_file") is not None:
+        raise ConfigError(f"custom_model_file is read only for model 'custom',"
+                          f" not {model_name!r}")
     branch = _read(raw.get("beta_branch", BRANCH_NON_NEGATIVE), str, "beta_branch")
     if branch not in (BRANCH_NON_NEGATIVE, BRANCH_NEGATIVE):
         raise ConfigError(f"unknown beta_branch {branch!r}")
@@ -441,48 +447,35 @@ def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
     return meta
 
 
-def _format_cells(values: np.ndarray, blank_nan: bool) -> list[str]:
-    """'%.15g' of each value in one formatting pass; with ``blank_nan`` NaN is an empty cell."""
-    cells = (("%.15g\0" * len(values)) % tuple(values.tolist())).split("\0")[:-1]
-    return [cell if cell != "nan" else "" for cell in cells] if blank_nan else cells
-
-
 def write_bounds_csv(result: PipelineResult, path: Path) -> None:
-    """One row per sample; each block of samples is formatted column by column.
+    """One row per sample, written a block of samples at a time by ``numtext.csv_rows``.
     NaN is an empty cell in ``thermo.OPTIONAL_COLUMNS`` and ``nan`` elsewhere."""
     table = result.bounds
     columns = UNDRIVEN_COLUMNS if result.config.kind == "undriven" else DRIVEN_COLUMNS
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
+    blank = [c in thermo.OPTIONAL_COLUMNS for c in columns[:-1]]
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\r\n").encode())
         for b in sample_blocks(len(table)):
-            cells = [_format_cells(table[c][b], c in thermo.OPTIONAL_COLUMNS)
-                     for c in columns[:-1]]
-            cells.append([";".join(f) for f in table.flags[b]])
-            fh.write("".join(",".join(rec) + "\r\n" for rec in zip(*cells)))
+            block = np.column_stack([table[c][b] for c in columns[:-1]])
+            flags = np.array([";".join(f) for f in table.flags[b]], dtype=bytes)
+            fh.write(numtext.csv_rows(block, blank, flags))
 
 
 def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
-    """One row per sample; each block of samples is formatted in one %-format pass.
-
-    A column that is +0.0 in every row of a block is written there as the
-    literal ``0`` (what ``%.15g`` gives) without formatting; -0.0 is formatted.
-    """
+    """One row per sample, written a block of samples at a time by ``numtext.csv_rows``."""
     traj = result.trajectory
     d = traj.states.shape[-1]
     upper, strict = np.triu_indices(d), np.triu_indices(d, 1)
     header = ["t", "Q", "W", "min_eig"]
     header += [f"rho_{i}_{j}_re" for i, j in zip(*upper)]
     header += [f"rho_{i}_{j}_im" for i, j in zip(*strict)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for b in sample_blocks(len(traj.times)):
             rho = traj.states[b]
-            block = np.column_stack([traj.times[b], traj.heat[b], traj.work[b],
-                                     traj.min_eigenvalues[b], rho[:, upper[0], upper[1]].real,
-                                     rho[:, strict[0], strict[1]].imag])
-            formatted = np.any((block != 0.0) | np.signbit(block), axis=0)
-            line = ",".join(np.where(formatted, "%.15g", "0").tolist()) + "\r\n"
-            fh.write(line * len(block) % tuple(block[:, formatted].ravel().tolist()))
+            fh.write(numtext.csv_rows(np.column_stack([
+                traj.times[b], traj.heat[b], traj.work[b], traj.min_eigenvalues[b],
+                rho[:, upper[0], upper[1]].real, rho[:, strict[0], strict[1]].imag])))
 
 
 def _json_safe(obj: Any) -> Any:

@@ -15,6 +15,7 @@ from typing import Any
 
 import numpy as np
 
+from . import numtext
 from .errors import SchemaError
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -121,8 +122,7 @@ def _panel_svg(panel: Panel, x0: int, y0: int, width: int, height: int) -> list[
         color = _PALETTE[i % len(_PALETTE)]
         dash = _DASHES[i % len(_DASHES)]
         finite = np.isfinite(x) & np.isfinite(y)
-        xy = np.column_stack([sx(x[finite]), sy(y[finite])])
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+        pts = numtext.points(np.column_stack([sx(x[finite]), sy(y[finite])]))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>')
         ly = py + 14 + 14 * i

@@ -139,6 +139,10 @@ def test_config_errors_exit_3(tmp_path):
      "message": "custom_model_file must be a string, got 5"},
     {"top_level": {"sweep": [{"name": "a", "overrides": [["model_params", {"tau": 5.0}]]}]},
      "message": "sweep entry 0 overrides must be an object, got [['model_params',"},
+    # a model file next to a built-in model would be ignored: the run would not be
+    # the model the file describes
+    {"top_level": {"custom_model_file": "does-not-exist.json"},
+     "message": "custom_model_file is read only for model 'custom', not 'erasure'"},
 ], ids=["unknown-key", "tau-zero", "eps0-zero", "eps0-negative", "pure-vector-length",
         "gibbs-without-beta", "sorted-without-beta", "pure-entry-one-number",
         "pure-unnormalized", "unknown-top-level-key", "config-not-an-object",
@@ -154,7 +158,7 @@ def test_config_errors_exit_3(tmp_path):
         "driven-pure-start", "pure-vector-booleans", "rydberg-gamma-nan", "bath-T-infinity",
         "rydberg-gamma-1e400", "bath-T-1e400", "sorted-beta-minus-1e400", "name-not-a-string",
         "initial-state-pairs", "model-not-a-string", "custom-model-file-not-a-string",
-        "sweep-overrides-a-list"])
+        "sweep-overrides-a-list", "custom-model-file-with-built-in-model"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
     raw = cli.scenario_defaults("fig2")
     raw["model_params"].update(change.get("model_params", {}))
@@ -290,9 +294,10 @@ def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
     {"model_params": {"gamma": math.nan}},
     {"model_params": {"gamma": "1e400"}},
     {"initial_state": {"kind": "sorted_ascending_diagonal", "beta": "-1e400"}},
+    {"custom_model_file": "does-not-exist.json"},
 ], ids=["model-params-typo", "tau-zero", "pure-without-vector", "pure-vector-length",
         "driven-pure-start", "unknown-initial-state", "nested-sweep", "gamma-nan",
-        "gamma-1e400", "sorted-beta-minus-1e400"])
+        "gamma-1e400", "sorted-beta-minus-1e400", "custom-model-file-with-built-in-model"])
 def test_bad_second_sweep_entry_stops_the_run_before_the_first(tmp_path, capsys, overrides):
     # the model and initial state of every entry are built with the configuration
     # from a start with no key besides its kind, so that an entry's initial_state
@@ -318,6 +323,25 @@ def test_command_line_integrator_values_reach_every_sweep_entry(tmp_path):
         assert isinstance(entry, cli.ScenarioConfig) and (entry.dt, entry.n_samples) == (0.05, 3)
         assert entry.out_dir == tmp_path / name and entry.name == f"figS1/{name}"
     assert [entry.t_end for _, entry in config.runs] == [5.0, 10.0, 20.0]
+
+
+@pytest.mark.parametrize("start, recorded", [
+    ({"kind": "maximally_mixed"}, {"kind": "maximally_mixed"}),
+    ({"kind": "pure", "vector": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 7},
+     {"kind": "pure", "vector": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 7}),
+    ({"beta": 2.0}, {"kind": "gibbs", "beta": 2.0}),
+], ids=["maximally-mixed", "pure", "beta-merges"])
+def test_sweep_entry_may_switch_its_start_kind(tmp_path, start, recorded):
+    # an initial_state override naming a kind replaces the gibbs base's start whole
+    raw = cli.scenario_defaults("fig1")
+    raw["integrator"] = {"dt": 0.01, "t_end": 1.0, "n_samples": 3}
+    raw["sweep"] = [{"name": "a"}, {"name": "b", "overrides": {"initial_state": start}}]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
+    assert read_meta(out / "a")["config"]["initial_state"] == {"kind": "gibbs", "beta": 30.0}
+    assert read_meta(out / "b")["config"]["initial_state"] == recorded
 
 
 def test_sorted_start_on_a_degenerate_level_exits_3(tmp_path, capsys):
@@ -799,15 +823,21 @@ def test_fig1_csv_spans_more_than_one_block(fig1_result):
     assert np.isnan(fig1_result.bounds.lp_lower).any()
 
 
-def test_trajectory_writer_memory_stays_bounded(tmp_path):
+@pytest.mark.parametrize("writer", ["trajectory", "bounds"])
+def test_csv_writer_memory_stays_bounded(tmp_path, writer):
     # pump size: 4,001 samples of 9 x 9 states. Formatting the whole file in
     # one pass holds about 13 MB at once; a block of samples about 1.6 MB.
     rng = np.random.default_rng(0)
-    result = SimpleNamespace(trajectory=synthetic_trajectory(4001, 9, rng.standard_normal(997)))
+    values = rng.standard_normal(997)
+    fields = [f.name for f in dataclasses.fields(thermo.Bounds) if f.name != "flags"]
+    bounds = thermo.Bounds(*np.resize(values, (len(fields), 4001)),
+                           flags=[FLAG_SETS[k % len(FLAG_SETS)] for k in range(4001)])
+    result = SimpleNamespace(config=SimpleNamespace(kind="driven"), bounds=bounds,
+                             trajectory=synthetic_trajectory(4001, 9, values))
     tracemalloc.start()
     try:
         current = tracemalloc.get_traced_memory()[0]
-        cli.write_trajectory_csv(result, tmp_path / "trajectory.csv")
+        getattr(cli, f"write_{writer}_csv")(result, tmp_path / f"{writer}.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
