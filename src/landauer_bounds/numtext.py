@@ -36,7 +36,7 @@ _G15_WINDOW = 1e-9  # the error of hi + lo is below 1e-16
 _F2_RANGE = (0.0, 2.0 ** 52 / 100)  # |x| 100 < 2**52: the rounding is exact
 _MIN_E, _MAX_E = -30, 14  # decimal exponents of the kernel's '%.15g' range
 _CELL = 8  # words of a cell with all five 3-digit groups
-_CHUNK = 8192  # numbers per '%.15g' kernel call
+_CHUNK = 8192  # numbers per block of CSV rows spelled at once
 
 # 10^k = _POWER_HI[k] + _POWER_LO[k]; exact (lo = 0) for k <= 22
 _POWER_HI = np.array([float(10 ** k) for k in range(45)])
@@ -215,10 +215,7 @@ def _f2_cells(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(_WORDS.take(index).T), tie
 
 
-# (range, kernel, numbers per kernel call): '%.15g' in chunks, so that the kernel's
-# arrays stay a few times _CHUNK; '%.2f' at once, since its cells are as wide as
-# the largest number needs
-_KERNELS = {"%.15g": (_G15_RANGE, _g15_cells, _CHUNK), "%.2f": (_F2_RANGE, _f2_cells, None)}
+_KERNELS = {"%.15g": (_G15_RANGE, _g15_cells), "%.2f": (_F2_RANGE, _f2_cells)}
 
 
 def _join(values: np.ndarray, spelling: str, separators: list[str],
@@ -231,33 +228,29 @@ def _join(values: np.ndarray, spelling: str, separators: list[str],
     """
     n, k = values.shape
     x = values.ravel()
-    (low, high), kernel, chunk = _KERNELS[spelling]
+    (low, high), kernel = _KERNELS[spelling]
     a = np.abs(x)
     neg = np.signbit(x).view(np.uint8)
     inside = (a >= low) & (a < high)
     at = np.flatnonzero(inside)
-    whole = len(at) == len(x)
-    chunk = chunk or max(len(at), 1)
-    cells = np.zeros((len(x), 2), dtype=np.uint32)  # heads alone if no number is inside
-    undecided = np.empty(len(at), dtype=bool)
-    for i in range(0, len(at), chunk):
-        part = slice(i, i + chunk) if whole else at[i:i + chunk]
-        words, undecided[i:i + chunk] = kernel(a[part], neg[part])
-        if i == 0:
-            cells = (np.empty if whole else np.zeros)((len(x), words.shape[1]), np.uint32)
-        row = f"V{words.itemsize * words.shape[1]}"
-        cells.view(row)[part] = words.view(row)
+    if len(at) == len(x):
+        cells, undecided = kernel(a, neg)
+    else:  # a cell the kernel does not spell starts as the head of a zero
+        words, undecided = (kernel(a[at], neg[at]) if len(at) else
+                            (np.empty((0, 2), np.uint32), np.empty(0, bool)))
+        cells = np.zeros((len(x), words.shape[1]), dtype=np.uint32)
+        row = f"V{4 * words.shape[1]}"
+        cells.view(row)[at] = words.view(row)
+        cells[:, :2].view(np.uint64)[~inside, 0] = _ZERO[neg[~inside]]
     fallback = at[undecided]
-    heads = cells[:, :2].view(np.uint64)[:, 0]
-    if not whole:
-        odd = np.flatnonzero(~inside)
-        heads[odd] = _ZERO[neg[odd]]
-        odd = odd[a[odd] != 0]  # NaN, infinities, finite numbers outside the range
+    odd = np.flatnonzero(~inside & (a != 0))  # NaN, infinities, finite numbers outside
+    if odd.size:
         v = x[odd]
         nan = np.isnan(v)
-        heads[odd] = np.where(nan, _NAN[neg[odd]], _INF[neg[odd]])
+        heads = np.where(nan, _NAN[neg[odd]], _INF[neg[odd]])
         if blank is not None:
-            heads[odd[nan & blank[odd % k]]] = 0
+            heads[nan & blank[odd % k]] = 0
+        cells[odd, :2] = heads.view(np.uint32).reshape(-1, 2)
         fallback = np.concatenate([fallback, odd[np.isfinite(v)]])
     cells.reshape(n, k, -1)[:, :, 0] |= np.array([_SEPARATORS[s] for s in separators],
                                                  dtype=np.uint32)
@@ -289,8 +282,13 @@ def csv_rows(block: np.ndarray, blank: np.ndarray | None = None,
     ``'%.15g' %`` does; NaN is an empty cell in the columns where ``blank`` (k
     booleans) is True. ``last``, n NUL-padded byte strings, is appended as a
     final column; its strings must hold no NUL, comma, quote or line break."""
-    return _join(block, "%.15g", ["\r\n"] + [","] * (block.shape[1] - 1),
-                 None if blank is None else np.asarray(blank, dtype=bool), last) + b"\r\n"
+    n, k = block.shape
+    blank = None if blank is None else np.asarray(blank, dtype=bool)
+    rows = max(1, _CHUNK // k)  # per call, so that its arrays stay a few times _CHUNK numbers
+    return b"\r\n".join(
+        _join(block[i:i + rows], "%.15g", ["\r\n"] + [","] * (k - 1), blank,
+              None if last is None else last[i:i + rows])
+        for i in range(0, n, rows)) + b"\r\n"
 
 
 def points(xy: np.ndarray) -> str:
