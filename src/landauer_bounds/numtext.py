@@ -75,25 +75,26 @@ def _head_words(texts: list[str]) -> np.ndarray:
 
 
 # One table of every word a cell holds
-_EXPONENTS = range(_MIN_E, _MAX_E + 1)
+_EXPONENTS = np.arange(_MIN_E, _MAX_E + 1)
 _TABLES = {
     "groups": _group_words(),
     "g15 heads": _head_words([("-" if neg else "") + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "")
-                              for neg in (False, True) for e in _EXPONENTS]),
-    "exponents": np.array([_word("e-%02d" % -e) if e < -4 else 0 for e in _EXPONENTS],
-                          dtype=np.uint32),
+                              for neg in (False, True) for e in _EXPONENTS.tolist()]),
+    "exponents": np.where(_EXPONENTS < -4, _word("e-") | (48 + -_EXPONENTS // 10) << 16
+                          | (48 + -_EXPONENTS % 10) << 24, 0).astype(np.uint32),
     "f2 heads": _head_words(["", "-"]),
-    "cents": np.array([_word(".%02d" % c) for c in range(100)], dtype=np.uint32),
+    "cents": (_word(".") | (48 + np.arange(100) // 10) << 8
+              | (48 + np.arange(100) % 10) << 16).astype(np.uint32),
 }
 _BASE = dict(zip(_TABLES, np.cumsum([0] + [len(t) for t in _TABLES.values()]).tolist()))
 _WORDS = np.concatenate(list(_TABLES.values()))
 
 
 def _g15_index() -> np.ndarray:
-    """Table offsets of a '%.15g' cell's eight words (rows) by (sign, exponent e,
+    """Table offsets of a '%.15g' cell's eight words (columns) by (sign, exponent e,
     last nonzero 3-digit group); a digit word's offset is then added its group."""
     sign = np.arange(2)[:, None, None, None]
-    e = np.array(_EXPONENTS)[None, :, None, None]
+    e = _EXPONENTS[None, :, None, None]
     last = np.arange(5)[None, None, :, None]
     j = np.arange(5)[None, None, None, :]
     # fixed notation puts the point after digit e >= 0, exponent notation after
@@ -108,11 +109,11 @@ def _g15_index() -> np.ndarray:
     index[..., 0:1], index[..., 1:2] = head, head + 1
     index[..., 2:7] = 1000 * variant
     index[..., 7:8] = _BASE["exponents"] + e - _MIN_E
-    return np.ascontiguousarray(index.reshape(-1, _CELL).T)
+    return index.reshape(-1, _CELL)
 
 
 def _f2_index() -> np.ndarray:
-    """Table offsets of a '%.2f' cell's words (rows; all five 3-digit groups) by (sign,
+    """Table offsets of a '%.2f' cell's words (columns; all five 3-digit groups) by (sign,
     first nonzero group of the integer part, 4 if it is 0); a digit word's offset
     is then added its group and the cents word's the cents."""
     sign = np.arange(2)[:, None, None]
@@ -123,7 +124,7 @@ def _f2_index() -> np.ndarray:
     index[..., 1:2] = index[..., 0:1] + 1
     index[..., 2:7] = 1000 * np.where(j < first, 0, np.where(j == first, 9, 1))
     index[..., 7] = _BASE["cents"]
-    return np.ascontiguousarray(index.reshape(-1, _CELL).T)
+    return index.reshape(-1, _CELL)
 
 
 _G15_INDEX, _F2_INDEX = _g15_index(), _f2_index()
@@ -157,30 +158,30 @@ def _nearest(hi: np.ndarray, lo: np.ndarray, window: float) -> tuple[np.ndarray,
     return n + (d > 0), np.abs(d) <= window
 
 
-def _groups(m: np.ndarray) -> np.ndarray:
-    """The five 3-digit groups, most significant first, of integer-valued floats
-    0 <= m < 1e15, as a (5, n) array."""
+def _split_at_1e9(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer-valued floats 0 <= m < 1e15 as m // 10^9 and m % 10^9 (int32)."""
     m = m.astype(np.int64)
     top = m // 10 ** 9
-    high, low = top.astype(np.int32), (m - top * 10 ** 9).astype(np.int32)
-    groups = np.empty((5, len(m)), dtype=np.int32)
-    np.floor_divide(high, 1000, out=groups[0])
-    np.subtract(high, groups[0] * 1000, out=groups[1])
-    np.floor_divide(low, 10 ** 6, out=groups[2])
-    np.subtract(low // 1000, groups[2] * 1000, out=groups[3])
-    np.remainder(low, 1000, out=groups[4])
-    return groups
+    return top.astype(np.int32), (m - top * 10 ** 9).astype(np.int32)
+
+
+def _add_groups(high: np.ndarray, low: np.ndarray, columns: np.ndarray) -> None:
+    """Add to the (n, c) ``columns`` the last c 3-digit groups, most significant
+    first, of the numbers high 10^9 + low (see ``_split_at_1e9``)."""
+    parts = ((high, 1000), (high, 1), (low, 10 ** 6), (low, 1000), (low, 1))
+    for j, (part, unit) in enumerate(parts[5 - columns.shape[1]:]):
+        columns[:, j] += part // unit % 1000
 
 
 def _g15_cells(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cells of '%.15g' for 1e-29 <= a < 1e15, and where the kernel cannot decide."""
     e = np.clip(np.floor(np.log10(a)), _MIN_E, _MAX_E).astype(np.intp)  # may be one off
     hi, lo = _product(a, _POWER_HI[_MAX_E - e], _POWER_LO[_MAX_E - e])
-    low = (hi < 1e14) | ((hi == 1e14) & (lo < 0))
-    high = (hi > 1e15) | ((hi == 1e15) & (lo >= 0))
-    off = np.flatnonzero(low | high)
+    below = (hi < 1e14) | ((hi == 1e14) & (lo < 0))
+    above = (hi > 1e15) | ((hi == 1e15) & (lo >= 0))
+    off = np.flatnonzero(below | above)
     if off.size:
-        e[off] += high[off].astype(np.intp) - low[off]
+        e[off] += above[off].astype(np.intp) - below[off]
         hi[off], lo[off] = _product(a[off], _POWER_HI[_MAX_E - e[off]],
                                     _POWER_LO[_MAX_E - e[off]])
     m, undecided = _nearest(hi, lo, _G15_WINDOW)
@@ -190,15 +191,16 @@ def _g15_cells(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     undecided |= e > _MAX_E
     e[undecided] = _MAX_E
 
-    groups = _groups(m)
-    zero = groups[4] == 0
-    last = 4 - zero.view(np.int8)  # the last nonzero group
-    for j in (3, 2, 1):
-        zero &= groups[j] == 0
+    high, low = _split_at_1e9(m)
+    # the last nonzero 3-digit group, from the zeros at the end of the mantissa
+    zero = low % 1000 == 0
+    last = 4 - zero.view(np.int8)
+    for zero_part in (low % 10 ** 6 == 0, low == 0, high % 1000 == 0):
+        zero &= zero_part
         last -= zero.view(np.int8)
-    index = _G15_INDEX.take((neg * len(_EXPONENTS) + e - _MIN_E) * 5 + last, axis=1)
-    index[2:7] += groups
-    return np.ascontiguousarray(_WORDS.take(index).T), undecided
+    index = _G15_INDEX.take((neg * len(_EXPONENTS) + e - _MIN_E) * 5 + last, axis=0)
+    _add_groups(high, low, index[:, 2:7])
+    return _WORDS.take(index), undecided
 
 
 def _f2_cells(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,22 +211,20 @@ def _f2_cells(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the first nonzero 3-digit group of the integer part, 4 if it is 0
     first = sum((whole < 10.0 ** d).view(np.int8) for d in (3, 6, 9, 12))
     count = 5 - int(first.min())
-    index = _F2_INDEX[[0, 1, *range(7 - count, 7), 7]].take(neg * 5 + first, axis=1)
-    index[2:2 + count] += _groups(whole)[5 - count:]
-    index[-1] += (m - whole * 100).astype(np.intp)
-    return np.ascontiguousarray(_WORDS.take(index).T), tie
+    index = _F2_INDEX[:, [0, 1, *range(7 - count, 7), 7]].take(neg * 5 + first, axis=0)
+    _add_groups(*_split_at_1e9(whole), index[:, 2:2 + count])
+    index[:, -1] += (m - whole * 100).astype(np.intp)
+    return _WORDS.take(index), tie
 
 
 _KERNELS = {"%.15g": (_G15_RANGE, _g15_cells), "%.2f": (_F2_RANGE, _f2_cells)}
 
 
-def _join(values: np.ndarray, spelling: str, separators: list[str],
-          blank: np.ndarray | None = None, last: np.ndarray | None = None) -> bytes:
-    """The (n, k) ``values`` spelled as ``spelling % v`` does, row by row, each
-    number after the separator of its column (the very first after none).
-
-    NaN is an empty cell in the columns where ``blank`` is True, and ``last``
-    (n NUL-padded byte strings) follows each row after a comma.
+def _cells(values: np.ndarray, spelling: str, separators: list[str],
+           blank: np.ndarray | None = None) -> np.ndarray:
+    """The (n, k) ``values`` spelled as ``spelling % v`` does, as (n, w) NUL-padded
+    words, row by row, each number after the separator of its column (the very
+    first after none). NaN is an empty cell in the columns where ``blank`` is True.
     """
     n, k = values.shape
     x = values.ravel()
@@ -239,9 +239,9 @@ def _join(values: np.ndarray, spelling: str, separators: list[str],
         words, undecided = (kernel(a[at], neg[at]) if len(at) else
                             (np.empty((0, 2), np.uint32), np.empty(0, bool)))
         cells = np.zeros((len(x), words.shape[1]), dtype=np.uint32)
+        cells[:, :2].view(np.uint64)[:, 0] = _ZERO[neg]
         row = f"V{4 * words.shape[1]}"
         cells.view(row)[at] = words.view(row)
-        cells[:, :2].view(np.uint64)[~inside, 0] = _ZERO[neg[~inside]]
     fallback = at[undecided]
     odd = np.flatnonzero(~inside & (a != 0))  # NaN, infinities, finite numbers outside
     if odd.size:
@@ -264,15 +264,11 @@ def _join(values: np.ndarray, spelling: str, separators: list[str],
         for i, text in zip(fallback.tolist(), texts):
             raw[i, 2:] = 0
             raw[i, 2:2 + len(text)] = np.frombuffer(text, dtype=np.uint8)
-    words = cells.reshape(n, -1)
-    if last is not None:
-        tail = np.zeros((n, -(-(1 + last.dtype.itemsize) // 4) * 4), dtype=np.uint8)
-        tail[:, 0] = ord(",")
-        tail[:, 1:1 + last.dtype.itemsize] = last.view(np.uint8).reshape(n, -1)
-        words = np.concatenate([words, tail.view(np.uint32)], axis=1)
-    # a word that is NUL in every row adds nothing: dropping it first halves the
-    # bytes to scan where whole columns are zeros
-    words = words.take(np.flatnonzero(words.any(axis=0)), axis=1)
+    return cells.reshape(n, -1)
+
+
+def _text(words: np.ndarray) -> bytes:
+    """The bytes of ``words`` without their NUL padding."""
     return words.tobytes().translate(None, b"\0")
 
 
@@ -283,15 +279,25 @@ def csv_rows(block: np.ndarray, blank: np.ndarray | None = None,
     booleans) is True. ``last``, n NUL-padded byte strings, is appended as a
     final column; its strings must hold no NUL, comma, quote or line break."""
     n, k = block.shape
+    separators = ["\r\n"] + [","] * (k - 1)
     blank = None if blank is None else np.asarray(blank, dtype=bool)
     rows = max(1, _CHUNK // k)  # per call, so that its arrays stay a few times _CHUNK numbers
-    return b"\r\n".join(
-        _join(block[i:i + rows], "%.15g", ["\r\n"] + [","] * (k - 1), blank,
-              None if last is None else last[i:i + rows])
-        for i in range(0, n, rows)) + b"\r\n"
+    parts = []
+    for i in range(0, n, rows):
+        words = _cells(block[i:i + rows], "%.15g", separators, blank)
+        if last is not None:
+            tail = np.zeros((len(words), -(-(1 + last.dtype.itemsize) // 4) * 4), np.uint8)
+            tail[:, 0] = ord(",")
+            tail[:, 1:1 + last.dtype.itemsize] = last[i:i + rows].view(np.uint8).reshape(
+                len(words), -1)
+            words = np.concatenate([words, tail.view(np.uint32)], axis=1)
+        # a word that is NUL in every row adds nothing: dropping it first halves
+        # the bytes to scan where whole columns are zeros
+        parts.append(_text(words.take(np.flatnonzero(words.any(axis=0)), axis=1)))
+    return b"\r\n".join(parts) + b"\r\n"
 
 
 def points(xy: np.ndarray) -> str:
     """'x,y x,y ...' of the rows of an (n, 2) float64 array, each number as
     ``'%.2f' %`` spells it."""
-    return _join(xy, "%.2f", [" ", ","]).decode("ascii") if len(xy) else ""
+    return _text(_cells(xy, "%.2f", [" ", ","])).decode("ascii") if len(xy) else ""
