@@ -210,7 +210,7 @@ def _f2_cells(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whole = np.floor(m / 100)  # exact: m < 2**52
     # the first nonzero 3-digit group of the integer part, 4 if it is 0
     first = sum((whole < 10.0 ** d).view(np.int8) for d in (3, 6, 9, 12))
-    count = 5 - int(first.min())
+    count = 5 - int(first.min(initial=4))
     index = _F2_INDEX[:, [0, 1, *range(7 - count, 7), 7]].take(neg * 5 + first, axis=0)
     _add_groups(*_split_at_1e9(whole), index[:, 2:2 + count])
     index[:, -1] += (m - whole * 100).astype(np.intp)
@@ -236,8 +236,7 @@ def _cells(values: np.ndarray, spelling: str, separators: list[str],
     if len(at) == len(x):
         cells, undecided = kernel(a, neg)
     else:  # a cell the kernel does not spell starts as the head of a zero
-        words, undecided = (kernel(a[at], neg[at]) if len(at) else
-                            (np.empty((0, 2), np.uint32), np.empty(0, bool)))
+        words, undecided = kernel(a[at], neg[at])
         cells = np.zeros((len(x), words.shape[1]), dtype=np.uint32)
         cells[:, :2].view(np.uint64)[:, 0] = _ZERO[neg]
         row = f"V{4 * words.shape[1]}"
