@@ -73,16 +73,18 @@ def test_random_doubles_of_every_exponent_match_percent_format():
     # and the kernel's range, densely
     scaled = rng.random(20000) * 10.0 ** rng.integers(-30, 16, 20000)
     for values in (bits, scaled, -scaled):
-        assert spell_g15(values)[0] == spell_g15(values)[1]
-        assert spell_f2(values)[0] == spell_f2(values)[1]
+        for spell in (spell_g15, spell_f2):
+            spelled, expected = spell(values)
+            assert spelled == expected
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 min_size=1, max_size=40))
 def test_any_floats_match_percent_format(values):
-    assert spell_g15(values)[0] == spell_g15(values)[1]
-    assert spell_f2(values + [0.0])[0] == spell_f2(values + [0.0])[1]
+    for spell, numbers in ((spell_g15, values), (spell_f2, values + [0.0])):
+        spelled, expected = spell(numbers)
+        assert spelled == expected
 
 
 def test_csv_rows_blank_nan_and_last_column():
