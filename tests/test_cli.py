@@ -825,8 +825,9 @@ def test_fig1_csv_spans_more_than_one_block(fig1_result):
 
 @pytest.mark.parametrize("writer", ["trajectory", "bounds"])
 def test_csv_writer_memory_stays_bounded(tmp_path, writer):
-    # pump size: 4,001 samples of 9 x 9 states. Formatting the whole file in
-    # one pass holds about 13 MB at once; a block of samples about 1.6 MB.
+    # pump size: 4,001 samples of 9 x 9 states and 4,001 bound rows. Formatting
+    # the whole trajectory file in one pass holds about 13 MB at once; a block
+    # of samples about 1.6 MB.
     rng = np.random.default_rng(0)
     values = rng.standard_normal(997)
     fields = [f.name for f in dataclasses.fields(thermo.Bounds) if f.name != "flags"]
