@@ -34,8 +34,8 @@ from .errors import (
     NonHermitianInput,
     UnnormalizedVector,
 )
-from .lindblad import (JumpChannel, LindbladModel, Trajectory, propagate, protocol_values,
-                       sample_blocks, sample_grid)
+from .lindblad import (JumpChannel, LindbladModel, Trajectory, density_matrices, propagate,
+                       protocol_values, sample_blocks, sample_grid, upper_triangle)
 from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
 from .refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE
 
@@ -440,7 +440,8 @@ def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
         "verdicts": _verdicts(bounds, nlp, flipped),
     }
     if config.bell is not None:
-        meta["bell_fidelity_end"] = qstate.fidelity_pure(traj.states[-1], config.bell)
+        meta["bell_fidelity_end"] = qstate.fidelity_pure(
+            density_matrices(traj.coordinates[-1]), config.bell)
     if config.model.driven:
         beta_t = bounds.beta_R_t[~np.isnan(bounds.beta_R_t)]
         meta["reference"]["beta_R_final"] = float(beta_t[-1]) if beta_t.size else None
@@ -462,9 +463,10 @@ def write_bounds_csv(result: PipelineResult, path: Path) -> None:
 
 
 def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
-    """One row per sample, written a block of samples at a time by ``numtext.csv_rows``."""
+    """One row per sample, written a block of samples at a time by ``numtext.csv_rows``;
+    the rho columns are ``lindblad.upper_triangle`` of the coordinates."""
     traj = result.trajectory
-    d = traj.states.shape[-1]
+    d = math.isqrt(traj.coordinates.shape[-1])
     upper, strict = np.triu_indices(d), np.triu_indices(d, 1)
     header = ["t", "Q", "W", "min_eig"]
     header += [f"rho_{i}_{j}_re" for i, j in zip(*upper)]
@@ -472,10 +474,9 @@ def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for b in sample_blocks(len(traj.times)):
-            rho = traj.states[b]
             fh.write(numtext.csv_rows(np.column_stack([
                 traj.times[b], traj.heat[b], traj.work[b], traj.min_eigenvalues[b],
-                rho[:, upper[0], upper[1]].real, rho[:, strict[0], strict[1]].imag])))
+                upper_triangle(traj.coordinates[b])])))
 
 
 def _json_safe(obj: Any) -> Any:

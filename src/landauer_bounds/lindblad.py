@@ -60,10 +60,11 @@ _COARSE_STEP = 0.1
 STEP_BLOCK_BYTES = 147_456
 
 
-# Stacks of density matrices (states, Gibbs references and their rotations),
-# the positivity check of the propagated states and the text of the CSV
-# outputs are formed this many samples at a time: enough to batch the work,
-# few enough that the stacks of a long run never sit in memory at once.
+# A run keeps its sampled states only as real coordinates. Complex stacks of
+# density matrices (states, energy bases and their rotations), the positivity
+# check of the propagated states and the text of the CSV outputs are formed
+# this many samples at a time: enough to batch the work, few enough that the
+# stacks of a long run never sit in memory at once.
 SAMPLE_BLOCK = 256
 
 
@@ -128,9 +129,12 @@ class LindbladModel:
 class Trajectory:
     """Sampled propagation output with accumulated heat/work and diagnostics.
 
-    ``states`` is the (m, d, d) complex array of the sampled density matrices
-    and ``spectra`` the (m, d) array of their ascending eigenvalues, computed
-    once for the positivity check and reused for every entropy of the states;
+    ``coordinates`` is the (m, d^2) float array of the sampled states in the
+    real coordinates of ``hermitian_coordinates``, each of unit trace; the
+    complex density matrices are formed from it by ``density_matrices``, a
+    block of samples at a time, only where they are needed. ``spectra`` is
+    the (m, d) array of the states' ascending eigenvalues, computed once for
+    the positivity check and reused for every entropy of the states;
     ``min_eigenvalues`` is its first column.
     ``max_step_trace_drift`` is, for driven and undriven models alike, the
     largest trace-row defect |1^T S - 1^T| over the step maps S: the most one
@@ -142,7 +146,7 @@ class Trajectory:
     """
 
     times: np.ndarray
-    states: np.ndarray
+    coordinates: np.ndarray
     heat: np.ndarray
     work: np.ndarray
     spectra: np.ndarray
@@ -204,7 +208,45 @@ def density_matrices(x: np.ndarray) -> np.ndarray:
     """Exactly Hermitian (..., d, d) matrices of real coordinates (..., d^2)."""
     d = math.isqrt(x.shape[-1])
     z, perm = _coordinates(d)[:2]
-    return ((0.5 * z.conj()) * x + (0.5 * z[perm]) * x[..., perm]).reshape(*x.shape[:-1], d, d)
+    grid = x.reshape(*x.shape[:-1], d, d)  # x[..., perm] is its transpose
+    rho = np.multiply((0.5 * z.conj()).reshape(d, d), grid)
+    rho += (0.5 * z[perm]).reshape(d, d) * np.swapaxes(grid, -1, -2)
+    return rho
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle_terms(dim: int) -> tuple[np.ndarray, ...]:
+    """Gathers i, j and weights a, b, c of ``upper_triangle``'s columns a x_i + (b x_j + c)."""
+    rows, cols = np.triu_indices(dim)
+    strict, half = rows != cols, 0.5 * 2 ** 0.5
+    upper, lower = rows * dim + cols, cols * dim + rows
+    zeros = np.zeros(strict.sum())
+    terms = [np.concatenate([upper, lower[strict]]), np.concatenate([lower, upper[strict]]),
+             np.concatenate([np.where(strict, half, 0.5), zeros + half]),
+             np.concatenate([np.where(strict, 0.0, 0.5), zeros]),
+             np.concatenate([np.full(len(rows), -0.0), zeros])]
+    for term in terms:  # shared by every caller through the cache
+        term.setflags(write=False)
+    return tuple(terms)
+
+
+def upper_triangle(x: np.ndarray) -> np.ndarray:
+    """Re rho_ij for i <= j, then Im rho_ij for i < j, each in ``np.triu_indices``
+    order: the (..., d^2) columns of the upper triangles of ``density_matrices(x)``,
+    bit for bit, from real coordinates (..., d^2) in real arithmetic.
+
+    rho_ii = x_ii / 2 + x_ii / 2 and, for i < j, Re rho_ij = x_ij / sqrt(2) + 0 x_ji
+    and Im rho_ij = x_ji / sqrt(2) + 0 x_ij: the zero terms give an exact zero the
+    sign, and an infinite coordinate the NaN, that the complex products give them.
+    """
+    i, j, a, b, c = _triangle_terms(math.isqrt(x.shape[-1]))
+    columns = x[..., i]
+    columns *= a
+    rest = x[..., j]
+    rest *= b
+    rest += c
+    columns += rest
+    return columns
 
 
 def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -230,10 +272,12 @@ def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -
         weighted = np.array([ch.rate for ch in channels])[:, None, None, None] * ops
         minus_i_k -= 0.5 * np.einsum("ukit,ukjt->ijt", conj, weighted)
         np.einsum("uact,ubet->abcet", weighted, conj, out=liou)
+        del ops, conj, weighted  # freed, as K is, before the similarity: a block's peak
     plus_i_conj_k = minus_i_k.conj()
     for j in range(d):
         liou[:, j, :, j] += minus_i_k
         liou[j, :, j, :] += plus_i_conj_k
+    del minus_i_k, plus_i_conj_k
 
     w0, c0, p0, w1, c1, p1 = _coordinates(d)[2:]
     parts = liou.reshape(n * n, m).view(np.float64).reshape(n * n, m, 2)
@@ -405,7 +449,7 @@ def propagate(
     1 + 1e-9 or a sampled state has Frobenius norm above 10, and
     ``PositivityError`` at the first sample whose spectrum dips below -``qstate.POSITIVITY_ATOL``.
 
-    The sample loop only multiplies: y = segment @ y, stored unnormalized. The
+    The sample loop only multiplies: y_i = segment @ y_{i-1}, stored unnormalized. The
     state at sample i is then y_i / T_i with T_i = Tr y_i, its Frobenius norm
     before the renormalization at that sample is |y_i| / T_{i-1}, and its Q and
     W increments are those of y divided by T_{i-1} (T_{-1} = 1), which is the
@@ -420,24 +464,20 @@ def propagate(
         raise DimensionMismatch(f"initial state shape {rho0.shape} != dim {d}")
     qstate.require_state(rho0)
     times = sample_idx * dt_eff
-    states = np.empty((n_samples, d, d), dtype=np.complex128)
-    # The loop writes each sample's real coordinates into the first half of its
-    # row of ``states`` and its Q and W into ``qw``, unnormalized: the trace is
-    # divided out on the arrays afterwards, and each block is expanded in place.
-    coords = states.view(np.float64).reshape(n_samples, 2 * n)[:, :n]
-    qw = np.empty((n_samples, 2))
-    y = np.concatenate([hermitian_coordinates(rho0), [0.0, 0.0]])
-    coords[0], qw[0] = y[:n], y[n:]  # sample 0 is the initial state
-    first = 1
+    # Row i holds sample i's [x, Q, W], unnormalized: the loop writes each
+    # sample straight into its row, and the trace is divided out afterwards.
+    y = np.empty((n_samples, n + 2))
+    y[0, :n], y[0, n:] = hermitian_coordinates(rho0), 0.0  # sample 0 is the initial state
+    i = 1
     for segments, max_defect in (_driven_maps if model.driven else _undriven_maps)(
             model, dt_eff, sample_idx):
         # An unstable step overflows here; the norm check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, segment in enumerate(segments, first):
-                y = segment @ y
-                coords[i], qw[i] = y[:n], y[n:]
-        first += len(segments)
+            for segment in segments:
+                np.matmul(segment, y[i - 1], out=y[i])
+                i += 1
 
+    coords, qw = y[:, :n], y[:, n:]
     with np.errstate(over="ignore", invalid="ignore"):
         traces = coords[:, ::d + 1].sum(axis=1)  # T_i
         before = np.concatenate([[1.0], traces[:-1]])  # T_{i-1}
@@ -453,12 +493,11 @@ def propagate(
 
     spectra = np.empty((n_samples, d))
     for b in sample_blocks(n_samples):
-        states[b] = density_matrices(coords[b])
-        spectra[b] = np.linalg.eigvalsh(states[b])
+        spectra[b] = np.linalg.eigvalsh(density_matrices(coords[b]))
     mins = spectra[:, 0]
     bad = np.flatnonzero(mins < -qstate.POSITIVITY_ATOL)
     if bad.size:
         raise PositivityError(f"min eigenvalue {mins[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
-    return Trajectory(times=times, states=states, heat=heat, work=work, spectra=spectra,
+    return Trajectory(times=times, coordinates=coords, heat=heat, work=work, spectra=spectra,
                       max_step_trace_drift=max_defect, cumulative_trace_drift=cumulative,
                       dt=dt_eff, n_steps=int(sample_idx[-1]))

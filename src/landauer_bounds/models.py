@@ -112,53 +112,53 @@ def _qubit_operators(m00, m01, m10, m11) -> np.ndarray:
 def build_erasure(params: ErasureParams) -> LindbladModel:
     """Driven qubit with thermal emission/absorption in the instantaneous basis.
 
-    Every protocol accepts a scalar time or a 1-D array of times.
+    Every protocol accepts a scalar time or a 1-D array of times. The propagator
+    calls all four on the same stage times, so eps(t), theta(t), their sines and
+    cosines, the eigenbasis dyads and N_B are computed once per times array and
+    reused while the times are equal in value to the last ones.
     """
     eps0, eps_tau, tau = params.eps0, params.eps_tau, params.tau
     gamma, beta = params.gamma, params.bath_beta
-
-    def eps(t):
-        return eps0 + (eps_tau - eps0) * np.sin(np.pi * t / (2.0 * tau)) ** 2
-
-    def theta(t):
-        return np.pi * (t / tau - 1.0)
-
-    def eps_rate(t):
-        return (eps_tau - eps0) * (np.pi / (2.0 * tau)) * np.sin(np.pi * t / tau)
-
     theta_rate = math.pi / tau
+    last: list = [None, None]  # a copy of the last times and their terms
+
+    def terms(t) -> tuple[np.ndarray, ...]:
+        """eps, cos theta, sin theta, the dyads |0_t><1_t| and N_B at the times t."""
+        t = np.asarray(t, dtype=float)
+        if last[0] is None or not np.array_equal(last[0], t):
+            th = np.pi * (t / tau - 1.0)
+            eps = eps0 + (eps_tau - eps0) * np.sin(np.pi * t / (2.0 * tau)) ** 2
+            # Instantaneous eigenbasis in closed form, valid for eps > 0: excited
+            # (cos th/2, sin th/2) at +eps/2, ground (-sin th/2, cos th/2) at -eps/2.
+            # The dissipator does not depend on the phase of either dyad.
+            c, s = np.cos(0.5 * th), np.sin(0.5 * th)
+            ground_excited = _qubit_operators(-s * c, -s * s, c * c, c * s)
+            last[:] = [t.copy(), (eps, np.cos(th), np.sin(th), ground_excited,
+                                  1.0 / np.expm1(beta * eps))]
+        return last[1]
 
     def hamiltonian(t) -> np.ndarray:
-        th = theta(t)
-        e = 0.5 * eps(t)
-        c, s = e * np.cos(th), e * np.sin(th)
+        eps, cos, sin = terms(t)[:3]
+        e = 0.5 * eps
+        c, s = e * cos, e * sin
         return _qubit_operators(c, s, s, -c)
 
     def dh_dt(t) -> np.ndarray:
         # d/dt of (eps/2)(cos th sz + sin th sx): gap ramp plus axis rotation.
-        th = theta(t)
-        c, s = np.cos(th), np.sin(th)
-        er, tr = 0.5 * eps_rate(t), 0.5 * eps(t) * theta_rate
+        eps, c, s = terms(t)[:3]
+        eps_rate = (eps_tau - eps0) * (np.pi / (2.0 * tau)) * np.sin(np.pi * t / tau)
+        er, tr = 0.5 * eps_rate, 0.5 * eps * theta_rate
         zz = er * c - tr * s
         xx = er * s + tr * c
         return _qubit_operators(zz, xx, xx, -zz)
 
-    # Instantaneous eigenbasis in closed form, valid for eps > 0: excited
-    # (cos th/2, sin th/2) at +eps/2, ground (-sin th/2, cos th/2) at -eps/2.
-    # The dissipator does not depend on the phase of either dyad.
-    def ground_excited(t) -> np.ndarray:
-        c, s = np.cos(0.5 * theta(t)), np.sin(0.5 * theta(t))
-        return _qubit_operators(-s * c, -s * s, c * c, c * s)
-
-    def n_bath(t):
-        return 1.0 / np.expm1(beta * eps(t))
-
     def emission(t) -> np.ndarray:
-        return np.sqrt(eps(t) * (n_bath(t) + 1.0))[..., None, None] * ground_excited(t)
+        eps, _, _, ground_excited, n_bath = terms(t)
+        return np.sqrt(eps * (n_bath + 1.0))[..., None, None] * ground_excited
 
     def absorption(t) -> np.ndarray:
-        excited_ground = np.swapaxes(ground_excited(t), -1, -2)
-        return np.sqrt(eps(t) * n_bath(t))[..., None, None] * excited_ground
+        eps, _, _, ground_excited, n_bath = terms(t)
+        return np.sqrt(eps * n_bath)[..., None, None] * np.swapaxes(ground_excited, -1, -2)
 
     return LindbladModel(
         dim=2,

@@ -31,8 +31,9 @@ H(t), so the instantaneous relative entropy needs no further decomposition:
 
 with p_n the Gibbs weights at beta_R(t). Gibbs weights at beta_R(t) and at the
 bath beta, relative entropies and every bound column are array expressions
-over the samples, returned as one table of columns. Stacks of density
-matrices are formed ``lindblad.SAMPLE_BLOCK`` samples at a time.
+over the samples, returned as one table of columns. The density matrices are
+formed from the trajectory's coordinates ``lindblad.SAMPLE_BLOCK`` samples at
+a time.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ import numpy as np
 
 from . import linalg, qstate
 from .errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
-from .lindblad import LindbladModel, Trajectory, protocol_values, sample_blocks
+from .lindblad import (LindbladModel, Trajectory, density_matrices, protocol_values,
+                       sample_blocks)
 from .qstate import ThermoSample
 from .refsolve import BetaSolveResult
 
@@ -61,8 +63,8 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> ThermoSample:
     h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
     levels, vectors = linalg.eigh(h)
     levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
-    parts = [qstate.state_functionals(traj.states[b], traj.spectra[b], levels[b], vectors[b])
-             for b in sample_blocks(m)]
+    parts = [qstate.state_functionals(density_matrices(traj.coordinates[b]), traj.spectra[b],
+                                      levels[b], vectors[b]) for b in sample_blocks(m)]
     computed = list(zip(*parts))[:-1]  # every field but the levels, which need no copy
     return ThermoSample(*map(np.concatenate, computed), levels=levels)
 

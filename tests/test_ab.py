@@ -28,3 +28,23 @@ def test_summary_of_lower_is_better():
 def test_summary_of_higher_is_better_counts_the_other_side():
     summary = ab.summarize(PARENT, CHANGE, "higher")
     assert summary["change_wins"] == 1
+
+
+def test_run_values_pool_the_untraced_runs_and_the_set_up_probes():
+    result = {"setup_s": [0.2, 0.1, 0.3],
+              "runs": [{"traced": False, "wall_s": 0.5, "peak_rss_mib": 40.0},
+                       {"traced": True, "wall_s": 0.9, "peak_rss_mib": 44.0},
+                       {"traced": False, "wall_s": 0.4, "peak_rss_mib": 39.0}]}
+    assert ab.run_values(result) == {"run_s": [0.5, 0.4], "setup_s": [0.2, 0.1, 0.3],
+                                     "peak_rss_mib": [40.0, 39.0]}
+
+
+def test_pooled_runs_report_each_side_median_and_iqr():
+    summary = ab.pooled(PARENT, CHANGE + [0.5])
+    assert summary["parent_runs"] == 10 and summary["change_runs"] == 11
+    assert summary["parent_median"] == pytest.approx(1.05)
+    assert summary["change_median"] == pytest.approx(0.7)
+    assert summary["parent_iqr"] == pytest.approx(0.25)
+    # exclusive quartiles of the eleven change values: 0.6 and 0.9
+    assert summary["change_iqr"] == pytest.approx(0.3)
+    assert summary["relative_change"] == pytest.approx(0.7 / 1.05 - 1)

@@ -24,6 +24,11 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
 
+def states_of(traj):
+    """The (m, d, d) sampled density matrices of a trajectory."""
+    return density_matrices(traj.coordinates)
+
+
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.1])
 def test_channel_rate_must_be_finite_and_non_negative(rate):
     with pytest.raises(ValueError, match=rf"^channel rate must be finite and >= 0, got {rate}$"):
@@ -85,7 +90,7 @@ def test_propagate_zero_generator():
                           channels=())
     rho0 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
     traj = propagate(model, rho0, 1.0, 0.01, 5)
-    for st in traj.states:
+    for st in states_of(traj):
         assert np.allclose(st, rho0, atol=1e-14)
     assert np.all(traj.heat == 0.0)
     assert np.all(traj.work == 0.0)
@@ -94,11 +99,11 @@ def test_propagate_zero_generator():
 def test_propagate_amplitude_damping_oracle():
     gamma = 0.2
     traj = propagate(amplitude_damping_model(gamma=gamma), excited_state(), 10.0, 1e-3, 21)
-    for t, st in zip(traj.times, traj.states):
+    for t, st in zip(traj.times, states_of(traj)):
         assert st[1, 1].real == pytest.approx(math.exp(-gamma * t), abs=1e-9)
         assert abs(st[0, 1]) < 1e-14
     # undriven accounting: Q = -dE at every sample
-    e = np.array([float(np.trace(st @ (0.5 * SZ)).real) for st in traj.states])
+    e = np.array([float(np.trace(st @ (0.5 * SZ)).real) for st in states_of(traj)])
     assert np.max(np.abs(traj.heat - (e[0] - e))) < 1e-12
 
 
@@ -109,7 +114,7 @@ def test_rk4_order_against_analytic_solution():
     def max_err(dt):
         traj = propagate(model, excited_state(), 5.0, dt, 6)
         return max(abs(st[1, 1].real - math.exp(-gamma * t))
-                   for t, st in zip(traj.times, traj.states))
+                   for t, st in zip(traj.times, states_of(traj)))
 
     with pytest.warns(UserWarning, match="accuracy may degrade"):
         coarse = max_err(0.1)
@@ -123,7 +128,7 @@ def test_constant_and_generic_paths_agree():
     driven_clone = dataclasses.replace(const, hamiltonian_rate_protocol=zero_rate)
     a = propagate(const, excited_state(), 2.0, 0.01, 9)
     b = propagate(driven_clone, excited_state(), 2.0, 0.01, 9)
-    for sa, sb in zip(a.states, b.states):
+    for sa, sb in zip(states_of(a), states_of(b)):
         assert np.max(np.abs(sa - sb)) < 1e-13
     assert np.max(np.abs(a.heat - b.heat)) < 1e-13
     assert np.max(np.abs(b.work)) < 1e-13
@@ -133,7 +138,7 @@ def test_driven_energy_balance(erasure):
     rho0 = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0)
     traj = propagate(erasure, rho0, 2.0, 1e-3, 21)
     h_t = [erasure.hamiltonian_protocol(float(t)) for t in traj.times]
-    e = np.array([float(np.trace(st @ h).real) for st, h in zip(traj.states, h_t)])
+    e = np.array([float(np.trace(st @ h).real) for st, h in zip(states_of(traj), h_t)])
     assert np.max(np.abs((e - e[0]) - (traj.work - traj.heat))) < 1e-8
 
 
@@ -188,7 +193,7 @@ def test_cumulative_trace_drift_sums_the_per_sample_corrections(monkeypatch):
         gaps = np.diff(np.rint(traj.times / traj.dt))
         assert traj.cumulative_trace_drift == pytest.approx(np.sum((1.0 + eps) ** gaps - 1.0),
                                                             rel=1e-6)
-        assert np.allclose(np.trace(traj.states, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(np.trace(states_of(traj), axis1=1, axis2=2), 1.0, rtol=0, atol=1e-15)
 
 
 def test_propagate_validates_arguments():
@@ -285,8 +290,8 @@ def test_step_maps_match_stage_by_stage_rk4(case, erasure):
         rho0, t_end = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0), 3.0
     traj = propagate(model, rho0, t_end, 0.01, 31)
     states, heat, work = reference_propagate(model, rho0, t_end, 0.01, 31)
-    assert len(states) == len(traj.states) == 31
-    for st, ref in zip(traj.states, states):
+    assert len(states) == len(states_of(traj)) == 31
+    for st, ref in zip(states_of(traj), states):
         assert np.max(np.abs(st - ref)) < 1e-12
     assert np.max(np.abs(traj.heat - heat)) < 1e-12
     assert np.max(np.abs(traj.work - work)) < 1e-12
@@ -314,8 +319,8 @@ def test_segment_products_match_stage_by_stage_rk4(case, t_end, n_samples, gaps,
         traj = propagate(model, rho0, t_end, 0.01, n_samples)
     assert set(np.diff(np.rint(traj.times / traj.dt)).astype(int).tolist()) == gaps
     states, heat, work = reference_propagate(model, rho0, t_end, 0.01, n_samples)
-    assert len(states) == len(traj.states) == n_samples
-    assert np.max(np.abs(traj.states - np.array(states))) < 1e-12
+    assert len(states) == len(states_of(traj)) == n_samples
+    assert np.max(np.abs(states_of(traj) - np.array(states))) < 1e-12
     assert np.max(np.abs(traj.heat - heat)) < 1e-12
     assert np.max(np.abs(traj.work - work)) < 1e-12
     assert np.max(np.abs(heat)) > 1e-3
@@ -433,7 +438,7 @@ def test_block_size_does_not_change_results(budget_steps, erasure, monkeypatch):
     assert steps_per_block(2) == (budget_steps or default.n_steps)
     traj = propagate(erasure, rho0, 7.685, 0.005, 31)
     assert set(np.diff(np.rint(traj.times / traj.dt)).astype(int).tolist()) == {51, 52}
-    assert np.max(np.abs(traj.states - default.states)) < 1e-13
+    assert np.max(np.abs(states_of(traj) - states_of(default))) < 1e-13
     assert np.max(np.abs(traj.heat - default.heat)) < 1e-13
     assert np.max(np.abs(traj.work - default.work)) < 1e-13
 
@@ -456,6 +461,51 @@ def test_propagate_memory_is_bounded(erasure):
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+def test_propagate_holds_each_sampled_state_once(rydberg):
+    # 2,001 samples of the 9-level pump: the states are kept as (m, 81) real
+    # coordinates (1.3 MB), and complex 9 x 9 matrices are formed one block of
+    # samples at a time. Keeping the (m, 9, 9) complex stack as well would add
+    # twice the coordinates' bytes, 2.6 MB.
+    model, _ = rydberg
+    rho0 = models.initial_state("gibbs", model.hamiltonian_protocol(0.0), beta=30.0)
+    propagate(model, rho0, 0.1, 0.01, 2)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        current = tracemalloc.get_traced_memory()[0]
+        traj = propagate(model, rho0, 20.0, 0.01, 2001)
+        peak = tracemalloc.get_traced_memory()[1] - current
+    finally:
+        tracemalloc.stop()
+    m, d = len(traj.times), model.dim
+    coordinates = m * d * d * 8
+    # the spectra, heat and work columns, and one block's transients: at most
+    # five (SAMPLE_BLOCK, d, d) complex stacks
+    allowance = m * (d + 2) * 8 + 5 * lindblad.SAMPLE_BLOCK * d * d * 16
+    assert peak < coordinates + allowance
+
+
+def test_upper_triangle_is_the_gather_from_density_matrices_bit_for_bit():
+    # Coordinates of both signs of zero, subnormals and the largest finite
+    # numbers: rho_ii = x_ii / 2 + x_ii / 2 rounds a subnormal x_ii, and the
+    # complex products of density_matrices turn -0.0 into +0.0 in some cells.
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 3e-320, -1e-310, 2.2e-308, 0.25, -1 / 3,
+                       1e16, -1.7976931348623157e308])
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 9):
+        x = rng.choice(values, size=(4000, d * d))
+        rho = density_matrices(x)
+        upper, strict = np.triu_indices(d), np.triu_indices(d, 1)
+        gathered = np.concatenate([rho[:, upper[0], upper[1]].real,
+                                   rho[:, strict[0], strict[1]].imag], axis=1)
+        columns = lindblad.upper_triangle(x)
+        assert columns.shape == (4000, d * d)
+        assert np.array_equal(columns.view(np.int64), gathered.view(np.int64))
+        # a sampled trajectory's coordinates are a strided view of its [x, Q, W] rows
+        rows = np.concatenate([x, np.zeros((4000, 2))], axis=1)
+        assert np.array_equal(lindblad.upper_triangle(rows[:, :d * d]).view(np.int64),
+                              gathered.view(np.int64))
 
 
 def test_erasure_protocols_accept_time_arrays(erasure):

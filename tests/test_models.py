@@ -94,6 +94,28 @@ def test_erasure_jump_operators_connect_instantaneous_eigenstates():
         assert amp ** 2 == pytest.approx(eps * (n_b + 1.0), rel=1e-12)
 
 
+def test_erasure_protocols_share_terms_only_between_equal_times():
+    # The four protocols reuse eps, theta and the eigenbasis dyads of the last
+    # times they saw; a buffer refilled in place must not read stale terms.
+    p = ErasureParams()
+
+    def protocols(model):
+        return [model.hamiltonian_protocol, model.hamiltonian_rate_protocol,
+                *(ch.operator_protocol for ch in model.channels)]
+
+    shared = protocols(build_erasure(p))
+    times = np.linspace(0.0, p.tau, 9)
+    for fill in (np.linspace(1.0, 2.0, 9), np.linspace(0.0, p.tau, 9)):
+        for protocol in shared:
+            protocol(times)
+        times[:] = fill
+        for k, protocol in enumerate(shared):
+            assert np.array_equal(protocol(times), protocols(build_erasure(p))[k](fill))
+    for t in (0.0, 3.5, 3.5, p.tau):
+        for k, protocol in enumerate(shared):
+            assert np.array_equal(protocol(t), protocols(build_erasure(p))[k](t))
+
+
 def test_erasure_validates_parameters():
     with pytest.raises(ValueError):
         ErasureParams(tau=0.0)

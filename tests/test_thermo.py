@@ -19,6 +19,8 @@ from landauer_bounds.lindblad import (
     JumpChannel,
     LindbladModel,
     Trajectory,
+    density_matrices,
+    hermitian_coordinates,
     propagate,
 )
 from landauer_bounds.refsolve import BRANCH_NEGATIVE, BetaSolveResult
@@ -160,7 +162,7 @@ def test_instantaneous_matching_identity_holds_for_constant_hamiltonian():
     h0 = model.hamiltonian_protocol(0.0)
     rho0 = models.initial_state("gibbs", h0, beta=2.0)
     traj = propagate(model, rho0, 5.0, 1e-3, 11)
-    entropies = qstate.von_neumann_entropy(traj.states)
+    entropies = qstate.von_neumann_entropy(states_of(traj))
     levels = np.array([np.linalg.eigvalsh(h0)] * len(entropies))
     series = refsolve.solve_beta_series(levels, entropies)
     d = thermo.driven_bounds(traj, model, thermo.evaluate_samples(traj, model), series)
@@ -231,16 +233,22 @@ def test_nlp_driven_slack_matches_relative_entropy(fig2_result):
     bath_beta = 1.0
     for k in range(0, len(c), 40):
         eq = qstate.gibbs_state(fig2_result.config.model.hamiltonian_protocol(c.t[k]), bath_beta)
-        d = qstate.relative_entropy(fig2_result.trajectory.states[k], eq)
+        d = qstate.relative_entropy(states_of(fig2_result.trajectory)[k], eq)
         assert c.slack_S25[k] == pytest.approx(d, abs=1e-8)
         assert c.slack_S25[k] >= -1e-8
 
 
+def states_of(traj):
+    """The (m, d, d) sampled density matrices of a trajectory."""
+    return density_matrices(traj.coordinates)
+
+
 def sampled_trajectory(states):
     """A Trajectory of given states at times 0, 1, ..., with their spectra."""
-    m = len(states)
-    return Trajectory(times=np.arange(m, dtype=float), states=states, heat=np.zeros(m),
-                      work=np.zeros(m), spectra=np.linalg.eigvalsh(states),
+    m, coordinates = len(states), hermitian_coordinates(states)
+    return Trajectory(times=np.arange(m, dtype=float), coordinates=coordinates,
+                      heat=np.zeros(m), work=np.zeros(m),
+                      spectra=np.linalg.eigvalsh(density_matrices(coordinates)),
                       max_step_trace_drift=0.0, cumulative_trace_drift=0.0, dt=1.0,
                       n_steps=m - 1)
 
@@ -308,10 +316,10 @@ def test_entropy_from_trajectory_spectra_is_bit_for_bit(dim, seed):
     model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h,
                           channels=(JumpChannel.constant(0.3, jump),))
     traj = propagate(model, random_state_of_rank(rng, dim, dim), 2.0, 0.01, 21)
-    assert np.array_equal(traj.spectra, np.linalg.eigvalsh(traj.states))
+    assert np.array_equal(traj.spectra, np.linalg.eigvalsh(states_of(traj)))
     assert np.array_equal(traj.min_eigenvalues, traj.spectra[:, 0])
     values = thermo.evaluate_samples(traj, model)
-    assert np.array_equal(values.S, qstate.von_neumann_entropy(traj.states))
+    assert np.array_equal(values.S, qstate.von_neumann_entropy(states_of(traj)))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -360,7 +368,7 @@ def test_landauer_side_on_random_undriven_davies_models(case):
     rows = thermo.undriven_bounds(traj, model, samples, reference, bath_T=1.0 / beta)
     slack = thermo.nlp_comparison(traj, model, samples, beta).slack_S23
     rho_eq = qstate.gibbs_state(model.hamiltonian_protocol(0.0), beta)
-    oracle = qstate.relative_entropy(traj.states, rho_eq)
+    oracle = qstate.relative_entropy(states_of(traj), rho_eq)
     assert np.max(np.abs(slack - oracle)) < 1e-10
     assert np.all(np.diff(slack) <= 1e-12)
     assert np.all(rows.Q - rows.lp_lower >= -1e-10)
@@ -382,11 +390,11 @@ def test_landauer_side_on_random_driven_davies_models(case):
     slack = thermo.nlp_comparison(traj, model, samples, beta).slack_S25
     h = model.hamiltonian_protocol(traj.times)
     rho_eq = np.array([qstate.gibbs_state(ht, beta) for ht in h])
-    oracle = qstate.relative_entropy(traj.states, rho_eq)
+    oracle = qstate.relative_entropy(states_of(traj), rho_eq)
     assert np.all(slack >= -1e-12)
     assert np.max(np.abs(slack - oracle)) < 1e-10
     assert np.all(traj.heat + (samples.S - samples.S[0]) / beta >= -1e-10)
     # negative control: against the Gibbs state of H(0), which the drive
     # rotates away from, the slack is not the relative entropy
-    frozen = qstate.relative_entropy(traj.states, qstate.gibbs_state(h[0], beta))
+    frozen = qstate.relative_entropy(states_of(traj), qstate.gibbs_state(h[0], beta))
     assert np.max(np.abs(slack - frozen)) > 1e-6
