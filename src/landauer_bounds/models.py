@@ -113,8 +113,8 @@ def build_erasure(params: ErasureParams) -> LindbladModel:
     """Driven qubit with thermal emission/absorption in the instantaneous basis.
 
     Every protocol accepts a scalar time or a 1-D array of times. The propagator
-    calls all four on the same stage times, so eps(t), theta(t), their sines and
-    cosines, the eigenbasis dyads and N_B are computed once per times array and
+    calls all four on the same stage times, so eps(t), theta(t), the sines and
+    cosines of theta and theta/2 and N_B are computed once per times array and
     reused while the times are equal in value to the last ones.
     """
     eps0, eps_tau, tau = params.eps0, params.eps_tau, params.tau
@@ -123,18 +123,13 @@ def build_erasure(params: ErasureParams) -> LindbladModel:
     last: list = [None, None]  # a copy of the last times and their terms
 
     def terms(t) -> tuple[np.ndarray, ...]:
-        """eps, cos theta, sin theta, the dyads |0_t><1_t| and N_B at the times t."""
+        """eps, cos theta, sin theta, cos theta/2, sin theta/2 and N_B at the times t."""
         t = np.asarray(t, dtype=float)
         if last[0] is None or not np.array_equal(last[0], t):
             th = np.pi * (t / tau - 1.0)
             eps = eps0 + (eps_tau - eps0) * np.sin(np.pi * t / (2.0 * tau)) ** 2
-            # Instantaneous eigenbasis in closed form, valid for eps > 0: excited
-            # (cos th/2, sin th/2) at +eps/2, ground (-sin th/2, cos th/2) at -eps/2.
-            # The dissipator does not depend on the phase of either dyad.
-            c, s = np.cos(0.5 * th), np.sin(0.5 * th)
-            ground_excited = _qubit_operators(-s * c, -s * s, c * c, c * s)
-            last[:] = [t.copy(), (eps, np.cos(th), np.sin(th), ground_excited,
-                                  1.0 / np.expm1(beta * eps))]
+            last[:] = [t.copy(), (eps, np.cos(th), np.sin(th), np.cos(0.5 * th),
+                                  np.sin(0.5 * th), 1.0 / np.expm1(beta * eps))]
         return last[1]
 
     def hamiltonian(t) -> np.ndarray:
@@ -152,13 +147,20 @@ def build_erasure(params: ErasureParams) -> LindbladModel:
         xx = er * s + tr * c
         return _qubit_operators(zz, xx, xx, -zz)
 
+    # Instantaneous eigenbasis in closed form, valid for eps > 0: excited
+    # (cos th/2, sin th/2) at +eps/2, ground (-sin th/2, cos th/2) at -eps/2.
+    # The dissipator does not depend on the phase of either dyad.
+    def ground_excited(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return _qubit_operators(-s * c, -s * s, c * c, c * s)
+
     def emission(t) -> np.ndarray:
-        eps, _, _, ground_excited, n_bath = terms(t)
-        return np.sqrt(eps * (n_bath + 1.0))[..., None, None] * ground_excited
+        eps, _, _, c, s, n_bath = terms(t)
+        return np.sqrt(eps * (n_bath + 1.0))[..., None, None] * ground_excited(c, s)
 
     def absorption(t) -> np.ndarray:
-        eps, _, _, ground_excited, n_bath = terms(t)
-        return np.sqrt(eps * n_bath)[..., None, None] * np.swapaxes(ground_excited, -1, -2)
+        eps, _, _, c, s, n_bath = terms(t)
+        excited_ground = np.swapaxes(ground_excited(c, s), -1, -2)
+        return np.sqrt(eps * n_bath)[..., None, None] * excited_ground
 
     return LindbladModel(
         dim=2,

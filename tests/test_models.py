@@ -95,8 +95,8 @@ def test_erasure_jump_operators_connect_instantaneous_eigenstates():
 
 
 def test_erasure_protocols_share_terms_only_between_equal_times():
-    # The four protocols reuse eps, theta and the eigenbasis dyads of the last
-    # times they saw; a buffer refilled in place must not read stale terms.
+    # The four protocols reuse eps, theta and their sines and cosines from the
+    # last times they saw; a buffer refilled in place must not read stale terms.
     p = ErasureParams()
 
     def protocols(model):

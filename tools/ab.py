@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
                                                   singles["change"][m["name"]])}
                 for m in spec["end_to_end"]}
             if args.trace_seconds > 0:
-                traced = {side: window(root, workload, TRACE_SEED, args.trace_seconds, 1)
+                traced = {side: window(root, workload, TRACE_SEED, args.trace_seconds, 1)[0]
                           for side, root in sides.items()}
                 per_layer[workload] = {
                     m["name"]: {"parent": traced["parent"][m["name"]],
