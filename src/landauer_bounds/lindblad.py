@@ -219,12 +219,12 @@ def _triangle_terms(dim: int) -> tuple[np.ndarray, ...]:
     """Gathers i, j and weights a, b, c of ``upper_triangle``'s columns a x_i + (b x_j + c)."""
     rows, cols = np.triu_indices(dim)
     strict, half = rows != cols, 0.5 * 2 ** 0.5
-    upper, lower = rows * dim + cols, cols * dim + rows
-    zeros = np.zeros(strict.sum())
+    upper, lower, k = rows * dim + cols, cols * dim + rows, int(strict.sum())
+    # Re rho_rc (r <= c) = a x_rc + (b x_cr - 0); Im rho_rc (r < c) = half x_cr + (0 x_rc + 0)
     terms = [np.concatenate([upper, lower[strict]]), np.concatenate([lower, upper[strict]]),
-             np.concatenate([np.where(strict, half, 0.5), zeros + half]),
-             np.concatenate([np.where(strict, 0.0, 0.5), zeros]),
-             np.concatenate([np.full(len(rows), -0.0), zeros])]
+             np.concatenate([np.where(strict, half, 0.5), np.full(k, half)]),
+             np.concatenate([np.where(strict, 0.0, 0.5), np.zeros(k)]),
+             np.concatenate([np.full(len(rows), -0.0), np.zeros(k)])]
     for term in terms:  # shared by every caller through the cache
         term.setflags(write=False)
     return tuple(terms)
@@ -272,7 +272,7 @@ def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -
         weighted = np.array([ch.rate for ch in channels])[:, None, None, None] * ops
         minus_i_k -= 0.5 * np.einsum("ukit,ukjt->ijt", conj, weighted)
         np.einsum("uact,ubet->abcet", weighted, conj, out=liou)
-        del ops, conj, weighted  # freed, as K is, before the similarity: a block's peak
+        del ops, conj, weighted  # freed, with K below, before the similarity, a block's peak
     plus_i_conj_k = minus_i_k.conj()
     for j in range(d):
         liou[:, j, :, j] += minus_i_k
