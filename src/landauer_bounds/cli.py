@@ -441,7 +441,7 @@ def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
     }
     if config.bell is not None:
         meta["bell_fidelity_end"] = qstate.fidelity_pure(
-            density_matrices(traj.coordinates[-1]), config.bell)
+            density_matrices(traj.full_coordinates(slice(-1, None))[0]), config.bell)
     if config.model.driven:
         beta_t = bounds.beta_R_t[~np.isnan(bounds.beta_R_t)]
         meta["reference"]["beta_R_final"] = float(beta_t[-1]) if beta_t.size else None
@@ -464,9 +464,9 @@ def write_bounds_csv(result: PipelineResult, path: Path) -> None:
 
 def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
     """One row per sample, written a block of samples at a time by ``numtext.csv_rows``;
-    the rho columns are ``lindblad.upper_triangle`` of the coordinates."""
+    the rho columns are ``lindblad.upper_triangle`` of the full-width coordinates."""
     traj = result.trajectory
-    d = math.isqrt(traj.coordinates.shape[-1])
+    d = traj.spectra.shape[-1]
     upper, strict = np.triu_indices(d), np.triu_indices(d, 1)
     header = ["t", "Q", "W", "min_eig"]
     header += [f"rho_{i}_{j}_re" for i, j in zip(*upper)]
@@ -476,7 +476,7 @@ def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
         for b in sample_blocks(len(traj.times)):
             fh.write(numtext.csv_rows(np.column_stack([
                 traj.times[b], traj.heat[b], traj.work[b], traj.min_eigenvalues[b],
-                upper_triangle(traj.coordinates[b])])))
+                upper_triangle(traj.full_coordinates(b))])))
 
 
 def _json_safe(obj: Any) -> Any:
@@ -519,11 +519,13 @@ def run_scenario(config: ScenarioConfig | Sweep) -> int:
         write_outputs(result)
         return _exit_code(result.meta)
 
-    entries = []
+    entries = []  # per finished entry: its meta and the bound columns the sweep chart draws
     for name, run in config.runs:
         result = run_pipeline(run)
         write_outputs(result)
-        entries.append((name, result.bounds, result.meta))
+        entries.append((name, {c: np.array(result.bounds[c]) for c in plotting.SWEEP_COLUMNS},
+                        result.meta))
+        del result  # the next entry runs without this one's trajectory and solves
 
     summary = {
         "scenario": config.name,
@@ -536,8 +538,8 @@ def run_scenario(config: ScenarioConfig | Sweep) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     write_meta_json(summary, config.out_dir / "meta.json")
     if config.plots:
-        panels = plotting.sweep_panels([(name, bounds, meta["reference"]["beta_R0"])
-                                        for name, bounds, meta in entries])
+        panels = plotting.sweep_panels([(name, columns, meta["reference"]["beta_R0"])
+                                        for name, columns, meta in entries])
         (config.out_dir / "sweep.svg").write_text(plotting.render(panels))
     return max(_exit_code(meta) for _, _, meta in entries)
 

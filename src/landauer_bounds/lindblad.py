@@ -27,6 +27,15 @@ sample; the trace normalization, its record and the state-norm check are done
 on the arrays after it, as are the trace-row defect |1^T S - 1^T| of every step
 map and the positivity of the states, whose spectra are kept for the entropies
 downstream.
+
+An undriven run keeps only the coordinates its start can reach: the closure of
+the start's nonzero coordinates under the nonzero pattern of the generator
+(with the Q and W rows). Every other coordinate is an exact zero at every
+sample, since each product that reaches it has an exact-zero factor; the
+sample loop runs on the powers of the step map restricted to the closure, a
+symmetry sector of the Lindbladian (Buca & Prosen, New J. Phys. 14, 073007,
+2012). A driven run keeps every coordinate, since its pattern may change with
+time.
 """
 
 from __future__ import annotations
@@ -129,13 +138,15 @@ class LindbladModel:
 class Trajectory:
     """Sampled propagation output with accumulated heat/work and diagnostics.
 
-    ``coordinates`` is the (m, d^2) float array of the sampled states in the
-    real coordinates of ``hermitian_coordinates``, each of unit trace; the
-    complex density matrices are formed from it by ``density_matrices``, a
-    block of samples at a time, only where they are needed. ``spectra`` is
-    the (m, d) array of the states' ascending eigenvalues, computed once for
-    the positivity check and reused for every entropy of the states;
-    ``min_eigenvalues`` is its first column.
+    ``coordinates`` is the (m, r) float array of the sampled states in the
+    real coordinates of ``hermitian_coordinates``, each of unit trace, at the
+    r ascending indices ``support`` into the d^2 coordinates (all of them for
+    a driven model); every other coordinate is zero at every sample.
+    ``full_coordinates`` gives a block of samples at full width, from which
+    ``density_matrices`` forms the complex density matrices only where they
+    are needed. ``spectra`` is the (m, d) array of the states' ascending
+    eigenvalues, computed once for the positivity check and reused for every
+    entropy of the states; ``min_eigenvalues`` is its first column.
     ``max_step_trace_drift`` is, for driven and undriven models alike, the
     largest trace-row defect |1^T S - 1^T| over the step maps S: the most one
     step can change Tr rho of a state of unit Frobenius norm.
@@ -147,6 +158,7 @@ class Trajectory:
 
     times: np.ndarray
     coordinates: np.ndarray
+    support: np.ndarray
     heat: np.ndarray
     work: np.ndarray
     spectra: np.ndarray
@@ -158,6 +170,13 @@ class Trajectory:
     @property
     def min_eigenvalues(self) -> np.ndarray:
         return self.spectra[:, 0]
+
+    def full_coordinates(self, block: slice) -> np.ndarray:
+        """The (k, d^2) coordinates of the samples in ``block``, zero outside ``support``."""
+        rows = self.coordinates[block]
+        full = np.zeros((len(rows), self.spectra.shape[-1] ** 2))
+        full[:, self.support] = rows
+        return full
 
 
 def protocol_values(protocol: Callable[..., np.ndarray], times: np.ndarray,
@@ -395,20 +414,32 @@ def _driven_maps(model: LindbladModel, dt: float,
         carry = products[-1] if len(bounds) > len(ends) else np.eye(k)
 
 
-def _undriven_maps(model: LindbladModel, dt: float,
+def _reachable(liou: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Indices of the coordinates that x' = A x can make nonzero from x0: the
+    closure of the nonzero coordinates of x0 under the nonzero pattern of A."""
+    pattern, reach = liou != 0.0, x0 != 0.0
+    while True:
+        grown = reach | pattern[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
+def _undriven_maps(gen: np.ndarray, dim: int, dt: float, keep: np.ndarray,
                    sample_idx: np.ndarray) -> Iterator[tuple[list[np.ndarray], float]]:
-    """The power of the one step map spanning each sample gap, as one block, with
-    its trace-row defect."""
-    n = model.dim ** 2
-    gen = augmented_generators(model, np.zeros(1))
+    """The power of the one step map of the generator ``gen`` spanning each sample
+    gap, restricted to the rows and columns ``keep``, as one block, with its
+    trace-row defect; the checks read the full map."""
+    n = dim * dim
     _warn_if_coarse(gen, n, dt)
     step_map = _rk4_step_maps(gen, gen, gen, dt)
-    defect = _trace_row_defects(step_map, model.dim, 0, dt)
+    defect = _trace_row_defects(step_map, dim, 0, dt)
     radius = float(np.max(np.abs(np.linalg.eigvals(step_map[0, :n, :n]))))
     if radius > _SPECTRAL_RADIUS_LIMIT:
         raise StabilityError(f"step map spectral radius {radius:.6g} > 1 at dt={dt!r}")
+    sector = step_map[0][np.ix_(keep, keep)]
     gaps = np.diff(sample_idx).tolist()
-    powers = {gap: np.linalg.matrix_power(step_map[0], gap) for gap in set(gaps)}
+    powers = {gap: np.linalg.matrix_power(sector, gap) for gap in set(gaps)}
     yield [powers[gap] for gap in gaps], defect
 
 
@@ -449,6 +480,10 @@ def propagate(
     1 + 1e-9 or a sampled state has Frobenius norm above 10, and
     ``PositivityError`` at the first sample whose spectrum dips below -``qstate.POSITIVITY_ATOL``.
 
+    An undriven run propagates only the coordinates its start can reach (see the
+    module docstring), which the trajectory's ``support`` names; a driven run
+    propagates all d^2.
+
     The sample loop only multiplies: y_i = segment @ y_{i-1}, stored unnormalized. The
     state at sample i is then y_i / T_i with T_i = Tr y_i, its Frobenius norm
     before the renormalization at that sample is |y_i| / T_{i-1}, and its Q and
@@ -464,22 +499,29 @@ def propagate(
         raise DimensionMismatch(f"initial state shape {rho0.shape} != dim {d}")
     qstate.require_state(rho0)
     times = sample_idx * dt_eff
-    # Row i holds sample i's [x, Q, W], unnormalized: the loop writes each
-    # sample straight into its row, and the trace is divided out afterwards.
-    y = np.empty((n_samples, n + 2))
-    y[0, :n], y[0, n:] = hermitian_coordinates(rho0), 0.0  # sample 0 is the initial state
+    x0 = hermitian_coordinates(rho0)
+    if model.driven:  # its generator's pattern may change with time
+        support, maps = np.arange(n), _driven_maps(model, dt_eff, sample_idx)
+    else:
+        gen = augmented_generators(model, np.zeros(1))
+        support = _reachable(gen[0, :n, :n], x0)
+        maps = _undriven_maps(gen, d, dt_eff, np.append(support, [n, n + 1]), sample_idx)
+    r = len(support)
+    # Row i holds sample i's [x, Q, W], unnormalized, x at the support: the loop
+    # writes each sample straight into its row, and the trace is divided out afterwards.
+    y = np.empty((n_samples, r + 2))
+    y[0, :r], y[0, r:] = x0[support], 0.0  # sample 0 is the initial state
     i = 1
-    for segments, max_defect in (_driven_maps if model.driven else _undriven_maps)(
-            model, dt_eff, sample_idx):
+    for segments, max_defect in maps:
         # An unstable step overflows here; the norm check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             for segment in segments:
                 np.matmul(segment, y[i - 1], out=y[i])
                 i += 1
 
-    coords, qw = y[:, :n], y[:, n:]
+    coords, qw = y[:, :r], y[:, r:]
     with np.errstate(over="ignore", invalid="ignore"):
-        traces = coords[:, ::d + 1].sum(axis=1)  # T_i
+        traces = coords[:, support % (d + 1) == 0].sum(axis=1)  # T_i, from the diagonal
         before = np.concatenate([[1.0], traces[:-1]])  # T_{i-1}
         # A unit-trace positive state has Frobenius norm <= 1; large growth means
         # the step size is unstable even when the trace happens to be preserved.
@@ -492,12 +534,13 @@ def propagate(
         heat, work = np.cumsum(np.diff(qw, axis=0, prepend=0.0).T / before, axis=1)
 
     spectra = np.empty((n_samples, d))
+    traj = Trajectory(times=times, coordinates=coords, support=support, heat=heat, work=work,
+                      spectra=spectra, max_step_trace_drift=max_defect,
+                      cumulative_trace_drift=cumulative, dt=dt_eff, n_steps=int(sample_idx[-1]))
     for b in sample_blocks(n_samples):
-        spectra[b] = np.linalg.eigvalsh(density_matrices(coords[b]))
+        spectra[b] = np.linalg.eigvalsh(density_matrices(traj.full_coordinates(b)))
     mins = spectra[:, 0]
     bad = np.flatnonzero(mins < -qstate.POSITIVITY_ATOL)
     if bad.size:
         raise PositivityError(f"min eigenvalue {mins[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
-    return Trajectory(times=times, coordinates=coords, heat=heat, work=work, spectra=spectra,
-                      max_step_trace_drift=max_defect, cumulative_trace_drift=cumulative,
-                      dt=dt_eff, n_steps=int(sample_idx[-1]))
+    return traj

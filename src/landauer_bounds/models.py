@@ -22,6 +22,7 @@ N_B = 1/(e^{beta eps} - 1) and both channel rates equal to gamma.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,12 +116,18 @@ def build_erasure(params: ErasureParams) -> LindbladModel:
     Every protocol accepts a scalar time or a 1-D array of times. The propagator
     calls all four on the same stage times, so eps(t), theta(t), the sines and
     cosines of theta and theta/2 and N_B are computed once per times array and
-    reused while the times are equal in value to the last ones.
+    reused while the times are equal in value to the last ones. The terms are
+    dropped when the times array they were computed for is freed, so a model
+    whose run is over holds none.
     """
     eps0, eps_tau, tau = params.eps0, params.eps_tau, params.tau
     gamma, beta = params.gamma, params.bath_beta
     theta_rate = math.pi / tau
     last: list = [None, None]  # a copy of the last times and their terms
+
+    def release(key: np.ndarray) -> None:
+        if last[0] is key:
+            last[:] = [None, None]
 
     def terms(t) -> tuple[np.ndarray, ...]:
         """eps, cos theta, sin theta, cos theta/2, sin theta/2 and N_B at the times t."""
@@ -130,6 +137,7 @@ def build_erasure(params: ErasureParams) -> LindbladModel:
             eps = eps0 + (eps_tau - eps0) * np.sin(np.pi * t / (2.0 * tau)) ** 2
             last[:] = [t.copy(), (eps, np.cos(th), np.sin(th), np.cos(0.5 * th),
                                   np.sin(0.5 * th), 1.0 / np.expm1(beta * eps))]
+            weakref.finalize(t, release, last[0])
         return last[1]
 
     def hamiltonian(t) -> np.ndarray:

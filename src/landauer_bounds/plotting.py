@@ -204,8 +204,13 @@ def _drawn_temperature(beta_r0: float) -> float:
     return 1.0 / beta_r0 if math.isfinite(beta_r0) and beta_r0 != 0.0 else 1.0
 
 
+# The bound columns that ``sweep_panels`` draws.
+SWEEP_COLUMNS = ("t", "Q", "Coh")
+
+
 def sweep_panels(entries: list[tuple[str, Any, float]]) -> list[Panel]:
-    """One panel per sweep entry: Q(t) and the coherence contribution."""
+    """One panel per sweep entry: Q(t) and the coherence contribution, from its
+    ``SWEEP_COLUMNS``."""
     panels = []
     for label, cols, beta_r0 in entries:
         coherence = _drawn_temperature(beta_r0) * (cols["Coh"] - cols["Coh"][0])

@@ -32,8 +32,8 @@ H(t), so the instantaneous relative entropy needs no further decomposition:
 with p_n the Gibbs weights at beta_R(t). Gibbs weights at beta_R(t) and at the
 bath beta, relative entropies and every bound column are array expressions
 over the samples, returned as one table of columns. The density matrices are
-formed from the trajectory's coordinates ``lindblad.SAMPLE_BLOCK`` samples at
-a time.
+formed from the trajectory's coordinates at full width,
+``lindblad.SAMPLE_BLOCK`` samples at a time.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel) -> ThermoSample:
     h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
     levels, vectors = linalg.eigh(h)
     levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
-    parts = [qstate.state_functionals(density_matrices(traj.coordinates[b]), traj.spectra[b],
+    parts = [qstate.state_functionals(density_matrices(traj.full_coordinates(b)), traj.spectra[b],
                                       levels[b], vectors[b]) for b in sample_blocks(m)]
     computed = list(zip(*parts))[:-1]  # every field but the levels, which need no copy
     return ThermoSample(*map(np.concatenate, computed), levels=levels)

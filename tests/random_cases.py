@@ -125,3 +125,42 @@ def random_davies_models(draw, driven=False):
         hamiltonian_rate_protocol=lambda t: -1j * (k @ hamiltonian(t) - hamiltonian(t) @ k),
         channels=tuple(JumpChannel(rate, rotated(op)) for rate, op in jumps))
     return model, rho0, beta
+
+
+@hst.composite
+def block_diagonal_lindbladians(draw):
+    """An undriven model that never couples its blocks of levels, a block-diagonal
+    start and the coordinates that start can reach.
+
+    Hypothesis draws d <= 6, the block of each level (so a block need not be
+    contiguous), the blocks the start touches and a seed. Inside each block the
+    Hamiltonian is a chain: random levels, and random couplings between
+    consecutive levels of the block in a random order. Each block has one or two
+    jumps |i><j| between random levels of it, at random rates. The start puts a
+    random weight on one level of each touched block. The chain connects every
+    x_ij with i and j in one touched block to that level, through as many
+    couplings as the chain is long, and nothing else: coherences between blocks
+    and the levels of untouched blocks stay zero.
+    """
+    dim = draw(hst.integers(2, 6))
+    labels = np.array(draw(hst.lists(hst.integers(0, dim - 1), min_size=dim, max_size=dim)))
+    blocks = sorted(set(labels.tolist()))
+    touched = draw(hst.sets(hst.sampled_from(blocks), min_size=1))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    h = np.diag(rng.normal(size=dim)).astype(complex)
+    channels = []
+    for block in blocks:
+        chain = rng.permutation(np.flatnonzero(labels == block))
+        for i, j in zip(chain[:-1], chain[1:]):
+            h[i, j] = rng.normal() + 1j * rng.normal()
+            h[j, i] = h[i, j].conjugate()
+        for _ in range(int(rng.integers(1, 3))):
+            jump = np.zeros((dim, dim), dtype=complex)
+            jump[rng.choice(chain), rng.choice(chain)] = 1.0
+            channels.append(JumpChannel.constant(rng.uniform(0.05, 2.0), jump))
+    weights = np.zeros(dim)
+    for block in touched:
+        weights[rng.choice(np.flatnonzero(labels == block))] = rng.uniform(0.1, 1.0)
+    model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h, channels=tuple(channels))
+    reach = (labels[:, None] == labels[None, :]) & np.isin(labels, sorted(touched))[:, None]
+    return model, np.diag(weights / weights.sum()).astype(complex), np.flatnonzero(reach)

@@ -3,9 +3,9 @@ inset, Fig. 2 and the Fig. S1 tau-sweep, each checked on the full-size run."""
 
 import numpy as np
 import pytest
+from full_width import states_of
 
 from landauer_bounds import cli, qstate
-from landauer_bounds.lindblad import density_matrices
 
 UNDRIVEN_VERDICTS = {"gap_nonneg", "gap_identity", "heat_upper", "coherence_split"}
 DRIVEN_VERDICTS = UNDRIVEN_VERDICTS | {"lp_lower", "nlp_S23", "nlp_S25"}
@@ -38,7 +38,7 @@ def test_every_figS1_verdict_holds(figS1_results):
 def test_bell_fidelity_never_decreases(request, fixture):
     result = request.getfixturevalue(fixture)
     fidelity = np.array([qstate.fidelity_pure(st, result.config.bell)
-                         for st in density_matrices(result.trajectory.coordinates)])
+                         for st in states_of(result.trajectory)])
     assert np.all(np.diff(fidelity) >= 0.0)
     assert fidelity[-1] > 0.69
     assert result.meta["bell_fidelity_end"] == fidelity[-1]

@@ -8,10 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from full_width import full_trajectory, states_of
 
 from landauer_bounds import cli, linalg, lindblad, plotting, qstate, thermo
 from landauer_bounds.errors import SchemaError
-from landauer_bounds.lindblad import Trajectory, density_matrices
 
 
 def run_cli(*args):
@@ -689,6 +689,34 @@ def test_driven_maximally_mixed_start(tmp_path):
     assert "heat_upper" in meta["verdicts"]
 
 
+def test_sweep_holds_one_finished_entry_at_a_time(tmp_path, monkeypatch):
+    # Three erasure entries of 1,501 samples, every step sampled, as the erase-sweep
+    # benchmark runs them. When an entry starts, each finished one may hold only
+    # its meta and the three bound columns the sweep chart draws, not its
+    # trajectory, reference solves or its model's protocol terms.
+    raw = cli.scenario_defaults("figS1")
+    for entry in raw["sweep"]:
+        tau = entry["overrides"]["model_params"]["tau"]
+        entry["overrides"]["integrator"] = {"dt": tau / 1500, "t_end": tau, "n_samples": 1501}
+    config = cli.build_config(raw, "sweep", tmp_path / "out", plots=True)
+    held = []
+
+    def traced_propagate(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return lindblad.propagate(*args)
+
+    monkeypatch.setattr(cli, "propagate", traced_propagate)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="accuracy may degrade"):  # tau = 20 only
+            assert cli.run_scenario(config) == 0
+    finally:
+        tracemalloc.stop()
+    columns = len(plotting.SWEEP_COLUMNS) * 1501 * 8
+    assert all(later - earlier < columns + 50_000 for earlier, later in zip(held, held[1:]))
+    assert (tmp_path / "out" / "sweep.svg").exists()
+
+
 def test_maximally_mixed_sweep_draws_the_coherence_term(tmp_path):
     # sweep.svg draws T_R(0) dCoh with T_R(0) = 1 at beta_R(0) = 0, as bounds.svg does
     raw = cli.scenario_defaults("figS1")
@@ -723,7 +751,7 @@ def reference_csv(path, header, records):
 
 def reference_trajectory_csv(result, path):
     traj = result.trajectory
-    states = density_matrices(traj.coordinates)
+    states = states_of(traj)
     d = states.shape[-1]
     header = ["t", "Q", "W", "min_eig"]
     header += [f"rho_{i}_{j}_re" for i in range(d) for j in range(i, d)]
@@ -754,9 +782,7 @@ def synthetic_trajectory(n, d, values):
     cells = np.resize(np.asarray(values, dtype=float), n * (4 + d * d))
     head, coordinates = cells[:4 * n].reshape(4, n), cells[4 * n:].reshape(n, d * d)
     spectra = np.broadcast_to(head[3][:, None], (n, d))  # only min_eig is written
-    return Trajectory(times=head[0], coordinates=coordinates, heat=head[1], work=head[2],
-                      spectra=spectra, max_step_trace_drift=0.0,
-                      cumulative_trace_drift=0.0, dt=1.0, n_steps=n - 1)
+    return full_trajectory(head[0], coordinates, head[1], head[2], spectra)
 
 
 # Cells whose spelling a formatter could change: NaN, both infinities, negative

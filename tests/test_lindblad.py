@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from full_width import states_of
 from hypothesis import given, settings
 from random_cases import random_lindbladians
 
@@ -22,11 +23,6 @@ from landauer_bounds.lindblad import (
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-
-
-def states_of(traj):
-    """The (m, d, d) sampled density matrices of a trajectory."""
-    return density_matrices(traj.coordinates)
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.1])
@@ -464,10 +460,11 @@ def test_propagate_memory_is_bounded(erasure):
 
 
 def test_propagate_holds_each_sampled_state_once(rydberg):
-    # 2,001 samples of the 9-level pump: the states are kept as (m, 81) real
-    # coordinates (1.3 MB), and complex 9 x 9 matrices are formed one block of
-    # samples at a time. Keeping the (m, 9, 9) complex stack as well would add
-    # twice the coordinates' bytes, 2.6 MB.
+    # 2,001 samples of the 9-level pump: the states are kept as the r = 39 real
+    # coordinates the Gibbs start can reach, with Q and W, (m, r + 2) floats
+    # (0.66 MB), and complex 9 x 9 matrices are formed one block of samples at a
+    # time. Keeping all 81 coordinates would add 0.67 MB; keeping the
+    # (m, 9, 9) complex stack as well would add 2.6 MB more.
     model, _ = rydberg
     rho0 = models.initial_state("gibbs", model.hamiltonian_protocol(0.0), beta=30.0)
     propagate(model, rho0, 0.1, 0.01, 2)  # lazy set-up outside the measurement
@@ -478,8 +475,9 @@ def test_propagate_holds_each_sampled_state_once(rydberg):
         peak = tracemalloc.get_traced_memory()[1] - current
     finally:
         tracemalloc.stop()
-    m, d = len(traj.times), model.dim
-    coordinates = m * d * d * 8
+    m, d, r = len(traj.times), model.dim, len(traj.support)
+    assert r == 39
+    coordinates = m * (r + 2) * 8
     # the spectra, heat and work columns, and one block's transients: at most
     # five (SAMPLE_BLOCK, d, d) complex stacks
     allowance = m * (d + 2) * 8 + 5 * lindblad.SAMPLE_BLOCK * d * d * 16

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as hst
 import numpy as np
@@ -114,6 +115,25 @@ def test_erasure_protocols_share_terms_only_between_equal_times():
     for t in (0.0, 3.5, 3.5, p.tau):
         for k, protocol in enumerate(shared):
             assert np.array_equal(protocol(t), protocols(build_erasure(p))[k](t))
+
+
+def test_erasure_terms_are_dropped_with_their_times():
+    # A sweep keeps every entry's model until it ends; a model whose run is over
+    # must not keep the terms of the last times it saw.
+    model = build_erasure(ErasureParams())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        times = np.linspace(0.0, 10.0, 100_000)  # 0.8 MB
+        for protocol in (model.hamiltonian_protocol, model.channels[0].operator_protocol):
+            protocol(times)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del times
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held > 7 * 800_000  # the times, their copy and six term vectors
+    assert left < 10_000
 
 
 def test_erasure_validates_parameters():

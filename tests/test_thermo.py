@@ -3,6 +3,7 @@ import math
 import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from full_width import full_trajectory, states_of
 from hypothesis import given, settings
 from random_cases import (
     degeneracy_patterns,
@@ -18,7 +19,6 @@ from landauer_bounds.errors import DrivenModelSupplied, MisalignedSeries, NoBath
 from landauer_bounds.lindblad import (
     JumpChannel,
     LindbladModel,
-    Trajectory,
     density_matrices,
     hermitian_coordinates,
     propagate,
@@ -238,19 +238,11 @@ def test_nlp_driven_slack_matches_relative_entropy(fig2_result):
         assert c.slack_S25[k] >= -1e-8
 
 
-def states_of(traj):
-    """The (m, d, d) sampled density matrices of a trajectory."""
-    return density_matrices(traj.coordinates)
-
-
 def sampled_trajectory(states):
     """A Trajectory of given states at times 0, 1, ..., with their spectra."""
     m, coordinates = len(states), hermitian_coordinates(states)
-    return Trajectory(times=np.arange(m, dtype=float), coordinates=coordinates,
-                      heat=np.zeros(m), work=np.zeros(m),
-                      spectra=np.linalg.eigvalsh(density_matrices(coordinates)),
-                      max_step_trace_drift=0.0, cumulative_trace_drift=0.0, dt=1.0,
-                      n_steps=m - 1)
+    return full_trajectory(np.arange(m, dtype=float), coordinates, np.zeros(m), np.zeros(m),
+                           np.linalg.eigvalsh(density_matrices(coordinates)))
 
 
 @hst.composite
