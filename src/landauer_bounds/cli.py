@@ -295,7 +295,6 @@ class PipelineResult:
     config: ScenarioConfig
     trajectory: Trajectory
     bounds: thermo.Bounds
-    beta_results: list[refsolve.BetaSolveResult]
     nlp: thermo.NlpComparison | None
     meta: dict[str, Any]
 
@@ -345,18 +344,18 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
 
     samples = thermo.evaluate_samples(traj, model)
     if model.driven:
-        beta_results = refsolve.solve_beta_series(samples.levels, samples.S, config.beta_branch)
-        bounds = thermo.driven_bounds(traj, model, samples, beta_results, config.bath_T)
+        series = refsolve.solve_beta_series(samples.levels, samples.S, config.beta_branch)
+        bounds = thermo.driven_bounds(traj, model, samples, series, config.bath_T)
     else:
-        beta_results = [config.beta_R0]
+        series = [config.beta_R0]
         bounds = thermo.undriven_bounds(traj, model, samples, config.beta_R0, config.bath_T)
 
     nlp = None
     if config.bath_T is not None:
         nlp = thermo.nlp_comparison(traj, model, samples, 1.0 / config.bath_T)
 
-    meta = _build_meta(config, samples.levels[0], traj, bounds, beta_results, nlp)
-    return PipelineResult(config, traj, bounds, beta_results, nlp, meta)
+    meta = _build_meta(config, traj, bounds, series[0], nlp)
+    return PipelineResult(config, traj, bounds, nlp, meta)
 
 
 def _verdicts(bounds: thermo.Bounds, nlp: thermo.NlpComparison | None,
@@ -386,12 +385,10 @@ def _verdicts(bounds: thermo.Bounds, nlp: thermo.NlpComparison | None,
     return verdicts
 
 
-def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
-                bounds: thermo.Bounds, beta_results: list[refsolve.BetaSolveResult],
-                nlp: thermo.NlpComparison | None) -> dict[str, Any]:
-    b0 = beta_results[0]
-    flipped = b0.beta_R < 0
-    degenerate = bool(qstate.has_degenerate_spectrum(levels0))
+def _build_meta(config: ScenarioConfig, traj: Trajectory, bounds: thermo.Bounds,
+                b0: refsolve.BetaSolveResult, nlp: thermo.NlpComparison | None) -> dict[str, Any]:
+    first = bounds.flags[0]
+    flipped, degenerate = "direction_flipped" in first, "degenerate_spectrum" in first
 
     balance = float(np.max(np.abs((bounds.E_S - bounds.E_S[0]) - (traj.work - traj.heat))))
 
@@ -414,7 +411,7 @@ def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
         "reference": {
             "beta_R0": b0.beta_R,
             "residual": b0.residual,
-            "saturated": b0.saturated,
+            "saturated": "saturated" in first,
             "branch": config.beta_branch,
             "direction_flipped": flipped,
         },
@@ -423,8 +420,8 @@ def _build_meta(config: ScenarioConfig, levels0: np.ndarray, traj: Trajectory,
             "cumulative_trace_drift": traj.cumulative_trace_drift,
             "min_eigenvalue": float(np.min(traj.min_eigenvalues)),
             "max_energy_balance_error": balance,
-            "saturated_samples": sum(1 for r in beta_results if r.saturated),
-            "failed_beta_solves": sum(1 for r in beta_results if r.error is not None),
+            "saturated_samples": sum("saturated" in flags for flags in bounds.flags),
+            "failed_beta_solves": sum("beta_solve_failed" in flags for flags in bounds.flags),
         },
         "flags": {
             "degenerate_hamiltonian_spectrum": degenerate,
@@ -464,7 +461,8 @@ def write_bounds_csv(result: PipelineResult, path: Path) -> None:
 
 def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
     """One row per sample, written a block of samples at a time by ``numtext.csv_rows``;
-    the rho columns are ``lindblad.upper_triangle`` of the full-width coordinates."""
+    the rho columns are ``lindblad.upper_triangle`` of the full-width coordinates, the
+    bytes of ``density_matrices`` without its complex stacks (+0.2 MiB on pump's peak)."""
     traj = result.trajectory
     d = traj.spectra.shape[-1]
     upper, strict = np.triu_indices(d), np.triu_indices(d, 1)

@@ -373,14 +373,16 @@ def _warn_if_coarse(gen: np.ndarray, n: int, dt: float) -> bool:
 
 def _trace_row_defects(maps: np.ndarray, dim: int, first: int, dt: float) -> float:
     """Largest |1^T S - 1^T| over the rho blocks of the maps S of steps first + 1, ...;
-    ``StabilityError`` names the time of the first step beyond 1e-6."""
+    ``StabilityError`` names the time of the first non-finite map or defect beyond 1e-6."""
     n = dim * dim
     rows = np.einsum("tij->tj", maps[:, :n:dim + 1, :n]) - np.eye(dim).ravel()
     defects = np.sqrt(np.einsum("tj,tj->t", rows, rows))
-    bad = np.flatnonzero(defects > _STEP_DRIFT_LIMIT)
+    finite = np.isfinite(maps).all(axis=(1, 2))
+    bad = np.flatnonzero(~(finite & (defects <= _STEP_DRIFT_LIMIT)))
     if bad.size:
-        raise StabilityError(f"trace drift up to {defects[bad[0]]:.3e} in one step"
-                             f" at t={(first + 1 + int(bad[0])) * dt!r}")
+        i = int(bad[0])
+        raise StabilityError((f"trace drift up to {defects[i]:.3e} in one step" if finite[i]
+                              else "non-finite step map") + f" at t={(first + 1 + i) * dt!r}")
     return float(np.max(defects))
 
 
@@ -500,27 +502,27 @@ def propagate(
     qstate.require_state(rho0)
     times = sample_idx * dt_eff
     x0 = hermitian_coordinates(rho0)
-    if model.driven:  # its generator's pattern may change with time
-        support, maps = np.arange(n), _driven_maps(model, dt_eff, sample_idx)
-    else:
-        gen = augmented_generators(model, np.zeros(1))
-        support = _reachable(gen[0, :n, :n], x0)
-        maps = _undriven_maps(gen, d, dt_eff, np.append(support, [n, n + 1]), sample_idx)
-    r = len(support)
-    # Row i holds sample i's [x, Q, W], unnormalized, x at the support: the loop
-    # writes each sample straight into its row, and the trace is divided out afterwards.
-    y = np.empty((n_samples, r + 2))
-    y[0, :r], y[0, r:] = x0[support], 0.0  # sample 0 is the initial state
-    i = 1
-    for segments, max_defect in maps:
-        # An unstable step overflows here; the norm check below reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Floating-point errors are silent here: ``_trace_row_defects`` refuses a non-finite
+    # step map before any eigvals, and the norm check below a state that overflows.
+    with np.errstate(all="ignore"):
+        if model.driven:  # its generator's pattern may change with time
+            support, maps = np.arange(n), _driven_maps(model, dt_eff, sample_idx)
+        else:
+            gen = augmented_generators(model, np.zeros(1))
+            support = _reachable(gen[0, :n, :n], x0)
+            maps = _undriven_maps(gen, d, dt_eff, np.append(support, [n, n + 1]), sample_idx)
+        r = len(support)
+        # Row i holds sample i's [x, Q, W], unnormalized, x at the support: the loop
+        # writes each sample straight into its row, and the trace is divided out afterwards.
+        y = np.empty((n_samples, r + 2))
+        y[0, :r], y[0, r:] = x0[support], 0.0  # sample 0 is the initial state
+        i = 1
+        for segments, max_defect in maps:
             for segment in segments:
                 np.matmul(segment, y[i - 1], out=y[i])
                 i += 1
 
-    coords, qw = y[:, :r], y[:, r:]
-    with np.errstate(over="ignore", invalid="ignore"):
+        coords, qw = y[:, :r], y[:, r:]
         traces = coords[:, support % (d + 1) == 0].sum(axis=1)  # T_i, from the diagonal
         before = np.concatenate([[1.0], traces[:-1]])  # T_{i-1}
         # A unit-trace positive state has Frobenius norm <= 1; large growth means

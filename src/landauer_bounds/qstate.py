@@ -167,9 +167,10 @@ def gibbs_weights(levels: np.ndarray, beta: np.ndarray | float) -> tuple[np.ndar
     """
     beta = np.asarray(beta, dtype=np.float64)[..., None]
     shift = np.where(beta >= 0.0, levels[..., :1], levels[..., -1:])
-    weights = np.exp(-beta * (levels - shift))
-    z = weights.sum(axis=-1, keepdims=True)
-    return weights / z, (np.log(z) - beta * shift)[..., 0]
+    with np.errstate(over="ignore"):  # an exponent past -inf is a zero weight
+        weights = np.exp(-beta * (levels - shift))
+        z = weights.sum(axis=-1, keepdims=True)
+        return weights / z, (np.log(z) - beta * shift)[..., 0]
 
 
 def diagonal_in_basis(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -5,15 +5,15 @@ rho_th(t) at beta_R(t) = 1/T_R(t) from entropy matching and the correction
 C(t) = (beta_R(t) - beta_R(0)) E_S(t) + ln Z(t)/Z(0):
 
     gap    = beta_R(0) dE_R~ - dS + C = D(rho(t) || rho_th(t)) >= 0
-    Q_u~   = dE_in~ - T_R(0) dS + T_R(0) C,   dE_in~ = dE_R~(0)
+    Q_u~   = dE_in~ + T_R(0) (C - dS),   dE_in~ = dE_R~(0)
     lp <= Q <= Q_u~ + W               (lp = -T dS needs a genuine bath at T)
 
 Driven models match beta_R(t) at every sample. Undriven ones keep the match
 of t = 0, so C = 0, W = 0 and Q = E_S(0) - E_S(t): the paper's undriven bound
 Q <= Q_u = dE_in - T_R dS. When beta_R(0) < 0 the upper bound flips into the
 lower bound Q >= Q_u~ + W, and every sample is flagged ``direction_flipped``.
-At beta_R(0) = 0, T_R(0) (C - dS) = T_R(0) gap is taken with 0 * inf = 0, so
-Q_u~ is +inf (vacuous) wherever the gap is open.
+T_R(0) (C - dS) is taken with 0 * inf = 0, so at beta_R(0) = 0, where C - dS
+is the gap, Q_u~ is +inf (vacuous) wherever the gap is open.
 
 The entropy change dS is always recomputed from sampled states, never
 accumulated, so integrator error cannot leak into an inequality check.
@@ -92,10 +92,14 @@ class _Table:
 class Bounds(_Table):
     """The bound chain: an (m,) float array per field, NaN where undefined.
 
-    ``gap`` and ``D_inst`` are undefined where beta_R(t) failed or saturated,
-    ``D_inst`` also where the reference is singular, ``lp_lower`` without a
-    bath; a failed solve also leaves NaN in ``beta_R_t`` and the bounds built
-    from it. ``flags`` holds one shared tuple of names per distinct flag set.
+    ``flags`` holds each sample's status, decided once by the chain and counted
+    by meta.json: ``beta_solve_failed``, else ``saturated`` (the solve hit its
+    search cap, or |beta_R| times the level spread exceeds 700, where the
+    reference's Gibbs weights underflow), else ``identity_suppressed`` (the
+    reference is singular), as one shared tuple of names per distinct set. A
+    failed or saturated sample leaves ``gap`` and ``D_inst`` undefined, an
+    identity-suppressed one ``D_inst``, and a failed one ``beta_R_t`` and the
+    bounds built from it; ``lp_lower`` needs a bath.
     """
 
     t: np.ndarray
@@ -142,34 +146,27 @@ _IDENTITY_FLAGS = ((), ("beta_solve_failed",), ("saturated",), ("identity_suppre
 
 def _chain(traj: Trajectory, v: ThermoSample, beta_series: list[BetaSolveResult],
            heat: np.ndarray, work: np.ndarray, bath_T: float | None) -> Bounds:
-    """The bound chain at every sample, from one beta_R solve per sample or one
-    that holds at all of them (a fixed reference). A failed or saturated solve
-    leaves the gap identity pair undefined, since a capped reference is
-    numerically a projector; the bounds only need beta_R(0) and C(t).
+    """The bound chain at every sample, with each sample's status (see ``Bounds``),
+    from one beta_R solve per sample or one that holds at all of them (a fixed
+    reference). The gap identity pair needs beta_R(t), which a saturated
+    reference makes numerically a projector; the bounds only need beta_R(0) and C(t).
 
-    D_inst = -S - sum_n ln p_n <E_n|rho|E_n> from the Gibbs weights p at
-    beta_R(t) and the populations of ``v``; it is NaN where the
-    reference is singular (``qstate.SINGULAR_WEIGHT``), flagged ``identity_suppressed``.
+    D_inst = -S - sum_n ln p_n <E_n|rho|E_n> from the Gibbs weights p at beta_R(t) and the
+    populations of ``v``; NaN where the reference is singular (``qstate.SINGULAR_WEIGHT``).
     """
-    levels, m = v.levels, len(traj.times)
-    n = len(beta_series)
-    beta_r0 = beta_series[0].beta_R
+    levels, m, n = v.levels, len(traj.times), len(beta_series)
+    beta_t, _, capped, errors = zip(*beta_series)
+    beta_t, failed, beta_r0 = np.array(beta_t), np.not_equal(errors, None), beta_series[0].beta_R
     t_r0 = 1.0 / beta_r0 if beta_r0 != 0.0 else math.inf
 
-    failed = np.array([r.error is not None for r in beta_series])
-    beta_t = np.array([r.beta_R for r in beta_series])
     p_t, log_z_t = qstate.gibbs_weights(levels[:n], np.where(failed, 0.0, beta_t))
-    saturated = ~failed & (np.array([r.saturated for r in beta_series])
+    saturated = ~failed & (np.array(capped)
                            | (np.abs(beta_t) * (levels[:n, -1] - levels[:n, 0]) > 700.0))
     e_th0 = float(p_t[0] @ levels[0])
     ds = v.S - v.S[0]
     de_r = v.E_S - e_th0
-    de_in = v.E_S[0] - e_th0
     c_t = (beta_t - beta_r0) * v.E_S + (log_z_t - log_z_t[0])
-    if beta_r0 == 0.0:
-        qu = de_in + _scaled_product(t_r0, c_t - ds)
-    else:
-        qu = de_in - _scaled_product(t_r0, ds) + _scaled_product(t_r0, c_t)
+    qu = (v.E_S[0] - e_th0) + _scaled_product(t_r0, c_t - ds)
 
     no_identity = failed | saturated
     log_p = np.log(p_t, out=np.zeros_like(p_t), where=p_t > 0.0)
@@ -199,9 +196,7 @@ def undriven_bounds(
     """The bound chain of an undriven model, with the reference fixed at t = 0.
 
     ``samples`` comes from ``evaluate_samples(traj, model)`` and ``reference``
-    is the entropy match of the initial state. The heat is
-    Q = E_S(0) - E_S(t) and W = 0; a saturated reference (a pure start) leaves
-    the gap identity pair undefined.
+    is the entropy match of the initial state. The heat is Q = E_S(0) - E_S(t), W = 0.
     """
     if model.driven:
         raise DrivenModelSupplied("undriven_bounds requires an undriven model")

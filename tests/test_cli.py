@@ -258,13 +258,18 @@ def test_sample_blocks_do_not_change_results(tmp_path, monkeypatch, scenario):
     ("fig1", {"model_params": {"omega2": 2.0, "omega": 1.0, "gamma": 3.0},
               "integrator": {"dt": 0.08, "t_end": 2.0, "n_samples": 26}},
      "PositivityError: min eigenvalue -6.628e-07 at t=0.08"),
-], ids=["stability", "positivity", "positivity-below-entropy-tolerance"])
+    # an unstable run whose trace reaches 0 before its norm check
+    ("fig2", {"model_params": {"gamma": 166.0}, "integrator": {"dt": 0.01, "t_end": 1.0,
+                                                                 "n_samples": 5}},
+     "StabilityError: state norm 3.489e+03 at t=0.25"),
+], ids=["stability", "positivity", "positivity-below-entropy-tolerance", "stability-zero-trace"])
 def test_unstable_step_exits_1(tmp_path, capsys, scenario, changes, error):
     raw = {**cli.scenario_defaults(scenario), **changes}
     config = tmp_path / "unstable.json"
     config.write_text(json.dumps(raw))
-    with pytest.warns(UserWarning, match="accuracy may degrade"):
+    with pytest.warns(UserWarning, match="accuracy may degrade") as caught:
         code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 1
     assert capsys.readouterr().err == f"runtime error: {error}\n"
 
@@ -372,6 +377,34 @@ DAMPED_QUBIT = {
     "hamiltonian": {"re": [[-0.5, 0.0], [0.0, 0.5]]},
     "channels": [{"rate": 0.4, "operator": {"re": [[0.0, 1.0], [0.0, 0.0]]}}],
 }
+
+
+@pytest.mark.parametrize("scenario, change", [
+    ("fig1", {"model_params": {"gamma": 1e160}}),
+    ("fig2", {"model_params": {"gamma": 1e160}}),
+    (None, {"channels": [{"rate": 1e160, "operator": {"re": [[0.0, 1.0], [0.0, 0.0]]}}]}),
+    (None, {"hamiltonian": {"re": [[-0.5, 1e300], [1e300, 0.5]]}}),
+], ids=["fig1-gamma-1e160", "fig2-gamma-1e160", "custom-rate-1e160", "custom-hamiltonian-1e300"])
+def test_non_finite_step_map_is_refused_by_name(tmp_path, capsys, scenario, change):
+    # the step maps overflow although every input is finite; a NaN trace-row
+    # defect passes a `>` test, and eigvals refuses a non-finite map with a
+    # raw LinAlgError
+    if scenario is None:
+        (tmp_path / "m.json").write_text(json.dumps({**DAMPED_QUBIT, **change}))
+        raw = {"model": "custom", "custom_model_file": str(tmp_path / "m.json"),
+               "initial_state": {"kind": "gibbs", "beta": 2.0}}
+    else:
+        raw = cli.scenario_defaults(scenario)
+        raw["model_params"].update(change["model_params"])
+    raw["integrator"] = {"dt": 0.01, "t_end": 1.0, "n_samples": 5}
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(raw))
+    with pytest.warns(UserWarning, match="accuracy may degrade") as caught:
+        code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "runtime error: StabilityError: non-finite step map at t=0.01\n"
 
 
 @pytest.mark.parametrize("model_file, message", [

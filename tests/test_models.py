@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from landauer_bounds import linalg, qstate, refsolve
+from landauer_bounds import linalg, models, qstate, refsolve
+from landauer_bounds.errors import DarkStateViolation
 from landauer_bounds.models import (
     ErasureParams,
     RydbergParams,
@@ -31,6 +32,19 @@ def test_rydberg_dark_state_identities():
 def test_rydberg_zero_couplings_zero_hamiltonian():
     model, _ = build_rydberg(RydbergParams(omega2=0.0, omega=0.0, gamma=0.01))
     assert np.all(model.hamiltonian_protocol(0.0) == 0)
+
+
+@pytest.mark.parametrize("omega", [1e5, 1e8, 1e300])
+def test_rydberg_dark_state_is_checked_relative_to_the_operator(monkeypatch, omega):
+    # the round-off of H @ bell grows with omega; an absolute 1e-12 refused 1e5
+    model, _ = build_rydberg(RydbergParams(omega=omega))
+    assert model.dim == 9
+    # one sign flipped in the omega term (|00><b| -> -|00><b|) makes |b> bright
+    dyad = models._dyad
+    monkeypatch.setattr(models, "_dyad",
+                        lambda i, j: -dyad(i, j) if (i, j) in {(0, 1), (0, 3)} else dyad(i, j))
+    with pytest.raises(DarkStateViolation, match="^H does not annihilate the Bell state$"):
+        build_rydberg(RydbergParams(omega=omega))
 
 
 def test_rydberg_rejects_negative_parameters():
@@ -78,6 +92,13 @@ def test_erasure_occupation_factor():
     n_b = float(np.linalg.norm(l_up) ** 2) / 1.0  # |L2|^2 = eps * N_B, eps = 1
     assert n_b == pytest.approx(1.0 / (math.e - 1.0), abs=1e-12)
     assert n_b == pytest.approx(0.58198, abs=5e-6)
+
+
+def test_erasure_occupation_factor_once_its_exponential_overflows():
+    # e^{beta eps} overflows past beta eps ~ 709: N_B = 0 and no RuntimeWarning
+    model = build_erasure(ErasureParams(bath_beta=1e300))
+    assert np.all(model.channels[1].operator_protocol(np.linspace(0.0, 10.0, 5)) == 0.0)
+    assert np.all(np.isfinite(model.channels[0].operator_protocol(0.0)))
 
 
 def test_erasure_jump_operators_connect_instantaneous_eigenstates():

@@ -169,6 +169,14 @@ def test_gibbs_infinite_temperature():
     assert log_z == pytest.approx(math.log(9), abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [1e308, -1e308])
+def test_gibbs_weights_at_a_beta_whose_exponents_overflow(beta):
+    # -beta (E - E_ext) overflows to -inf, a zero weight, with no RuntimeWarning
+    p, log_z = qstate.gibbs_weights(np.array([-0.5, 1.5]), beta)
+    assert p.tolist() == ([1.0, 0.0] if beta > 0 else [0.0, 1.0])
+    assert log_z == -beta * (-0.5 if beta > 0 else 1.5)
+
+
 def test_gibbs_two_level_closed_form():
     gibbs = qstate.gibbs_state(0.5 * SZ, 1.0)
     p_ground = np.exp(0.5) / (2 * np.cosh(0.5))

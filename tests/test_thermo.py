@@ -14,7 +14,7 @@ from random_cases import (
     random_state_of_rank,
 )
 
-from landauer_bounds import linalg, models, qstate, refsolve, thermo
+from landauer_bounds import cli, linalg, models, qstate, refsolve, thermo
 from landauer_bounds.errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
 from landauer_bounds.lindblad import (
     JumpChannel,
@@ -90,7 +90,7 @@ def test_coherence_split_is_exact(fig2_result):
 
 
 def test_undriven_bounds_rejects_driven_model(erasure, fig2_result):
-    res = fig2_result.beta_results[0]
+    res = fig2_result.config.beta_R0
     samples = thermo.evaluate_samples(fig2_result.trajectory, erasure)
     with pytest.raises(DrivenModelSupplied):
         thermo.undriven_bounds(fig2_result.trajectory, erasure, samples, res)
@@ -100,7 +100,8 @@ def test_driven_bounds_misaligned_series(erasure, fig2_result):
     traj = fig2_result.trajectory
     samples = thermo.evaluate_samples(traj, erasure)
     with pytest.raises(MisalignedSeries):
-        thermo.driven_bounds(traj, erasure, samples, fig2_result.beta_results[:-1])
+        thermo.driven_bounds(traj, erasure, samples,
+                             [fig2_result.config.beta_R0] * (len(traj.times) - 1))
 
 
 def test_bound_ordering_frozen_weak_coupling():
@@ -186,6 +187,33 @@ def test_negative_branch_flips_bound_direction():
     assert rows.gap == pytest.approx(rows.D_inst, abs=1e-9)
     assert np.all(rows.Q >= rows.Qu_tilde - 1e-8)  # flipped: lower bound on dissipated heat
     assert rows.Q[-1] > rows.Qu_tilde[-1] + 1e-4  # strict at late times
+
+
+@pytest.mark.parametrize("start, branch, sign", [
+    ({"kind": "gibbs", "beta": 1.0}, "non-negative", 1.0),
+    ({"kind": "maximally_mixed"}, "non-negative", 0.0),
+    ({"kind": "sorted_ascending_diagonal", "beta": 1.0}, "negative", -1.0),
+], ids=["positive", "zero", "negative"])
+def test_upper_bound_is_one_expression_at_every_sign_of_the_reference(tmp_path, start, branch,
+                                                                       sign):
+    # Q_u~ = dE_in~ + T_R(0) (C - dS) against the split formula it replaced,
+    # dE_in~ - T_R(0) dS + T_R(0) C for beta_R(0) != 0, within 1e-13 * max(1, |v|)
+    raw = cli.scenario_defaults("fig2")
+    raw.update(initial_state=start, beta_branch=branch)
+    raw["integrator"].update(t_end=2.0, n_samples=21)
+    rows = cli.run_pipeline(cli.build_config(raw, "qu", tmp_path, plots=False)).bounds
+    beta_r0, de_in = rows.beta_R_t[0], rows.dE_R_tilde[0]
+    assert np.sign(beta_r0) == sign
+    if beta_r0 == 0.0:  # 0 * inf = 0: +inf wherever the gap C - dS is open
+        split = de_in + np.where(rows.C_t - rows.dS > 0.0, math.inf, 0.0)
+    else:
+        split = de_in - (1.0 / beta_r0) * rows.dS + (1.0 / beta_r0) * rows.C_t
+    finite = np.isfinite(split)
+    assert finite.sum() == (1 if sign == 0.0 else len(split))
+    assert np.array_equal(rows.Qu_tilde[~finite], split[~finite])
+    qu, split = rows.Qu_tilde[finite], split[finite]
+    scaled = np.abs(qu - split) / np.maximum(1.0, np.abs(split))
+    assert np.all(scaled <= 1e-13)
 
 
 def test_driven_bounds_marks_saturated_and_failed_samples():

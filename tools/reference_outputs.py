@@ -7,7 +7,9 @@ one process per run, into OUT_DIR/<run>: the built-in scenarios fig1, fig2 and
 figS1, the benchmark workloads pump, erase and erase-sweep at seed 0, whose
 configs ``bench/scenarios.config_bytes`` writes, two-baths, a custom model file
 read through ``--config`` (README's qubit between two baths, run without
-``bath_T``), and fig1 from the three other initial-state kinds: fig1-inset (the
+``bath_T``), cold-qubit (a custom decaying qubit in its Gibbs state at beta = 720,
+whose reference lies beyond |beta_R| * spread = 700 and so flags every sample
+``saturated``), and fig1 from the three other initial-state kinds: fig1-inset (the
 population-inverted start of the paper's Fig. 1 inset), pump-pure (the pure state
 |01>) and pump-mixed (the maximally mixed state). Two trees made this way from
 two source trees are then compared with
@@ -15,7 +17,7 @@ two source trees are then compared with
     python tools/compare_outputs.py PARENT_OUT CHANGE_OUT
 
 Prints one line per run; exits 1 when a run exits with a code other than 0, 2
-on bad arguments and 0 otherwise. All ten runs take a few seconds.
+on bad arguments and 0 otherwise. All eleven runs take a few seconds.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
         "initial_state": {"kind": "gibbs", "beta": 2.0},
         "integrator": {"dt": 0.01, "t_end": 40.0, "n_samples": 41}}))
     out.append(("two-baths", ["--config", str(config)]))
+    model, config = config_dir / "cold-qubit-model.json", config_dir / "cold-qubit.json"
+    model.write_text(json.dumps({"dim": 2, "hamiltonian": {"re": [[0, 0], [0, 1]]}, "channels": [
+        {"rate": 0.1, "operator": {"re": [[0, 1], [0, 0]]}}]}))
+    config.write_text(json.dumps({
+        "model": "custom", "custom_model_file": str(model),
+        "initial_state": {"kind": "gibbs", "beta": 720.0},
+        "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 5}}))
+    out.append(("cold-qubit", ["--config", str(config)]))
     for name, start in FIG1_STARTS.items():
         config = config_dir / f"{name}.json"
         config.write_text(json.dumps({
