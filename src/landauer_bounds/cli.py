@@ -17,34 +17,36 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
+import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
-from . import linalg, models, numtext, plotting, qstate, refsolve, thermo
+from . import linalg, models, plotting, qstate, refsolve, thermo
 from .errors import (
     ConfigError,
     LandauerBoundsError,
     NonHermitianInput,
     UnnormalizedVector,
 )
-from .lindblad import (JumpChannel, LindbladModel, Trajectory, density_matrices, propagate,
-                       protocol_values, sample_blocks, sample_grid, upper_triangle)
-from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
+from .lindblad import JumpChannel, LindbladModel, Trajectory, join, protocol_values, sample_grid
+from .lindblad import propagation as propagate  # one run, a block of samples at a time
+from .outputs import (Block, Summary, bounds_rows, csv_header, staged, trajectory_header,
+                      trajectory_rows, write_meta_json)
+from .outputs import write_bounds_csv, write_trajectory_csv  # noqa: F401, a result's writers
+from .plotting import DRAWN_COLUMNS, DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
 from .refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VIOLATION = 2
 EXIT_CONFIG = 3
-
-VERDICT_TOL = 1e-6
 
 # The keys each JSON object may hold; ``_read`` refuses any other by name.
 CONFIG_KEYS = frozenset({"name", "model", "model_params", "initial_state", "integrator",
@@ -290,7 +292,8 @@ def _matrix_from_json(obj: Any, dim: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """Everything a single scenario run produced, before serialization."""
+    """Everything a single scenario run produced, before serialization: the whole
+    run's columns, joined from its blocks."""
 
     config: ScenarioConfig
     trajectory: Trajectory
@@ -336,173 +339,87 @@ def _build_initial_state(init: dict[str, Any], dim: int, h0: np.ndarray) -> np.n
         raise ConfigError(f"invalid initial_state of kind {kind!r}: {exc}") from exc
 
 
-def run_pipeline(config: ScenarioConfig) -> PipelineResult:
-    """Propagate, solve references, and evaluate bounds for one run built by
-    ``build_config``."""
+def _evaluate(config: ScenarioConfig, basis: tuple[np.ndarray, np.ndarray] | None,
+              origin: thermo.Origin | None, traj: Trajectory, states: np.ndarray) -> Block:
+    """One propagated block of samples, evaluated, solved and bounded from the run's
+    ``origin``, or as the block of sample 0 when there is none yet."""
     model = config.model
-    traj = propagate(model, config.rho0, config.t_end, config.dt, config.n_samples)
-
-    samples = thermo.evaluate_samples(traj, model)
+    samples = thermo.evaluate_samples(traj, model, states, basis)
     if model.driven:
         series = refsolve.solve_beta_series(samples.levels, samples.S, config.beta_branch)
-        bounds = thermo.driven_bounds(traj, model, samples, series, config.bath_T)
+        origin = origin or thermo.Origin.of(samples, series[0])
+        bounds = thermo.driven_bounds(traj, model, samples, series, config.bath_T, origin)
     else:
-        series = [config.beta_R0]
-        bounds = thermo.undriven_bounds(traj, model, samples, config.beta_R0, config.bath_T)
-
+        origin = origin or thermo.Origin.of(samples, config.beta_R0)
+        bounds = thermo.undriven_bounds(traj, model, samples, config.beta_R0, config.bath_T,
+                                        origin)
     nlp = None
     if config.bath_T is not None:
-        nlp = thermo.nlp_comparison(traj, model, samples, 1.0 / config.bath_T)
-
-    meta = _build_meta(config, traj, bounds, series[0], nlp)
-    return PipelineResult(config, traj, bounds, nlp, meta)
+        nlp = thermo.nlp_comparison(traj, model, samples, 1.0 / config.bath_T, origin)
+    return Block(traj, bounds, nlp, origin)
 
 
-def _verdicts(bounds: thermo.Bounds, nlp: thermo.NlpComparison | None,
-              flipped: bool) -> dict[str, dict[str, Any]]:
-    """Worst-case slack per inequality; holds when slack >= -1e-6. A partial
-    inequality is checked where its slack is not NaN; elsewhere NaN fails."""
-    verdicts: dict[str, dict[str, Any]] = {}
-
-    def add(name: str, slacks: np.ndarray, partial: bool = False) -> None:
-        if partial:
-            slacks = slacks[~np.isnan(slacks)]
-        if slacks.size:
-            worst = float(slacks[np.argmin(slacks)])
-            verdicts[name] = {"worst_slack": worst, "holds": worst >= -VERDICT_TOL}
-
-    add("gap_nonneg", bounds.gap, partial=True)
-    add("gap_identity", -np.abs(bounds.gap - bounds.D_inst), partial=True)
-    if flipped:
-        add("heat_lower_flipped", bounds.Q - bounds.upper, partial=True)
-    else:
-        add("heat_upper", bounds.upper - bounds.Q, partial=True)
-    add("lp_lower", bounds.Q - bounds.lp_lower, partial=True)
-    add("coherence_split", -np.abs(bounds.dS - (bounds.dS_diag - bounds.dCoh)))
-    if nlp is not None:
-        add("nlp_S23", nlp.slack_S23)
-        add("nlp_S25", nlp.slack_S25, partial=True)
-    return verdicts
+def _blocks(config: ScenarioConfig) -> Iterator[Block]:
+    """The run of ``config``, one ``lindblad.SAMPLE_BLOCK`` of samples at a time: a
+    block is propagated, evaluated, solved and bounded when it is read. Between
+    blocks only the propagation's carry, the run's origin (sample 0) and an
+    undriven model's one energy basis persist."""
+    model = config.model
+    run = propagate(model, config.rho0, config.t_end, config.dt, config.n_samples)
+    basis = None if model.driven else thermo.energy_basis(model, run.times)
+    blocks = iter(run)
+    first = _evaluate(config, basis, None, *next(blocks))
+    origin = first.origin
+    yield first
+    del first  # the next block is propagated without this one
+    # starmap holds no block between two reads, and neither does yield from
+    yield from itertools.starmap(functools.partial(_evaluate, config, basis, origin), blocks)
 
 
-def _build_meta(config: ScenarioConfig, traj: Trajectory, bounds: thermo.Bounds,
-                b0: refsolve.BetaSolveResult, nlp: thermo.NlpComparison | None) -> dict[str, Any]:
-    first = bounds.flags[0]
-    flipped, degenerate = "direction_flipped" in first, "degenerate_spectrum" in first
-
-    balance = float(np.max(np.abs((bounds.E_S - bounds.E_S[0]) - (traj.work - traj.heat))))
-
-    meta: dict[str, Any] = {
-        "scenario": config.name,
-        "config": {
-            "model": config.model_name,
-            "model_params": config.model_params,
-            "initial_state": config.initial_state,
-            "integrator": {"dt": config.dt, "t_end": config.t_end,
-                           "n_samples": config.n_samples},
-            "bath_T": config.bath_T,
-            "beta_branch": config.beta_branch,
-        },
-        "integrator": {
-            "dt_effective": traj.dt,
-            "n_steps": traj.n_steps,
-            "method": "fixed-step classical RK4 with in-stage heat/work accumulation",
-        },
-        "reference": {
-            "beta_R0": b0.beta_R,
-            "residual": b0.residual,
-            "saturated": "saturated" in first,
-            "branch": config.beta_branch,
-            "direction_flipped": flipped,
-        },
-        "diagnostics": {
-            "max_step_trace_drift": traj.max_step_trace_drift,
-            "cumulative_trace_drift": traj.cumulative_trace_drift,
-            "min_eigenvalue": float(np.min(traj.min_eigenvalues)),
-            "max_energy_balance_error": balance,
-            "saturated_samples": sum("saturated" in flags for flags in bounds.flags),
-            "failed_beta_solves": sum("beta_solve_failed" in flags for flags in bounds.flags),
-        },
-        "flags": {
-            "degenerate_hamiltonian_spectrum": degenerate,
-            "dephasing_note": (
-                "degenerate levels are dephased as spectral blocks; see qstate"
-                if degenerate else None
-            ),
-        },
-        "notes": {
-            "units": "hbar = k_B = 1; energies and rates share one frequency unit,"
-                     " times are its inverse",
-        },
-        "verdicts": _verdicts(bounds, nlp, flipped),
-    }
-    if config.bell is not None:
-        meta["bell_fidelity_end"] = qstate.fidelity_pure(
-            density_matrices(traj.full_coordinates(slice(-1, None))[0]), config.bell)
-    if config.model.driven:
-        beta_t = bounds.beta_R_t[~np.isnan(bounds.beta_R_t)]
-        meta["reference"]["beta_R_final"] = float(beta_t[-1]) if beta_t.size else None
-    return meta
+def run_pipeline(config: ScenarioConfig) -> PipelineResult:
+    """Propagate, solve references, and evaluate bounds for one run built by
+    ``build_config``, and join its blocks into whole-run columns."""
+    summary, blocks = Summary(config.n_samples), []
+    for block in _blocks(config):
+        summary.add(block)
+        blocks.append(block)
+    trajectories, tables, nlps, _ = zip(*blocks)
+    return PipelineResult(config, join(np.concatenate([t.times for t in trajectories]),
+                                       trajectories), thermo.join(tables),
+                          None if config.bath_T is None else thermo.join(nlps),
+                          summary.meta(config))
 
 
-def write_bounds_csv(result: PipelineResult, path: Path) -> None:
-    """One row per sample, written a block of samples at a time by ``numtext.csv_rows``.
-    NaN is an empty cell in ``thermo.OPTIONAL_COLUMNS`` and ``nan`` elsewhere."""
-    table = result.bounds
-    columns = UNDRIVEN_COLUMNS if result.config.kind == "undriven" else DRIVEN_COLUMNS
-    blank = [c in thermo.OPTIONAL_COLUMNS for c in columns[:-1]]
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\r\n").encode())
-        for b in sample_blocks(len(table)):
-            block = np.column_stack([table[c][b] for c in columns[:-1]])
-            flags = np.array([";".join(f) for f in table.flags[b]], dtype=bytes)
-            fh.write(numtext.csv_rows(block, blank, flags))
+def _write_csv(config: ScenarioConfig, drawn: dict[str, np.ndarray]) -> dict[str, Any]:
+    """Write trajectory.csv and bounds.csv of ``config`` a block at a time, each
+    block before the next is propagated, and fill the ``drawn`` columns; return
+    the run's meta."""
+    columns = UNDRIVEN_COLUMNS if config.kind == "undriven" else DRIVEN_COLUMNS
+    summary = Summary(config.n_samples)
+    with staged(config.out_dir, "trajectory.csv", "bounds.csv") as (trajectory_csv, bounds_csv):
+        trajectory_csv.write(trajectory_header(config.model.dim))
+        bounds_csv.write(csv_header(columns))
+        for block in _blocks(config):
+            rows = summary.add(block)
+            trajectory_csv.write(trajectory_rows(block.trajectory))
+            bounds_csv.write(bounds_rows(block.bounds, columns))
+            for name, column in drawn.items():
+                column[rows] = block.bounds[name]
+            del block  # the next block is propagated without this one
+    return summary.meta(config)
 
 
-def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
-    """One row per sample, written a block of samples at a time by ``numtext.csv_rows``;
-    the rho columns are ``lindblad.upper_triangle`` of the full-width coordinates, the
-    bytes of ``density_matrices`` without its complex stacks (+0.2 MiB on pump's peak)."""
-    traj = result.trajectory
-    d = traj.spectra.shape[-1]
-    upper, strict = np.triu_indices(d), np.triu_indices(d, 1)
-    header = ["t", "Q", "W", "min_eig"]
-    header += [f"rho_{i}_{j}_re" for i, j in zip(*upper)]
-    header += [f"rho_{i}_{j}_im" for i, j in zip(*strict)]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for b in sample_blocks(len(traj.times)):
-            fh.write(numtext.csv_rows(np.column_stack([
-                traj.times[b], traj.heat[b], traj.work[b], traj.min_eigenvalues[b],
-                upper_triangle(traj.full_coordinates(b))])))
-
-
-def _json_safe(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def write_meta_json(meta: dict[str, Any], path: Path) -> None:
-    path.write_text(json.dumps(_json_safe(meta), indent=2, sort_keys=True) + "\n")
-
-
-def write_outputs(result: PipelineResult) -> Path:
-    out = result.config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(result, out / "trajectory.csv")
-    write_bounds_csv(result, out / "bounds.csv")
-    write_meta_json(result.meta, out / "meta.json")
-    if result.config.plots:
-        plotting.emit_plots(result.config.kind, result.bounds,
-                            result.meta["reference"]["beta_R0"], out)
-    return out
+def write_outputs(config: ScenarioConfig) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Run ``config`` into its out_dir: trajectory.csv and bounds.csv block by
+    block, then meta.json and, with plots, bounds.svg. Returns the meta and the
+    bound columns the chart draws (none without plots), the only per-sample
+    columns a run keeps."""
+    drawn = {c: np.empty(config.n_samples) for c in DRAWN_COLUMNS[config.kind] if config.plots}
+    meta = _write_csv(config, drawn)
+    write_meta_json(meta, config.out_dir / "meta.json")
+    if config.plots:
+        plotting.emit_plots(config.kind, drawn, meta["reference"]["beta_R0"], config.out_dir)
+    return meta, drawn
 
 
 def _exit_code(meta: dict[str, Any]) -> int:
@@ -513,17 +430,14 @@ def _exit_code(meta: dict[str, Any]) -> int:
 def run_scenario(config: ScenarioConfig | Sweep) -> int:
     """Execute one run, or each run of a sweep, and write all outputs."""
     if isinstance(config, ScenarioConfig):
-        result = run_pipeline(config)
-        write_outputs(result)
-        return _exit_code(result.meta)
+        return _exit_code(write_outputs(config)[0])
 
     entries = []  # per finished entry: its meta and the bound columns the sweep chart draws
     for name, run in config.runs:
-        result = run_pipeline(run)
-        write_outputs(result)
-        entries.append((name, {c: np.array(result.bounds[c]) for c in plotting.SWEEP_COLUMNS},
-                        result.meta))
-        del result  # the next entry runs without this one's trajectory and solves
+        meta, drawn = write_outputs(run)
+        entries.append((name, {c: drawn[c] for c in plotting.SWEEP_COLUMNS if c in drawn},
+                        meta))
+        del drawn  # the next entry runs without this one's other drawn columns
 
     summary = {
         "scenario": config.name,

@@ -22,11 +22,13 @@ three reused buffers; heat and work share the stage weights of the state, which
 keeps dE_S = W - Q at integrator accuracy. Driven models build the maps one
 block at a time, as many steps as fit in STEP_BLOCK_BYTES, and multiply those
 between two samples pairwise into one segment product; undriven models use
-powers of their one map. The sample loop only applies them and stores each
-sample; the trace normalization, its record and the state-norm check are done
-on the arrays after it, as are the trace-row defect |1^T S - 1^T| of every step
-map and the positivity of the states, whose spectra are kept for the entropies
-downstream.
+powers of their one map.
+
+A run is propagated one SAMPLE_BLOCK of samples at a time (``Propagation``):
+the sample loop only applies the segments; the trace normalization, its record
+and the state-norm check then run on the block's arrays, and after them the
+positivity of its states, whose spectra are kept for the entropies downstream.
+The trace-row defect |1^T S - 1^T| of every step map is checked as it is built.
 
 An undriven run keeps only the coordinates its start can reach: the closure of
 the start's nonzero coordinates under the nonzero pattern of the generator
@@ -41,10 +43,12 @@ time.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -69,11 +73,11 @@ _COARSE_STEP = 0.1
 STEP_BLOCK_BYTES = 147_456
 
 
-# A run keeps its sampled states only as real coordinates. Complex stacks of
-# density matrices (states, energy bases and their rotations), the positivity
-# check of the propagated states and the text of the CSV outputs are formed
-# this many samples at a time: enough to batch the work, few enough that the
-# stacks of a long run never sit in memory at once.
+# A run is propagated, evaluated and written this many samples at a time: the
+# sampled states, their complex stacks (states, energy bases and their
+# rotations), their bound rows and the text of the CSV outputs. Enough to batch
+# the work, few enough that no per-sample array of a long run sits in memory at
+# once.
 SAMPLE_BLOCK = 256
 
 
@@ -136,7 +140,8 @@ class LindbladModel:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled propagation output with accumulated heat/work and diagnostics.
+    """Sampled propagation output with accumulated heat/work and diagnostics, of a
+    whole run or of one block of its samples.
 
     ``coordinates`` is the (m, r) float array of the sampled states in the
     real coordinates of ``hermitian_coordinates``, each of unit trace, at the
@@ -148,12 +153,12 @@ class Trajectory:
     eigenvalues, computed once for the positivity check and reused for every
     entropy of the states; ``min_eigenvalues`` is its first column.
     ``max_step_trace_drift`` is, for driven and undriven models alike, the
-    largest trace-row defect |1^T S - 1^T| over the step maps S: the most one
-    step can change Tr rho of a state of unit Frobenius norm.
-    ``cumulative_trace_drift`` is the sum over samples i of |T_i / T_{i-1} - 1|,
-    with T_i the trace of the state propagated without renormalization and
+    largest trace-row defect |1^T S - 1^T| over the step maps S built up to
+    the last sample: the most one step can change Tr rho of a state of unit
+    Frobenius norm. ``trace_drifts`` holds |T_i / T_{i-1} - 1| at each sample
+    i, with T_i the trace of the state propagated without renormalization and
     T_{-1} = 1: the |Tr rho - 1| that renormalizing at every sample would
-    remove there.
+    remove there. ``n_steps`` counts the steps of the whole run.
     """
 
     times: np.ndarray
@@ -162,8 +167,8 @@ class Trajectory:
     heat: np.ndarray
     work: np.ndarray
     spectra: np.ndarray
+    trace_drifts: np.ndarray
     max_step_trace_drift: float
-    cumulative_trace_drift: float
     dt: float
     n_steps: int
 
@@ -171,12 +176,38 @@ class Trajectory:
     def min_eigenvalues(self) -> np.ndarray:
         return self.spectra[:, 0]
 
+    @property
+    def cumulative_trace_drift(self) -> float:
+        """The sum of ``trace_drifts``."""
+        return float(np.sum(self.trace_drifts))
+
     def full_coordinates(self, block: slice) -> np.ndarray:
         """The (k, d^2) coordinates of the samples in ``block``, zero outside ``support``."""
         rows = self.coordinates[block]
         full = np.zeros((len(rows), self.spectra.shape[-1] ** 2))
         full[:, self.support] = rows
         return full
+
+
+# The fields of a Trajectory with one row per sample.
+_PER_SAMPLE = ("coordinates", "heat", "work", "spectra", "trace_drifts")
+
+
+def join(times: np.ndarray, blocks: Iterable[Trajectory]) -> Trajectory:
+    """The trajectory of consecutive blocks that cover the sample ``times``: each
+    block's per-sample arrays are copied into those of the run as the block
+    arrives, and the run keeps the last block's ``max_step_trace_drift``."""
+    arrays: dict[str, np.ndarray] = {}
+    start = 0
+    for block in blocks:
+        stop = start + len(block.times)
+        for name in _PER_SAMPLE:
+            part = getattr(block, name)
+            if name not in arrays:
+                arrays[name] = np.empty((len(times), *part.shape[1:]))
+            arrays[name][start:stop] = part
+        start = stop
+    return replace(block, times=times, **arrays)
 
 
 def protocol_values(protocol: Callable[..., np.ndarray], times: np.ndarray,
@@ -289,9 +320,10 @@ def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -
                                                     "jump operator"), 0, -1) for ch in channels])
         conj = ops.conj()
         weighted = np.array([ch.rate for ch in channels])[:, None, None, None] * ops
+        del ops  # each of these arrays is freed as soon as it is read, a block's peak
         minus_i_k -= 0.5 * np.einsum("ukit,ukjt->ijt", conj, weighted)
         np.einsum("uact,ubet->abcet", weighted, conj, out=liou)
-        del ops, conj, weighted  # freed, with K below, before the similarity, a block's peak
+        del conj, weighted  # freed, with K below, before the similarity
     plus_i_conj_k = minus_i_k.conj()
     for j in range(d):
         liou[:, j, :, j] += minus_i_k
@@ -300,8 +332,11 @@ def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -
 
     w0, c0, p0, w1, c1, p1 = _coordinates(d)[2:]
     parts = liou.reshape(n * n, m).view(np.float64).reshape(n * n, m, 2)
-    real = w0 * parts[c0, :, p0]
-    real += w1 * parts[c1, :, p1]
+    real = parts[c0, :, p0]
+    real *= w0
+    term = parts[c1, :, p1]
+    term *= w1
+    real += term
     return real
 
 
@@ -359,11 +394,15 @@ def _rk4_step_maps(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
     return _add_identity(total)
 
 
-def _warn_if_coarse(gen: np.ndarray, n: int, dt: float) -> bool:
-    """Warn when dt times the largest Frobenius norm of a Liouvillian in ``gen``
-    (a bound on its spectral radius) reaches 0.1; return whether it warned."""
+def _generator_scale(gen: np.ndarray, n: int, dt: float) -> float:
+    """dt times the largest Frobenius norm of a Liouvillian in ``gen``, a bound on
+    its spectral radius."""
     liou = gen[:, :n, :n]
-    scale = dt * float(np.sqrt(np.max(np.einsum("tij,tij->t", liou, liou))))
+    return dt * float(np.sqrt(np.max(np.einsum("tij,tij->t", liou, liou))))
+
+
+def _warn_if_coarse(scale: float) -> bool:
+    """Warn when the generator scale reaches 0.1; return whether it warned."""
     if scale < _COARSE_STEP:
         return False
     warnings.warn(f"dt * generator scale = {scale:.3g} >= {_COARSE_STEP}; "
@@ -388,17 +427,25 @@ def _trace_row_defects(maps: np.ndarray, dim: int, first: int, dt: float) -> flo
 
 def _driven_maps(model: LindbladModel, dt: float,
                  sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield, block by block, the products of the step maps between consecutive
-    samples that end in the block, with the largest trace-row defect of the maps
-    built so far."""
+    """Yield the product of the step maps between each two consecutive samples,
+    with the largest trace-row defect of the maps built so far; the maps are
+    built one block of steps at a time."""
     n, k, block = model.dim ** 2, model.dim ** 2 + 2, steps_per_block(model.dim)
     n_steps, max_defect, warned, carry = int(sample_idx[-1]), 0.0, False, np.eye(k)
     for first in range(0, n_steps, block):
         count = min(block, n_steps - first)
-        gen = augmented_generators(model, (first + 0.5 * np.arange(2 * count + 1)) * dt)
-        warned = warned or _warn_if_coarse(gen, n, dt)
-        maps = _rk4_step_maps(gen[:-1:2], gen[1::2], gen[2::2], dt)
-        del gen  # freed before the next block's generators are built
+        # The generators and RK4 stages, about five times the maps' bytes, are formed
+        # for half a block at a time; each step's map is the same either way.
+        half, scale, halves = -(-count // 2), 0.0, []
+        for start in range(first, first + count, half):
+            steps = min(half, first + count - start)
+            gen = augmented_generators(model, (start + 0.5 * np.arange(2 * steps + 1)) * dt)
+            scale = max(scale, _generator_scale(gen, n, dt))
+            halves.append(_rk4_step_maps(gen[:-1:2], gen[1::2], gen[2::2], dt))
+            del gen  # freed before the next half's generators are built
+        warned = warned or _warn_if_coarse(scale)
+        maps = np.concatenate(halves)
+        del halves
         max_defect = max(max_defect, _trace_row_defects(maps, model.dim, first, dt))
         # Segments end at the block's samples and last step; each is padded with
         # identity maps (index ``count``) to 2^j maps and multiplied pairwise.
@@ -408,12 +455,14 @@ def _driven_maps(model: LindbladModel, dt: float,
         idx = starts[:, None] + np.arange(1 << int(np.max(bounds - starts) - 1).bit_length())
         idx[idx >= bounds[:, None]] = count
         products = np.concatenate([maps, np.eye(k)[None]])[idx]
+        del maps, idx  # the consumer of the products runs without them
         while products.shape[1] > 1:
             products = products[:, 1::2] @ products[:, ::2]
         products = products[:, 0]
         products[0] = products[0] @ carry
-        yield products[:len(ends)], max_defect
         carry = products[-1] if len(bounds) > len(ends) else np.eye(k)
+        for product in products[:len(ends)]:
+            yield product, max_defect
 
 
 def _reachable(liou: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -428,21 +477,23 @@ def _reachable(liou: np.ndarray, x0: np.ndarray) -> np.ndarray:
 
 
 def _undriven_maps(gen: np.ndarray, dim: int, dt: float, keep: np.ndarray,
-                   sample_idx: np.ndarray) -> Iterator[tuple[list[np.ndarray], float]]:
-    """The power of the one step map of the generator ``gen`` spanning each sample
-    gap, restricted to the rows and columns ``keep``, as one block, with its
-    trace-row defect; the checks read the full map."""
+                   sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
+    """Yield the power of the one step map of the generator ``gen`` spanning each
+    sample gap, restricted to the rows and columns ``keep``, with its trace-row
+    defect; the checks read the full map."""
     n = dim * dim
-    _warn_if_coarse(gen, n, dt)
+    _warn_if_coarse(_generator_scale(gen, n, dt))
     step_map = _rk4_step_maps(gen, gen, gen, dt)
     defect = _trace_row_defects(step_map, dim, 0, dt)
     radius = float(np.max(np.abs(np.linalg.eigvals(step_map[0, :n, :n]))))
     if radius > _SPECTRAL_RADIUS_LIMIT:
         raise StabilityError(f"step map spectral radius {radius:.6g} > 1 at dt={dt!r}")
     sector = step_map[0][np.ix_(keep, keep)]
-    gaps = np.diff(sample_idx).tolist()
-    powers = {gap: np.linalg.matrix_power(sector, gap) for gap in set(gaps)}
-    yield [powers[gap] for gap in gaps], defect
+    del gen, step_map  # the run holds only the powers of the sector
+    powers = {gap: np.linalg.matrix_power(sector, gap)
+              for gap in set(np.diff(sample_idx).tolist())}
+    for start, end in itertools.pairwise(sample_idx):
+        yield powers[end - start], defect
 
 
 def sample_grid(t_end: float, dt: float, n_samples: int) -> tuple[np.ndarray, float]:
@@ -464,6 +515,107 @@ def sample_grid(t_end: float, dt: float, n_samples: int) -> tuple[np.ndarray, fl
     return sample_idx, t_end / n_steps
 
 
+@dataclass(eq=False)
+class Propagation:
+    """A run over the sample grid ``times``, propagated one ``sample_blocks`` block
+    at a time as it is iterated, once: each item is the block's ``Trajectory`` and
+    the (k, d, d) complex stack of its states, yielded when the block has passed
+    its norm and positivity checks, before the next block is propagated.
+
+    The loop only multiplies: y_i = segment @ y_{i-1}, stored unnormalized. The
+    state at sample i is then y_i / T_i with T_i = Tr y_i, its Frobenius norm
+    before the renormalization at that sample is |y_i| / T_{i-1}, and its Q and
+    W increments are those of y divided by T_{i-1} (T_{-1} = 1), which is the
+    per-sample renormalization in exact arithmetic. A block hands the next only
+    the carry: ``last``, the last sample's unnormalized [x, Q, W], its ``trace``
+    and the ``running`` Q and W, prepended to the next block's cumulative sum so
+    that the blocks add in the order of one sum over the run.
+    """
+
+    dim: int
+    times: np.ndarray
+    support: np.ndarray
+    dt: float
+    n_steps: int
+    maps: Iterator[tuple[np.ndarray, float]]  # each gap's segment, the largest defect so far
+    last: np.ndarray
+    trace: float = 1.0
+    running: np.ndarray = field(default_factory=lambda: np.array([-0.0, -0.0]))  # -0.0 adds exactly
+    max_defect: float = 0.0
+
+    def __iter__(self) -> Iterator[tuple[Trajectory, np.ndarray]]:
+        # map holds no block between two reads, so the next is propagated without it
+        return map(self._block, sample_blocks(len(self.times)))
+
+    def _block(self, b: slice) -> tuple[Trajectory, np.ndarray]:
+        d, r, times = self.dim, len(self.support), self.times[b]
+        y = np.empty((len(times), r + 2))
+        # Floating-point errors are silent here: ``_trace_row_defects`` refuses a
+        # non-finite step map before any eigvals, and the norm check below a state
+        # that overflows.
+        with np.errstate(all="ignore"):
+            y[0] = previous = self.last  # sample 0 is the initial state; later blocks overwrite it
+            for row, (segment, self.max_defect) in zip(y[0 if b.start else 1:], self.maps):
+                previous = np.matmul(segment, previous, out=row)
+            coords = y[:, :r]
+            traces = coords[:, self.support % (d + 1) == 0].sum(axis=1)  # T_i, from the diagonal
+            before = np.concatenate([[self.trace], traces[:-1]])  # T_{i-1}
+            # A unit-trace positive state has Frobenius norm <= 1; large growth means
+            # the step size is unstable even when the trace happens to be preserved.
+            frob = np.sqrt(np.einsum("ij,ij->i", coords, coords)) / before
+            bad = np.flatnonzero(~(frob <= 10.0))
+            if bad.size:
+                raise StabilityError(f"state norm {frob[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
+            increments = np.diff(y[:, r:], axis=0, prepend=self.last[None, r:]).T / before
+            heat, work = np.cumsum(np.column_stack([self.running, increments]), axis=1)[:, 1:]
+            self.last, self.trace = y[-1].copy(), traces[-1]
+            self.running = np.array([heat[-1], work[-1]])
+            drifts = np.abs(traces / before - 1.0)
+            coords /= traces[:, None]
+
+        spectra = np.empty((len(y), d))
+        traj = Trajectory(times=times, coordinates=coords, support=self.support, heat=heat,
+                          work=work, spectra=spectra, trace_drifts=drifts,
+                          max_step_trace_drift=self.max_defect, dt=self.dt, n_steps=self.n_steps)
+        states = density_matrices(traj.full_coordinates(slice(None)))
+        spectra[:] = np.linalg.eigvalsh(states)
+        bad = np.flatnonzero(spectra[:, 0] < -qstate.POSITIVITY_ATOL)
+        if bad.size:
+            raise PositivityError(f"min eigenvalue {spectra[bad[0], 0]:.3e}"
+                                  f" at t={times[bad[0]].item()!r}")
+        return traj, states
+
+
+def propagation(
+    model: LindbladModel,
+    rho0: np.ndarray,
+    t_end: float,
+    dt: float,
+    n_samples: int,
+) -> Propagation:
+    """The run of ``propagate``, one block of samples at a time (``Propagation``).
+
+    The arguments are checked here, as ``propagate`` documents; a step-map, norm
+    or positivity error is raised while the failing sample's block is propagated.
+    """
+    sample_idx, dt_eff = sample_grid(t_end, dt, n_samples)
+    d, n = model.dim, model.dim ** 2
+    rho0 = linalg.as_operator(rho0)
+    if rho0.shape != (d, d):
+        raise DimensionMismatch(f"initial state shape {rho0.shape} != dim {d}")
+    qstate.require_state(rho0)
+    x0 = hermitian_coordinates(rho0)
+    with np.errstate(all="ignore"):  # see Propagation._block
+        if model.driven:  # its generator's pattern may change with time
+            support, maps = np.arange(n), _driven_maps(model, dt_eff, sample_idx)
+        else:
+            gen = augmented_generators(model, np.zeros(1))
+            support = _reachable(gen[0, :n, :n], x0)
+            maps = _undriven_maps(gen, d, dt_eff, np.append(support, [n, n + 1]), sample_idx)
+    return Propagation(d, sample_idx * dt_eff, support, dt_eff, int(sample_idx[-1]), maps,
+                       np.append(x0[support], [0.0, 0.0]))
+
+
 def propagate(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -480,69 +632,14 @@ def propagate(
     Raises ``StabilityError`` when a step map changes the trace of a unit-norm
     state by more than 1e-6, an undriven step map has spectral radius above
     1 + 1e-9 or a sampled state has Frobenius norm above 10, and
-    ``PositivityError`` at the first sample whose spectrum dips below -``qstate.POSITIVITY_ATOL``.
+    ``PositivityError`` at the first sample whose spectrum dips below
+    -``qstate.POSITIVITY_ATOL``. Both checks run on a block of samples at a time
+    (see ``Propagation``), the norm check first; an unstable run overflows
+    quietly until its block is checked.
 
     An undriven run propagates only the coordinates its start can reach (see the
     module docstring), which the trajectory's ``support`` names; a driven run
-    propagates all d^2.
-
-    The sample loop only multiplies: y_i = segment @ y_{i-1}, stored unnormalized. The
-    state at sample i is then y_i / T_i with T_i = Tr y_i, its Frobenius norm
-    before the renormalization at that sample is |y_i| / T_{i-1}, and its Q and
-    W increments are those of y divided by T_{i-1} (T_{-1} = 1), which is the
-    per-sample renormalization in exact arithmetic. The norm check therefore
-    runs after the last step map is built, and names the first sample above
-    10; an unstable run overflows quietly until then.
+    propagates all d^2. The trajectory is the ``join`` of the run's blocks.
     """
-    sample_idx, dt_eff = sample_grid(t_end, dt, n_samples)
-    d, n = model.dim, model.dim ** 2
-    rho0 = linalg.as_operator(rho0)
-    if rho0.shape != (d, d):
-        raise DimensionMismatch(f"initial state shape {rho0.shape} != dim {d}")
-    qstate.require_state(rho0)
-    times = sample_idx * dt_eff
-    x0 = hermitian_coordinates(rho0)
-    # Floating-point errors are silent here: ``_trace_row_defects`` refuses a non-finite
-    # step map before any eigvals, and the norm check below a state that overflows.
-    with np.errstate(all="ignore"):
-        if model.driven:  # its generator's pattern may change with time
-            support, maps = np.arange(n), _driven_maps(model, dt_eff, sample_idx)
-        else:
-            gen = augmented_generators(model, np.zeros(1))
-            support = _reachable(gen[0, :n, :n], x0)
-            maps = _undriven_maps(gen, d, dt_eff, np.append(support, [n, n + 1]), sample_idx)
-        r = len(support)
-        # Row i holds sample i's [x, Q, W], unnormalized, x at the support: the loop
-        # writes each sample straight into its row, and the trace is divided out afterwards.
-        y = np.empty((n_samples, r + 2))
-        y[0, :r], y[0, r:] = x0[support], 0.0  # sample 0 is the initial state
-        i = 1
-        for segments, max_defect in maps:
-            for segment in segments:
-                np.matmul(segment, y[i - 1], out=y[i])
-                i += 1
-
-        coords, qw = y[:, :r], y[:, r:]
-        traces = coords[:, support % (d + 1) == 0].sum(axis=1)  # T_i, from the diagonal
-        before = np.concatenate([[1.0], traces[:-1]])  # T_{i-1}
-        # A unit-trace positive state has Frobenius norm <= 1; large growth means
-        # the step size is unstable even when the trace happens to be preserved.
-        frob = np.sqrt(np.einsum("ij,ij->i", coords, coords)) / before
-        bad = np.flatnonzero(~(frob <= 10.0))
-        if bad.size:
-            raise StabilityError(f"state norm {frob[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
-        cumulative = float(np.sum(np.abs(traces / before - 1.0)))
-        coords /= traces[:, None]
-        heat, work = np.cumsum(np.diff(qw, axis=0, prepend=0.0).T / before, axis=1)
-
-    spectra = np.empty((n_samples, d))
-    traj = Trajectory(times=times, coordinates=coords, support=support, heat=heat, work=work,
-                      spectra=spectra, max_step_trace_drift=max_defect,
-                      cumulative_trace_drift=cumulative, dt=dt_eff, n_steps=int(sample_idx[-1]))
-    for b in sample_blocks(n_samples):
-        spectra[b] = np.linalg.eigvalsh(density_matrices(traj.full_coordinates(b)))
-    mins = spectra[:, 0]
-    bad = np.flatnonzero(mins < -qstate.POSITIVITY_ATOL)
-    if bad.size:
-        raise PositivityError(f"min eigenvalue {mins[bad[0]]:.3e} at t={times[bad[0]].item()!r}")
-    return traj
+    run = propagation(model, rho0, t_end, dt, n_samples)
+    return join(run.times, map(operator.itemgetter(0), run))  # no block is held past its copy

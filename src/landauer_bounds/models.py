@@ -67,6 +67,15 @@ class ErasureParams:
     def __post_init__(self) -> None:
         _require_finite(self, ("eps0", "eps_tau", "tau", "bath_beta"), positive=True)
         _require_finite(self, ("gamma",), positive=False)
+        # eps N_B falls as eps grows and eps (N_B + 1) is at most that plus eps, so
+        # the ramp's end points bound both couplings.
+        with np.errstate(over="ignore", divide="ignore"):
+            eps = np.array([self.eps0, self.eps_tau])
+            coupling = eps * (1.0 / np.expm1(self.bath_beta * eps) + 1.0)
+        if not np.all(np.isfinite(coupling)):
+            raise ValueError(f"bath_beta {self.bath_beta!r} with eps0 {self.eps0!r} and eps_tau"
+                             f" {self.eps_tau!r} makes the bath coupling eps (N_B + 1),"
+                             " N_B = 1/(e^(bath_beta eps) - 1), overflow")
 
 
 def _dyad(i: int, j: int) -> np.ndarray:

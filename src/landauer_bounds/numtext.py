@@ -299,5 +299,7 @@ def csv_rows(block: np.ndarray, blank: np.ndarray | None = None,
 
 def points(xy: np.ndarray) -> str:
     """'x,y x,y ...' of the rows of an (n, 2) float64 array, each number as
-    ``'%.2f' %`` spells it."""
-    return _text(_cells(xy, "%.2f", [" ", ","])).decode("ascii") if len(xy) else ""
+    ``'%.2f' %`` spells it, spelled _CHUNK numbers at a time."""
+    rows = _CHUNK // 2
+    return b" ".join(_text(_cells(xy[i:i + rows], "%.2f", [" ", ","]))
+                     for i in range(0, len(xy), rows)).decode("ascii")

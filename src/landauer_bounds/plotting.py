@@ -73,9 +73,12 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 
 def _finite_range(arrays: list[np.ndarray]) -> tuple[float, float]:
     """Smallest and largest finite value over the arrays, or (0, 1) if none."""
-    values = np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
-    values = values[np.isfinite(values)]
-    return (float(values.min()), float(values.max())) if values.size else (0.0, 1.0)
+    lo, hi = math.inf, -math.inf
+    for a in arrays:  # one array's finite values at a time
+        values = a[np.isfinite(a)]
+        if values.size:
+            lo, hi = min(lo, float(values.min())), max(hi, float(values.max()))
+    return (lo, hi) if lo <= hi else (0.0, 1.0)
 
 
 def _panel_svg(panel: Panel, x0: int, y0: int, width: int, height: int) -> list[str]:
@@ -144,8 +147,8 @@ def render(panels: list[Panel]) -> str:
     ]
     for i, panel in enumerate(panels):
         parts.extend(_panel_svg(panel, 0, i * panel_height, width, panel_height))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]  # the empty part ends the text with a newline
+    return "\n".join(parts)
 
 
 def read_bounds_csv(path: Path) -> tuple[str, dict[str, Any]]:
@@ -199,6 +202,11 @@ def fig2_style_panels(cols: Any, t_r0: float) -> list[Panel]:
     ]
 
 
+# The bound columns that each kind's bounds.svg draws (see emit_plots).
+DRAWN_COLUMNS = {"undriven": ("t", "Q", "Q_u", "Coh", "S_diag"),
+                 "driven": ("t", "Q", "upper", "lp_lower", "Coh", "beta_R_t", "W", "Qu_tilde")}
+
+
 def _drawn_temperature(beta_r0: float) -> float:
     """T_R(0) = 1/beta_R(0) as drawn: 1 when beta_R(0) is zero or not finite."""
     return 1.0 / beta_r0 if math.isfinite(beta_r0) and beta_r0 != 0.0 else 1.0
@@ -223,9 +231,10 @@ def emit_plots(kind: str, cols: Any, beta_r0: float, out_dir: str | Path) -> Non
     """Render bounds.svg for one run's bound columns into ``out_dir``.
 
     ``kind`` is "undriven" or "driven"; ``cols[name]`` is the bounds.csv
-    column ``name`` as an array, NaN where undefined: a ``thermo`` table or
-    what ``read_bounds_csv`` returns. A beta_R(0) that is zero or not finite
-    is drawn with T_R = 1.
+    column ``name`` as an array, NaN where undefined, for each name in the
+    kind's ``DRAWN_COLUMNS``: a ``thermo`` table, the columns that
+    ``cli.write_outputs`` keeps, or what ``read_bounds_csv`` returns. A
+    beta_R(0) that is zero or not finite is drawn with T_R = 1.
     """
     panels = (fig1_style_panels if kind == "undriven" else fig2_style_panels)(
         cols, _drawn_temperature(beta_r0))

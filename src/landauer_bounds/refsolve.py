@@ -47,14 +47,13 @@ class BetaSolveResult(NamedTuple):
 
 
 def _entropy_from_levels(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Gibbs entropy of each level row (..., d) at its beta (...).
+    """Gibbs entropy of each column of levels (d, m), levels first in C order so
+    that each sum over levels adds whole rows, at its beta (m,).
 
     Computed as ln z - sum p x on the shifted exponents x = -beta (E - E_ext),
     never as ln Z + beta <E>, which cancels catastrophically near the cap.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    # Levels first, in C order, so that each sum over levels adds whole rows.
-    levels = np.moveaxis(levels, -1, 0).copy()
     x = -beta * (levels - np.where(beta >= 0.0, levels[0], levels[-1]))
     weights = np.exp(x)
     z = weights.sum(axis=0)
@@ -86,6 +85,7 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
         sign, search = -1.0, -levels[:, ::-1]
     else:
         raise ValueError(f"unknown branch {branch!r}")
+    search = search.T.copy()  # levels first, once: the rows are columns below
     m = len(targets)
     cap = _CAP_FACTOR / (levels[:, -1] - levels[:, 0])
     # f = S - target on the bracket edges: f_lo >= 0 > f_hi once bracketed
@@ -96,7 +96,7 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
 
     live = np.flatnonzero(~at_zero)
     while live.size:
-        f = _entropy_from_levels(search[live], hi[live]) - targets[live]
+        f = _entropy_from_levels(search[:, live], hi[live]) - targets[live]
         above = f >= 0.0
         f_hi[live[~above]] = f[~above]
         live, f = live[above], f[above]
@@ -115,14 +115,15 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
     # rounding still closes.
     rows = np.flatnonzero(~at_zero & ~saturated)
     a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
-    lev, tgt, last = search[rows], targets[rows], np.zeros(rows.size)
+    lev, tgt, last = search[:, rows], targets[rows], np.zeros(rows.size)
     for _ in range(_MAX_STEPS):
         width = 1e-13 * (1.0 + np.abs(b))
         live = b - a > width
         if not live.all():
             lo[rows[~live]], hi[rows[~live]] = a[~live], b[~live]
-            rows, a, b, fa, fb, lev, tgt, last, width = (
-                v[live] for v in (rows, a, b, fa, fb, lev, tgt, last, width))
+            rows, a, b, fa, fb, tgt, last, width = (
+                v[live] for v in (rows, a, b, fa, fb, tgt, last, width))
+            lev = lev[:, live]
         if not rows.size:
             break
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -139,7 +140,7 @@ def _solve_rows(levels: np.ndarray, targets: np.ndarray,
     lo[rows], hi[rows] = a, b
 
     beta = np.where(at_zero, 0.0, sign * np.where(saturated, cap, 0.5 * (lo + hi)))
-    return beta, np.abs(_entropy_from_levels(levels, beta) - targets), saturated
+    return beta, np.abs(_entropy_from_levels(levels.T.copy(), beta) - targets), saturated
 
 
 def solve_beta(levels: np.ndarray, s_target: float,

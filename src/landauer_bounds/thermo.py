@@ -18,29 +18,31 @@ is the gap, Q_u~ is +inf (vacuous) wherever the gap is open.
 The entropy change dS is always recomputed from sampled states, never
 accumulated, so integrator error cannot leak into an inequality check.
 
-``evaluate_samples`` makes the one pass over the samples: it diagonalizes
-H(t) at all samples of a driven model in one stacked call (once per run for an
-undriven one, broadcast to every sample without a copy) and evaluates E_S, S,
-S', Coh and the energy-basis populations on stacks of states. S comes from the
-spectra that ``propagate`` computed for its positivity check, so each sampled
-state is decomposed once. The reference solves, the bound chain and the NLP
-comparison read these arrays. rho_th(t) is diagonal in the energy basis of
-H(t), so the instantaneous relative entropy needs no further decomposition:
+``evaluate_samples`` makes the one pass over a block of samples: it
+diagonalizes H(t) at all samples of a driven model in one stacked call (once
+per run for an undriven one, broadcast to every sample without a copy) and
+evaluates E_S, S, S', Coh and the energy-basis populations on stacks of
+states. S comes from the spectra that ``propagate`` computed for its
+positivity check, so each sampled state is decomposed once. The reference
+solves, the bound chain and the NLP comparison read these arrays. rho_th(t)
+is diagonal in the energy basis of H(t), so the instantaneous relative
+entropy needs no further decomposition:
 
     D(rho || rho_th) = -S - sum_n ln p_n <E_n|rho|E_n>,
 
 with p_n the Gibbs weights at beta_R(t). Gibbs weights at beta_R(t) and at the
 bath beta, relative entropies and every bound column are array expressions
-over the samples, returned as one table of columns. The density matrices are
-formed from the trajectory's coordinates at full width,
-``lindblad.SAMPLE_BLOCK`` samples at a time.
+over the samples, returned as one table of columns. Differences from t = 0
+are taken from the run's ``Origin`` (by default row 0), so a run can be
+bounded one block of samples at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields
+from itertools import chain
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -52,21 +54,47 @@ from .qstate import ThermoSample
 from .refsolve import BetaSolveResult
 
 
-def evaluate_samples(traj: Trajectory, model: LindbladModel) -> ThermoSample:
+def energy_basis(model: LindbladModel, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending levels (k, d) and eigenvectors (k, d, d) of H at each of the k
+    times, or for an undriven model the one basis of H(0), as (1, d) and (1, d, d)."""
+    times = times if model.driven else np.zeros(1)
+    return linalg.eigh(protocol_values(model.hamiltonian_protocol, times, model.dim,
+                                       "Hamiltonian"))
+
+
+def evaluate_samples(traj: Trajectory, model: LindbladModel, states: np.ndarray | None = None,
+                     basis: tuple[np.ndarray, np.ndarray] | None = None) -> ThermoSample:
     """Diagonalize H(t) and evaluate E_S, S, S', Coh at every sample.
 
-    An undriven model shares one eigensystem, computed once, across samples,
-    and its ``levels`` are that one row broadcast to every sample.
+    ``states`` is the complex stack of the samples' density matrices, when the
+    caller has it (``lindblad.Propagation`` yields it with each block); without
+    it the stacks are formed ``lindblad.SAMPLE_BLOCK`` samples at a time.
+    ``basis`` is ``energy_basis(model, traj.times)``, when the caller has it.
+    An undriven model shares one eigensystem across samples, and its
+    ``levels`` are that one row broadcast to every sample.
     """
     m, d = len(traj.times), model.dim
-    times = traj.times if model.driven else traj.times[:1]
-    h = protocol_values(model.hamiltonian_protocol, times, d, "Hamiltonian")
-    levels, vectors = linalg.eigh(h)
+    levels, vectors = energy_basis(model, traj.times) if basis is None else basis
     levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
-    parts = [qstate.state_functionals(density_matrices(traj.full_coordinates(b)), traj.spectra[b],
-                                      levels[b], vectors[b]) for b in sample_blocks(m)]
+    blocks = sample_blocks(m) if states is None else [slice(None)]
+    parts = [qstate.state_functionals(
+        density_matrices(traj.full_coordinates(b)) if states is None else states,
+        traj.spectra[b], levels[b], vectors[b]) for b in blocks]
     computed = list(zip(*parts))[:-1]  # every field but the levels, which need no copy
     return ThermoSample(*map(np.concatenate, computed), levels=levels)
+
+
+class Origin(NamedTuple):
+    """Sample 0 of a run, which the bounds at every sample are taken from: its
+    state functionals, one row each, and its beta_R solve."""
+
+    sample: ThermoSample
+    reference: BetaSolveResult
+
+    @classmethod
+    def of(cls, samples: ThermoSample, reference: BetaSolveResult) -> "Origin":
+        """The origin of a run whose sample 0 is row 0 of ``samples``."""
+        return cls(ThermoSample(*(np.array(field[:1]) for field in samples)), reference)
 
 
 # Columns left undefined (NaN) by design at some samples; a NaN in any other
@@ -86,6 +114,13 @@ class _Table:
 
     def __getitem__(self, name: str) -> Any:
         return getattr(self, _ALIASES.get(name, name))
+
+
+def join(tables: list[Any]) -> Any:
+    """One table of the rows of consecutive blocks' tables."""
+    return type(tables[0])(*(
+        list(chain(*columns)) if isinstance(columns[0], list) else np.concatenate(columns)
+        for columns in zip(*([getattr(t, f.name) for f in fields(t)] for t in tables))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,34 +180,36 @@ _IDENTITY_FLAGS = ((), ("beta_solve_failed",), ("saturated",), ("identity_suppre
 
 
 def _chain(traj: Trajectory, v: ThermoSample, beta_series: list[BetaSolveResult],
-           heat: np.ndarray, work: np.ndarray, bath_T: float | None) -> Bounds:
+           heat: np.ndarray, work: np.ndarray, bath_T: float | None, origin: Origin) -> Bounds:
     """The bound chain at every sample, with each sample's status (see ``Bounds``),
     from one beta_R solve per sample or one that holds at all of them (a fixed
-    reference). The gap identity pair needs beta_R(t), which a saturated
-    reference makes numerically a projector; the bounds only need beta_R(0) and C(t).
+    reference), measured from the run's ``origin``. The gap identity pair needs
+    beta_R(t), which a saturated reference makes numerically a projector; the
+    bounds only need beta_R(0) and C(t).
 
     D_inst = -S - sum_n ln p_n <E_n|rho|E_n> from the Gibbs weights p at beta_R(t) and the
     populations of ``v``; NaN where the reference is singular (``qstate.SINGULAR_WEIGHT``).
     """
-    levels, m, n = v.levels, len(traj.times), len(beta_series)
+    levels, m, n, v0 = v.levels, len(traj.times), len(beta_series), origin.sample
     beta_t, _, capped, errors = zip(*beta_series)
-    beta_t, failed, beta_r0 = np.array(beta_t), np.not_equal(errors, None), beta_series[0].beta_R
+    beta_t, failed, beta_r0 = np.array(beta_t), np.not_equal(errors, None), origin.reference.beta_R
     t_r0 = 1.0 / beta_r0 if beta_r0 != 0.0 else math.inf
 
     p_t, log_z_t = qstate.gibbs_weights(levels[:n], np.where(failed, 0.0, beta_t))
+    p_0, log_z_0 = qstate.gibbs_weights(v0.levels, beta_r0)
     saturated = ~failed & (np.array(capped)
                            | (np.abs(beta_t) * (levels[:n, -1] - levels[:n, 0]) > 700.0))
-    e_th0 = float(p_t[0] @ levels[0])
-    ds = v.S - v.S[0]
+    e_th0 = float(p_0[0] @ v0.levels[0])
+    ds = v.S - v0.S[0]
     de_r = v.E_S - e_th0
-    c_t = (beta_t - beta_r0) * v.E_S + (log_z_t - log_z_t[0])
-    qu = (v.E_S[0] - e_th0) + _scaled_product(t_r0, c_t - ds)
+    c_t = (beta_t - beta_r0) * v.E_S + (log_z_t - log_z_0[0])
+    qu = (v0.E_S[0] - e_th0) + _scaled_product(t_r0, c_t - ds)
 
     no_identity = failed | saturated
     log_p = np.log(p_t, out=np.zeros_like(p_t), where=p_t > 0.0)
     d_inst = np.where(p_t.min(axis=-1) <= qstate.SINGULAR_WEIGHT, np.nan,
                       -v.S - np.sum(log_p * v.populations, axis=-1))
-    keys = (4 * qstate.has_degenerate_spectrum(levels)
+    keys = (4 * np.broadcast_to(qstate.has_degenerate_spectrum(levels[:n]), (m,))
             + np.select([failed, saturated, np.isnan(d_inst)], [1, 2, 3], 0)).tolist()
     flipped = ("direction_flipped",) if beta_r0 < 0.0 else ()
     shared = {k: ("degenerate_spectrum",) * (k >= 4) + flipped + _IDENTITY_FLAGS[k % 4]
@@ -182,7 +219,7 @@ def _chain(traj: Trajectory, v: ThermoSample, beta_series: list[BetaSolveResult]
         c_t, de_r, np.where(no_identity, np.nan, beta_r0 * de_r - ds + c_t),
         np.where(no_identity, np.nan, d_inst), qu, qu + work,
         np.full(m, np.nan) if bath_T is None else -bath_T * ds, ds,
-        v.S_diag - v.S_diag[0], v.Coh - v.Coh[0], [shared[k] for k in keys],
+        v.S_diag - v0.S_diag[0], v.Coh - v0.Coh[0], [shared[k] for k in keys],
     )
 
 
@@ -192,17 +229,19 @@ def undriven_bounds(
     samples: ThermoSample,
     reference: BetaSolveResult,
     bath_T: float | None = None,
+    origin: Origin | None = None,
 ) -> Bounds:
     """The bound chain of an undriven model, with the reference fixed at t = 0.
 
     ``samples`` comes from ``evaluate_samples(traj, model)`` and ``reference``
     is the entropy match of the initial state. The heat is Q = E_S(0) - E_S(t), W = 0.
+    ``origin`` is the run's sample 0, by default row 0 of ``samples`` with ``reference``.
     """
     if model.driven:
         raise DrivenModelSupplied("undriven_bounds requires an undriven model")
-    e_s = samples.E_S
-    return _chain(traj, samples, [reference], -(e_s - e_s[0]), np.zeros(len(traj.times)),
-                  bath_T)
+    origin = Origin.of(samples, reference) if origin is None else origin
+    return _chain(traj, samples, [reference], -(samples.E_S - origin.sample.E_S[0]),
+                  np.zeros(len(traj.times)), bath_T, origin)
 
 
 def driven_bounds(
@@ -211,21 +250,24 @@ def driven_bounds(
     samples: ThermoSample,
     beta_series: list[BetaSolveResult],
     bath_T: float | None = None,
+    origin: Origin | None = None,
 ) -> Bounds:
     """The bound chain with beta_R(t) matched at every sample.
 
-    ``samples`` comes from ``evaluate_samples(traj, model)``;
-    ``beta_series`` must align with traj.times, and its first solve must be
-    finite and non-saturated, since beta_R(0) enters every sample.
+    ``samples`` comes from ``evaluate_samples(traj, model)``; ``beta_series``
+    must align with traj.times. ``origin`` is the run's sample 0, by default
+    row 0 of ``samples`` with the first solve; its solve must be finite and
+    non-saturated, since beta_R(0) enters every sample.
     """
     if len(beta_series) != len(traj.times):
         raise MisalignedSeries(
             f"{len(beta_series)} reference solves for {len(traj.times)} samples"
         )
-    b0 = beta_series[0]
+    origin = Origin.of(samples, beta_series[0]) if origin is None else origin
+    b0 = origin.reference
     if b0.error is not None or b0.saturated or not math.isfinite(b0.beta_R):
         raise MisalignedSeries("initial reference parameter must be finite and non-saturated")
-    return _chain(traj, samples, beta_series, traj.heat, traj.work, bath_T)
+    return _chain(traj, samples, beta_series, traj.heat, traj.work, bath_T, origin)
 
 
 def nlp_comparison(
@@ -233,6 +275,7 @@ def nlp_comparison(
     model: LindbladModel,
     samples: ThermoSample,
     bath_beta: float | None,
+    origin: Origin | None = None,
 ) -> NlpComparison:
     """Slacks of the comparison bounds built from the instantaneous thermal state.
 
@@ -240,7 +283,8 @@ def nlp_comparison(
     genuine thermal bath: ``bath_beta`` is configuration metadata,
     never inferred from jump operators. Both slacks are one expression,
     beta E_S - S + ln Z(t) = D(rho(t) || rho_eq(t)) >= 0, written from the
-    thermal state at t and at 0; on fig2 they differ by at most 1.8e-15.
+    thermal state at t and at 0, the run's ``origin`` (by default row 0 of
+    ``samples``); on fig2 they differ by at most 1.8e-15.
     """
     if bath_beta is None or not math.isfinite(bath_beta) or bath_beta <= 0:
         raise NoBathTemperature("nlp_comparison needs a positive bath inverse temperature")
@@ -248,6 +292,10 @@ def nlp_comparison(
     p_eq, log_z_eq = qstate.gibbs_weights(v.levels, bath_beta)
     e_eq = np.sum(p_eq * v.levels, axis=-1)
     s_eq = qstate.shannon_entropy(p_eq)
-    slack_s25 = (bath_beta * (v.E_S - e_eq[0]) - (v.S - s_eq[0]) + (log_z_eq - log_z_eq[0])
-                 if model.driven else np.full(len(traj.times), np.nan))
+    slack_s25 = np.full(len(traj.times), np.nan)
+    if model.driven:
+        levels0 = (v if origin is None else origin.sample).levels[:1]
+        p_0, log_z_0 = qstate.gibbs_weights(levels0, bath_beta)
+        e_0, s_0 = np.sum(p_0 * levels0, axis=-1)[0], qstate.shannon_entropy(p_0)[0]
+        slack_s25 = bath_beta * (v.E_S - e_0) - (v.S - s_0) + (log_z_eq - log_z_0[0])
     return NlpComparison(traj.times, bath_beta * (v.E_S - e_eq) - (v.S - s_eq), slack_s25)

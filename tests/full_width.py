@@ -21,5 +21,5 @@ def full_trajectory(times, coordinates, heat, work, spectra):
     """A Trajectory that keeps all d^2 of its (m, d^2) coordinates, unit step and no drift."""
     m, n = coordinates.shape
     return Trajectory(times=times, coordinates=coordinates, support=np.arange(n), heat=heat,
-                      work=work, spectra=spectra, max_step_trace_drift=0.0,
-                      cumulative_trace_drift=0.0, dt=1.0, n_steps=m - 1)
+                      work=work, spectra=spectra, trace_drifts=np.zeros(m),
+                      max_step_trace_drift=0.0, dt=1.0, n_steps=m - 1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from full_width import full_trajectory, states_of
 
-from landauer_bounds import cli, linalg, lindblad, plotting, qstate, thermo
+from landauer_bounds import cli, linalg, lindblad, outputs, plotting, qstate, thermo
 from landauer_bounds.errors import SchemaError
 
 
@@ -195,9 +195,11 @@ def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
     # the bound chain and the NLP comparison: one stacked state_functionals
     # call per block of samples, and no eigh per sample. Every entropy after
     # propagate comes from its spectra and the energy-basis populations, so
-    # no state is decomposed again.
+    # no state is decomposed again. Each block's complex stack is formed once,
+    # for its spectra, and rotated into the energy basis; fig1 forms one more
+    # for the final Bell fidelity.
     calls = dict.fromkeys(["eigh", "state_functionals", "von_neumann_entropy",
-                           "relative_entropy"], 0)
+                           "relative_entropy", "density_matrices"], 0)
 
     def count(module, name):
         fn = getattr(module, name)
@@ -211,6 +213,9 @@ def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
     count(linalg, "eigh")
     for name in ("state_functionals", "von_neumann_entropy", "relative_entropy"):
         count(qstate, name)
+    for module in (lindblad, thermo, outputs):
+        count(module, "density_matrices")
+    monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 8)
     for scenario in ("fig1", "fig2"):
         raw = cli.scenario_defaults(scenario)
         raw["integrator"].update(t_end=2.0, n_samples=21)
@@ -219,7 +224,9 @@ def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
         result = cli.run_pipeline(config)
         n = len(result.trajectory.times)
         assert n == 21
-        assert calls["state_functionals"] == math.ceil(n / lindblad.SAMPLE_BLOCK)
+        blocks = math.ceil(n / lindblad.SAMPLE_BLOCK)
+        assert calls["state_functionals"] == blocks == 3
+        assert calls["density_matrices"] == blocks + (scenario == "fig1")
         assert calls["von_neumann_entropy"] == calls["relative_entropy"] == 0
         assert calls["eigh"] <= 5
 
@@ -272,6 +279,50 @@ def test_unstable_step_exits_1(tmp_path, capsys, scenario, changes, error):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 1
     assert capsys.readouterr().err == f"runtime error: {error}\n"
+
+
+# fig2 with gamma = 166 at 51 samples: the first state norm above 10 is at sample 9,
+# in the fifth block of two samples, after four blocks' rows were written.
+UNSTABLE_LATE = {"model_params": {"gamma": 166.0},
+                 "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 51}}
+UNSTABLE_LATE_ERROR = "runtime error: StabilityError: state norm 1.062e+01 at t=0.18\n"
+
+
+def test_run_that_fails_in_a_later_block_leaves_no_outputs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 2)
+    raw = cli.scenario_defaults("fig2")
+    raw["model_params"].update(UNSTABLE_LATE["model_params"])
+    raw["integrator"] = UNSTABLE_LATE["integrator"]
+    config = tmp_path / "unstable.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out" / "run"
+    with pytest.warns(UserWarning, match="accuracy may degrade"):
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    assert capsys.readouterr().err == UNSTABLE_LATE_ERROR
+    assert not (tmp_path / "out").exists()  # nor the directories made for it
+    # into a directory that exists, a failed run leaves the files it holds
+    out.mkdir(parents=True)
+    (out / "bounds.csv").write_text("an earlier run's\n")
+    with pytest.warns(UserWarning, match="accuracy may degrade"):
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    assert [p.name for p in out.iterdir()] == ["bounds.csv"]
+    assert (out / "bounds.csv").read_text() == "an earlier run's\n"
+
+
+def test_sweep_keeps_the_entries_finished_before_one_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 2)
+    raw = cli.scenario_defaults("fig2")
+    raw["integrator"].update(t_end=1.0, n_samples=5)
+    raw["sweep"] = [{"name": "a"}, {"name": "b", "overrides": UNSTABLE_LATE}]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="accuracy may degrade"):
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    assert capsys.readouterr().err == UNSTABLE_LATE_ERROR
+    assert sorted(p.name for p in out.iterdir()) == ["a"]
+    assert sorted(p.name for p in (out / "a").iterdir()) == ["bounds.csv", "meta.json",
+                                                            "trajectory.csv"]
 
 
 def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
@@ -722,6 +773,30 @@ def test_driven_maximally_mixed_start(tmp_path):
     assert "heat_upper" in meta["verdicts"]
 
 
+def test_run_memory_does_not_grow_with_its_samples(tmp_path):
+    # fig1 over 4,000 steps at N = 1,000 and 4N = 4,000 samples, without plots: a
+    # run propagates, evaluates and writes one block of samples at a time, and
+    # keeps of every sample only its time, its step index and its trace-drift
+    # term. Holding the (m, r + 2) propagated rows of the 9-level pump, as a run
+    # did before it streamed its blocks, adds 3N x 41 x 8 bytes (0.98 MB) alone.
+    def run(n):
+        return cli.main(["run", "--scenario", "fig1", "--out", str(tmp_path / str(n)),
+                         "--t-end", "40", "--samples", str(n)])
+
+    assert run(11) == 0  # lazy set-up outside the measurement
+    peaks = []
+    for n in (1000, 4000):
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            assert run(n) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - current)
+        finally:
+            tracemalloc.stop()
+    kept = 3 * 1000 * 3 * 8  # 3N samples more, three kept floats each
+    assert peaks[1] - peaks[0] < kept + 50_000
+
+
 def test_sweep_holds_one_finished_entry_at_a_time(tmp_path, monkeypatch):
     # Three erasure entries of 1,501 samples, every step sampled, as the erase-sweep
     # benchmark runs them. When an entry starts, each finished one may hold only
@@ -736,7 +811,7 @@ def test_sweep_holds_one_finished_entry_at_a_time(tmp_path, monkeypatch):
 
     def traced_propagate(*args):
         held.append(tracemalloc.get_traced_memory()[0])
-        return lindblad.propagate(*args)
+        return lindblad.propagation(*args)
 
     monkeypatch.setattr(cli, "propagate", traced_propagate)
     tracemalloc.start()

@@ -460,11 +460,12 @@ def test_propagate_memory_is_bounded(erasure):
 
 
 def test_propagate_holds_each_sampled_state_once(rydberg):
-    # 2,001 samples of the 9-level pump: the states are kept as the r = 39 real
-    # coordinates the Gibbs start can reach, with Q and W, (m, r + 2) floats
-    # (0.66 MB), and complex 9 x 9 matrices are formed one block of samples at a
-    # time. Keeping all 81 coordinates would add 0.67 MB; keeping the
-    # (m, 9, 9) complex stack as well would add 2.6 MB more.
+    # 2,001 samples of the 9-level pump: the trajectory keeps the states as the
+    # r = 39 real coordinates the Gibbs start can reach, (m, r) floats (0.62 MB),
+    # with the spectra, heat, work, times and trace drifts. propagate copies each
+    # block of samples into the trajectory as it is propagated, so its peak is
+    # the trajectory plus one block's transients. Keeping all 81 coordinates
+    # would add 0.67 MB; keeping the (m, 9, 9) complex stack as well 2.6 MB more.
     model, _ = rydberg
     rho0 = models.initial_state("gibbs", model.hamiltonian_protocol(0.0), beta=30.0)
     propagate(model, rho0, 0.1, 0.01, 2)  # lazy set-up outside the measurement
@@ -477,11 +478,13 @@ def test_propagate_holds_each_sampled_state_once(rydberg):
         tracemalloc.stop()
     m, d, r = len(traj.times), model.dim, len(traj.support)
     assert r == 39
-    coordinates = m * (r + 2) * 8
-    # the spectra, heat and work columns, and one block's transients: at most
-    # five (SAMPLE_BLOCK, d, d) complex stacks
-    allowance = m * (d + 2) * 8 + 5 * lindblad.SAMPLE_BLOCK * d * d * 16
-    assert peak < coordinates + allowance
+    trajectory = m * (r + d + 4) * 8
+    assert trajectory == sum(a.nbytes for a in (traj.times, traj.coordinates, traj.spectra,
+                                                traj.heat, traj.work, traj.trace_drifts))
+    # one block's transients: its samples at full width and at most four
+    # (SAMPLE_BLOCK, d, d) complex stacks
+    allowance = lindblad.SAMPLE_BLOCK * d * d * (8 + 4 * 16)
+    assert peak < trajectory + allowance
 
 
 def test_upper_triangle_is_the_gather_from_density_matrices_bit_for_bit():

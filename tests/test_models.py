@@ -157,6 +157,24 @@ def test_erasure_terms_are_dropped_with_their_times():
     assert left < 10_000
 
 
+@pytest.mark.parametrize("params", [{"eps0": 1e-300, "bath_beta": 1e-300},
+                                    {"eps_tau": 1e-310, "bath_beta": 1.0},
+                                    {"bath_beta": 1e-310}],
+                         ids=["underflow", "subnormal-gap", "subnormal-beta"])
+def test_erasure_refuses_a_bath_coupling_that_overflows(params):
+    # beta eps underflowing to 0 made N_B = inf, and sqrt(eps N_B) times the
+    # zero imaginary parts of the dyads NaN, with a RuntimeWarning
+    with pytest.raises(ValueError, match=r"^bath_beta .* makes the bath coupling eps \(N_B \+ 1\)"):
+        ErasureParams(**params)
+
+
+def test_erasure_operators_are_finite_at_the_smallest_accepted_coupling():
+    # the smallest gap and bath beta whose couplings stay finite
+    model = build_erasure(ErasureParams(eps0=1e-300, bath_beta=1e-8))
+    for channel in model.channels:
+        assert np.all(np.isfinite(channel.operator_protocol(np.linspace(0.0, 10.0, 5))))
+
+
 def test_erasure_validates_parameters():
     with pytest.raises(ValueError):
         ErasureParams(tau=0.0)
