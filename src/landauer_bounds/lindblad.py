@@ -86,11 +86,6 @@ def steps_per_block(dim: int) -> int:
     return max(1, STEP_BLOCK_BYTES // (8 * (dim * dim + 2) ** 2))
 
 
-def sample_blocks(n: int) -> list[slice]:
-    """Slices of SAMPLE_BLOCK consecutive samples covering n samples."""
-    return [slice(i, i + SAMPLE_BLOCK) for i in range(0, n, SAMPLE_BLOCK)]
-
-
 @dataclass(frozen=True)
 class JumpChannel:
     """One dissipation channel: finite damping rate gamma >= 0 and operator protocol.
@@ -175,11 +170,6 @@ class Trajectory:
     @property
     def min_eigenvalues(self) -> np.ndarray:
         return self.spectra[:, 0]
-
-    @property
-    def cumulative_trace_drift(self) -> float:
-        """The sum of ``trace_drifts``."""
-        return float(np.sum(self.trace_drifts))
 
     def full_coordinates(self, block: slice) -> np.ndarray:
         """The (k, d^2) coordinates of the samples in ``block``, zero outside ``support``."""
@@ -517,10 +507,10 @@ def sample_grid(t_end: float, dt: float, n_samples: int) -> tuple[np.ndarray, fl
 
 @dataclass(eq=False)
 class Propagation:
-    """A run over the sample grid ``times``, propagated one ``sample_blocks`` block
-    at a time as it is iterated, once: each item is the block's ``Trajectory`` and
-    the (k, d, d) complex stack of its states, yielded when the block has passed
-    its norm and positivity checks, before the next block is propagated.
+    """A run over the sample grid ``times``, propagated SAMPLE_BLOCK samples at a
+    time as it is iterated, once: each item is the block's ``Trajectory`` and the
+    (k, d, d) complex stack of its states, yielded when the block has passed its
+    norm and positivity checks, before the next block is propagated.
 
     The loop only multiplies: y_i = segment @ y_{i-1}, stored unnormalized. The
     state at sample i is then y_i / T_i with T_i = Tr y_i, its Frobenius norm
@@ -545,17 +535,17 @@ class Propagation:
 
     def __iter__(self) -> Iterator[tuple[Trajectory, np.ndarray]]:
         # map holds no block between two reads, so the next is propagated without it
-        return map(self._block, sample_blocks(len(self.times)))
+        return map(self._block, range(0, len(self.times), SAMPLE_BLOCK))
 
-    def _block(self, b: slice) -> tuple[Trajectory, np.ndarray]:
-        d, r, times = self.dim, len(self.support), self.times[b]
+    def _block(self, start: int) -> tuple[Trajectory, np.ndarray]:
+        d, r, times = self.dim, len(self.support), self.times[start:start + SAMPLE_BLOCK]
         y = np.empty((len(times), r + 2))
         # Floating-point errors are silent here: ``_trace_row_defects`` refuses a
         # non-finite step map before any eigvals, and the norm check below a state
         # that overflows.
         with np.errstate(all="ignore"):
             y[0] = previous = self.last  # sample 0 is the initial state; later blocks overwrite it
-            for row, (segment, self.max_defect) in zip(y[0 if b.start else 1:], self.maps):
+            for row, (segment, self.max_defect) in zip(y[0 if start else 1:], self.maps):
                 previous = np.matmul(segment, previous, out=row)
             coords = y[:, :r]
             traces = coords[:, self.support % (d + 1) == 0].sum(axis=1)  # T_i, from the diagonal

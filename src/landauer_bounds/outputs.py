@@ -14,11 +14,11 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Iterator, NamedTuple
 import numpy as np
 
 from . import numtext, qstate, thermo
-from .lindblad import Trajectory, density_matrices, sample_blocks, upper_triangle
-from .plotting import DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
+from .errors import ConfigError
+from .lindblad import Trajectory, density_matrices, upper_triangle
 
 if TYPE_CHECKING:
-    from .cli import PipelineResult, ScenarioConfig
+    from .cli import ScenarioConfig
 
 VERDICT_TOL = 1e-6
 
@@ -157,12 +157,12 @@ class Summary:
         return meta
 
 
-def bounds_rows(table: thermo.Bounds, columns: list[str], rows: slice = slice(None)) -> bytes:
-    """The bounds.csv rows of a table's ``rows``, spelled by ``numtext.csv_rows``.
-    NaN is an empty cell in ``thermo.OPTIONAL_COLUMNS`` and ``nan`` elsewhere."""
+def bounds_rows(table: thermo.Bounds, columns: list[str]) -> bytes:
+    """The bounds.csv rows of a table, spelled by ``numtext.csv_rows``. NaN is
+    an empty cell in ``thermo.OPTIONAL_COLUMNS`` and ``nan`` elsewhere."""
     blank = [c in thermo.OPTIONAL_COLUMNS for c in columns[:-1]]
-    block = np.column_stack([table[c][rows] for c in columns[:-1]])
-    flags = np.array([";".join(f) for f in table.flags[rows]], dtype=bytes)
+    block = np.column_stack([table[c] for c in columns[:-1]])
+    flags = np.array([";".join(f) for f in table.flags], dtype=bytes)
     return numtext.csv_rows(block, blank, flags)
 
 
@@ -174,36 +174,17 @@ def trajectory_header(d: int) -> bytes:
     return (",".join(header) + "\r\n").encode()
 
 
-def trajectory_rows(traj: Trajectory, rows: slice = slice(None)) -> bytes:
-    """The trajectory.csv rows of a trajectory's ``rows``, spelled by ``numtext.csv_rows``;
-    the rho columns are ``lindblad.upper_triangle`` of the full-width coordinates, the
+def trajectory_rows(traj: Trajectory) -> bytes:
+    """The trajectory.csv rows of a trajectory, spelled by ``numtext.csv_rows``; the
+    rho columns are ``lindblad.upper_triangle`` of the full-width coordinates, the
     bytes of ``density_matrices`` without its complex stacks (+0.2 MiB on pump's peak)."""
     return numtext.csv_rows(np.column_stack([
-        traj.times[rows], traj.heat[rows], traj.work[rows], traj.min_eigenvalues[rows],
-        upper_triangle(traj.full_coordinates(rows))]))
+        traj.times, traj.heat, traj.work, traj.min_eigenvalues,
+        upper_triangle(traj.full_coordinates(slice(None)))]))
 
 
 def csv_header(columns: list[str]) -> bytes:
     return (",".join(columns) + "\r\n").encode()
-
-
-def write_bounds_csv(result: PipelineResult, path: Path) -> None:
-    """One row per sample, written a block of samples at a time."""
-    table = result.bounds
-    columns = UNDRIVEN_COLUMNS if result.config.kind == "undriven" else DRIVEN_COLUMNS
-    with open(path, "wb") as fh:
-        fh.write(csv_header(columns))
-        for b in sample_blocks(len(table)):
-            fh.write(bounds_rows(table, columns, b))
-
-
-def write_trajectory_csv(result: PipelineResult, path: Path) -> None:
-    """One row per sample, written a block of samples at a time."""
-    traj = result.trajectory
-    with open(path, "wb") as fh:
-        fh.write(trajectory_header(traj.spectra.shape[-1]))
-        for b in sample_blocks(len(traj.times)):
-            fh.write(trajectory_rows(traj, b))
 
 
 def _json_safe(obj: Any) -> Any:
@@ -226,19 +207,21 @@ def write_meta_json(meta: dict[str, Any], path: Path) -> None:
 def staged(out: Path, *names: str) -> Iterator[list[BinaryIO]]:
     """The files out/<name>, open for writing under temporary names and renamed into
     place when the block ends; an error removes them, and the directories made for
-    them, so a run that fails leaves none of its files."""
+    them, so a run that fails leaves none of its files. An out that cannot be made
+    is a ``ConfigError``."""
     made = [path for path in (out, *out.parents) if not path.exists()]
-    out.mkdir(parents=True, exist_ok=True)
     partial = [out / f"{name}.partial" for name in names]
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
         with contextlib.ExitStack() as stack:
             yield [stack.enter_context(open(path, "wb")) for path in partial]
     except BaseException:
-        for path in partial:
-            path.unlink(missing_ok=True)
-        for path in made:  # the deepest first
-            with contextlib.suppress(OSError):
-                path.rmdir()
+        for remove in [path.unlink for path in partial] + [path.rmdir for path in made]:
+            with contextlib.suppress(OSError):  # the files, then the directories deepest first
+                remove()
         raise
     for path, name in zip(partial, names):
         os.replace(path, out / name)

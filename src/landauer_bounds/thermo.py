@@ -48,8 +48,7 @@ import numpy as np
 
 from . import linalg, qstate
 from .errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
-from .lindblad import (LindbladModel, Trajectory, density_matrices, protocol_values,
-                       sample_blocks)
+from .lindblad import LindbladModel, Trajectory, density_matrices, protocol_values
 from .qstate import ThermoSample
 from .refsolve import BetaSolveResult
 
@@ -68,20 +67,17 @@ def evaluate_samples(traj: Trajectory, model: LindbladModel, states: np.ndarray 
 
     ``states`` is the complex stack of the samples' density matrices, when the
     caller has it (``lindblad.Propagation`` yields it with each block); without
-    it the stacks are formed ``lindblad.SAMPLE_BLOCK`` samples at a time.
+    it the stack of all the trajectory's samples is formed here.
     ``basis`` is ``energy_basis(model, traj.times)``, when the caller has it.
     An undriven model shares one eigensystem across samples, and its
     ``levels`` are that one row broadcast to every sample.
     """
     m, d = len(traj.times), model.dim
     levels, vectors = energy_basis(model, traj.times) if basis is None else basis
-    levels, vectors = np.broadcast_to(levels, (m, d)), np.broadcast_to(vectors, (m, d, d))
-    blocks = sample_blocks(m) if states is None else [slice(None)]
-    parts = [qstate.state_functionals(
-        density_matrices(traj.full_coordinates(b)) if states is None else states,
-        traj.spectra[b], levels[b], vectors[b]) for b in blocks]
-    computed = list(zip(*parts))[:-1]  # every field but the levels, which need no copy
-    return ThermoSample(*map(np.concatenate, computed), levels=levels)
+    if states is None:
+        states = density_matrices(traj.full_coordinates(slice(None)))
+    return qstate.state_functionals(states, traj.spectra, np.broadcast_to(levels, (m, d)),
+                                    np.broadcast_to(vectors, (m, d, d)))
 
 
 class Origin(NamedTuple):

@@ -114,6 +114,11 @@ def test_config_errors_exit_3(tmp_path):
     {"top_level": {"sweep": [{"name": "a"}, {"name": "a"}]}},
     {"top_level": {"sweep": [{"name": "entry1"}, {}]}},
     {"top_level": {"sweep": [{"name": "../escaped"}]}},
+    # nor a file that the sweep writes into --out itself
+    {"top_level": {"sweep": [{"name": "meta.json"}]},
+     "message": "sweep entry name 'meta.json' is a file of the sweep itself"},
+    {"top_level": {"sweep": [{"name": "a"}, {"name": "sweep.svg"}]}, "args": ["--plots"],
+     "message": "sweep entry name 'sweep.svg' is a file of the sweep itself"},
     # a pure start has S = 0, where beta_R(0) saturates: the driven chain needs S > 0
     {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0]]},
      "top_level": {"integrator": {"dt": 0.001, "t_end": 1.0, "n_samples": 3}}},
@@ -155,6 +160,7 @@ def test_config_errors_exit_3(tmp_path):
         "t-end-bool", "bath-T-string", "eps0-string",
         "model-params-not-an-object", "beta-string", "sweep-name-not-a-string",
         "sweep-names-repeated", "sweep-name-repeats-a-default", "sweep-name-escapes-out",
+        "sweep-name-meta-json", "sweep-name-sweep-svg",
         "driven-pure-start", "pure-vector-booleans", "rydberg-gamma-nan", "bath-T-infinity",
         "rydberg-gamma-1e400", "bath-T-1e400", "sorted-beta-minus-1e400", "name-not-a-string",
         "initial-state-pairs", "model-not-a-string", "custom-model-file-not-a-string",
@@ -323,6 +329,27 @@ def test_sweep_keeps_the_entries_finished_before_one_fails(tmp_path, capsys, mon
     assert sorted(p.name for p in out.iterdir()) == ["a"]
     assert sorted(p.name for p in (out / "a").iterdir()) == ["bounds.csv", "meta.json",
                                                             "trajectory.csv"]
+
+
+@pytest.mark.parametrize("out, sweep", [
+    ("afile", False), ("afile/sub", False), ("afile", True), ("new/" + "x" * 300, False),
+], ids=["run-into-a-file", "run-below-a-file", "sweep-below-a-file", "run-name-too-long"])
+def test_output_directory_that_cannot_be_made_exits_3(tmp_path, capsys, out, sweep):
+    (tmp_path / "afile").write_text("a file\n")
+    raw = cli.scenario_defaults("fig2")
+    raw["integrator"] = {"dt": 0.01, "t_end": 1.0, "n_samples": 3}
+    if sweep:
+        raw["sweep"] = [{"name": "tau=5"}]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / out)) == 3
+    err = capsys.readouterr().err
+    made = tmp_path / out / "tau=5" if sweep else tmp_path / out
+    assert err.startswith(f"configuration error: cannot make output directory {made}: ")
+    assert err.count("\n") == 1
+    # the directories made before the one that failed are removed too
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.json"]
+    assert (tmp_path / "afile").read_text() == "a file\n"
 
 
 def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
@@ -915,36 +942,69 @@ def synthetic_result(kind, n):
                            trajectory=synthetic_trajectory(n, 3, SPECIAL_VALUES))
 
 
+def split(table, names, size):
+    """Consecutive blocks of ``size`` rows of a table whose fields ``names`` hold
+    one row per sample, as a run hands them to the writers."""
+    n = len(getattr(table, names[0]))
+    return [dataclasses.replace(table, **{name: getattr(table, name)[i:i + size]
+                                          for name in names})
+            for i in range(0, n, size)]
+
+
+TRAJECTORY_ROWS = ("times", "coordinates", "heat", "work", "spectra", "trace_drifts")
+BOUNDS_ROWS = tuple(f.name for f in dataclasses.fields(thermo.Bounds))
+
+
+def write_blocks(result, out, size):
+    """trajectory.csv and bounds.csv of a result whose tables are cut by hand into
+    blocks of ``size`` rows, each written by the run's per-block writers."""
+    undriven = result.config.kind == "undriven"
+    columns = plotting.UNDRIVEN_COLUMNS if undriven else plotting.DRIVEN_COLUMNS
+    traj, table = result.trajectory, result.bounds
+    (out / "trajectory.csv").write_bytes(outputs.trajectory_header(traj.spectra.shape[-1])
+                                         + b"".join(map(outputs.trajectory_rows,
+                                                        split(traj, TRAJECTORY_ROWS, size))))
+    (out / "bounds.csv").write_bytes(outputs.csv_header(columns) + b"".join(
+        outputs.bounds_rows(block, columns) for block in split(table, BOUNDS_ROWS, size)))
+
+
 @pytest.mark.parametrize("block", [None, 7], ids=["default-blocks", "blocks-of-7"])
 @pytest.mark.parametrize("source", ["fig1_result", "fig2_result", "undriven", "driven"])
 def test_csv_writers_match_per_cell_reference(tmp_path, request, monkeypatch, source, block):
-    if source.endswith("_result"):
-        result = request.getfixturevalue(source)
-    else:
-        result = synthetic_result(source, 40)
+    # a scenario's files as a run writes them, against the reference of the
+    # whole-run result; a synthetic table's blocks as the writers get them
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
+    old.mkdir()
+    scenario = source.endswith("_result")
+    result = request.getfixturevalue(source) if scenario else synthetic_result(source, 40)
     if block is not None:
         monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", block)
-    for write, reference in ((cli.write_trajectory_csv, reference_trajectory_csv),
-                             (cli.write_bounds_csv, reference_bounds_csv)):
+    if scenario:
+        cli.write_outputs(dataclasses.replace(result.config, out_dir=new))
+    else:
         # an infinite coordinate of a synthetic state makes NaN of 0 * inf in its rho
-        # columns, in both writers alike
+        # columns, in the writer and the reference alike
         with np.errstate(invalid="ignore"):
-            write(result, tmp_path / "new.csv")
-            reference(result, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            write_blocks(result, new, lindblad.SAMPLE_BLOCK)
+    with np.errstate(invalid="ignore"):
+        reference_trajectory_csv(result, old / "trajectory.csv")
+    reference_bounds_csv(result, old / "bounds.csv")
+    for name in ("trajectory.csv", "bounds.csv"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
-def test_trajectory_writer_zero_columns_match_reference(tmp_path, monkeypatch):
+def test_trajectory_writer_zero_columns_match_reference(tmp_path):
     # In blocks of 7: rho_0_0_re is +0.0 in every row, rho_0_1_re is -0.0 in
     # every row, and rho_1_1_re is +0.0 in the second block only.
-    result = SimpleNamespace(trajectory=synthetic_trajectory(20, 2, [0.25, -1 / 3, 1e16, 0.1]))
-    coordinates = result.trajectory.coordinates  # x_00, x_01, x_10 and x_11
+    traj = synthetic_trajectory(20, 2, [0.25, -1 / 3, 1e16, 0.1])
+    coordinates = traj.coordinates  # x_00, x_01, x_10 and x_11
     coordinates[:, 0] = 0.0
     coordinates[:, 1:3] = -0.0  # Re rho_01 is -0 only where Im rho_01 is signed negative too
     coordinates[7:14, 3] = 0.0
-    monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 7)
-    cli.write_trajectory_csv(result, tmp_path / "new.csv")
-    reference_trajectory_csv(result, tmp_path / "old.csv")
+    (tmp_path / "new.csv").write_bytes(outputs.trajectory_header(2) + b"".join(
+        map(outputs.trajectory_rows, split(traj, TRAJECTORY_ROWS, 7))))
+    reference_trajectory_csv(SimpleNamespace(trajectory=traj), tmp_path / "old.csv")
     written = (tmp_path / "new.csv").read_text().splitlines()
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     cells = [line.split(",") for line in written[1:]]
@@ -961,21 +1021,23 @@ def test_fig1_csv_spans_more_than_one_block(fig1_result):
 
 
 @pytest.mark.parametrize("writer", ["trajectory", "bounds"])
-def test_csv_writer_memory_stays_bounded(tmp_path, writer):
-    # pump size: 4,001 samples of 9 x 9 states and 4,001 bound rows. Formatting
-    # the whole trajectory file in one pass holds about 13 MB at once; a block
-    # of samples about 1.6 MB.
+def test_csv_writer_memory_stays_bounded(writer):
+    # A run formats one block of rows at a time. One SAMPLE_BLOCK of 9 x 9 states
+    # holds about 2.0 MB at once as trajectory rows and 0.7 MB as bound rows;
+    # pump's 4,001 trajectory rows in one call would hold about 22 MB.
+    n = lindblad.SAMPLE_BLOCK
     rng = np.random.default_rng(0)
     values = rng.standard_normal(997)
-    fields = [f.name for f in dataclasses.fields(thermo.Bounds) if f.name != "flags"]
-    bounds = thermo.Bounds(*np.resize(values, (len(fields), 4001)),
-                           flags=[FLAG_SETS[k % len(FLAG_SETS)] for k in range(4001)])
-    result = SimpleNamespace(config=SimpleNamespace(kind="driven"), bounds=bounds,
-                             trajectory=synthetic_trajectory(4001, 9, values))
+    bounds = thermo.Bounds(*np.resize(values, (len(BOUNDS_ROWS) - 1, n)),
+                           flags=[FLAG_SETS[k % len(FLAG_SETS)] for k in range(n)])
+    traj = synthetic_trajectory(n, 9, values)
     tracemalloc.start()
     try:
         current = tracemalloc.get_traced_memory()[0]
-        getattr(cli, f"write_{writer}_csv")(result, tmp_path / f"{writer}.csv")
+        if writer == "trajectory":
+            outputs.trajectory_rows(traj)
+        else:
+            outputs.bounds_rows(bounds, plotting.DRIVEN_COLUMNS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -187,8 +187,8 @@ def test_cumulative_trace_drift_sums_the_per_sample_corrections(monkeypatch):
     for case in (model, dataclasses.replace(model, hamiltonian_rate_protocol=zero_rate)):
         traj = propagate(case, rho0, 3.07, 0.01, 31)
         gaps = np.diff(np.rint(traj.times / traj.dt))
-        assert traj.cumulative_trace_drift == pytest.approx(np.sum((1.0 + eps) ** gaps - 1.0),
-                                                            rel=1e-6)
+        assert np.sum(traj.trace_drifts) == pytest.approx(np.sum((1.0 + eps) ** gaps - 1.0),
+                                                          rel=1e-6)
         assert np.allclose(np.trace(states_of(traj), axis1=1, axis2=2), 1.0, rtol=0, atol=1e-15)
 
 
