@@ -37,8 +37,8 @@ from .errors import (
 )
 from .lindblad import JumpChannel, LindbladModel, Trajectory, join, protocol_values, sample_grid
 from .lindblad import propagation as propagate  # one run, a block of samples at a time
-from .outputs import (Block, Summary, bounds_rows, csv_header, staged, trajectory_header,
-                      trajectory_rows, write_meta_json)
+from .outputs import (Block, Summary, bounds_rows, csv_header, meta_json, staged,
+                      trajectory_header, trajectory_rows)
 from .plotting import DRAWN_COLUMNS, DRIVEN_COLUMNS, UNDRIVEN_COLUMNS
 from .refsolve import BRANCH_NEGATIVE, BRANCH_NON_NEGATIVE
 
@@ -64,6 +64,8 @@ MATRIX_KEYS = frozenset({"re", "im"})
 # what ``_read`` says a JSON value of each kind must be
 _KINDS = {float: "a finite number", int: "an integer", str: "a string", dict: "an object",
           list: "a list"}
+# The files a sweep writes into its out, around its entries' subdirectories.
+_SWEEP_FILES = ("meta.json", "sweep.svg")
 
 _FIG2: dict[str, Any] = {
     "model": "erasure",
@@ -160,7 +162,7 @@ def _read(value: Any, kind: type | frozenset[str], what: str) -> Any:
 def _sweep_entries(sweep: list[Any]) -> list[tuple[str, dict[str, Any]]]:
     """(name, overrides) of each sweep entry; a name (default entry{i}) is an
     output subdirectory, so it must be one path component, unique and not the
-    name of a file the sweep writes."""
+    name of a file the sweep writes, nor that file's temporary name."""
     entries: dict[str, dict[str, Any]] = {}
     for i, entry in enumerate(sweep):
         entry = _read(entry, SWEEP_KEYS, f"sweep entry {i}")
@@ -169,7 +171,7 @@ def _sweep_entries(sweep: list[Any]) -> list[tuple[str, dict[str, Any]]]:
             raise ConfigError(f"sweep entry name {name!r} is not a single path component")
         if name in entries:
             raise ConfigError(f"sweep entry name {name!r} is repeated")
-        if name in ("meta.json", "sweep.svg"):
+        if name.removesuffix(".partial") in _SWEEP_FILES:
             raise ConfigError(f"sweep entry name {name!r} is a file of the sweep itself")
         entries[name] = _read(entry.get("overrides", {}), dict, f"sweep entry {i} overrides")
         if "sweep" in entries[name]:
@@ -396,12 +398,13 @@ def run_pipeline(config: ScenarioConfig) -> PipelineResult:
 def write_outputs(config: ScenarioConfig) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     """Run ``config`` into its out_dir: trajectory.csv and bounds.csv a block at a
     time, each block before the next is propagated, then meta.json and, with plots,
-    bounds.svg. Returns the meta and the bound columns the chart draws (none
-    without plots), the only per-sample columns a run keeps."""
+    bounds.svg, all staged together. Returns the meta and the bound columns the chart
+    draws (none without plots), the only per-sample columns a run keeps."""
     columns = UNDRIVEN_COLUMNS if config.kind == "undriven" else DRIVEN_COLUMNS
     drawn = {c: np.empty(config.n_samples) for c in DRAWN_COLUMNS[config.kind] if config.plots}
     summary = Summary(config.n_samples)
-    with staged(config.out_dir, "trajectory.csv", "bounds.csv") as (trajectory_csv, bounds_csv):
+    names = ("trajectory.csv", "bounds.csv", "meta.json") + ("bounds.svg",) * config.plots
+    with staged(config.out_dir, *names) as (trajectory_csv, bounds_csv, meta_file, *svg):
         trajectory_csv.write(trajectory_header(config.model.dim))
         bounds_csv.write(csv_header(columns))
         for block in _blocks(config):
@@ -411,10 +414,11 @@ def write_outputs(config: ScenarioConfig) -> tuple[dict[str, Any], dict[str, np.
             for name, column in drawn.items():
                 column[rows] = block.bounds[name]
             del block  # the next block is propagated without this one
-    meta = summary.meta(config)
-    write_meta_json(meta, config.out_dir / "meta.json")
-    if config.plots:
-        plotting.emit_plots(config.kind, drawn, meta["reference"]["beta_R0"], config.out_dir)
+        meta = summary.meta(config)
+        meta_file.write(meta_json(meta))
+        for file in svg:
+            file.write(plotting.emit_plots(config.kind, drawn,
+                                           meta["reference"]["beta_R0"]).encode())
     return meta, drawn
 
 
@@ -424,31 +428,29 @@ def _exit_code(meta: dict[str, Any]) -> int:
 
 
 def run_scenario(config: ScenarioConfig | Sweep) -> int:
-    """Execute one run, or each run of a sweep, and write all outputs."""
+    """Execute one run, or each run of a sweep inside the staging of its own files."""
     if isinstance(config, ScenarioConfig):
         return _exit_code(write_outputs(config)[0])
 
     entries = []  # per finished entry: its meta and the bound columns the sweep chart draws
-    for name, run in config.runs:
-        meta, drawn = write_outputs(run)
-        entries.append((name, {c: drawn[c] for c in plotting.SWEEP_COLUMNS if c in drawn},
-                        meta))
-        del drawn  # the next entry runs without this one's other drawn columns
-
-    summary = {
-        "scenario": config.name,
-        "sweep": [
-            {"name": name, "verdicts": meta["verdicts"],
-             "reference": meta["reference"], "diagnostics": meta["diagnostics"]}
-            for name, _, meta in entries
-        ],
-    }
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_meta_json(summary, config.out_dir / "meta.json")
-    if config.plots:
-        panels = plotting.sweep_panels([(name, columns, meta["reference"]["beta_R0"])
-                                        for name, columns, meta in entries])
-        (config.out_dir / "sweep.svg").write_text(plotting.render(panels))
+    with staged(config.out_dir, *_SWEEP_FILES[:1 + config.plots]) as (meta_file, *svg):
+        for name, run in config.runs:
+            meta, drawn = write_outputs(run)
+            entries.append((name, {c: drawn[c] for c in plotting.SWEEP_COLUMNS if c in drawn},
+                            meta))
+            del drawn  # the next entry runs without this one's other drawn columns
+        meta_file.write(meta_json({
+            "scenario": config.name,
+            "sweep": [
+                {"name": name, "verdicts": meta["verdicts"],
+                 "reference": meta["reference"], "diagnostics": meta["diagnostics"]}
+                for name, _, meta in entries
+            ],
+        }))
+        for file in svg:
+            file.write(plotting.render(plotting.sweep_panels(
+                [(name, columns, meta["reference"]["beta_R0"])
+                 for name, columns, meta in entries])).encode())
     return max(_exit_code(meta) for _, _, meta in entries)
 
 

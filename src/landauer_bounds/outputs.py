@@ -199,18 +199,22 @@ def _json_safe(obj: Any) -> Any:
     return obj
 
 
-def write_meta_json(meta: dict[str, Any], path: Path) -> None:
-    path.write_text(json.dumps(_json_safe(meta), indent=2, sort_keys=True) + "\n")
+def meta_json(meta: dict[str, Any]) -> bytes:
+    return (json.dumps(_json_safe(meta), indent=2, sort_keys=True) + "\n").encode()
 
 
 @contextlib.contextmanager
 def staged(out: Path, *names: str) -> Iterator[list[BinaryIO]]:
     """The files out/<name>, open for writing under temporary names and renamed into
     place when the block ends; an error removes them, and the directories made for
-    them, so a run that fails leaves none of its files. An out that cannot be made
-    is a ``ConfigError``."""
+    them, so a run that fails leaves none of its files. An out/<name> or temporary name
+    that is a directory is a ``ConfigError`` before anything is made or removed, and so
+    is an out that cannot be made. No other code makes a directory or writes a file."""
     made = [path for path in (out, *out.parents) if not path.exists()]
     partial = [out / f"{name}.partial" for name in names]
+    for path in [out / name for name in names] + partial:
+        if path.is_dir():
+            raise ConfigError(f"cannot write output file {path}: Is a directory")
     try:
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -218,10 +222,10 @@ def staged(out: Path, *names: str) -> Iterator[list[BinaryIO]]:
             raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
         with contextlib.ExitStack() as stack:
             yield [stack.enter_context(open(path, "wb")) for path in partial]
+        for path, name in zip(partial, names):
+            os.replace(path, out / name)
     except BaseException:
         for remove in [path.unlink for path in partial] + [path.rmdir for path in made]:
             with contextlib.suppress(OSError):  # the files, then the directories deepest first
                 remove()
         raise
-    for path, name in zip(partial, names):
-        os.replace(path, out / name)

@@ -227,8 +227,8 @@ def sweep_panels(entries: list[tuple[str, Any, float]]) -> list[Panel]:
     return panels
 
 
-def emit_plots(kind: str, cols: Any, beta_r0: float, out_dir: str | Path) -> None:
-    """Render bounds.svg for one run's bound columns into ``out_dir``.
+def emit_plots(kind: str, cols: Any, beta_r0: float) -> str:
+    """The bounds.svg text of one run's bound columns; the caller writes it.
 
     ``kind`` is "undriven" or "driven"; ``cols[name]`` is the bounds.csv
     column ``name`` as an array, NaN where undefined, for each name in the
@@ -236,8 +236,5 @@ def emit_plots(kind: str, cols: Any, beta_r0: float, out_dir: str | Path) -> Non
     ``cli.write_outputs`` keeps, or what ``read_bounds_csv`` returns. A
     beta_R(0) that is zero or not finite is drawn with T_R = 1.
     """
-    panels = (fig1_style_panels if kind == "undriven" else fig2_style_panels)(
-        cols, _drawn_temperature(beta_r0))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "bounds.svg").write_text(render(panels))
+    return render((fig1_style_panels if kind == "undriven" else fig2_style_panels)(
+        cols, _drawn_temperature(beta_r0)))

@@ -119,6 +119,12 @@ def test_config_errors_exit_3(tmp_path):
      "message": "sweep entry name 'meta.json' is a file of the sweep itself"},
     {"top_level": {"sweep": [{"name": "a"}, {"name": "sweep.svg"}]}, "args": ["--plots"],
      "message": "sweep entry name 'sweep.svg' is a file of the sweep itself"},
+    # nor the temporary name under which the sweep writes one
+    {"top_level": {"sweep": [{"name": "a"}, {"name": "meta.json.partial"}]},
+     "message": "sweep entry name 'meta.json.partial' is a file of the sweep itself"},
+    {"top_level": {"sweep": [{"name": "a"}, {"name": "sweep.svg.partial"}]},
+     "args": ["--plots"],
+     "message": "sweep entry name 'sweep.svg.partial' is a file of the sweep itself"},
     # a pure start has S = 0, where beta_R(0) saturates: the driven chain needs S > 0
     {"initial_state": {"kind": "pure", "vector": [[1.0, 0.0], [0.0, 0.0]]},
      "top_level": {"integrator": {"dt": 0.001, "t_end": 1.0, "n_samples": 3}}},
@@ -160,7 +166,8 @@ def test_config_errors_exit_3(tmp_path):
         "t-end-bool", "bath-T-string", "eps0-string",
         "model-params-not-an-object", "beta-string", "sweep-name-not-a-string",
         "sweep-names-repeated", "sweep-name-repeats-a-default", "sweep-name-escapes-out",
-        "sweep-name-meta-json", "sweep-name-sweep-svg",
+        "sweep-name-meta-json", "sweep-name-sweep-svg", "sweep-name-meta-json-partial",
+        "sweep-name-sweep-svg-partial",
         "driven-pure-start", "pure-vector-booleans", "rydberg-gamma-nan", "bath-T-infinity",
         "rydberg-gamma-1e400", "bath-T-1e400", "sorted-beta-minus-1e400", "name-not-a-string",
         "initial-state-pairs", "model-not-a-string", "custom-model-file-not-a-string",
@@ -344,12 +351,34 @@ def test_output_directory_that_cannot_be_made_exits_3(tmp_path, capsys, out, swe
     config.write_text(json.dumps(raw))
     assert run_cli("run", "--config", str(config), "--out", str(tmp_path / out)) == 3
     err = capsys.readouterr().err
-    made = tmp_path / out / "tau=5" if sweep else tmp_path / out
-    assert err.startswith(f"configuration error: cannot make output directory {made}: ")
+    assert err.startswith(f"configuration error: cannot make output directory {tmp_path / out}: ")
     assert err.count("\n") == 1
     # the directories made before the one that failed are removed too
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.json"]
     assert (tmp_path / "afile").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("scenario, taken, flags", [
+    ("fig2", "meta.json", []), ("fig2", "bounds.csv", []), ("fig2", "bounds.svg", ["--plots"]),
+    ("fig2", "trajectory.csv.partial", []), ("figS1", "meta.json", []),
+    ("figS1", "sweep.svg", ["--plots"]),
+], ids=["run-meta-json", "run-bounds-csv", "run-bounds-svg", "run-trajectory-csv-partial",
+        "sweep-meta-json", "sweep-sweep-svg"])
+def test_output_file_that_is_a_directory_exits_3_before_running(tmp_path, capsys, monkeypatch,
+                                                                   scenario, taken, flags):
+    def no_propagation(*args, **kwargs):
+        raise RuntimeError("propagate must not run")
+
+    monkeypatch.setattr(cli, "propagate", no_propagation)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert run_cli("run", "--scenario", scenario, "--out", str(out), "--t-end", "1",
+                   "--samples", "3", *flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write output file ")
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == [taken]
+    assert not any((out / taken).iterdir())
 
 
 def test_sweep_entries_are_validated_before_any_runs(tmp_path, capsys):
@@ -712,8 +741,7 @@ def test_emit_plots_minimal_csv(tmp_path):
     row1 = "0,0.1,0.5,0.5,0,0,0.1,0.2,0.2,0.3,,"
     row2 = "1,0.05,0.4,0.45,0.05,0.05,0.05,0.1,0.1,0.2,,"
     path.write_text(f"{header}\r\n{row1}\r\n{row2}\r\n")
-    plotting.emit_plots(*plotting.read_bounds_csv(path), 1.0, tmp_path)
-    svg = (tmp_path / "bounds.svg").read_text()
+    svg = plotting.emit_plots(*plotting.read_bounds_csv(path), 1.0)
     assert svg.startswith("<?xml")
     assert "<polyline" in svg
     import xml.dom.minidom
@@ -724,11 +752,11 @@ def test_emit_plots_rejects_unknown_schema(tmp_path):
     path = tmp_path / "bounds.csv"
     path.write_text("a,b,c\r\n1,2,3\r\n")
     with pytest.raises(SchemaError):
-        plotting.emit_plots(*plotting.read_bounds_csv(path), 1.0, tmp_path)
+        plotting.emit_plots(*plotting.read_bounds_csv(path), 1.0)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(SchemaError):
-        plotting.emit_plots(*plotting.read_bounds_csv(empty), 1.0, tmp_path)
+        plotting.emit_plots(*plotting.read_bounds_csv(empty), 1.0)
 
 
 def test_negative_branch_through_config(tmp_path):

@@ -61,7 +61,8 @@ def _at(doc, path):
 
 WORDS = (hst.sampled_from(["gibbs", "pure", "maximally_mixed", "sorted_ascending_diagonal",
                            "custom", "rydberg", "erasure", "negative", "non-negative", "re",
-                           "im", "model.json", "meta.json", "sweep.svg"])
+                           "im", "model.json", "meta.json", "sweep.svg", "meta.json.partial",
+                           "sweep.svg.partial"])
          | hst.text(alphabet="abx._- ", max_size=4))
 EXTREME = hst.sampled_from([1e300, -1e300, 1e160, -1e160, 1e-300, -1e-300, 5e-324, 0.0, -0.0])
 NUMBERS = EXTREME | hst.floats() | hst.integers(-10**6, 10**6)
