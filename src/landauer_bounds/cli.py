@@ -239,7 +239,7 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     # beta_R(0) enters every sample, so a start without one is refused before
     # propagating. A driven start must not saturate it; an undriven run, which may
     # start pure, keeps this solve, made on the levels that evaluate_samples uses.
-    b0 = refsolve.solve_beta_series(np.linalg.eigh(h0[None])[0],
+    b0 = refsolve.solve_beta_series(linalg.eigh(h0[None])[0],
                                     [qstate.von_neumann_entropy(rho0)], branch)[0]
     if b0.error is not None:
         raise ConfigError(f"no reference temperature beta_R(0) for H(0): {b0.error}")

@@ -568,7 +568,7 @@ class Propagation:
                           work=work, spectra=spectra, trace_drifts=drifts,
                           max_step_trace_drift=self.max_defect, dt=self.dt, n_steps=self.n_steps)
         states = density_matrices(traj.full_coordinates(slice(None)))
-        spectra[:] = np.linalg.eigvalsh(states)
+        spectra[:] = linalg.eigvalsh(states)
         bad = np.flatnonzero(spectra[:, 0] < -qstate.POSITIVITY_ATOL)
         if bad.size:
             raise PositivityError(f"min eigenvalue {spectra[bad[0], 0]:.3e}"

@@ -58,7 +58,7 @@ def require_state(rho: np.ndarray) -> np.ndarray:
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise InvalidState(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL:.1e}")
-    wmin = float(np.linalg.eigvalsh(a)[0])
+    wmin = float(linalg.eigvalsh(a)[0])
     if wmin < -POSITIVITY_ATOL:
         raise InvalidState(f"negative eigenvalue {wmin:.3e} beyond tolerance")
     return a
@@ -98,7 +98,7 @@ def shannon_entropy(p: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> np.ndarray:
     """S = -Tr[rho ln rho] in nats of each state in a (..., d, d) stack."""
-    return shannon_entropy(_clamped_probabilities(np.linalg.eigvalsh(rho)))
+    return shannon_entropy(_clamped_probabilities(linalg.eigvalsh(rho)))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -108,7 +108,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     generally do not commute. Where sigma has an eigenvalue <= SINGULAR_WEIGHT
     the divergence is +inf and the entry is NaN.
     """
-    w, v = np.linalg.eigh(sigma)
+    w, v = linalg.eigh(sigma)
     singular = w[..., 0] <= SINGULAR_WEIGHT
     log_w = np.log(np.where(singular[..., None], 1.0, w))
     populations = np.diagonal(linalg.adjoint(v) @ rho @ v, axis1=-2, axis2=-1).real
@@ -153,7 +153,7 @@ def _dephased_entropies(rotated: np.ndarray, populations: np.ndarray,
         edges = [0, *(np.flatnonzero(np.diff(pattern)) + 1).tolist(), len(pattern)]
         for a, b in zip(edges, edges[1:]):
             if b - a > 1:
-                spectra[rows, a:b] = np.linalg.eigvalsh(rotated[rows, a:b, a:b])
+                spectra[rows, a:b] = linalg.eigvalsh(rotated[rows, a:b, a:b])
     return shannon_entropy(_clamped_probabilities(spectra))
 
 

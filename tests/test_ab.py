@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,26 @@ def test_pooled_runs_report_each_side_median_and_iqr():
     # exclusive quartiles of the eleven change values: 0.6 and 0.9
     assert summary["change_iqr"] == pytest.approx(0.3)
     assert summary["relative_change"] == pytest.approx(0.7 / 1.05 - 1)
+
+
+def test_both_checkouts_lie_at_paths_of_one_length(tmp_path):
+    # the length of a checkout's path alone moves peak RSS, so both sides run from
+    # trees extracted side by side; the change's tree holds its uncommitted edits
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("config", "user.name", "ab test")
+    git("config", "user.email", "ab@example.invalid")
+    (tmp_path / "module.py").write_text("VALUE = 1\n")
+    git("add", "module.py")
+    git("commit", "-q", "-m", "parent")
+    parent = git("rev-parse", "HEAD")
+    (tmp_path / "module.py").write_text("VALUE = 2\n")
+    sides = ab.extract_checkouts(tmp_path, parent)
+    assert len(str(sides["parent"])) == len(str(sides["change"]))
+    assert sides["parent"] != sides["change"]
+    assert (sides["parent"] / "module.py").read_text() == "VALUE = 1\n"
+    assert (sides["change"] / "module.py").read_text() == "VALUE = 2\n"
+    assert (tmp_path / "module.py").read_text() == "VALUE = 2\n"  # the edit stays uncommitted

@@ -90,36 +90,75 @@ def _gibbs(h, beta):
     return (vectors * (weights / weights.sum())) @ vectors.conj().T
 
 
-def test_first_law_bound_slack_matches_its_slow_driving_prefactor(tmp_path):
-    # Slow-driving linear response (Cavina, Mari & Giovannetti, PRL 119, 050601;
-    # Scandi & Perarnau-Llobet, Quantum 3, 197): at t = tau the state is
-    # rho_eq(1) + delta / tau, delta the traceless solution of A(1) delta =
-    # d_s rho_eq(1), with A(s) the erasure's generator at tau = 1 and rho_eq(s)
-    # the Gibbs state of H(s) at the bath's beta. So tau^2 (upper - Q) tends to
-    # T_R(0) / 2 Tr[delta D ln_rho_eq(delta)], the Kubo-Mori metric of delta. A is
-    # built here from the model's protocols, not from the propagator's generators.
-    raw = cli.scenario_defaults("fig2")
-    params = models.ErasureParams(**{**raw["model_params"], "tau": 1.0})
-    model, beta = models.build_erasure(params), params.bath_beta
+def _slow_driving_response(model, beta, s):
+    """The slow-driving linear response of the erasure at tau = 1 and time s (Cavina,
+    Mari & Giovannetti, PRL 119, 050601; Scandi & Perarnau-Llobet, Quantum 3, 197):
+    at t = s tau the state is rho_eq(s) + delta(s) / tau, with rho_eq(s) the Gibbs
+    state of H(s) at the bath's beta and delta(s) the traceless solution of
+    A(s) delta = d_s rho_eq(s), A(s) the generator. A is built here from the model's
+    protocols, not from the propagator's generators. Returns d_s rho_eq(s) and
+    delta(s), both rotated into the eigenbasis of rho_eq(s), and the weights of
+    D ln_rho_eq, the derivative of the logarithm at rho_eq(s), in that basis."""
     step = 1e-5  # a central difference of rho_eq(s), exact to about step^2
-    d_eq = (_gibbs(model.hamiltonian_protocol(1.0 + step), beta)
-            - _gibbs(model.hamiltonian_protocol(1.0 - step), beta)) / (2.0 * step)
-    eq = _gibbs(model.hamiltonian_protocol(1.0), beta)
-    solution = np.linalg.lstsq(_master_equation_matrix(model, 1.0), d_eq.ravel(),
+    d_eq = (_gibbs(model.hamiltonian_protocol(s + step), beta)
+            - _gibbs(model.hamiltonian_protocol(s - step), beta)) / (2.0 * step)
+    eq = _gibbs(model.hamiltonian_protocol(s), beta)
+    solution = np.linalg.lstsq(_master_equation_matrix(model, s), d_eq.ravel(),
                                rcond=None)[0].reshape(model.dim, model.dim)
-    delta = solution - np.trace(solution) * eq  # A's kernel is rho_eq(1)
+    delta = solution - np.trace(solution) * eq  # A's kernel is rho_eq(s)
     p, vectors = np.linalg.eigh(eq)
     gaps = np.subtract.outer(p, p)
     np.fill_diagonal(gaps, 1.0)
-    metric_weights = np.subtract.outer(np.log(p), np.log(p)) / gaps
-    np.fill_diagonal(metric_weights, 1.0 / p)  # D ln_rho in rho's eigenbasis
-    rotated = vectors.conj().T @ delta @ vectors
+    log_weights = np.subtract.outer(np.log(p), np.log(p)) / gaps
+    np.fill_diagonal(log_weights, 1.0 / p)
+    return vectors.conj().T @ d_eq @ vectors, vectors.conj().T @ delta @ vectors, log_weights
+
+
+def _erasure_at_unit_tau():
+    raw = cli.scenario_defaults("fig2")
+    params = models.ErasureParams(**{**raw["model_params"], "tau": 1.0})
+    return raw, models.build_erasure(params), params.bath_beta
+
+
+def _fig2_at(raw, tau, dt, tmp_path):
+    raw["model_params"]["tau"] = tau
+    raw["integrator"] = {"dt": dt, "t_end": tau, "n_samples": 401}
+    return cli.run_pipeline(cli.build_config(raw, "fig2", tmp_path, plots=False)).bounds
+
+
+def test_first_law_bound_slack_matches_its_slow_driving_prefactor(tmp_path):
+    # tau^2 (upper - Q) at t = tau tends to T_R(0) / 2 Tr[delta D ln_rho_eq(delta)]
+    # at s = 1, the Kubo-Mori metric of delta.
+    raw, model, beta = _erasure_at_unit_tau()
+    _, delta, log_weights = _slow_driving_response(model, beta, 1.0)
     t_r0 = 1.0 / raw["initial_state"]["beta"]  # a Gibbs start at beta has beta_R(0) = beta
-    predicted = t_r0 * 0.5 * float(np.sum(np.abs(rotated) ** 2 * metric_weights))
+    predicted = t_r0 * 0.5 * float(np.sum(np.abs(delta) ** 2 * log_weights))
     # fig2 with tau = 80 at dt = tau / 20000 reads 0.244223 against 0.244275
     # predicted (-2.1e-4). Doubling every rate moves the run to 0.23721 (-2.9 %).
     tau = 80.0
-    raw["model_params"]["tau"] = tau
-    raw["integrator"] = {"dt": tau / 20000, "t_end": tau, "n_samples": 401}
-    bounds = cli.run_pipeline(cli.build_config(raw, "fig2", tmp_path, plots=False)).bounds
+    bounds = _fig2_at(raw, tau, tau / 20000, tmp_path)
     assert tau ** 2 * (bounds.upper[-1] - bounds.Q[-1]) == pytest.approx(predicted, rel=1e-3)
+
+
+def test_landauer_slack_matches_its_slow_driving_prefactor(tmp_path):
+    # tau (Q - lp_lower) at t = tau, the entropy production, tends to
+    # -T int_0^1 ds Tr[d_s rho_eq D ln_rho_eq(delta)] with T the bath's temperature:
+    # 7.306358 (the trapezoid rule on 201 points agrees with 2,001 to 1e-11). The
+    # run approaches it as 1/tau, so the Richardson value 2 L(2 tau) - L(tau) is
+    # compared. tau = 160 and 320 at dt = 0.0064 keep dt times the largest
+    # generator norm (14.49, at t = tau) at 0.093, below the coarse-step warning;
+    # they read 7.541321 and 7.432018, whose Richardson value 7.322715 lies
+    # +2.2e-3 from the prediction (the 1/tau^2 term; 320 and 640 give +5.7e-4).
+    # Doubling every rate moves tau = 80 from 7.715 to 4.424.
+    raw, model, beta = _erasure_at_unit_tau()
+    s = np.linspace(0.0, 1.0, 201)
+    integrand = []
+    for point in s:
+        d_eq, delta, log_weights = _slow_driving_response(model, beta, point)
+        integrand.append(float(np.sum(d_eq.T * delta * log_weights).real))
+    predicted = -np.trapezoid(integrand, s) / beta
+    slack = []
+    for tau in (160.0, 320.0):
+        bounds = _fig2_at(raw, tau, 0.0064, tmp_path)
+        slack.append(tau * (bounds.Q[-1] - bounds.lp_lower[-1]))
+    assert 2.0 * slack[1] - slack[0] == pytest.approx(predicted, rel=3e-3)

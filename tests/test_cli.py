@@ -45,6 +45,25 @@ def test_tiny_fig1_run_writes_outputs(tmp_path):
     assert 0 <= meta["bell_fidelity_end"] <= 1
 
 
+class LapackEigensolverCalled(Exception):
+    pass
+
+
+def test_qubit_run_makes_no_lapack_eigensolver_call(tmp_path, monkeypatch):
+    # linalg solves a stack of 2 x 2 matrices in closed form, so a driven-qubit run
+    # never pages in LAPACK's eigensolver; the 9-level pump still goes to LAPACK.
+    def refused(*args, **kwargs):
+        raise LapackEigensolverCalled
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    assert run_cli("run", "--scenario", "fig2", "--out", str(tmp_path / "fig2"),
+                   "--t-end", "2", "--samples", "21", "--plots") == 0
+    with pytest.raises(LapackEigensolverCalled):
+        run_cli("run", "--scenario", "fig1", "--out", str(tmp_path / "fig1"),
+                "--t-end", "2", "--samples", "21")
+
+
 def test_verdicts_match_recomputed_slacks(tmp_path):
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", "fig2", "--out", str(out),

@@ -60,3 +60,66 @@ def test_eigh_rejects_non_hermitian():
         linalg.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(NonHermitianInput):
         linalg.eigh(np.arange(9.0).reshape(3, 3) + 0j)
+
+
+def random_qubit_stack(rng, shape, scale):
+    a = rng.standard_normal((*shape, 2, 2)) + 1j * rng.standard_normal((*shape, 2, 2))
+    return scale * (a + linalg.adjoint(a)) / 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
+def test_qubit_closed_form_matches_lapack(scale):
+    # 2 x 2 stacks are solved in closed form: eigenvalues within a few ulp of the
+    # largest entry modulus of LAPACK's, the same eigenvectors up to phase, and
+    # each eigenvector's largest-modulus entry real and positive
+    m = random_qubit_stack(np.random.default_rng(17), (40, 25), scale)
+    w, v = linalg.eigh(m)
+    w_lapack, v_lapack = np.linalg.eigh(m)
+    size = np.max(np.abs(m), axis=(-2, -1))[..., None]
+    assert np.all(np.abs(w - w_lapack) <= 4e-15 * size)
+    assert np.array_equal(linalg.eigvalsh(m), w)
+    overlaps = np.abs(np.sum(v_lapack.conj() * v, axis=-2))
+    assert np.all(np.abs(overlaps - 1.0) < 1e-14)
+    pivots = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
+    assert np.all(np.abs(linalg.adjoint(v) @ v - np.eye(2)) < 4e-15)
+
+
+def test_qubit_small_eigenvalue_keeps_full_precision():
+    # mean - hypot(h, |b|) would cancel to 0; det / far keeps the subnormal weight
+    m = np.diag([1.0, 1e-313]).astype(complex)
+    assert linalg.eigvalsh(m)[0] == 1e-313
+    w, v = linalg.eigh(m)
+    assert w.tolist() == [1e-313, 1.0]
+    assert np.array_equal(v, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -3.5, 1e-300, 1e300])
+def test_qubit_multiple_of_identity_keeps_the_standard_basis(level):
+    w, v = linalg.eigh(level * np.eye(2, dtype=complex))
+    assert w.tolist() == [level, level]
+    assert np.array_equal(v, np.eye(2))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
+def test_qubit_nan_entry_gives_nan_outputs(entry):
+    # LAPACK puts a NaN in at least one eigenvalue here; the closed form in all
+    m = np.eye(2, dtype=complex)
+    m[entry] = np.nan
+    w, v = linalg.eigh(m)
+    assert np.isnan(w).all() and np.isnan(v).all()
+    assert np.isnan(linalg.eigvalsh(m)).all()
+    assert np.isnan(np.linalg.eigh(m)[0]).any()
+
+
+def test_qubit_closed_form_reads_the_lower_triangle():
+    m = random_qubit_stack(np.random.default_rng(23), (6,), 1.0)
+    skewed = m.copy()
+    skewed[:, 0, 1] += 5.0 - 2.0j
+    assert np.array_equal(linalg.eigvalsh(skewed), linalg.eigvalsh(m))
+    assert np.allclose(np.linalg.eigvalsh(skewed), linalg.eigvalsh(m), rtol=0, atol=1e-14)
+    nearly = m.copy()
+    nearly[:, 0, 1] += 5e-11  # within HERMITICITY_ATOL, so eigh accepts it
+    for ours, exact in zip(linalg.eigh(nearly), linalg.eigh(m)):
+        assert np.array_equal(ours, exact)

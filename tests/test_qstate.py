@@ -274,7 +274,7 @@ def test_dephased_entropy_matches_masked_matrix(case):
     # zeroes the coherences between clusters and decomposes the whole matrix
     hs, states, sizes = case
     levels, vectors = linalg.eigh(hs)
-    spectra = np.linalg.eigvalsh(states)
+    spectra = linalg.eigvalsh(states)  # the spectra propagation computes
     out = qstate.state_functionals(states, spectra, levels, vectors)
     assert np.array_equal(out.S, qstate.von_neumann_entropy(states))
     for k, (rho, v, s) in enumerate(zip(states, vectors, sizes)):

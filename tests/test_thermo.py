@@ -336,7 +336,7 @@ def test_entropy_from_trajectory_spectra_is_bit_for_bit(dim, seed):
     model = LindbladModel(dim=dim, hamiltonian_protocol=lambda t: h,
                           channels=(JumpChannel.constant(0.3, jump),))
     traj = propagate(model, random_state_of_rank(rng, dim, dim), 2.0, 0.01, 21)
-    assert np.array_equal(traj.spectra, np.linalg.eigvalsh(states_of(traj)))
+    assert np.array_equal(traj.spectra, linalg.eigvalsh(states_of(traj)))
     assert np.array_equal(traj.min_eigenvalues, traj.spectra[:, 0])
     values = thermo.evaluate_samples(traj, model)
     assert np.array_equal(values.S, qstate.von_neumann_entropy(states_of(traj)))

@@ -3,9 +3,12 @@
     python tools/ab.py --parent REV --workload pump --seed N --pairs 10 \\
         --seconds S --tag T [--trace-seconds 15]
 
-Extracts the committed files of REV (``git archive``) under .bench_build/ and
-runs ``bench/run.py --trace 0`` from the root of each checkout, one window of
-S seconds per side and pair, alternating which side runs first.
+Extracts the committed files of REV and the tracked working tree of this
+checkout (``git stash create``, or HEAD when the tree is clean) with ``git
+archive`` to .bench_build/parent-<rev> and .bench_build/change-<rev>, two paths
+of the same length, since the length of the checkout's path alone moves peak
+RSS. Runs ``bench/run.py --trace 0`` from the root of each, one window of S
+seconds per side and pair, alternating which side runs first.
 ``--workload`` takes one or more workloads. Writes BENCH_<T>.json at the root
 of this checkout in the schema of the other BENCH_*.json files: per workload
 and end-to-end metric, each side's window values, their medians, the
@@ -17,7 +20,7 @@ its set-up probes): each side's count, median and interquartile range, and
 the relative change of the medians. With ``--trace-seconds`` above 0 it also
 runs one traced window (``--trace 1``) per side at seed 7, under
 ``per_layer_seed7_traced``. A window that fails its check stops the run
-(exit 1). The extracted parent is removed at the end.
+(exit 1). Both extracted trees are removed at the end.
 """
 
 from __future__ import annotations
@@ -109,21 +112,31 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def extract_checkouts(root: Path, parent_rev: str) -> dict[str, Path]:
+    """The parent's committed files and the tracked working tree of the repository at
+    ``root``, each extracted under root/.bench_build/, by side."""
+    revs = {"parent": parent_rev, "change": _git(root, "stash", "create") or
+            _git(root, "rev-parse", "HEAD")}
+    sides = {}
+    for side, rev in revs.items():
+        sides[side] = root / ".bench_build" / f"{side}-{rev[:12]}"
+        archive = subprocess.run(["git", "archive", rev], cwd=root, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(sides[side], filter="data")
+    return sides
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parent_rev = _git("rev-parse", args.parent)
-    checkout = ROOT / ".bench_build" / f"parent-{parent_rev[:12]}"
-    archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(checkout, filter="data")
-    sides = {"parent": checkout, "change": ROOT}
+    parent_rev = _git(ROOT, "rev-parse", args.parent)
+    sides = extract_checkouts(ROOT, parent_rev)
     end_to_end: dict[str, Any] = {}
     per_layer: dict[str, Any] = {}
     try:
@@ -155,7 +168,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        shutil.rmtree(checkout)
+        for checkout in sides.values():
+            shutil.rmtree(checkout)
 
     command = (f"python3 bench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g}"
                " --trace 0 (end to end)")
@@ -163,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
         command += (f" and --seed {TRACE_SEED} --seconds {args.trace_seconds:g} --trace 1"
                     " (per layer)")
     record: dict[str, Any] = {
-        "change": f"working tree at {_git('rev-parse', 'HEAD')} against {parent_rev}",
+        "change": (f"tracked working tree at {_git(ROOT, 'rev-parse', 'HEAD')} against"
+                   f" {parent_rev}"),
         "command": command + ", run from the root of each checkout",
         "method": (f"{args.pairs} pairs per workload, alternating which side runs first;"
                    " each value is the median of one window; 'change_wins' counts pairs"
