@@ -477,7 +477,7 @@ def _undriven_maps(gen: np.ndarray, dim: int, dt: float, keep: np.ndarray,
     defect = _trace_row_defects(step_map, dim, 0, dt)
     radius = float(np.max(np.abs(np.linalg.eigvals(step_map[0, :n, :n]))))
     if radius > _SPECTRAL_RADIUS_LIMIT:
-        raise StabilityError(f"step map spectral radius {radius:.6g} > 1 at dt={dt!r}")
+        raise StabilityError(f"step map spectral radius {radius:.10g} > 1 at dt={dt!r}")
     sector = step_map[0][np.ix_(keep, keep)]
     del gen, step_map  # the run holds only the powers of the sector
     powers = {gap: np.linalg.matrix_power(sector, gap)

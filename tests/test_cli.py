@@ -64,6 +64,30 @@ def test_qubit_run_makes_no_lapack_eigensolver_call(tmp_path, monkeypatch):
                 "--t-end", "2", "--samples", "21")
 
 
+class ComplexMatmulCalled(Exception):
+    pass
+
+
+def test_qubit_run_makes_no_complex_matmul(tmp_path, monkeypatch):
+    # linalg changes the basis of a stack of 2 x 2 matrices in closed form, so a
+    # driven-qubit run never pages in BLAS's complex matrix product; the 9-level
+    # pump still calls it. The patch sees products written as np.matmul, as in
+    # linalg, not the @ operator.
+    matmul = np.matmul
+
+    def real_only(*args, **kwargs):
+        if any(np.iscomplexobj(arg) for arg in args):
+            raise ComplexMatmulCalled
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", real_only)
+    assert run_cli("run", "--scenario", "fig2", "--out", str(tmp_path / "fig2"),
+                   "--t-end", "2", "--samples", "21", "--plots") == 0
+    with pytest.raises(ComplexMatmulCalled):
+        run_cli("run", "--scenario", "fig1", "--out", str(tmp_path / "fig1"),
+                "--t-end", "2", "--samples", "21")
+
+
 def test_verdicts_match_recomputed_slacks(tmp_path):
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", "fig2", "--out", str(out),

@@ -123,3 +123,50 @@ def test_qubit_closed_form_reads_the_lower_triangle():
     nearly[:, 0, 1] += 5e-11  # within HERMITICITY_ATOL, so eigh accepts it
     for ours, exact in zip(linalg.eigh(nearly), linalg.eigh(m)):
         assert np.array_equal(ours, exact)
+
+
+def random_unitary_stack(rng, shape, dim):
+    size = (*shape, dim, dim)
+    return np.linalg.qr(rng.standard_normal(size) + 1j * rng.standard_normal(size))[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
+def test_qubit_basis_change_matches_matmul(scale):
+    # 2 x 2 basis changes multiply in closed form, within 2e-15 of the largest entry
+    # modulus of np.matmul's, both ways and broadcast against a single operator
+    rng = np.random.default_rng(29)
+    a = random_qubit_stack(rng, (40, 25), scale)
+    v = random_unitary_stack(rng, (40, 25), 2)
+    w = scale * rng.standard_normal((40, 25, 2))
+    for ours, exact, size in [
+        (linalg.change_basis(a, v), linalg.adjoint(v) @ a @ v, np.abs(a).max(axis=(-2, -1))),
+        (linalg.change_basis(a[0, 0], v), linalg.adjoint(v) @ a[0, 0] @ v, np.abs(a[0, 0]).max()),
+        (linalg.change_basis(w, v, inverse=True), (v * w[..., None, :]) @ linalg.adjoint(v),
+         np.abs(w).max(axis=-1)),
+    ]:
+        assert ours.shape == exact.shape
+        assert np.all(np.abs(ours - exact) <= 2e-15 * np.asarray(size)[..., None, None])
+
+
+@pytest.mark.parametrize("dim", [3, 9])
+def test_basis_change_of_other_dimensions_is_matmul_bit_for_bit(dim):
+    rng = np.random.default_rng(31)
+    a = random_hermitian(rng, dim)
+    v = random_unitary_stack(rng, (5,), dim)
+    w = rng.standard_normal((5, dim))
+    assert np.array_equal(linalg.change_basis(a, v), linalg.adjoint(v) @ a @ v)
+    assert np.array_equal(linalg.change_basis(w, v, inverse=True),
+                          (v * w[..., None, :]) @ linalg.adjoint(v))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_qubit_basis_change_propagates_nan_as_matmul_does(entry):
+    v = np.stack([np.eye(2, dtype=complex), linalg.eigh(SX + 0.3 * SZ)[1]])
+    a, bad_v, w = SX.copy(), v.copy(), np.array([[1.0, 2.0], [3.0, 4.0]])
+    a[entry] = bad_v[1][entry] = w[entry] = np.nan
+    for op, basis in [(a, v), (SX, bad_v)]:
+        assert np.array_equal(np.isnan(linalg.change_basis(op, basis)),
+                              np.isnan(linalg.adjoint(basis) @ op @ basis))
+    assert np.array_equal(np.isnan(linalg.change_basis(w, v, inverse=True)),
+                          np.isnan((v * w[..., None, :]) @ linalg.adjoint(v)))

@@ -172,10 +172,10 @@ def test_unstable_run_names_its_first_sample_with_norm_above_10():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_cumulative_trace_drift_sums_the_per_sample_corrections(monkeypatch):
-    # Step maps that scale rho by 1 + eps leave a trace (1 + eps)^gap at each
-    # sample, which renormalizing there would remove.
-    eps, step_maps = 1e-10, lindblad._rk4_step_maps
+def scale_step_maps(monkeypatch, eps):
+    """Make every RK4 step map scale rho by 1 + eps: it then changes the trace of a
+    unit-norm qubit state by up to eps sqrt(2)."""
+    step_maps = lindblad._rk4_step_maps
 
     def scaled(*args):
         maps = step_maps(*args)
@@ -183,13 +183,48 @@ def test_cumulative_trace_drift_sums_the_per_sample_corrections(monkeypatch):
         return maps
 
     monkeypatch.setattr(lindblad, "_rk4_step_maps", scaled)
-    model, rho0 = amplitude_damping_model(), excited_state()
-    for case in (model, dataclasses.replace(model, hamiltonian_rate_protocol=zero_rate)):
+
+
+def test_cumulative_trace_drift_sums_the_per_sample_corrections(monkeypatch):
+    # Step maps that scale rho by 1 + eps leave a trace (1 + eps)^gap at each
+    # sample, which renormalizing there would remove. Q, whose increments are
+    # divided by the previous sample's trace, stays within 1e-9 of the unscaled run
+    # (the run that does not divide them is 6.3e-9 off).
+    eps, model, rho0 = 1e-10, amplitude_damping_model(), excited_state()
+    cases = (model, dataclasses.replace(model, hamiltonian_rate_protocol=zero_rate))
+    unscaled = [propagate(case, rho0, 3.07, 0.01, 31) for case in cases]
+    scale_step_maps(monkeypatch, eps)
+    for case, exact in zip(cases, unscaled):
         traj = propagate(case, rho0, 3.07, 0.01, 31)
+        assert np.max(np.abs(traj.heat - exact.heat)) < 1e-9
         gaps = np.diff(np.rint(traj.times / traj.dt))
         assert np.sum(traj.trace_drifts) == pytest.approx(np.sum((1.0 + eps) ** gaps - 1.0),
                                                           rel=1e-6)
         assert np.allclose(np.trace(states_of(traj), axis1=1, axis2=2), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_step_map_that_drifts_the_trace_by_1e_5_is_refused(monkeypatch, driven):
+    scale_step_maps(monkeypatch, 1e-5 / 2 ** 0.5)
+    model = amplitude_damping_model()
+    if driven:
+        model = dataclasses.replace(model, hamiltonian_rate_protocol=zero_rate)
+    with pytest.raises(StabilityError, match=r"^trace drift up to 1\.000e-05 in one step at t="):
+        propagate(model, excited_state(), 3.0, 0.01, 31)
+
+
+def test_undriven_step_map_just_past_rk4s_stability_edge_is_refused():
+    # H = diag(1, -1) turns the coherences at frequency 2, and RK4's amplification
+    # |R(2i dt)| crosses 1 at 2 dt = sqrt(8); just past it, it is 1 + 1.0e-6.
+    dt = 2 ** 0.5 * (1.0 + 1.41e-7)
+    z = 2j * dt
+    assert abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) == pytest.approx(1 + 1.0e-6,
+                                                                             rel=1e-8)
+    model = LindbladModel(dim=2, hamiltonian_protocol=lambda t: SZ, channels=())
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    with pytest.warns(UserWarning, match="accuracy may degrade"):
+        with pytest.raises(StabilityError, match=r"^step map spectral radius 1\.000001\d* > 1"):
+            propagate(model, plus, 10 * dt, dt, 11)
 
 
 def test_propagate_validates_arguments():

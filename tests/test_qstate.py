@@ -305,3 +305,9 @@ def test_fidelity_examples():
     assert qstate.fidelity_pure(diag_state(0.7, 0.3), psi) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(UnnormalizedVector):
         qstate.fidelity_pure(diag_state(0.5, 0.5), np.array([1, 1]))
+
+
+def test_levels_closer_than_the_degeneracy_tolerance_form_one_cluster():
+    # DEGENERACY_ATOL is 1e-9 of max(1, max |E|): 1e-7 apart are two levels, 1e-10 one
+    assert qstate.level_clusters(np.array([0.5, 0.5 + 1e-7])).tolist() == [0, 1]
+    assert qstate.level_clusters(np.array([0.5, 0.5 + 1e-10])).tolist() == [0, 0]
