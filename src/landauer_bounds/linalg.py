@@ -19,10 +19,11 @@ arbitrary, LAPACK's as well as the closed form's; nothing downstream depends
 on that choice: entropies, traces, Gibbs states and block dephasing are the
 same in every eigenbasis.
 
-``change_basis`` gives V^dagger A V and V diag(w) V^dagger. On 2 x 2 stacks each
-product x y is column 0 of x times row 0 of y plus column 1 times row 1, so a
-qubit run calls no complex BLAS product either; it lies within 2e-15 max |entry|
-of ``np.matmul`` and is NaN where that is. Every other d calls ``np.matmul``.
+Basis changes of a stack (V^dagger A V, V diag(w) V^dagger) multiply with
+``matmul``. When both operands are 2 x 2 stacks, x y is column 0 of x times
+row 0 of y plus column 1 times row 1, so a qubit run calls no complex BLAS
+product either; it lies within 2e-15 max |entry| of ``np.matmul`` and is NaN
+where that is. Every other shape calls ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -61,19 +62,12 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
-def change_basis(a: np.ndarray, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """V^dagger a V: the operators a (..., d, d) in the basis of the columns of v;
-    with ``inverse``, V diag(a) V^dagger: the operators whose matrices in that
-    basis are diagonal with entries a (..., d). Stacks broadcast as in ``np.matmul``."""
-    product = _qubit_product if v.shape[-1] == 2 else np.matmul
-    if inverse:
-        return product(v * a[..., None, :], adjoint(v))
-    return product(product(adjoint(v), a), v)
-
-
-def _qubit_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y of 2 x 2 stacks, as elementwise products (see the module docstring)."""
-    return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
+def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y of matrices or stacks, broadcast as in ``np.matmul``; two 2 x 2 stacks
+    multiply as elementwise products (see the module docstring)."""
+    if x.shape[-2:] == y.shape[-2:] == (2, 2):
+        return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
+    return np.matmul(x, y)
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -111,7 +111,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     w, v = linalg.eigh(sigma)
     singular = w[..., 0] <= SINGULAR_WEIGHT
     log_w = np.log(np.where(singular[..., None], 1.0, w))
-    populations = np.diagonal(linalg.change_basis(rho, v), axis1=-2, axis2=-1).real
+    rotated = linalg.matmul(linalg.matmul(linalg.adjoint(v), rho), v)
+    populations = np.diagonal(rotated, axis1=-2, axis2=-1).real
     return np.where(singular, np.nan,
                     -von_neumann_entropy(rho) - np.sum(log_w * populations, axis=-1))
 
@@ -175,7 +176,8 @@ def gibbs_weights(levels: np.ndarray, beta: np.ndarray | float) -> tuple[np.ndar
 
 def diagonal_in_basis(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """V diag(weights) V^dagger, Hermitized, for one basis or a stack of them."""
-    return linalg.hermitian_part(linalg.change_basis(weights, vectors, inverse=True))
+    return linalg.hermitian_part(
+        linalg.matmul(vectors * weights[..., None, :], linalg.adjoint(vectors)))
 
 
 def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
@@ -204,7 +206,7 @@ def state_functionals(rho: np.ndarray, spectra: np.ndarray, levels: np.ndarray,
     as in ``von_neumann_entropy``, so no state is decomposed again here. E_S
     uses the basis energies: Tr[H rho] = sum_n lambda_n <E_n|rho|E_n>.
     """
-    rotated = linalg.change_basis(rho, vectors)
+    rotated = linalg.matmul(linalg.matmul(linalg.adjoint(vectors), rho), vectors)
     populations = np.diagonal(rotated, axis1=-2, axis2=-1).real.copy()
     e_s = np.sum(levels * populations, axis=-1)
     s = shannon_entropy(_clamped_probabilities(spectra))

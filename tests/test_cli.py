@@ -1,9 +1,11 @@
+import ast
 import csv
 import dataclasses
 import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,10 +71,10 @@ class ComplexMatmulCalled(Exception):
 
 
 def test_qubit_run_makes_no_complex_matmul(tmp_path, monkeypatch):
-    # linalg changes the basis of a stack of 2 x 2 matrices in closed form, so a
-    # driven-qubit run never pages in BLAS's complex matrix product; the 9-level
-    # pump still calls it. The patch sees products written as np.matmul, as in
-    # linalg, not the @ operator.
+    # linalg.matmul multiplies two 2 x 2 stacks in closed form, so a driven-qubit run
+    # never pages in BLAS's complex matrix product. The patch sees only products
+    # that look np.matmul up, as linalg.matmul does; the @ operator does not, and
+    # the source check below keeps it off operator stacks.
     matmul = np.matmul
 
     def real_only(*args, **kwargs):
@@ -83,9 +85,45 @@ def test_qubit_run_makes_no_complex_matmul(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "matmul", real_only)
     assert run_cli("run", "--scenario", "fig2", "--out", str(tmp_path / "fig2"),
                    "--t-end", "2", "--samples", "21", "--plots") == 0
-    with pytest.raises(ComplexMatmulCalled):
-        run_cli("run", "--scenario", "fig1", "--out", str(tmp_path / "fig1"),
-                "--t-end", "2", "--samples", "21")
+
+
+# Every matrix product in the package outside linalg, by module and function, and
+# why it is no complex product of operator stacks.
+BLAS_PRODUCTS = {
+    ("lindblad", "_rk4_step_maps"): "real step maps",
+    ("lindblad", "_driven_maps"): "real step maps",
+    ("lindblad", "_undriven_maps"): "powers of a real step map",
+    ("lindblad", "Propagation._block"): "real maps times real coordinates",
+    ("models", "build_rydberg"): "9-level operators times the Bell vector",
+    ("qstate", "fidelity_pure"): "vector, matrix, vector",
+    ("thermo", "_chain"): "real weights times real levels",
+}
+
+
+def blas_products(path):
+    """(module, function) of each @, np.matmul, np.dot ... in a source file."""
+    names = {"matmul", "dot", "vdot", "inner", "tensordot", "matrix_power", "multi_dot"}
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in names and ast.unparse(node.func.value) != "linalg"):
+            found.add((path.stem, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_linalg_is_the_one_module_that_multiplies_operator_stacks():
+    package = Path(linalg.__file__).parent
+    found = set().union(*(blas_products(path) for path in package.glob("*.py")
+                          if path.name != "linalg.py"))
+    assert found == set(BLAS_PRODUCTS)
 
 
 def test_verdicts_match_recomputed_slacks(tmp_path):

@@ -130,6 +130,14 @@ def random_unitary_stack(rng, shape, dim):
     return np.linalg.qr(rng.standard_normal(size) + 1j * rng.standard_normal(size))[0]
 
 
+def rotate(matmul, a, v):
+    return matmul(matmul(linalg.adjoint(v), a), v)
+
+
+def unrotate(matmul, w, v):
+    return matmul(v * w[..., None, :], linalg.adjoint(v))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
 def test_qubit_basis_change_matches_matmul(scale):
@@ -140,10 +148,9 @@ def test_qubit_basis_change_matches_matmul(scale):
     v = random_unitary_stack(rng, (40, 25), 2)
     w = scale * rng.standard_normal((40, 25, 2))
     for ours, exact, size in [
-        (linalg.change_basis(a, v), linalg.adjoint(v) @ a @ v, np.abs(a).max(axis=(-2, -1))),
-        (linalg.change_basis(a[0, 0], v), linalg.adjoint(v) @ a[0, 0] @ v, np.abs(a[0, 0]).max()),
-        (linalg.change_basis(w, v, inverse=True), (v * w[..., None, :]) @ linalg.adjoint(v),
-         np.abs(w).max(axis=-1)),
+        (rotate(linalg.matmul, a, v), rotate(np.matmul, a, v), np.abs(a).max(axis=(-2, -1))),
+        (rotate(linalg.matmul, a[0, 0], v), rotate(np.matmul, a[0, 0], v), np.abs(a[0, 0]).max()),
+        (unrotate(linalg.matmul, w, v), unrotate(np.matmul, w, v), np.abs(w).max(axis=-1)),
     ]:
         assert ours.shape == exact.shape
         assert np.all(np.abs(ours - exact) <= 2e-15 * np.asarray(size)[..., None, None])
@@ -155,9 +162,16 @@ def test_basis_change_of_other_dimensions_is_matmul_bit_for_bit(dim):
     a = random_hermitian(rng, dim)
     v = random_unitary_stack(rng, (5,), dim)
     w = rng.standard_normal((5, dim))
-    assert np.array_equal(linalg.change_basis(a, v), linalg.adjoint(v) @ a @ v)
-    assert np.array_equal(linalg.change_basis(w, v, inverse=True),
-                          (v * w[..., None, :]) @ linalg.adjoint(v))
+    assert np.array_equal(rotate(linalg.matmul, a, v), rotate(np.matmul, a, v))
+    assert np.array_equal(unrotate(linalg.matmul, w, v), unrotate(np.matmul, w, v))
+
+
+def test_qubit_times_other_dimension_raises_as_matmul_does():
+    for x, y in [(SX, np.eye(3)), (np.eye(3), SX), (SX, np.ones((3, 2))), (np.ones((2, 3)), SX)]:
+        with pytest.raises(ValueError):
+            np.matmul(x, y)
+        with pytest.raises(ValueError):
+            linalg.matmul(x, y)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -166,7 +180,7 @@ def test_qubit_basis_change_propagates_nan_as_matmul_does(entry):
     a, bad_v, w = SX.copy(), v.copy(), np.array([[1.0, 2.0], [3.0, 4.0]])
     a[entry] = bad_v[1][entry] = w[entry] = np.nan
     for op, basis in [(a, v), (SX, bad_v)]:
-        assert np.array_equal(np.isnan(linalg.change_basis(op, basis)),
-                              np.isnan(linalg.adjoint(basis) @ op @ basis))
-    assert np.array_equal(np.isnan(linalg.change_basis(w, v, inverse=True)),
-                          np.isnan((v * w[..., None, :]) @ linalg.adjoint(v)))
+        assert np.array_equal(np.isnan(rotate(linalg.matmul, op, basis)),
+                              np.isnan(rotate(np.matmul, op, basis)))
+    assert np.array_equal(np.isnan(unrotate(linalg.matmul, w, v)),
+                          np.isnan(unrotate(np.matmul, w, v)))

@@ -120,6 +120,13 @@ def test_relative_entropy_singular_reference():
                                               qstate.pure_state(np.array([1, 0]))))
 
 
+def test_relative_entropy_of_states_of_different_dimension_raises():
+    for rho, sigma in [(diag_state(0.2, 0.3, 0.5), diag_state(0.5, 0.5)),
+                       (diag_state(0.5, 0.5), diag_state(0.2, 0.3, 0.5))]:
+        with pytest.raises(ValueError):
+            qstate.relative_entropy(rho, sigma)
+
+
 def test_dephase_diagonal_state_has_no_coherence():
     s_diag, coh = dephase(diag_state(0.3, 0.7), SZ)
     assert abs(coh) < 1e-12

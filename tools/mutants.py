@@ -1,6 +1,6 @@
 """Mutation check of tier-1: which deliberate faults in src/ the tests catch.
 
-    python tools/mutants.py [--only NAME ...] [--out MUTANTS.json]
+    python tools/mutants.py [--out MUTANTS.json]
 
 ``MUTANTS`` is a fixed list of named text edits to files under src/, each of
 which must match its file exactly once. The tracked and untracked, not ignored
@@ -112,7 +112,6 @@ def copy_checkout(dest: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", choices=[m.name for m in MUTANTS])
     parser.add_argument("--out", type=Path, default=ROOT / "MUTANTS.json")
     args = parser.parse_args(argv)
     results = []
@@ -124,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"tier-1 fails on the unchanged copy:\n{output[-2000:]}", file=sys.stderr)
             return 1
         for mutant in MUTANTS:
-            if args.only and mutant.name not in args.only:
-                continue
             path = tree / SRC / mutant.file
             original = path.read_text()
             path.write_text(original.replace(mutant.old, mutant.new))
