@@ -80,6 +80,11 @@ STEP_BLOCK_BYTES = 147_456
 # once.
 SAMPLE_BLOCK = 256
 
+# A block's complex stack of states is formed from at most this many bytes of
+# full-width coordinates at a time: 32 samples at d = 9, a whole block of qubits.
+# The transients of ``density_matrices`` are then a few times that size.
+STATE_BLOCK_BYTES = 20_736
+
 
 def steps_per_block(dim: int) -> int:
     """Driven steps whose real step maps fit in STEP_BLOCK_BYTES, at least one."""
@@ -178,6 +183,17 @@ class Trajectory:
         full[:, self.support] = rows
         return full
 
+    def states(self) -> np.ndarray:
+        """The (m, d, d) complex stack of ``density_matrices`` of every sample, formed
+        STATE_BLOCK_BYTES of full-width coordinates at a time."""
+        d = self.spectra.shape[-1]
+        states = np.empty((len(self.coordinates), d, d), dtype=np.complex128)
+        step = max(1, STATE_BLOCK_BYTES // (8 * d * d))
+        for start in range(0, len(states), step):
+            rows = slice(start, start + step)
+            density_matrices(self.full_coordinates(rows), out=states[rows])
+        return states
+
 
 # The fields of a Trajectory with one row per sample.
 _PER_SAMPLE = ("coordinates", "heat", "work", "spectra", "trace_drifts")
@@ -212,28 +228,39 @@ def protocol_values(protocol: Callable[..., np.ndarray], times: np.ndarray,
 
 
 @functools.lru_cache(maxsize=None)
-def _coordinates(dim: int) -> tuple[np.ndarray, ...]:
-    """z, P and the similarity terms (w, c, p) x 2 of the real coordinates of vec rho.
+def _coordinates(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """z and the transpose permutation P of the real coordinates of vec rho.
 
     x = Re(z * vec rho), z = sqrt(2) above the diagonal of rho, i sqrt(2) below
-    it and 1 on it: on Hermitian rho, the unitary T = (diag z + diag(conj z) P) / 2
-    with P the transpose permutation. A Liouvillian A that preserves
-    Hermiticity has P A P = conj(A), so T A T^dag = Re[(z z^dag / 2) * A +
-    (z z^T / 2) * A P], whose coefficients are real or imaginary: entry (j, k)
-    is the sum over both terms of w[j, k] times the real (p = 0) or imaginary
-    (p = 1) part of A at flat index c[j, k]. Each w has a trailing unit axis for
-    time.
+    it and 1 on it: on Hermitian rho, the unitary T = (diag z + diag(conj z) P) / 2.
+    Every coordinate change reads these d^2 entries, so they are cached.
     """
     n = dim * dim
     rows, cols = np.divmod(np.arange(n), dim)
     z = np.select([rows < cols, cols < rows], [2 ** 0.5, 2 ** 0.5 * 1j], 1 + 0j)
     perm = cols * dim + rows
-    cells, terms = np.arange(n * n).reshape(n, n), [z, perm]
+    for term in (z, perm):  # shared by every caller through the cache
+        term.setflags(write=False)
+    return z, perm
+
+
+def similarity_terms(dim: int) -> tuple[np.ndarray, ...]:
+    """The similarity terms (w, c, p) x 2 that make a Liouvillian real.
+
+    A Liouvillian A that preserves Hermiticity has P A P = conj(A), so with T of
+    ``_coordinates`` T A T^dag = Re[(z z^dag / 2) * A + (z z^T / 2) * A P], whose
+    coefficients are real or imaginary: entry (j, k) is the sum over both terms
+    of w[j, k] times the real (p = 0) or imaginary (p = 1) part of A at flat
+    index c[j, k]. Each w has a trailing unit axis for time. The six tables have
+    d^4 entries each (315 KB at d = 9), so they are not cached: the run that
+    builds generators holds them while it does, and drops them after.
+    """
+    z, perm = _coordinates(dim)
+    n = dim * dim
+    cells, terms = np.arange(n * n).reshape(n, n), []
     for coef, picks in ((np.outer(z, z.conj()) / 2, cells), (np.outer(z, z) / 2, cells[:, perm])):
         imag = coef.imag != 0
         terms += [np.where(imag, -coef.imag, coef.real)[..., None], picks, imag.astype(int)]
-    for term in terms:  # shared by every caller through the cache
-        term.setflags(write=False)
     return tuple(terms)
 
 
@@ -244,12 +271,13 @@ def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
     return (_coordinates(rho.shape[-1])[0] * rho.reshape(*rho.shape[:-2], n)).real
 
 
-def density_matrices(x: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian (..., d, d) matrices of real coordinates (..., d^2)."""
+def density_matrices(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exactly Hermitian (..., d, d) matrices of real coordinates (..., d^2), written
+    into the complex ``out`` when it is given."""
     d = math.isqrt(x.shape[-1])
-    z, perm = _coordinates(d)[:2]
+    z, perm = _coordinates(d)
     grid = x.reshape(*x.shape[:-1], d, d)  # x[..., perm] is its transpose
-    rho = np.multiply((0.5 * z.conj()).reshape(d, d), grid)
+    rho = np.multiply((0.5 * z.conj()).reshape(d, d), grid, out=out)
     rho += (0.5 * z[perm]).reshape(d, d) * np.swapaxes(grid, -1, -2)
     return rho
 
@@ -289,8 +317,10 @@ def upper_triangle(x: np.ndarray) -> np.ndarray:
     return columns
 
 
-def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """A = T L T^dag at each time, as a (d^2, d^2, m) array, from the Hamiltonians h.
+def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray,
+                       terms: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A = T L T^dag at each time, as a (d^2, d^2, m) array, from the Hamiltonians h
+    and the ``similarity_terms`` of the model's dimension.
 
     Only the complex Liouvillian L is formed, in a (d, d, d, d, m) buffer that
     holds L[(a, b), (c, e)] at [a, b, c, e]: one contraction over the stacked
@@ -320,7 +350,7 @@ def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -
         liou[j, :, j, :] += plus_i_conj_k
     del minus_i_k, plus_i_conj_k
 
-    w0, c0, p0, w1, c1, p1 = _coordinates(d)[2:]
+    w0, c0, p0, w1, c1, p1 = terms
     parts = liou.reshape(n * n, m).view(np.float64).reshape(n * n, m, 2)
     real = parts[c0, :, p0]
     real *= w0
@@ -330,22 +360,26 @@ def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -
     return real
 
 
-def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
+def augmented_generators(model: LindbladModel, times: np.ndarray,
+                         terms: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Real generators of y = [x, Q, W] at each time, shape (m, d^2 + 2, d^2 + 2).
 
     x = ``hermitian_coordinates(rho)``. The leading d^2 x d^2 block is
     A = T L T^dag for the complex Liouvillian L on row-major vec(rho) (see
-    ``_coordinates``), built without Kronecker products against the identity
+    ``similarity_terms``), built without Kronecker products against the identity
     (see ``_real_liouvillians``); row d^2 is dQ/dt = -Tr[H L(rho)] = -h . A x
     with h the coordinates of H, and row d^2 + 1 is dW/dt = Tr[dH/dt rho], the
     coordinates of ``hamiltonian_rate_protocol`` (zero for undriven models).
     The Q and W columns are zero.
+
+    ``terms`` are ``similarity_terms(model.dim)``, built here when not given; a
+    caller that builds generators more than once builds them once and passes them.
     """
     times = np.asarray(times, dtype=float)
     n = model.dim ** 2
     h = linalg.require_hermitian(protocol_values(model.hamiltonian_protocol, times, model.dim,
                                                  "Hamiltonian"))
-    real = _real_liouvillians(model, times, h)
+    real = _real_liouvillians(model, times, h, terms or similarity_terms(model.dim))
     gen = np.zeros((len(times), n + 2, n + 2))
     gen[:, :n, :n] = np.moveaxis(real, -1, 0)
     gen[:, n, :n] = -np.einsum("tj,jkt->tk", hermitian_coordinates(h), real)
@@ -422,6 +456,7 @@ def _driven_maps(model: LindbladModel, dt: float,
     built one block of steps at a time."""
     n, k, block = model.dim ** 2, model.dim ** 2 + 2, steps_per_block(model.dim)
     n_steps, max_defect, warned, carry = int(sample_idx[-1]), 0.0, False, np.eye(k)
+    terms = similarity_terms(model.dim)  # once per run, held until its last block
     for first in range(0, n_steps, block):
         count = min(block, n_steps - first)
         # The generators and RK4 stages, about five times the maps' bytes, are formed
@@ -429,7 +464,8 @@ def _driven_maps(model: LindbladModel, dt: float,
         half, scale, halves = -(-count // 2), 0.0, []
         for start in range(first, first + count, half):
             steps = min(half, first + count - start)
-            gen = augmented_generators(model, (start + 0.5 * np.arange(2 * steps + 1)) * dt)
+            gen = augmented_generators(model, (start + 0.5 * np.arange(2 * steps + 1)) * dt,
+                                       terms)
             scale = max(scale, _generator_scale(gen, n, dt))
             halves.append(_rk4_step_maps(gen[:-1:2], gen[1::2], gen[2::2], dt))
             del gen  # freed before the next half's generators are built
@@ -479,9 +515,10 @@ def _undriven_maps(gen: np.ndarray, dim: int, dt: float, keep: np.ndarray,
     if radius > _SPECTRAL_RADIUS_LIMIT:
         raise StabilityError(f"step map spectral radius {radius:.10g} > 1 at dt={dt!r}")
     sector = step_map[0][np.ix_(keep, keep)]
-    del gen, step_map  # the run holds only the powers of the sector
+    del gen, step_map
     powers = {gap: np.linalg.matrix_power(sector, gap)
               for gap in set(np.diff(sample_idx).tolist())}
+    del sector  # the run holds only the powers of the sector
     for start, end in itertools.pairwise(sample_idx):
         yield powers[end - start], defect
 
@@ -567,7 +604,7 @@ class Propagation:
         traj = Trajectory(times=times, coordinates=coords, support=self.support, heat=heat,
                           work=work, spectra=spectra, trace_drifts=drifts,
                           max_step_trace_drift=self.max_defect, dt=self.dt, n_steps=self.n_steps)
-        states = density_matrices(traj.full_coordinates(slice(None)))
+        states = traj.states()
         spectra[:] = linalg.eigvalsh(states)
         bad = np.flatnonzero(spectra[:, 0] < -qstate.POSITIVITY_ATOL)
         if bad.size:

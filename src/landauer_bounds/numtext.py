@@ -29,6 +29,8 @@ zeros of either sign are spelled by the kernel.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's constant for float64
@@ -272,29 +274,43 @@ def _text(words: np.ndarray) -> bytes:
     return words.tobytes().translate(None, b"\0")
 
 
+def chunk_rows(k: int) -> int:
+    """Rows of k numbers that ``csv_rows`` spells at once: at most _CHUNK numbers,
+    so that the arrays of one chunk stay a few times _CHUNK numbers."""
+    return max(1, _CHUNK // k)
+
+
+def _chunk_text(block: np.ndarray, separators: list[str], blank: np.ndarray | None,
+                last: np.ndarray | None) -> bytes:
+    """The text of ``csv_rows``'s rows of one chunk, without its last CRLF."""
+    words = _cells(block, "%.15g", separators, blank)
+    if last is not None:
+        tail = np.zeros((len(words), -(-(1 + last.dtype.itemsize) // 4) * 4), np.uint8)
+        tail[:, 0] = ord(",")
+        tail[:, 1:1 + last.dtype.itemsize] = last.view(np.uint8).reshape(len(words), -1)
+        words = np.concatenate([words, tail.view(np.uint32)], axis=1)
+    # a word that is NUL in every row adds nothing: dropping it first halves
+    # the bytes to scan where whole columns are zeros
+    return _text(words.take(np.flatnonzero(words.any(axis=0)), axis=1))
+
+
 def csv_rows(block: np.ndarray, blank: np.ndarray | None = None,
-             last: np.ndarray | None = None) -> bytes:
+             last: np.ndarray | None = None) -> Iterator[bytes]:
     """CSV rows, each ended by CRLF, of an (n, k) float64 ``block`` spelled as
     ``'%.15g' %`` does; NaN is an empty cell in the columns where ``blank`` (k
     booleans) is True. ``last``, n NUL-padded byte strings, is appended as a
-    final column; its strings must hold no NUL, comma, quote or line break."""
+    final column; its strings must hold no NUL, comma, quote or line break.
+
+    The text is yielded a chunk of ``chunk_rows(k)`` rows at a time, as soon as
+    it is spelled, so no more than one chunk's text is held at once."""
     n, k = block.shape
     separators = ["\r\n"] + [","] * (k - 1)
     blank = None if blank is None else np.asarray(blank, dtype=bool)
-    rows = max(1, _CHUNK // k)  # per call, so that its arrays stay a few times _CHUNK numbers
-    parts = []
+    rows = chunk_rows(k)
     for i in range(0, n, rows):
-        words = _cells(block[i:i + rows], "%.15g", separators, blank)
-        if last is not None:
-            tail = np.zeros((len(words), -(-(1 + last.dtype.itemsize) // 4) * 4), np.uint8)
-            tail[:, 0] = ord(",")
-            tail[:, 1:1 + last.dtype.itemsize] = last[i:i + rows].view(np.uint8).reshape(
-                len(words), -1)
-            words = np.concatenate([words, tail.view(np.uint32)], axis=1)
-        # a word that is NUL in every row adds nothing: dropping it first halves
-        # the bytes to scan where whole columns are zeros
-        parts.append(_text(words.take(np.flatnonzero(words.any(axis=0)), axis=1)))
-    return b"\r\n".join(parts) + b"\r\n"
+        yield _chunk_text(block[i:i + rows], separators, blank,
+                          None if last is None else last[i:i + rows])
+        yield b"\r\n"
 
 
 def points(xy: np.ndarray) -> str:

@@ -157,7 +157,7 @@ class Summary:
         return meta
 
 
-def bounds_rows(table: thermo.Bounds, columns: list[str]) -> bytes:
+def bounds_rows(table: thermo.Bounds, columns: list[str]) -> Iterator[bytes]:
     """The bounds.csv rows of a table, spelled by ``numtext.csv_rows``. NaN is
     an empty cell in ``thermo.OPTIONAL_COLUMNS`` and ``nan`` elsewhere."""
     blank = [c in thermo.OPTIONAL_COLUMNS for c in columns[:-1]]
@@ -174,13 +174,17 @@ def trajectory_header(d: int) -> bytes:
     return (",".join(header) + "\r\n").encode()
 
 
-def trajectory_rows(traj: Trajectory) -> bytes:
+def trajectory_rows(traj: Trajectory) -> Iterator[bytes]:
     """The trajectory.csv rows of a trajectory, spelled by ``numtext.csv_rows``; the
     rho columns are ``lindblad.upper_triangle`` of the full-width coordinates, the
-    bytes of ``density_matrices`` without its complex stacks (+0.2 MiB on pump's peak)."""
-    return numtext.csv_rows(np.column_stack([
-        traj.times, traj.heat, traj.work, traj.min_eigenvalues,
-        upper_triangle(traj.full_coordinates(slice(None)))]))
+    bytes of ``density_matrices`` without its complex stacks (+0.2 MiB on pump's peak).
+    The columns are formed for one chunk of rows at a time, as the text is read."""
+    rows = numtext.chunk_rows(4 + traj.spectra.shape[-1] ** 2)
+    for start in range(0, len(traj.times), rows):
+        chunk = slice(start, start + rows)
+        yield from numtext.csv_rows(np.column_stack([
+            traj.times[chunk], traj.heat[chunk], traj.work[chunk],
+            traj.min_eigenvalues[chunk], upper_triangle(traj.full_coordinates(chunk))]))
 
 
 def csv_header(columns: list[str]) -> bytes:

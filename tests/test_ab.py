@@ -1,4 +1,5 @@
 import importlib.util
+import random
 import subprocess
 from pathlib import Path
 
@@ -72,3 +73,44 @@ def test_both_checkouts_lie_at_paths_of_one_length(tmp_path):
     assert (sides["parent"] / "module.py").read_text() == "VALUE = 1\n"
     assert (sides["change"] / "module.py").read_text() == "VALUE = 2\n"
     assert (tmp_path / "module.py").read_text() == "VALUE = 2\n"  # the edit stays uncommitted
+
+
+def test_bootstrap_interval_covers_zero_without_a_shift_and_excludes_a_30_ms_one():
+    # 20 pairs of run times whose spread (sd 50 ms) exceeds the shift: a change that
+    # is the parent again reads an interval around 0; one that sleeps 30 ms more
+    # in every run reads one above 0
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    parent = (0.35 + rng.normal(0.0, 0.05, 20)).tolist()
+    same = (0.35 + rng.normal(0.0, 0.05, 20)).tolist()
+    noise = rng.normal(0.0, 0.005, 20)  # what a run's own jitter adds to each pair
+    slower = (np.array(parent) + 0.03 + noise).tolist()
+
+    null = ab.paired(parent, same, "lower")
+    assert null["interval95"][0] < 0.0 < null["interval95"][1]
+    assert not null["excludes_zero"]
+    shifted = ab.paired(parent, slower, "lower")
+    assert 0.0 < shifted["interval95"][0] <= shifted["median_difference"]
+    assert shifted["median_difference"] <= shifted["interval95"][1] < 0.06
+    assert shifted["excludes_zero"]
+    assert shifted["change_wins"] == 0 and shifted["change_losses"] == 20
+    assert ab.bootstrap_interval([0.1, 0.2, 0.3]) == ab.bootstrap_interval([0.1, 0.2, 0.3])
+
+
+def test_paired_counts_signs_and_ties():
+    summary = ab.paired(PARENT, CHANGE, "lower")
+    # differences -0.6, -0.4 (four times), -0.3, -0.2, -0.1, 0 (a tie) and 0.1
+    assert summary["median_difference"] == pytest.approx(-0.35)
+    assert summary["change_wins"] == 8 and summary["change_losses"] == 1
+    assert summary["pairs"] == 10
+    assert ab.paired(PARENT, CHANGE, "higher")["change_wins"] == 1
+
+
+def test_abba_orders_come_in_complementary_blocks():
+    orders = ab.abba_orders(9, random.Random(0))
+    assert len(orders) == 9
+    for first, second in zip(orders[0:8:2], orders[1:8:2]):
+        assert second == first[::-1]
+    assert set(orders) == {("parent", "change"), ("change", "parent")}
+    assert orders == ab.abba_orders(9, random.Random(0))

@@ -1070,11 +1070,13 @@ def write_blocks(result, out, size):
     undriven = result.config.kind == "undriven"
     columns = plotting.UNDRIVEN_COLUMNS if undriven else plotting.DRIVEN_COLUMNS
     traj, table = result.trajectory, result.bounds
-    (out / "trajectory.csv").write_bytes(outputs.trajectory_header(traj.spectra.shape[-1])
-                                         + b"".join(map(outputs.trajectory_rows,
-                                                        split(traj, TRAJECTORY_ROWS, size))))
+    header = outputs.trajectory_header(traj.spectra.shape[-1])
+    (out / "trajectory.csv").write_bytes(header + b"".join(
+        chunk for block in split(traj, TRAJECTORY_ROWS, size)
+        for chunk in outputs.trajectory_rows(block)))
     (out / "bounds.csv").write_bytes(outputs.csv_header(columns) + b"".join(
-        outputs.bounds_rows(block, columns) for block in split(table, BOUNDS_ROWS, size)))
+        chunk for block in split(table, BOUNDS_ROWS, size)
+        for chunk in outputs.bounds_rows(block, columns)))
 
 
 @pytest.mark.parametrize("block", [None, 7], ids=["default-blocks", "blocks-of-7"])
@@ -1112,7 +1114,8 @@ def test_trajectory_writer_zero_columns_match_reference(tmp_path):
     coordinates[:, 1:3] = -0.0  # Re rho_01 is -0 only where Im rho_01 is signed negative too
     coordinates[7:14, 3] = 0.0
     (tmp_path / "new.csv").write_bytes(outputs.trajectory_header(2) + b"".join(
-        map(outputs.trajectory_rows, split(traj, TRAJECTORY_ROWS, 7))))
+        chunk for block in split(traj, TRAJECTORY_ROWS, 7)
+        for chunk in outputs.trajectory_rows(block)))
     reference_trajectory_csv(SimpleNamespace(trajectory=traj), tmp_path / "old.csv")
     written = (tmp_path / "new.csv").read_text().splitlines()
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -1131,9 +1134,11 @@ def test_fig1_csv_spans_more_than_one_block(fig1_result):
 
 @pytest.mark.parametrize("writer", ["trajectory", "bounds"])
 def test_csv_writer_memory_stays_bounded(writer):
-    # A run formats one block of rows at a time. One SAMPLE_BLOCK of 9 x 9 states
-    # holds about 2.0 MB at once as trajectory rows and 0.7 MB as bound rows;
-    # pump's 4,001 trajectory rows in one call would hold about 22 MB.
+    # A writer yields its text a chunk of at most numtext._CHUNK numbers at a time,
+    # and the trajectory writer forms its columns for one chunk of rows at a time.
+    # Drained into a sink, one SAMPLE_BLOCK of 9 x 9 states then holds about 1.5 MB
+    # at once as trajectory rows, one chunk's cells, and 0.7 MB as bound rows; the
+    # text of the whole block joined at once held 2.0 MB.
     n = lindblad.SAMPLE_BLOCK
     rng = np.random.default_rng(0)
     values = rng.standard_normal(997)
@@ -1144,13 +1149,15 @@ def test_csv_writer_memory_stays_bounded(writer):
     try:
         current = tracemalloc.get_traced_memory()[0]
         if writer == "trajectory":
-            outputs.trajectory_rows(traj)
+            chunks = outputs.trajectory_rows(traj)
         else:
-            outputs.bounds_rows(bounds, plotting.DRIVEN_COLUMNS)
+            chunks = outputs.bounds_rows(bounds, plotting.DRIVEN_COLUMNS)
+        lines = sum(chunk.count(b"\r\n") for chunk in chunks)  # the sink keeps no chunk
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - current < 4e6
+    assert lines == n
+    assert peak - current < 1.7e6
 
 
 def reference_polylines(svg, panel):

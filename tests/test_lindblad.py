@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from full_width import states_of
+from full_width import full_trajectory, states_of
 from hypothesis import given, settings
 from random_cases import random_lindbladians
 
@@ -520,6 +520,57 @@ def test_propagate_holds_each_sampled_state_once(rydberg):
     # (SAMPLE_BLOCK, d, d) complex stacks
     allowance = lindblad.SAMPLE_BLOCK * d * d * (8 + 4 * 16)
     assert peak < trajectory + allowance
+
+
+@pytest.mark.parametrize("d, r", [(2, 4), (9, 39)])
+def test_states_of_a_block_are_density_matrices_of_its_samples_bit_for_bit(d, r):
+    # formed a few samples at a time at d = 9, where 100 samples take four parts,
+    # and in one part for a qubit, from the kept coordinates at full width
+    rng = np.random.default_rng(5)
+    support = np.sort(rng.choice(d * d, size=r, replace=False))
+    traj = dataclasses.replace(full_trajectory(np.zeros(100), np.zeros((100, r)), np.zeros(100),
+                                               np.zeros(100), np.zeros((100, d))),
+                               coordinates=rng.standard_normal((100, r)), support=support)
+    expected = density_matrices(traj.full_coordinates(slice(None)))
+    assert np.array_equal(traj.states().view(np.int64), expected.view(np.int64))
+
+
+def test_undriven_run_holds_no_similarity_table(rydberg):
+    # The six similarity tables have d^4 entries each, 52 KB apiece at d = 9. An
+    # undriven run builds them for its one generator and drops them with it: once
+    # its first block is out, what the run holds (its sample grid, its carry and the
+    # 41 x 41 power of its sector for its one sample gap, 13 KB) is less than one
+    # table. The cache of the coordinates is cleared first, so that no earlier test
+    # has filled it.
+    model, _ = rydberg
+    rho0 = models.initial_state("gibbs", model.hamiltonian_protocol(0.0), beta=30.0)
+    list(lindblad.propagation(model, rho0, 0.1, 0.01, 2))  # lazy set-up outside the measurement
+    lindblad._coordinates.cache_clear()
+    tracemalloc.start()
+    try:
+        current = tracemalloc.get_traced_memory()[0]
+        run = lindblad.propagation(model, rho0, 20.0, 0.01, 401)
+        next(iter(run))  # the first block builds the sector's powers from the generator
+        held = tracemalloc.get_traced_memory()[0] - current
+    finally:
+        tracemalloc.stop()
+    assert len(run.support) == 39
+    assert held < 8 * model.dim ** 4
+
+
+def test_driven_run_builds_its_similarity_tables_once(monkeypatch, erasure):
+    # 20k steps in 40 blocks of step maps: the tables are built once for the run
+    calls = []
+
+    def counted(dim):
+        calls.append(dim)
+        return terms(dim)
+
+    terms = lindblad.similarity_terms
+    monkeypatch.setattr(lindblad, "similarity_terms", counted)
+    rho0 = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0)
+    propagate(erasure, rho0, 10.0, 5e-4, 401)
+    assert calls == [2]
 
 
 def test_upper_triangle_is_the_gather_from_density_matrices_bit_for_bit():

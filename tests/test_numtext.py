@@ -12,7 +12,7 @@ from landauer_bounds import numtext
 def spell_g15(values):
     """(numtext's cells, '%.15g' % v of each v) of ``values`` as a one-column CSV."""
     values = np.asarray(values, dtype=float)
-    cells = numtext.csv_rows(values[:, None]).decode("ascii").split("\r\n")[:-1]
+    cells = b"".join(numtext.csv_rows(values[:, None])).decode("ascii").split("\r\n")[:-1]
     return cells, ["%.15g" % v for v in values.tolist()]
 
 
@@ -89,5 +89,5 @@ def test_any_floats_match_percent_format(values):
 
 def test_csv_rows_blank_nan_and_last_column():
     block = np.array([[math.nan, 1.0, math.nan], [2.0, math.nan, -0.0]])
-    rows = numtext.csv_rows(block, [True, False, False], np.array([b"a;b", b""]))
+    rows = b"".join(numtext.csv_rows(block, [True, False, False], np.array([b"a;b", b""])))
     assert rows == b",1,nan,a;b\r\n2,nan,-0,\r\n"

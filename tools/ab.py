@@ -1,26 +1,40 @@
 """A/B benchmark of this checkout against a parent revision.
 
     python tools/ab.py --parent REV --workload pump --seed N --pairs 10 \\
-        --seconds S --tag T [--trace-seconds 15]
+        --seconds S --tag T [--trace-seconds 15] [--single-pairs P]
 
 Extracts the committed files of REV and the tracked working tree of this
 checkout (``git stash create``, or HEAD when the tree is clean) with ``git
 archive`` to .bench_build/parent-<rev> and .bench_build/change-<rev>, two paths
 of the same length, since the length of the checkout's path alone moves peak
-RSS. Runs ``bench/run.py --trace 0`` from the root of each, one window of S
-seconds per side and pair, alternating which side runs first.
-``--workload`` takes one or more workloads. Writes BENCH_<T>.json at the root
-of this checkout in the schema of the other BENCH_*.json files: per workload
-and end-to-end metric, each side's window values, their medians, the
-parent's interquartile range (q3 - q1), the number of pairs in which the
-change reads better and the relative change of the medians. Next to them,
-under ``pooled_runs``, the same metric over the single runs of all windows
-of a side (each window's ``result.json``: its run times and peak RSS, and
-its set-up probes): each side's count, median and interquartile range, and
-the relative change of the medians. With ``--trace-seconds`` above 0 it also
-runs one traced window (``--trace 1``) per side at seed 7, under
-``per_layer_seed7_traced``. A window that fails its check stops the run
-(exit 1). Both extracted trees are removed at the end.
+RSS. ``--workload`` takes one or more workloads. Writes BENCH_<T>.json at the
+root of this checkout. Both extracted trees are removed at the end.
+
+Windows (``--seconds`` S above 0). Runs ``bench/run.py --trace 0`` from the
+root of each side, one window of S seconds per side and pair, alternating
+which side runs first. The record holds, per workload and end-to-end metric,
+each side's window values, their medians, the parent's interquartile range
+(q3 - q1), the number of pairs in which the change reads better and the
+relative change of the medians. Next to them, under ``pooled_runs``, the same
+metric over the single runs of all windows of a side (each window's
+``result.json``: its run times and peak RSS, and its set-up probes): each
+side's count, median and interquartile range, and the relative change of the
+medians. With ``--trace-seconds`` above 0 it also runs one traced window
+(``--trace 1``) per side at seed 7, under ``per_layer_seed7_traced``. A window
+that fails its check stops the run (exit 1).
+
+Single-run pairs (``--single-pairs`` P above 0). Runs P pairs of single fresh
+processes per side on the bench's config bytes for the workload and seed: a
+set-up probe (``bench/child.py setup``) and a ``landauer_bounds.cli run
+--plots``, each timed from its start to its exit with its peak RSS from
+``os.wait4``, as bench/run.py times them. The sides run in ABBA blocks (AB
+then BA, or BA then AB) drawn by a generator of fixed seed, and each pair's
+two runs get one environment padding of random length, so that layout bias
+averages out. Every run is checked by ``bench/checks.py``; a run that fails
+its check stops the tool (exit 1). The record holds, under ``single_runs``,
+per workload and end-to-end metric, both sides' values and the paired
+differences change - parent: their median, its bootstrap 95 % interval
+(``bootstrap_interval``) and the sign count.
 """
 
 from __future__ import annotations
@@ -30,17 +44,27 @@ import io
 import json
 import os
 import platform
+import random
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from importlib.metadata import version
 from pathlib import Path
 from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_SEED = 7
+ORDER_SEED = 0  # draws the ABBA blocks and the environment paddings of single-run pairs
+BOOTSTRAP_SEED = 0
+BOOTSTRAP_RESAMPLES = 10_000
+
+sys.path.insert(0, str(ROOT / "bench"))
+import checks  # noqa: E402  (bench/: the run checks and config bytes of the benchmark)
+import scenarios  # noqa: E402
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict[str, Any]:
@@ -99,13 +123,127 @@ def window(root: Path, workload: str, seed: int, seconds: float,
             run_values(json.loads(saved.read_text())))
 
 
+def bootstrap_interval(differences: list[float], level: float = 0.95) -> tuple[float, float]:
+    """The percentile bootstrap interval of the median of paired ``differences``:
+    the (1 - level) / 2 and (1 + level) / 2 quantiles of the medians of
+    BOOTSTRAP_RESAMPLES resamples with replacement, drawn with a fixed seed."""
+    import numpy as np  # here, so that the tool's own RSS stays below its children's
+
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    values = np.asarray(differences, dtype=float)
+    medians = np.median(rng.choice(values, size=(BOOTSTRAP_RESAMPLES, len(values))), axis=1)
+    low, high = np.quantile(medians, [(1 - level) / 2, (1 + level) / 2])
+    return float(low), float(high)
+
+
+def paired(parent: list[float], change: list[float], better: str) -> dict[str, Any]:
+    """One metric over single-run pairs: both sides' values, the median of the
+    differences change - parent, its bootstrap 95 % interval, whether that
+    excludes 0, and the pairs the change wins and loses (``better`` is "lower" or
+    "higher"; a tie is neither)."""
+    differences = [c - p for p, c in zip(parent, change)]
+    low, high = bootstrap_interval(differences)
+    sign = 1 if better == "lower" else -1
+    return {
+        "parent": parent,
+        "change": change,
+        "median_difference": statistics.median(differences),
+        "interval95": [low, high],
+        "excludes_zero": not low <= 0.0 <= high,
+        "change_wins": sum(sign * d < 0 for d in differences),
+        "change_losses": sum(sign * d > 0 for d in differences),
+        "pairs": len(differences),
+    }
+
+
+def abba_orders(pairs: int, rng: random.Random) -> list[tuple[str, str]]:
+    """The order of the two sides in each of ``pairs`` pairs: blocks of two pairs,
+    each AB then BA or BA then AB, drawn by ``rng``."""
+    orders: list[tuple[str, str]] = []
+    while len(orders) < pairs:
+        first = rng.choice([("parent", "change"), ("change", "parent")])
+        orders += [first, first[::-1]]
+    return orders[:pairs]
+
+
+def fresh_process(root: Path, cmd: list[str], padding: int,
+                  log: Path) -> tuple[int, float, float, str]:
+    """Run one process from the checkout at ``root`` with its ``src`` on PYTHONPATH,
+    one BLAS thread, an environment padded by ``padding`` bytes and its standard
+    error to ``log``: exit code, wall seconds from start to exit, peak RSS in MiB
+    and standard output."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), AB_PADDING="x" * padding,
+               **{var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS")})
+    with open(log, "wb") as err:
+        start = time.monotonic()
+        proc = subprocess.Popen(cmd, env=env, cwd=root, stdout=subprocess.PIPE, stderr=err)
+        with proc.stdout:
+            out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - start
+    # a child's peak RSS as wait4 reports it is at least this process's own peak
+    if usage.ru_maxrss <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss:
+        raise RuntimeError(f"{cmd[1:3]}: peak RSS {usage.ru_maxrss} KiB is not above this"
+                           " process's own, which the kernel reports as a floor")
+    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0, out.decode()
+
+
+def single_pair(root: Path, workload: str, seed: int, work: Path,
+                padding: int) -> dict[str, float]:
+    """One side's set-up probe and checked run in fresh processes: setup_s, run_s and
+    peak_rss_mib, as bench/run.py measures them."""
+    config, out = work / "config.json", work / "out"
+    config.write_bytes(scenarios.config_bytes(workload, seed))
+    start_ns = time.monotonic_ns()
+    code, _, _, stdout = fresh_process(root, [sys.executable, "bench/child.py", "setup", "run",
+                                              "--config", str(config), "--out", str(out)],
+                                       padding, work / "setup.err")
+    if code != 0:
+        raise RuntimeError(f"{workload} set-up probe in {root} exited {code}")
+    setup_s = (int(stdout.split()[-1]) - start_ns) * 1e-9
+    code, wall, rss, _ = fresh_process(root, [sys.executable, "-m", "landauer_bounds.cli", "run",
+                                              "--config", str(config), "--out", str(out),
+                                              "--plots"], padding, work / "run.err")
+    problems = checks.check_outputs(workload, scenarios.scenario(workload, seed), out, code,
+                                    seed == 0)
+    if problems:
+        raise RuntimeError(f"{workload} run in {root} failed its check: {'; '.join(problems)}")
+    shutil.rmtree(out)
+    return {"run_s": wall, "setup_s": setup_s, "peak_rss_mib": rss}
+
+
+def single_runs(sides: dict[str, Path], workload: str, seed: int,
+                pairs: int) -> dict[str, Any]:
+    """``pairs`` single-run pairs of a workload in ABBA order: each side's values by
+    metric, and the wall time they took."""
+    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    rng, start = random.Random(ORDER_SEED), time.monotonic()
+    orders = abba_orders(pairs, rng)
+    for i, (order, padding) in enumerate(zip(orders, [rng.randrange(4096) for _ in orders])):
+        for side in order:
+            work = sides[side] / ".bench_runs" / f"single-{workload}-seed{seed}"
+            work.mkdir(parents=True, exist_ok=True)
+            for name, value in single_pair(sides[side], workload, seed, work, padding).items():
+                values[side].setdefault(name, []).append(value)
+        print(f"{workload} single pair {i + 1}: " + ", ".join(
+            f"{side} peak_rss_mib {values[side]['peak_rss_mib'][-1]:.2f}" for side in order),
+            flush=True)
+    return {**values, "wall_s": time.monotonic() - start}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True, nargs="+")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, required=True, nargs="+",
+                        help="the first seed's records are 'end_to_end' and 'single_runs',"
+                             " another seed N's carry the suffix '_seedN'")
+    parser.add_argument("--pairs", type=int, default=10, help="window pairs")
+    parser.add_argument("--seconds", type=float, default=0.0,
+                        help="length of one window (0: no windows)")
+    parser.add_argument("--single-pairs", type=int, default=0,
+                        help="single-run pairs per workload and seed (0: none)")
     parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     parser.add_argument("--trace-seconds", type=float, default=0.0,
                         help="length of the one traced window per side (0: none)")
@@ -132,32 +270,49 @@ def extract_checkouts(root: Path, parent_rev: str) -> dict[str, Path]:
     return sides
 
 
+def windows(sides: dict[str, Path], workload: str, seed: int, pairs: int, seconds: float,
+            spec: dict[str, Any]) -> dict[str, Any]:
+    """``pairs`` window pairs of a workload, alternating which side runs first,
+    summarized per metric, with the single runs of each side's windows pooled."""
+    runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    singles: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    for i in range(pairs):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            values, per_run = window(sides[side], workload, seed, seconds, 0)
+            runs[side].append(values)
+            for name, run_list in per_run.items():
+                singles[side].setdefault(name, []).extend(run_list)
+        print(f"{workload} pair {i + 1}: " + ", ".join(
+            f"{side} run_s {runs[side][-1]['run_s']:.4f}" for side in runs), flush=True)
+    return {m["name"]: {**summarize([r[m["name"]] for r in runs["parent"]],
+                                    [r[m["name"]] for r in runs["change"]], m["better"]),
+                        "pooled_runs": pooled(singles["parent"][m["name"]],
+                                              singles["change"][m["name"]])}
+            for m in spec["end_to_end"]}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if args.seconds <= 0 and args.single_pairs <= 0:
+        print("error: give --seconds or --single-pairs above 0", file=sys.stderr)
+        return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_rev = _git(ROOT, "rev-parse", args.parent)
     sides = extract_checkouts(ROOT, parent_rev)
-    end_to_end: dict[str, Any] = {}
+    records: dict[str, dict[str, Any]] = {}
     per_layer: dict[str, Any] = {}
     try:
-        for workload in args.workload:
-            runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
-            singles: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
-            for i in range(args.pairs):
-                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    values, per_run = window(sides[side], workload, args.seed, args.seconds, 0)
-                    runs[side].append(values)
-                    for name, run_list in per_run.items():
-                        singles[side].setdefault(name, []).extend(run_list)
-                print(f"{workload} pair {i + 1}: " + ", ".join(
-                    f"{side} run_s {runs[side][-1]['run_s']:.4f}" for side in runs), flush=True)
-            end_to_end[workload] = {
-                m["name"]: {**summarize([r[m["name"]] for r in runs["parent"]],
-                                        [r[m["name"]] for r in runs["change"]], m["better"]),
-                            "pooled_runs": pooled(singles["parent"][m["name"]],
-                                                  singles["change"][m["name"]])}
-                for m in spec["end_to_end"]}
-            if args.trace_seconds > 0:
+        for i, seed in enumerate(args.seed):
+            suffix = f"_seed{seed}" if i else ""
+            for workload in args.workload:
+                if args.seconds > 0:
+                    records.setdefault(f"end_to_end{suffix}", {})[workload] = windows(
+                        sides, workload, seed, args.pairs, args.seconds, spec)
+                if args.single_pairs > 0:
+                    records.setdefault(f"single_runs{suffix}", {})[workload] = single_runs(
+                        sides, workload, seed, args.single_pairs)
+        if args.trace_seconds > 0:
+            for workload in args.workload:
                 traced = {side: window(root, workload, TRACE_SEED, args.trace_seconds, 1)[0]
                           for side, root in sides.items()}
                 per_layer[workload] = {
@@ -171,25 +326,44 @@ def main(argv: list[str] | None = None) -> int:
         for checkout in sides.values():
             shutil.rmtree(checkout)
 
-    command = (f"python3 bench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g}"
-               " --trace 0 (end to end)")
+    for name, record in records.items():  # numpy is imported only after the last run
+        if name.startswith("single_runs"):
+            for workload, runs in record.items():
+                record[workload] = {
+                    m["name"]: paired(runs["parent"][m["name"]], runs["change"][m["name"]],
+                                      m["better"]) for m in spec["end_to_end"]}
+                record[workload]["wall_s"] = runs["wall_s"]
+    seeds = " ".join(map(str, args.seed))
+    commands, methods = [], []
+    if args.seconds > 0:
+        commands.append(f"python3 bench/run.py --workload W --seed {{{seeds}}}"
+                        f" --seconds {args.seconds:g} --trace 0 (end to end)")
+        methods.append(f"{args.pairs} window pairs per workload and seed, alternating which"
+                       " side runs first; each value is the median of one window;"
+                       " 'change_wins' counts pairs where the change reads better;"
+                       " 'parent_iqr' is the parent's interquartile range (q3 - q1);"
+                       " 'pooled_runs' summarizes the single runs (set-up probes for setup_s)"
+                       " of all windows of each side")
+    if args.single_pairs > 0:
+        commands.append("bench/child.py setup and landauer_bounds.cli run --plots in fresh"
+                        f" processes on the bench's config bytes of seed {{{seeds}}}"
+                        " (single runs)")
+        methods.append(f"{args.single_pairs} single-run pairs per workload and seed in ABBA"
+                       f" blocks drawn with seed {ORDER_SEED}; 'median_difference' is the"
+                       " median of change - parent and 'interval95' its percentile bootstrap"
+                       f" interval ({BOOTSTRAP_RESAMPLES} resamples, seed {BOOTSTRAP_SEED})")
     if per_layer:
-        command += (f" and --seed {TRACE_SEED} --seconds {args.trace_seconds:g} --trace 1"
-                    " (per layer)")
+        commands.append(f"python3 bench/run.py --seed {TRACE_SEED}"
+                        f" --seconds {args.trace_seconds:g} --trace 1 (per layer)")
+        methods.append("per-layer values come from one traced window per side")
     record: dict[str, Any] = {
         "change": (f"tracked working tree at {_git(ROOT, 'rev-parse', 'HEAD')} against"
                    f" {parent_rev}"),
-        "command": command + ", run from the root of each checkout",
-        "method": (f"{args.pairs} pairs per workload, alternating which side runs first;"
-                   " each value is the median of one window; 'change_wins' counts pairs"
-                   " where the change reads better; 'parent_iqr' is the parent's"
-                   " interquartile range (q3 - q1); 'pooled_runs' summarizes the single"
-                   " runs (set-up probes for setup_s) of all windows of each side"
-                   + ("; per-layer values come from one traced window per side"
-                      if per_layer else "")),
+        "command": "; ".join(commands) + ", run from the root of each checkout",
+        "method": "; ".join(methods),
         "environment": {"python": platform.python_version(), "numpy": version("numpy"),
                         "cpus": len(os.sched_getaffinity(0)), "blas": "one thread"},
-        "end_to_end": end_to_end,
+        **records,
     }
     if per_layer:
         record[f"per_layer_seed{TRACE_SEED}_traced"] = per_layer
