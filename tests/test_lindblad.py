@@ -560,13 +560,12 @@ def test_undriven_run_holds_no_similarity_table(rydberg):
 
 def test_driven_run_builds_its_similarity_tables_once(monkeypatch, erasure):
     # 20k steps in 40 blocks of step maps: the tables are built once for the run
-    calls = []
+    calls, build = [], lindblad.similarity_terms
 
     def counted(dim):
         calls.append(dim)
-        return terms(dim)
+        return build(dim)
 
-    terms = lindblad.similarity_terms
     monkeypatch.setattr(lindblad, "similarity_terms", counted)
     rho0 = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0)
     propagate(erasure, rho0, 10.0, 5e-4, 401)
