@@ -20,6 +20,7 @@ import copy
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -28,14 +29,14 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from . import linalg, models, plotting, qstate, refsolve, thermo
+from . import linalg, lindblad, models, plotting, qstate, refsolve, thermo
 from .errors import (
     ConfigError,
     LandauerBoundsError,
     NonHermitianInput,
     UnnormalizedVector,
 )
-from .lindblad import JumpChannel, LindbladModel, Trajectory, join, protocol_values, sample_grid
+from .lindblad import JumpChannel, LindbladModel, Trajectory, protocol_values, sample_grid
 from .lindblad import propagation as propagate  # one run, a block of samples at a time
 from .outputs import (Block, Summary, bounds_rows, csv_header, meta_json, staged,
                       trajectory_header, trajectory_rows)
@@ -230,6 +231,8 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     bath = None if raw.get("bath_T") is None else _read(raw["bath_T"], float, "bath_T")
     if bath is not None and bath <= 0:
         raise ConfigError("bath_T must be positive when set")
+    if bath is not None and not math.isfinite(1.0 / bath):
+        raise ConfigError(f"bath_T {bath!r} is too small: its inverse overflows")
     init = _read(raw.get("initial_state"), dict, "initial_state")
     params = {k: _read(v, float, f"model_params {k}") for k, v in _read(
         raw.get("model_params", {}), MODEL_PARAMS_KEYS[model_name], "model_params").items()}
@@ -237,8 +240,8 @@ def build_config(raw: dict[str, Any], name: str, out_dir: str | Path, plots: boo
     h0 = protocol_values(model.hamiltonian_protocol, np.zeros(1), model.dim, "Hamiltonian")[0]
     rho0 = _build_initial_state(init, model.dim, h0)
     # beta_R(0) enters every sample, so a start without one is refused before
-    # propagating. A driven start must not saturate it; an undriven run, which may
-    # start pure, keeps this solve, made on the levels that evaluate_samples uses.
+    # propagating. A driven start must not saturate it; an undriven run may start
+    # pure. Every block is bounded from this solve, made on the levels of H(0).
     b0 = refsolve.solve_beta_series(linalg.eigh(h0[None])[0],
                                     [qstate.von_neumann_entropy(rho0)], branch)[0]
     if b0.error is not None:
@@ -297,7 +300,7 @@ def _matrix_from_json(obj: Any, dim: int, what: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     """Everything a single scenario run produced, before serialization: the whole
-    run's columns, joined from its blocks."""
+    run's columns."""
 
     config: ScenarioConfig
     trajectory: Trajectory
@@ -343,18 +346,18 @@ def _build_initial_state(init: dict[str, Any], dim: int, h0: np.ndarray) -> np.n
         raise ConfigError(f"invalid initial_state of kind {kind!r}: {exc}") from exc
 
 
-def _evaluate(config: ScenarioConfig, basis: tuple[np.ndarray, np.ndarray] | None,
-              origin: thermo.Origin | None, traj: Trajectory, states: np.ndarray) -> Block:
+def _evaluate(config: ScenarioConfig, origin: thermo.Origin | None, traj: Trajectory,
+              states: np.ndarray | None) -> Block:
     """One propagated block of samples, evaluated, solved and bounded from the run's
-    ``origin``, or as the block of sample 0 when there is none yet."""
+    ``origin``, or as the block of sample 0, with ``config.beta_R0``, when there is
+    none yet."""
     model = config.model
-    samples = thermo.evaluate_samples(traj, model, states, basis)
+    samples = thermo.evaluate_samples(traj, model, states)
+    origin = origin or thermo.Origin.of(samples, config.beta_R0)
     if model.driven:
         series = refsolve.solve_beta_series(samples.levels, samples.S, config.beta_branch)
-        origin = origin or thermo.Origin.of(samples, series[0])
         bounds = thermo.driven_bounds(traj, model, samples, series, config.bath_T, origin)
     else:
-        origin = origin or thermo.Origin.of(samples, config.beta_R0)
         bounds = thermo.undriven_bounds(traj, model, samples, config.beta_R0, config.bath_T,
                                         origin)
     nlp = None
@@ -366,33 +369,26 @@ def _evaluate(config: ScenarioConfig, basis: tuple[np.ndarray, np.ndarray] | Non
 def _blocks(config: ScenarioConfig) -> Iterator[Block]:
     """The run of ``config``, one ``lindblad.SAMPLE_BLOCK`` of samples at a time: a
     block is propagated, evaluated, solved and bounded when it is read. Between
-    blocks only the propagation's carry, the run's origin (sample 0) and an
-    undriven model's one energy basis persist."""
-    model = config.model
-    run = propagate(model, config.rho0, config.t_end, config.dt, config.n_samples)
-    basis = None if model.driven else thermo.energy_basis(model, run.times)
-    blocks = iter(run)
-    first = _evaluate(config, basis, None, *next(blocks))
+    blocks only the propagation's carry and the run's origin (sample 0) persist."""
+    blocks = iter(propagate(config.model, config.rho0, config.t_end, config.dt,
+                            config.n_samples))
+    first = _evaluate(config, None, *next(blocks))
     origin = first.origin
     yield first
     del first  # the next block is propagated without this one
     # starmap holds no block between two reads, and neither does yield from; a for
     # loop would hold each block while it is written (pump's peak RSS 34.71 -> 34.87 MiB)
-    yield from itertools.starmap(functools.partial(_evaluate, config, basis, origin), blocks)
+    yield from itertools.starmap(functools.partial(_evaluate, config, origin), blocks)
 
 
 def run_pipeline(config: ScenarioConfig) -> PipelineResult:
     """Propagate, solve references, and evaluate bounds for one run built by
-    ``build_config``, and join its blocks into whole-run columns."""
-    summary, blocks = Summary(config.n_samples), []
-    for block in _blocks(config):
-        summary.add(block)
-        blocks.append(block)
-    trajectories, tables, nlps, _ = zip(*blocks)
-    return PipelineResult(config, join(np.concatenate([t.times for t in trajectories]),
-                                       trajectories), thermo.join(tables),
-                          None if config.bath_T is None else thermo.join(nlps),
-                          summary.meta(config))
+    ``build_config``, the whole run evaluated as one block."""
+    traj = lindblad.propagate(config.model, config.rho0, config.t_end, config.dt,
+                              config.n_samples)
+    summary, block = Summary(config.n_samples), _evaluate(config, None, traj, None)
+    summary.add(block)
+    return PipelineResult(config, traj, block.bounds, block.nlp, summary.meta(config))
 
 
 def write_outputs(config: ScenarioConfig) -> tuple[dict[str, Any], dict[str, np.ndarray]]:

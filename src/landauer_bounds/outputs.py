@@ -61,7 +61,7 @@ def _verdicts(bounds: thermo.Bounds, nlp: thermo.NlpComparison | None,
 
 class Summary:
     """What meta.json reads of a run of m samples, reduced block by block: sample
-    0's flags, solve and energy, each verdict's worst slack so far (the first of
+    0's flags and energy, each verdict's worst slack so far (the first of
     equal ones, a NaN before any number, as ``np.argmin`` over the whole run picks
     it), the largest energy-balance error, the smallest eigenvalue, the status
     counts, the m trace drifts (summed once, in the end), the last finite
@@ -82,7 +82,6 @@ class Summary:
         rows = slice(self.count, self.count + len(traj.times))
         if not self.count:  # the block of sample 0
             self.first, self.e_s0 = bounds.flags[0], bounds.E_S[0]
-            self.reference = block.origin.reference
         self.count = rows.stop
         self.end = traj.full_coordinates(slice(-1, None))[0]  # the last state so far
         self.dt, self.n_steps, self.max_defect = traj.dt, traj.n_steps, traj.max_step_trace_drift
@@ -103,7 +102,7 @@ class Summary:
         return rows
 
     def meta(self, config: ScenarioConfig) -> dict[str, Any]:
-        first, b0 = self.first, self.reference
+        first, b0 = self.first, config.beta_R0
         flipped, degenerate = "direction_flipped" in first, "degenerate_spectrum" in first
         meta: dict[str, Any] = {
             "scenario": config.name,

@@ -19,9 +19,9 @@ The entropy change dS is always recomputed from sampled states, never
 accumulated, so integrator error cannot leak into an inequality check.
 
 ``evaluate_samples`` makes the one pass over a block of samples: it
-diagonalizes H(t) at all samples of a driven model in one stacked call (once
-per run for an undriven one, broadcast to every sample without a copy) and
-evaluates E_S, S, S', Coh and the energy-basis populations on stacks of
+diagonalizes H(t) at all samples of a driven model in one stacked call (H(0)
+once per block for an undriven one, broadcast to every sample without a copy)
+and evaluates E_S, S, S', Coh and the energy-basis populations on stacks of
 states. S comes from the spectra that ``propagate`` computed for its
 positivity check, so each sampled state is decomposed once. The reference
 solves, the bound chain and the NLP comparison read these arrays. rho_th(t)
@@ -40,42 +40,33 @@ bounded one block of samples at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from itertools import chain
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import linalg, qstate
 from .errors import DrivenModelSupplied, MisalignedSeries, NoBathTemperature
-from .lindblad import LindbladModel, Trajectory, density_matrices, protocol_values
+from .lindblad import LindbladModel, Trajectory, protocol_values
 from .qstate import ThermoSample
 from .refsolve import BetaSolveResult
 
 
-def energy_basis(model: LindbladModel, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending levels (k, d) and eigenvectors (k, d, d) of H at each of the k
-    times, or for an undriven model the one basis of H(0), as (1, d) and (1, d, d)."""
-    times = times if model.driven else np.zeros(1)
-    return linalg.eigh(protocol_values(model.hamiltonian_protocol, times, model.dim,
-                                       "Hamiltonian"))
-
-
-def evaluate_samples(traj: Trajectory, model: LindbladModel, states: np.ndarray | None = None,
-                     basis: tuple[np.ndarray, np.ndarray] | None = None) -> ThermoSample:
+def evaluate_samples(traj: Trajectory, model: LindbladModel,
+                     states: np.ndarray | None = None) -> ThermoSample:
     """Diagonalize H(t) and evaluate E_S, S, S', Coh at every sample.
 
     ``states`` is the complex stack of the samples' density matrices, when the
     caller has it (``lindblad.Propagation`` yields it with each block); without
-    it the stack of all the trajectory's samples is formed here.
-    ``basis`` is ``energy_basis(model, traj.times)``, when the caller has it.
-    An undriven model shares one eigensystem across samples, and its
-    ``levels`` are that one row broadcast to every sample.
+    it ``traj.states()`` forms it here. An undriven model shares the one
+    eigensystem of H(0) across samples, and its ``levels`` are that one row
+    broadcast to every sample.
     """
     m, d = len(traj.times), model.dim
-    levels, vectors = energy_basis(model, traj.times) if basis is None else basis
-    if states is None:
-        states = density_matrices(traj.full_coordinates(slice(None)))
+    times = traj.times if model.driven else np.zeros(1)
+    levels, vectors = linalg.eigh(protocol_values(model.hamiltonian_protocol, times, d,
+                                                  "Hamiltonian"))
+    states = traj.states() if states is None else states
     return qstate.state_functionals(states, traj.spectra, np.broadcast_to(levels, (m, d)),
                                     np.broadcast_to(vectors, (m, d, d)))
 
@@ -110,13 +101,6 @@ class _Table:
 
     def __getitem__(self, name: str) -> Any:
         return getattr(self, _ALIASES.get(name, name))
-
-
-def join(tables: list[Any]) -> Any:
-    """One table of the rows of consecutive blocks' tables."""
-    return type(tables[0])(*(
-        list(chain(*columns)) if isinstance(columns[0], list) else np.concatenate(columns)
-        for columns in zip(*([getattr(t, f.name) for f in fields(t)] for t in tables))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -221,6 +221,9 @@ def test_config_errors_exit_3(tmp_path):
     {"top_level": {"model": "rydberg", "model_params": {"gamma": "1e400"}, "bath_T": None,
                    "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 3}}},
     {"top_level": {"bath_T": "1e400"}},
+    # a positive bath_T whose inverse overflows would fail only after propagating
+    {"top_level": {"bath_T": 1e-309},
+     "message": "bath_T 1e-309 is too small: its inverse overflows"},
     {"initial_state": {"kind": "sorted_ascending_diagonal", "beta": "-1e400"}},
     # every JSON value is read as its kind, and the message names the field
     {"top_level": {"name": 5}, "message": "name must be a string, got 5"},
@@ -250,7 +253,8 @@ def test_config_errors_exit_3(tmp_path):
         "sweep-name-meta-json", "sweep-name-sweep-svg", "sweep-name-meta-json-partial",
         "sweep-name-sweep-svg-partial",
         "driven-pure-start", "pure-vector-booleans", "rydberg-gamma-nan", "bath-T-infinity",
-        "rydberg-gamma-1e400", "bath-T-1e400", "sorted-beta-minus-1e400", "name-not-a-string",
+        "rydberg-gamma-1e400", "bath-T-1e400", "bath-T-inverse-overflows",
+        "sorted-beta-minus-1e400", "name-not-a-string",
         "initial-state-pairs", "model-not-a-string", "custom-model-file-not-a-string",
         "sweep-overrides-a-list", "custom-model-file-with-built-in-model"])
 def test_bad_model_input_exits_3_with_one_line(tmp_path, capsys, change):
@@ -307,16 +311,16 @@ def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
     count(linalg, "eigh")
     for name in ("state_functionals", "von_neumann_entropy", "relative_entropy"):
         count(qstate, name)
-    for module in (lindblad, thermo, outputs):
+    for module in (lindblad, outputs):
         count(module, "density_matrices")
     monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 8)
     for scenario in ("fig1", "fig2"):
         raw = cli.scenario_defaults(scenario)
         raw["integrator"].update(t_end=2.0, n_samples=21)
-        config = cli.build_config(raw, scenario, tmp_path, plots=False)
+        config = cli.build_config(raw, scenario, tmp_path / scenario, plots=False)
         calls.update(dict.fromkeys(calls, 0))
-        result = cli.run_pipeline(config)
-        n = len(result.trajectory.times)
+        cli.write_outputs(config)
+        n = len(plotting.read_bounds_csv(config.out_dir / "bounds.csv")[1]["t"])
         assert n == 21
         blocks = math.ceil(n / lindblad.SAMPLE_BLOCK)
         assert calls["state_functionals"] == blocks == 3
@@ -329,9 +333,18 @@ def test_pipeline_evaluates_each_sample_once(tmp_path, monkeypatch):
 def test_sample_blocks_do_not_change_results(tmp_path, monkeypatch, scenario):
     raw = cli.scenario_defaults(scenario)
     raw["integrator"].update(t_end=2.0, n_samples=20)
-    config = cli.build_config(raw, scenario, tmp_path, plots=False)
+    config = cli.build_config(raw, scenario, tmp_path / "whole", plots=False)
+    whole_meta, _ = cli.write_outputs(config)
     whole = cli.run_pipeline(config)
     monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 7)
+    blocked_config = dataclasses.replace(config, out_dir=tmp_path / "blocked")
+    blocked_meta, _ = cli.write_outputs(blocked_config)
+    for name in ("trajectory.csv", "bounds.csv", "meta.json"):
+        assert ((blocked_config.out_dir / name).read_bytes()
+                == (config.out_dir / name).read_bytes()), name
+    # the streamed blocks give the meta of run_pipeline's single block
+    assert blocked_meta == whole_meta == whole.meta
+    # and run_pipeline's columns do not depend on the blocks propagate joins
     blocked = cli.run_pipeline(config)
     for new, old in ((blocked.bounds, whole.bounds), (blocked.nlp, whole.nlp)):
         if old is None:
@@ -344,6 +357,21 @@ def test_sample_blocks_do_not_change_results(tmp_path, monkeypatch, scenario):
             else:
                 assert np.array_equal(new[f.name], old[f.name], equal_nan=True), f.name
     assert blocked.meta == whole.meta
+
+
+@pytest.mark.parametrize("scenario", ["fig1", "fig2"])
+def test_meta_reports_the_reference_that_build_config_solved(tmp_path, monkeypatch, scenario):
+    # beta_R(0) is solved once, in build_config, for both model kinds; every block
+    # is bounded from that solve and meta.json reports it bit for bit
+    raw = cli.scenario_defaults(scenario)
+    raw["integrator"].update(t_end=2.0, n_samples=20)
+    config = cli.build_config(raw, scenario, tmp_path, plots=False)
+    b0 = config.beta_R0
+    monkeypatch.setattr(lindblad, "SAMPLE_BLOCK", 7)
+    written, _ = cli.write_outputs(config)
+    for meta in (written, read_meta(tmp_path), cli.run_pipeline(config).meta):
+        assert meta["reference"]["beta_R0"] == b0.beta_R
+        assert meta["reference"]["residual"] == b0.residual
 
 
 @pytest.mark.parametrize("scenario, changes, error", [

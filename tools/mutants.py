@@ -80,6 +80,10 @@ MUTANTS = (
     Mutant("omega-sign-flip", "models.py",
            "params.omega * (_dyad(i11, bright) + _dyad(i00, bright))",
            "params.omega * (_dyad(i11, bright) - _dyad(i00, bright))"),
+    # each later block measured from its own first row instead of the run's sample 0
+    Mutant("per-block-origin", "cli.py",
+           "functools.partial(_evaluate, config, origin)",
+           "functools.partial(_evaluate, config, None)"),
 )
 
 
