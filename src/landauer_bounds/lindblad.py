@@ -14,15 +14,15 @@ The work integral uses the analytic dH/dt of the model's own protocol,
 ``hamiltonian_rate_protocol``; a model that supplies one is driven.
 
 Only the d^2 x d^2 complex Liouvillian is formed, from the jump terms and d
-strided adds each of -i K (x) I and +i I (x) conj(K), with no Kronecker
-product against the identity; one elementwise similarity makes it real, and the
-Q and W rows are inner products with the coordinates of H and dH/dt. One RK4
-step is the exact linear map S = I + h/6 (K1 + 2 K2 + 2 K3 + K4), formed in
-three reused buffers; heat and work share the stage weights of the state, which
-keeps dE_S = W - Q at integrator accuracy. Driven models build the maps one
-block at a time, as many steps as fit in STEP_BLOCK_BYTES, and multiply those
-between two samples pairwise into one segment product; undriven models use
-powers of their one map.
+strided adds each of -i K (x) I and +i I (x) conj(K), with no Kronecker product
+against the identity; one elementwise similarity with the cached d^2 coordinate
+map makes it real (no d^4 table is built), and the Q and W rows are inner
+products with the coordinates of H and dH/dt. One RK4 step is the exact linear
+map S = I + h/6 (K1 + 2 K2 + 2 K3 + K4), formed in three reused buffers; heat
+and work share the stage weights of the state, which keeps dE_S = W - Q at
+integrator accuracy. Driven models build the maps one block at a time, as many
+steps as fit in STEP_BLOCK_BYTES, and multiply those between two samples
+pairwise into one segment product; undriven models use powers of their one map.
 
 A run is propagated one SAMPLE_BLOCK of samples at a time (``Propagation``):
 the sample loop only applies the segments; the trace normalization, its record
@@ -233,7 +233,8 @@ def _coordinates(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
     x = Re(z * vec rho), z = sqrt(2) above the diagonal of rho, i sqrt(2) below
     it and 1 on it: on Hermitian rho, the unitary T = (diag z + diag(conj z) P) / 2.
-    Every coordinate change reads these d^2 entries, so they are cached.
+    Every coordinate change reads these d^2 entries, and so does the similarity
+    that makes a Liouvillian real, so they are cached.
     """
     n = dim * dim
     rows, cols = np.divmod(np.arange(n), dim)
@@ -242,26 +243,6 @@ def _coordinates(dim: int) -> tuple[np.ndarray, np.ndarray]:
     for term in (z, perm):  # shared by every caller through the cache
         term.setflags(write=False)
     return z, perm
-
-
-def similarity_terms(dim: int) -> tuple[np.ndarray, ...]:
-    """The similarity terms (w, c, p) x 2 that make a Liouvillian real.
-
-    A Liouvillian A that preserves Hermiticity has P A P = conj(A), so with T of
-    ``_coordinates`` T A T^dag = Re[(z z^dag / 2) * A + (z z^T / 2) * A P], whose
-    coefficients are real or imaginary: entry (j, k) is the sum over both terms
-    of w[j, k] times the real (p = 0) or imaginary (p = 1) part of A at flat
-    index c[j, k]. Each w has a trailing unit axis for time. The six tables have
-    d^4 entries each (315 KB at d = 9), so they are not cached: the run that
-    builds generators holds them while it does, and drops them after.
-    """
-    z, perm = _coordinates(dim)
-    n = dim * dim
-    cells, terms = np.arange(n * n).reshape(n, n), []
-    for coef, picks in ((np.outer(z, z.conj()) / 2, cells), (np.outer(z, z) / 2, cells[:, perm])):
-        imag = coef.imag != 0
-        terms += [np.where(imag, -coef.imag, coef.real)[..., None], picks, imag.astype(int)]
-    return tuple(terms)
 
 
 def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
@@ -317,10 +298,8 @@ def upper_triangle(x: np.ndarray) -> np.ndarray:
     return columns
 
 
-def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray,
-                       terms: tuple[np.ndarray, ...]) -> np.ndarray:
-    """A = T L T^dag at each time, as a (d^2, d^2, m) array, from the Hamiltonians h
-    and the ``similarity_terms`` of the model's dimension.
+def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A = T L T^dag at each time, as a (d^2, d^2, m) array, from the Hamiltonians h.
 
     Only the complex Liouvillian L is formed, in a (d, d, d, d, m) buffer that
     holds L[(a, b), (c, e)] at [a, b, c, e]: one contraction over the stacked
@@ -328,6 +307,10 @@ def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray,
     and +i I (x) conj(K) are added on d strided slices each, with
     K = H - (i/2) sum_mu gamma_mu L_mu^dag L_mu. Time is the last, contiguous
     axis of every operator array, so each operation runs over all m times.
+
+    L preserves Hermiticity, so P L P = conj(L), and with z, P and T of
+    ``_coordinates`` T L T^dag = Re[(z z^dag / 2) * L + (z z^T / 2) * L P],
+    formed elementwise in L's buffer.
     """
     m, d, n = len(times), model.dim, model.dim ** 2
     # L rho = -i (K rho - rho K^dag) + sum_mu gamma_mu L_mu rho L_mu^dag, and
@@ -350,36 +333,31 @@ def _real_liouvillians(model: LindbladModel, times: np.ndarray, h: np.ndarray,
         liou[j, :, j, :] += plus_i_conj_k
     del minus_i_k, plus_i_conj_k
 
-    w0, c0, p0, w1, c1, p1 = terms
-    parts = liou.reshape(n * n, m).view(np.float64).reshape(n * n, m, 2)
-    real = parts[c0, :, p0]
-    real *= w0
-    term = parts[c1, :, p1]
-    term *= w1
-    real += term
-    return real
+    z, perm = _coordinates(d)
+    liou = liou.reshape(n, n, m)
+    swapped = np.take(liou, perm, axis=1)  # L P, C-ordered like L, unlike liou[:, perm]
+    liou *= (np.multiply.outer(z, z.conj()) / 2)[..., None]
+    swapped *= (np.multiply.outer(z, z) / 2)[..., None]
+    liou += swapped
+    return liou.real
 
 
-def augmented_generators(model: LindbladModel, times: np.ndarray,
-                         terms: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+def augmented_generators(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     """Real generators of y = [x, Q, W] at each time, shape (m, d^2 + 2, d^2 + 2).
 
     x = ``hermitian_coordinates(rho)``. The leading d^2 x d^2 block is
-    A = T L T^dag for the complex Liouvillian L on row-major vec(rho) (see
-    ``similarity_terms``), built without Kronecker products against the identity
-    (see ``_real_liouvillians``); row d^2 is dQ/dt = -Tr[H L(rho)] = -h . A x
-    with h the coordinates of H, and row d^2 + 1 is dW/dt = Tr[dH/dt rho], the
-    coordinates of ``hamiltonian_rate_protocol`` (zero for undriven models).
-    The Q and W columns are zero.
-
-    ``terms`` are ``similarity_terms(model.dim)``, built here when not given; a
-    caller that builds generators more than once builds them once and passes them.
+    A = T L T^dag for the complex Liouvillian L on row-major vec(rho), built
+    without Kronecker products against the identity and made real from the
+    cached coordinates (see ``_real_liouvillians``); row d^2 is
+    dQ/dt = -Tr[H L(rho)] = -h . A x with h the coordinates of H, and row d^2 + 1
+    is dW/dt = Tr[dH/dt rho], the coordinates of ``hamiltonian_rate_protocol``
+    (zero for undriven models). The Q and W columns are zero.
     """
     times = np.asarray(times, dtype=float)
     n = model.dim ** 2
     h = linalg.require_hermitian(protocol_values(model.hamiltonian_protocol, times, model.dim,
                                                  "Hamiltonian"))
-    real = _real_liouvillians(model, times, h, terms or similarity_terms(model.dim))
+    real = _real_liouvillians(model, times, h)
     gen = np.zeros((len(times), n + 2, n + 2))
     gen[:, :n, :n] = np.moveaxis(real, -1, 0)
     gen[:, n, :n] = -np.einsum("tj,jkt->tk", hermitian_coordinates(h), real)
@@ -425,12 +403,14 @@ def _generator_scale(gen: np.ndarray, n: int, dt: float) -> float:
     return dt * float(np.sqrt(np.max(np.einsum("tij,tij->t", liou, liou))))
 
 
-def _warn_if_coarse(scale: float) -> bool:
-    """Warn when the generator scale reaches 0.1; return whether it warned."""
+def _warn_if_coarse(scale: float, by: float | None = None) -> bool:
+    """Warn when the generator scale reaches 0.1; return whether it warned. A driven
+    run passes ``by``, the end of the steps whose largest scale it read."""
     if scale < _COARSE_STEP:
         return False
-    warnings.warn(f"dt * generator scale = {scale:.3g} >= {_COARSE_STEP}; "
-                  "accuracy may degrade", stacklevel=4)
+    measured = f"= {scale:.3g}" if by is None else f"reached {scale:.3g} by t={by!r},"
+    warnings.warn(f"dt * generator scale {measured} >= {_COARSE_STEP}; accuracy may degrade",
+                  stacklevel=4)
     return True
 
 
@@ -453,10 +433,11 @@ def _driven_maps(model: LindbladModel, dt: float,
                  sample_idx: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
     """Yield the product of the step maps between each two consecutive samples,
     with the largest trace-row defect of the maps built so far; the maps are
-    built one block of steps at a time."""
+    built one block of steps at a time. The coarse-step warning comes once, from
+    the first block that reaches 0.1, with the largest scale from t = 0 to the
+    block's end; a later block may reach more."""
     n, k, block = model.dim ** 2, model.dim ** 2 + 2, steps_per_block(model.dim)
     n_steps, max_defect, warned, carry = int(sample_idx[-1]), 0.0, False, np.eye(k)
-    terms = similarity_terms(model.dim)  # once per run, held until its last block
     for first in range(0, n_steps, block):
         count = min(block, n_steps - first)
         # The generators and RK4 stages, about five times the maps' bytes, are formed
@@ -464,12 +445,11 @@ def _driven_maps(model: LindbladModel, dt: float,
         half, scale, halves = -(-count // 2), 0.0, []
         for start in range(first, first + count, half):
             steps = min(half, first + count - start)
-            gen = augmented_generators(model, (start + 0.5 * np.arange(2 * steps + 1)) * dt,
-                                       terms)
+            gen = augmented_generators(model, (start + 0.5 * np.arange(2 * steps + 1)) * dt)
             scale = max(scale, _generator_scale(gen, n, dt))
             halves.append(_rk4_step_maps(gen[:-1:2], gen[1::2], gen[2::2], dt))
             del gen  # freed before the next half's generators are built
-        warned = warned or _warn_if_coarse(scale)
+        warned = warned or _warn_if_coarse(scale, (first + count) * dt)
         maps = np.concatenate(halves)
         del halves
         max_defect = max(max_defect, _trace_row_defects(maps, model.dim, first, dt))

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -170,6 +171,33 @@ def test_unstable_run_names_its_first_sample_with_norm_above_10():
         with pytest.raises(StabilityError, match=r"^state norm 7\.524e\+04 at t=20\.0$"):
             propagate(model, plus, 20.0 * 400, 20.0, 401)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_driven_coarse_step_warning_names_the_scale_up_to_its_time():
+    # fig2 at tau = 640, dt = tau / 30000: dt ||L||_F first reaches 0.1 in a block
+    # that ends long before t = tau, where the run's largest scale (0.309) lies, so
+    # the warning states the largest scale from t = 0 up to the time it names.
+    params = models.ErasureParams(tau=640.0)
+    model, dt = models.build_erasure(params), params.tau / 30000
+    rho0 = models.initial_state("gibbs", model.hamiltonian_protocol(0.0), beta=1.0)
+    with pytest.warns(UserWarning, match="accuracy may degrade") as caught:
+        propagate(model, rho0, params.tau, dt, 2)
+    assert len(caught) == 1
+    found = re.fullmatch(r"dt \* generator scale reached (\S+) by t=(\S+), >= 0\.1; "
+                         r"accuracy may degrade", str(caught[0].message))
+    assert found
+    scale, by = float(found[1]), float(found[2])
+    steps = round(by / dt)
+    assert by == steps * dt and steps % steps_per_block(2) == 0 and by < params.tau
+
+    def scale_up_to(n_steps):
+        times = 0.5 * dt * np.arange(2 * n_steps + 1)
+        return lindblad._generator_scale(augmented_generators(model, times), 4, dt)
+
+    assert found[1] == f"{scale_up_to(steps):.3g}"
+    assert scale_up_to(steps - steps_per_block(2)) < 0.1 <= scale < 0.11
+    at_tau = lindblad._generator_scale(augmented_generators(model, [params.tau]), 4, dt)
+    assert at_tau == pytest.approx(0.309, abs=5e-4)
 
 
 def scale_step_maps(monkeypatch, eps):
@@ -535,13 +563,12 @@ def test_states_of_a_block_are_density_matrices_of_its_samples_bit_for_bit(d, r)
     assert np.array_equal(traj.states().view(np.int64), expected.view(np.int64))
 
 
-def test_undriven_run_holds_no_similarity_table(rydberg):
-    # The six similarity tables have d^4 entries each, 52 KB apiece at d = 9. An
-    # undriven run builds them for its one generator and drops them with it: once
-    # its first block is out, what the run holds (its sample grid, its carry and the
-    # 41 x 41 power of its sector for its one sample gap, 13 KB) is less than one
-    # table. The cache of the coordinates is cleared first, so that no earlier test
-    # has filled it.
+def test_undriven_run_holds_no_d4_array(rydberg):
+    # An array of d^4 floats takes 52 KB at d = 9. An undriven run forms its one
+    # d^2 x d^2 generator and drops it: once its first block is out, what the run
+    # holds (its sample grid, its carry and the 41 x 41 power of its sector for its
+    # one sample gap, 13 KB) is less than one such array. The cache of the
+    # coordinates is cleared first, so that no earlier test has filled it.
     model, _ = rydberg
     rho0 = models.initial_state("gibbs", model.hamiltonian_protocol(0.0), beta=30.0)
     list(lindblad.propagation(model, rho0, 0.1, 0.01, 2))  # lazy set-up outside the measurement
@@ -556,20 +583,6 @@ def test_undriven_run_holds_no_similarity_table(rydberg):
         tracemalloc.stop()
     assert len(run.support) == 39
     assert held < 8 * model.dim ** 4
-
-
-def test_driven_run_builds_its_similarity_tables_once(monkeypatch, erasure):
-    # 20k steps in 40 blocks of step maps: the tables are built once for the run
-    calls, build = [], lindblad.similarity_terms
-
-    def counted(dim):
-        calls.append(dim)
-        return build(dim)
-
-    monkeypatch.setattr(lindblad, "similarity_terms", counted)
-    rho0 = models.initial_state("gibbs", erasure.hamiltonian_protocol(0.0), beta=1.0)
-    propagate(erasure, rho0, 10.0, 5e-4, 401)
-    assert calls == [2]
 
 
 def test_upper_triangle_is_the_gather_from_density_matrices_bit_for_bit():

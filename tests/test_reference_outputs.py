@@ -14,13 +14,13 @@ _SPEC.loader.exec_module(reference_outputs)
 
 
 def test_reference_runs_are_the_figures_and_the_seed_zero_workloads(tmp_path):
-    # and two custom model files, so the comparison reaches cli.load_custom_model
-    # and the saturation band |beta_R| * spread > 700, and fig1 from every other
-    # kind of initial state
+    # and three custom model files, so the comparison reaches cli.load_custom_model,
+    # the saturation band |beta_R| * spread > 700 and operators with imaginary
+    # parts, and fig1 from every other kind of initial state
     runs = reference_outputs.runs(tmp_path)
     assert [name for name, _ in runs] == ["fig1", "fig2", "figS1", "pump", "erase", "erase-sweep",
-                                          "two-baths", "cold-qubit", "fig1-inset", "pump-pure",
-                                          "pump-mixed"]
+                                          "two-baths", "cold-qubit", "complex-qutrit", "fig1-inset",
+                                          "pump-pure", "pump-mixed"]
     assert [args for _, args in runs[:3]] == [["--scenario", n] for n in ("fig1", "fig2", "figS1")]
     kinds = set()
     for name, args in runs[3:]:
@@ -28,7 +28,11 @@ def test_reference_runs_are_the_figures_and_the_seed_zero_workloads(tmp_path):
         raw = json.loads(Path(args[1]).read_text())
         config = cli.build_config(raw, name, tmp_path / "out", plots=True)
         assert isinstance(config, cli.Sweep) == (name == "erase-sweep")
-        assert (raw["model"] == "custom") == (name in ("two-baths", "cold-qubit"))
+        assert (raw["model"] == "custom") == (name in ("two-baths", "cold-qubit", "complex-qutrit"))
+        if name == "complex-qutrit":  # L itself has imaginary parts, from H and the jumps
+            model = config.model
+            assert model.hamiltonian_protocol(0.0).imag.any() and raw["bath_T"] == 0.5
+            assert all(ch.operator_protocol(0.0).imag.any() for ch in model.channels)
         kinds.add(raw["initial_state"]["kind"])
     assert kinds == set(cli.INITIAL_STATE_KEYS)
 

@@ -71,6 +71,8 @@ MUTANTS = (
     Mutant("coarse-step-1", "lindblad.py", "_COARSE_STEP = 0.1", "_COARSE_STEP = 1.0"),
     Mutant("no-sample-renormalization", "lindblad.py",
            "coords /= traces[:, None]", "coords /= 1.0"),
+    # T L T^dag with the L P term subtracted instead of added
+    Mutant("similarity-swapped-term-negated", "lindblad.py", "liou += swapped", "liou -= swapped"),
     Mutant("doubled-rates", "lindblad.py",
            "weighted = np.array([ch.rate for ch in channels])",
            "weighted = 2.0 * np.array([ch.rate for ch in channels])"),

@@ -7,17 +7,19 @@ one process per run, into OUT_DIR/<run>: the built-in scenarios fig1, fig2 and
 figS1, the benchmark workloads pump, erase and erase-sweep at seed 0, whose
 configs ``bench/scenarios.config_bytes`` writes, two-baths, a custom model file
 read through ``--config`` (README's qubit between two baths, run without
-``bath_T``), cold-qubit (a custom decaying qubit in its Gibbs state at beta = 720,
-whose reference lies beyond |beta_R| * spread = 700 and so flags every sample
-``saturated``), and fig1 from the three other initial-state kinds: fig1-inset (the
-population-inverted start of the paper's Fig. 1 inset), pump-pure (the pure state
-|01>) and pump-mixed (the maximally mixed state). Two trees made this way from
-two source trees are then compared with
+``bath_T``), cold-qubit (a custom decaying qubit in its Gibbs state at beta =
+720, whose reference lies beyond |beta_R| * spread = 700 and so flags every
+sample ``saturated``), complex-qutrit (a custom qutrit whose Hamiltonian and
+jump operators have imaginary parts, coupled to a bath at ``bath_T``), and fig1
+from the three other initial-state kinds: fig1-inset (the population-inverted
+start of the paper's Fig. 1 inset), pump-pure (the pure state |01>) and
+pump-mixed (the maximally mixed state). Two trees made this way from two source
+trees are then compared with
 
     python tools/compare_outputs.py PARENT_OUT CHANGE_OUT
 
 Prints one line per run; exits 1 when a run exits with a code other than 0, 2
-on bad arguments and 0 otherwise. All eleven runs take a few seconds.
+on bad arguments and 0 otherwise. All twelve runs take a few seconds.
 """
 
 from __future__ import annotations
@@ -52,6 +54,20 @@ def two_baths_model() -> dict:
             "channels": channels}
 
 
+def complex_qutrit_model(temperature: float) -> dict:
+    """Levels 0, v+ = (|1> + i|2>) / sqrt(2) at energy 1 and v- = (|1> - i|2>) / sqrt(2)
+    at energy 2, and one thermal pair of jumps between 0 and v+ at ``temperature``
+    with rate 0.2: each operator is sqrt(2) times |0><v+| or |v+><0|, so the
+    Hamiltonian and both operators have imaginary parts."""
+    n_bath = 1.0 / math.expm1(1.0 / temperature)
+    down = {"re": [[0, 1, 0], [0, 0, 0], [0, 0, 0]], "im": [[0, 0, -1], [0, 0, 0], [0, 0, 0]]}
+    up = {"re": [[0, 0, 0], [1, 0, 0], [0, 0, 0]], "im": [[0, 0, 0], [0, 0, 0], [1, 0, 0]]}
+    return {"dim": 3, "hamiltonian": {"re": [[0, 0, 0], [0, 1.5, 0], [0, 0, 1.5]],
+                                      "im": [[0, 0, 0], [0, 0, 0.5], [0, -0.5, 0]]},
+            "channels": [{"rate": 0.1 * (n_bath + 1.0), "operator": down},
+                         {"rate": 0.1 * n_bath, "operator": up}]}
+
+
 def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
     """(run name, CLI arguments before --out) of every reference run; the
     benchmark configs are written into ``config_dir``."""
@@ -80,6 +96,14 @@ def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
         "initial_state": {"kind": "gibbs", "beta": 720.0},
         "integrator": {"dt": 0.01, "t_end": 1.0, "n_samples": 5}}))
     out.append(("cold-qubit", ["--config", str(config)]))
+    model, config = config_dir / "complex-qutrit-model.json", config_dir / "complex-qutrit.json"
+    bath_T = 0.5  # the temperature of the model's jumps
+    model.write_text(json.dumps(complex_qutrit_model(bath_T)))
+    config.write_text(json.dumps({
+        "model": "custom", "custom_model_file": str(model),
+        "initial_state": {"kind": "gibbs", "beta": 0.5}, "bath_T": bath_T,
+        "integrator": {"dt": 0.01, "t_end": 20.0, "n_samples": 41}}))
+    out.append(("complex-qutrit", ["--config", str(config)]))
     for name, start in FIG1_STARTS.items():
         config = config_dir / f"{name}.json"
         config.write_text(json.dumps({
